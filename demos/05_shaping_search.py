@@ -8,7 +8,6 @@ every corner regime, with alpha spanning orders of magnitude across gains.
 """
 
 from gainlab import dynamics, shaping
-from gainlab.cli import ToyShapingProblem
 from gainlab.control import GainConfig, default_grid
 
 plant = dynamics.point_mass(1.0, torque_limit=300.0, torque_rate_limit=2e4)
@@ -29,8 +28,8 @@ print(f"  infeasible (30% over on velocity): "
 print(f"\n{'regime':>7} {'kp':>6} {'kd':>4} {'alpha':>9} {'beta':>5} "
       f"{'gamma':>6} {'J':>6} {'goal rate':>10}")
 for name, (kp, kd) in default_grid().corners().items():
-    problem = ToyShapingProblem(plant, GainConfig(kp=kp, kd=kd),
-                                episodes=6, seed=42)
+    problem = shaping.ToyShapingProblem(plant, GainConfig(kp=kp, kd=kd),
+                                        episodes=6, seed=42)
     result = shaping.shape_search(problem, space, budget=160, seed=7)
     rate = problem.goal_rate(result.best, n_episodes=100)
     best = result.best
@@ -41,8 +40,8 @@ print("\nwhy re-tuning matters: one fixed state-relative mapping "
       "(alpha=1, beta=1, gamma=1) across the corners:")
 fixed = shaping.ActionMapping(alpha=1.0, beta=1, gamma=1)
 for name, (kp, kd) in default_grid().corners().items():
-    problem = ToyShapingProblem(plant, GainConfig(kp=kp, kd=kd),
-                                episodes=6, seed=42)
+    problem = shaping.ToyShapingProblem(plant, GainConfig(kp=kp, kd=kd),
+                                        episodes=6, seed=42)
     j, success, rates = problem.evaluate(fixed)
     worst = max(rates.values())
     print(f"  {name}: J={j:5.3f} success={success:.2f} "

@@ -31,6 +31,7 @@ import numpy as np
 from . import control, dynamics, noise, retarget, shaping, stats, sysid
 from .control import GainConfig, GainGrid, default_grid
 from .dynamics import PlantParams
+from .shaping import ToyShapingProblem
 
 KINDS = ("tpr-sweep", "variance-check", "noisy-replay", "sysid-sweep",
          "shape-search", "stats-report", "compliance-probe", "jitter-scan")
@@ -379,7 +380,8 @@ def _shape_cell(job):
     result = shaping.shape_search(problem, space, budget,
                                   seed=_cell_seed(cfg.seed, index))
     ledger_rows = []
-    for trial, ((mapping, j), detail) in enumerate(zip(result.ledger, problem.details)):
+    for trial, ((mapping, j), detail) in enumerate(
+            zip(result.ledger, problem.details, strict=True)):
         alphas = list(mapping.alpha) + [mapping.alpha[-1]] * (2 - mapping.alpha.size)
         ledger_rows.append({
             "trial": trial, "alpha1": alphas[0], "alpha2": alphas[1],
@@ -530,100 +532,6 @@ RUNNERS = {
     "compliance-probe": run_compliance_probe,
     "jitter-scan": run_jitter_scan,
 }
-
-
-# ---------------------------------------------------------------------------
-# Toy closed-loop shaping problem (scripted P-feedback policy)
-
-
-class ToyShapingProblem:
-    """Goal reaching on a decoupled plant through the action mapping.
-
-    The scripted policy outputs u = g - q; the searched mapping turns it
-    into position targets at 50 Hz over 200 Hz physics. Success means the
-    final position lands within tol of the goal; violation rates count
-    the fraction of physics steps exceeding position/velocity/torque/
-    torque-rate limits. Episodes are fixed given the seed so candidate
-    evaluations are comparable.
-    """
-
-    def __init__(self, plant: PlantParams, gains: GainConfig, episodes: int = 8,
-                 seed: int = 0, horizon: float = 6.0, control_rate: float = 50.0,
-                 physics_rate: float = 200.0, tol: float = 0.05,
-                 pos_limit: float = 4.0, vel_limit: float = 20.0):
-        self.plant = plant
-        self.gains = gains.expand(plant.n_joints)
-        self.horizon = horizon
-        self.control_rate = control_rate
-        self.physics_rate = physics_rate
-        self.tol = tol
-        self.pos_limit = pos_limit
-        self.vel_limit = vel_limit
-        self.spec = shaping.ConstraintSpec()
-        rng = np.random.default_rng(seed)
-        n = plant.n_joints
-        self.episodes = [(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
-                         for _ in range(episodes)]
-        self.details: list[dict] = []
-        self._advance = dynamics.decoupled_stepper(plant)
-        self._grav = plant.mass * dynamics.GRAVITY if plant.gravity_enabled \
-            else np.zeros(n)
-
-    def _run_episode(self, mapping: shaping.ActionMapping, q0, goal):
-        plant, gains = self.plant, self.gains
-        spc = int(round(self.physics_rate / self.control_rate))
-        dt = 1.0 / self.physics_rate
-        n_steps = int(round(self.horizon * self.physics_rate))
-        q = np.asarray(q0, dtype=float).copy()
-        qd = np.zeros_like(q)
-        x_des = q.copy()
-        comp = gains.gravity_comp_scale * self._grav if gains.gravity_comp else None
-        counts = dict.fromkeys(shaping.CONSTRAINTS, 0)
-        prev_tau = np.zeros(plant.n_joints)
-        for k in range(n_steps):
-            if k % spc == 0:
-                x_des = shaping.map_action(mapping, goal - q, q, x_des)
-            tau_req = gains.kp * (x_des - q) - gains.kd * qd
-            if comp is not None:
-                tau_req = tau_req + comp
-            counts["torque"] += np.any(np.abs(tau_req) > plant.torque_limit)
-            counts["torque_rate"] += np.any(
-                np.abs(tau_req - prev_tau) > dt * plant.torque_rate_limit)
-            prev_tau = tau_req
-            tau = np.clip(tau_req, -plant.torque_limit, plant.torque_limit)
-            q, qd = self._advance(q, qd, tau, dt)
-            counts["position"] += np.any(np.abs(q) > self.pos_limit)
-            counts["velocity"] += np.any(np.abs(qd) > self.vel_limit)
-        rates = {k: float(v) / n_steps for k, v in counts.items()}
-        success = bool(np.linalg.norm(q - goal) <= self.tol)
-        return success, rates
-
-    def evaluate(self, mapping: shaping.ActionMapping, episodes=None):
-        episodes = episodes if episodes is not None else self.episodes
-        succ = 0
-        rates = dict.fromkeys(shaping.CONSTRAINTS, 0.0)
-        for q0, goal in episodes:
-            ok, r = self._run_episode(mapping, q0, goal)
-            succ += ok
-            for k in shaping.CONSTRAINTS:
-                rates[k] += r[k] / len(episodes)
-        success_rate = succ / len(episodes)
-        j = shaping.constrained_objective(success_rate, rates, self.spec)
-        return j, success_rate, rates
-
-    def __call__(self, mapping: shaping.ActionMapping) -> float:
-        j, success_rate, rates = self.evaluate(mapping)
-        self.details.append({"success": success_rate, **rates})
-        return j
-
-    def goal_rate(self, mapping: shaping.ActionMapping, n_episodes: int = 100,
-                  seed: int = 10_000) -> float:
-        rng = np.random.default_rng(seed)
-        n = self.plant.n_joints
-        eps = [(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
-               for _ in range(n_episodes)]
-        _, rate, _ = self.evaluate(mapping, episodes=eps)
-        return rate
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ command over the skipped physics steps.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,14 +160,6 @@ def tpr_task(demo: TaskSpaceDemo, gains_task: GainConfig) -> RetargetedDemo:
         q_des=x_des, goal=TaskGoal(q_goal=demo.x[-1]),
         q0=demo.x[0].copy(), q_dot0=demo.x_dot[0].copy(),
         provenance={"space": "task"})
-
-
-def decimate(retargeted: RetargetedDemo, factor: int) -> RetargetedDemo:
-    """Subsample commands by an integer factor (lower command rate)."""
-    if factor < 1 or int(factor) != factor:
-        raise ValueError("decimation factor must be a positive integer")
-    return replace(retargeted, q_des=retargeted.q_des[::int(factor)],
-                   command_rate=retargeted.command_rate / factor)
 
 
 def replay(retargeted: RetargetedDemo, decimation: int, plant: PlantParams,

@@ -5,7 +5,8 @@ covers absolute targets (gamma=0) and relative targets integrated on the
 current state (beta=1) or the previous target (beta=0). The two-stage
 constrained objective ranks every feasible configuration (J in [1,2])
 above every infeasible one (J in [0,1)). shape_search tunes (alpha per
-joint group, beta, gamma) against a black-box objective.
+joint group, beta, gamma) against a black-box objective such as the
+batched goal-reaching ToyShapingProblem.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _as_vector
+from . import control, dynamics
 from .sysid import CmaesConfig, SysidBounds, cmaes_minimize
 
 CONSTRAINTS = ("position", "velocity", "torque", "torque_rate")
@@ -61,12 +62,15 @@ def expand_alpha(mapping: ActionMapping, groups, n: int) -> np.ndarray:
 
 
 def map_action(mapping: ActionMapping, u, x, x_des_prev, groups=None) -> np.ndarray:
-    """x_des = alpha*u + gamma*beta*x + gamma*(1-beta)*x_des_prev."""
+    """x_des = alpha*u + gamma*beta*x + gamma*(1-beta)*x_des_prev.
+
+    ``u`` is (n,) or an (..., n) stack of lanes; ``x`` and ``x_des_prev``
+    broadcast to it. Elementwise, so each row equals a row-wise call bitwise.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    n = u.size
-    x = _as_vector(x, n)
-    x_prev = _as_vector(x_des_prev, n)
-    alpha = expand_alpha(mapping, groups, n)
+    x = np.broadcast_to(np.asarray(x, dtype=float), u.shape)
+    x_prev = np.broadcast_to(np.asarray(x_des_prev, dtype=float), u.shape)
+    alpha = expand_alpha(mapping, groups, u.shape[-1])
     g, b = mapping.gamma, mapping.beta
     return alpha * u + g * b * x + g * (1 - b) * x_prev
 
@@ -235,3 +239,96 @@ def shape_search(objective, space: SearchSpace, budget: int,
         best_j = -math.inf
     return ShapingResult(best=ledger[best_idx][0], objective=best_j,
                          ledger=tuple(ledger))
+
+
+class ToyShapingProblem:
+    """Goal reaching on a decoupled plant through the action mapping.
+
+    The scripted policy outputs u = g - q; the searched mapping turns it
+    into position targets at 50 Hz over 200 Hz physics. Success means the
+    final position lands within tol of the goal; violation rates count
+    the fraction of physics steps exceeding position/velocity/torque/
+    torque-rate limits. Episodes are fixed given the seed so candidate
+    evaluations are comparable.
+    """
+
+    def __init__(self, plant: dynamics.PlantParams, gains: control.GainConfig,
+                 episodes: int = 8, seed: int = 0, horizon: float = 6.0,
+                 control_rate: float = 50.0, physics_rate: float = 200.0,
+                 tol: float = 0.05, pos_limit: float = 4.0, vel_limit: float = 20.0):
+        self.plant = plant
+        self.gains = gains.expand(plant.n_joints)
+        self.horizon = horizon
+        self.control_rate = control_rate
+        self.physics_rate = physics_rate
+        self.tol = tol
+        self.pos_limit = pos_limit
+        self.vel_limit = vel_limit
+        self.spec = ConstraintSpec()
+        rng = np.random.default_rng(seed)
+        n = plant.n_joints
+        self.episodes = [(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+                         for _ in range(episodes)]
+        self.details: list[dict] = []
+        self._advance = dynamics.decoupled_stepper(plant)
+        self._grav = plant.mass * dynamics.GRAVITY if plant.gravity_enabled \
+            else np.zeros(n)
+
+    def evaluate(self, mapping: ActionMapping, episodes=None):
+        """(J, success rate, violation rates), all episodes rolled out at once.
+
+        Each episode is one lane of (E, n) arrays; every update is
+        elementwise, so a lane equals its episode rolled out alone bitwise.
+        """
+        episodes = episodes if episodes is not None else self.episodes
+        if not episodes:
+            raise ValueError("need at least one episode")
+        plant, gains = self.plant, self.gains
+        spc = int(round(self.physics_rate / self.control_rate))
+        dt = 1.0 / self.physics_rate
+        n_steps = int(round(self.horizon * self.physics_rate))
+        lanes = len(episodes)
+        q = np.array([q0 for q0, _ in episodes], dtype=float)
+        goal = np.array([g for _, g in episodes], dtype=float)
+        qd = np.zeros_like(q)
+        x_des = q.copy()
+        comp = gains.gravity_comp_scale * self._grav if gains.gravity_comp else None
+        counts = {name: np.zeros(lanes, dtype=int) for name in CONSTRAINTS}
+        prev_tau = np.zeros_like(q)
+        for k in range(n_steps):
+            if k % spc == 0:
+                x_des = map_action(mapping, goal - q, q, x_des)
+            tau_req = gains.kp * (x_des - q) - gains.kd * qd
+            if comp is not None:
+                tau_req = tau_req + comp
+            counts["torque"] += (np.abs(tau_req) > plant.torque_limit).any(axis=1)
+            counts["torque_rate"] += (
+                np.abs(tau_req - prev_tau) > dt * plant.torque_rate_limit).any(axis=1)
+            prev_tau = tau_req
+            tau = np.clip(tau_req, -plant.torque_limit, plant.torque_limit)
+            q, qd = self._advance(q, qd, tau, dt)
+            counts["position"] += (np.abs(q) > self.pos_limit).any(axis=1)
+            counts["velocity"] += (np.abs(qd) > self.vel_limit).any(axis=1)
+        succ = 0
+        rates = dict.fromkeys(CONSTRAINTS, 0.0)
+        for e in range(lanes):
+            succ += bool(np.linalg.norm(q[e] - goal[e]) <= self.tol)
+            for name in CONSTRAINTS:
+                rates[name] += float(counts[name][e]) / n_steps / lanes
+        success_rate = succ / lanes
+        j = constrained_objective(success_rate, rates, self.spec)
+        return j, success_rate, rates
+
+    def __call__(self, mapping: ActionMapping) -> float:
+        j, success_rate, rates = self.evaluate(mapping)
+        self.details.append({"success": success_rate, **rates})
+        return j
+
+    def goal_rate(self, mapping: ActionMapping, n_episodes: int = 100,
+                  seed: int = 10_000) -> float:
+        rng = np.random.default_rng(seed)
+        n = self.plant.n_joints
+        eps = [(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+               for _ in range(n_episodes)]
+        _, rate, _ = self.evaluate(mapping, episodes=eps)
+        return rate

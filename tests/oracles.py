@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from gainlab import dynamics, shaping
+
 
 def brute_force_barnard(a, b, c, d, side="greater", n_grid=50001):
     """Barnard p by direct pmf sums over a dense uniform nuisance grid.
@@ -55,3 +57,49 @@ def normal_approx_mwu_p(x, y, side="less"):
         return u, 0.5 * math.erfc(-z / math.sqrt(2.0))
     z = (u - mean - 0.5) / sd
     return u, 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def per_episode_evaluate(problem, mapping, episodes=None):
+    """ToyShapingProblem.evaluate rolled out one episode at a time.
+
+    The unbatched loop: 1-D state vectors, a fresh decoupled stepper, one
+    row-wise map_action call per control step, and the per-episode rates
+    summed in episode order. Returns (J, success rate, violation rates).
+    """
+    episodes = episodes if episodes is not None else problem.episodes
+    plant, gains = problem.plant, problem.gains
+    advance = dynamics.decoupled_stepper(plant)
+    grav = plant.mass * dynamics.GRAVITY if plant.gravity_enabled \
+        else np.zeros(plant.n_joints)
+    spc = int(round(problem.physics_rate / problem.control_rate))
+    dt = 1.0 / problem.physics_rate
+    n_steps = int(round(problem.horizon * problem.physics_rate))
+    comp = gains.gravity_comp_scale * grav if gains.gravity_comp else None
+    succ = 0
+    rates = dict.fromkeys(shaping.CONSTRAINTS, 0.0)
+    for q0, goal in episodes:
+        q = np.asarray(q0, dtype=float).copy()
+        qd = np.zeros_like(q)
+        x_des = q.copy()
+        counts = dict.fromkeys(shaping.CONSTRAINTS, 0)
+        prev_tau = np.zeros(plant.n_joints)
+        for k in range(n_steps):
+            if k % spc == 0:
+                x_des = shaping.map_action(mapping, goal - q, q, x_des)
+            tau_req = gains.kp * (x_des - q) - gains.kd * qd
+            if comp is not None:
+                tau_req = tau_req + comp
+            counts["torque"] += np.any(np.abs(tau_req) > plant.torque_limit)
+            counts["torque_rate"] += np.any(
+                np.abs(tau_req - prev_tau) > dt * plant.torque_rate_limit)
+            prev_tau = tau_req
+            tau = np.clip(tau_req, -plant.torque_limit, plant.torque_limit)
+            q, qd = advance(q, qd, tau, dt)
+            counts["position"] += np.any(np.abs(q) > problem.pos_limit)
+            counts["velocity"] += np.any(np.abs(qd) > problem.vel_limit)
+        succ += bool(np.linalg.norm(q - goal) <= problem.tol)
+        for k in shaping.CONSTRAINTS:
+            rates[k] += (float(counts[k]) / n_steps) / len(episodes)
+    success_rate = succ / len(episodes)
+    j = shaping.constrained_objective(success_rate, rates, problem.spec)
+    return j, success_rate, rates

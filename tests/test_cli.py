@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gainlab import shaping
 from gainlab.cli import load_config, main, validate
 
 VARIANCE_INI = """
@@ -172,6 +173,29 @@ class TestPassthroughs:
             "trial", "alpha1", "alpha2", "beta", "gamma", "J", "success",
             "viol_pos", "viol_vel", "viol_tau", "viol_taurate"]
         assert len(ledger) == 17
+
+    def test_shape_objective_error_fails_the_cell(self, tmp_path, monkeypatch):
+        # a raising evaluation scores -inf in the ledger but adds no detail
+        # row; the cell must fail instead of pairing later rows wrongly
+        original = shaping.ToyShapingProblem.evaluate
+        calls = []
+
+        def evaluate(self, mapping, episodes=None):
+            calls.append(mapping)
+            if len(calls) == 3:
+                raise RuntimeError("injected evaluation failure")
+            return original(self, mapping, episodes)
+
+        monkeypatch.setattr(shaping.ToyShapingProblem, "evaluate", evaluate)
+        out = tmp_path / "shape"
+        rc = main(["shape", "--gains", "64,16", "--budget", "16",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert len(calls) == 16
+        failures = (out / "failures.csv").read_text().strip().splitlines()
+        assert failures[0] == "cell,error"
+        assert len(failures) == 2 and "ValueError" in failures[1]
+        assert not (out / "ledger_kp64_kd16.csv").exists()
 
     def test_stats_report(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -5,9 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gainlab import shaping
+from gainlab.control import GainConfig, default_grid
+from gainlab.dynamics import chain, point_mass
 from gainlab.shaping import (ActionMapping, ConstraintSpec, SearchSpace,
-                             constrained_objective, map_action, reward_sharp,
-                             reward_soft, shape_search)
+                             ToyShapingProblem, constrained_objective,
+                             map_action, reward_sharp, reward_soft, shape_search)
+from oracles import per_episode_evaluate
 
 
 class TestMapAction:
@@ -36,6 +39,22 @@ class TestMapAction:
         got = map_action(m, [1.0, 1.0, 1.0], [0.0] * 3, [0.0] * 3,
                          groups=[0, 0, 1])
         assert_allclose(got, [1.0, 1.0, 10.0])
+
+    def test_stacked_rows_equal_row_wise_calls_bitwise(self):
+        rng = np.random.default_rng(3)
+        u, x, prev = (rng.normal(size=(5, 3)) for _ in range(3))
+        for beta in (0, 1):
+            for gamma in (0, 1):
+                m = ActionMapping(alpha=[0.3, 7.0], beta=beta, gamma=gamma)
+                got = map_action(m, u, x, prev, groups=[0, 1, 1])
+                rows = [map_action(m, u[e], x[e], prev[e], groups=[0, 1, 1])
+                        for e in range(5)]
+                assert got.shape == (5, 3)
+                assert np.array_equal(got, np.array(rows))
+                # a shared (n,) state broadcasts over the lanes
+                shared = map_action(m, u, x[0], prev[0], groups=[0, 1, 1])
+                assert np.array_equal(shared[2], map_action(
+                    m, u[2], x[0], prev[0], groups=[0, 1, 1]))
 
     def test_invalid_switches(self):
         with pytest.raises(ValueError):
@@ -191,3 +210,70 @@ class TestShapeSearch:
         assert a.objective == b.objective
         assert np.array_equal(a.best.alpha, b.best.alpha)
         assert [j for _, j in a.ledger] == [j for _, j in b.ledger]
+
+
+def _random_mapping(rng, beta, gamma, n_alpha=1):
+    return ActionMapping(alpha=10.0 ** rng.uniform(-3, 1.5, n_alpha),
+                         beta=beta, gamma=gamma)
+
+
+class TestToyShapingProblemMatchesPerEpisodeOracle:
+    """The batched rollout equals the one-episode-at-a-time loop exactly."""
+
+    def test_random_mappings_all_branches(self):
+        plant = point_mass(1.0, torque_limit=60.0, torque_rate_limit=2e3)
+        problem = ToyShapingProblem(plant, GainConfig(kp=256, kd=4), episodes=4,
+                                    seed=5, pos_limit=1.2, vel_limit=3.0)
+        rng = np.random.default_rng(11)
+        results = []
+        for beta in (0, 1):
+            for gamma in (0, 1):
+                for _ in range(2):
+                    m = _random_mapping(rng, beta, gamma)
+                    got = problem.evaluate(m)
+                    assert got == per_episode_evaluate(problem, m)
+                    results.append(got)
+        # the draw exercises every counter and both outcomes
+        for name in shaping.CONSTRAINTS:
+            assert any(rates[name] > 0 for _, _, rates in results), name
+        assert any(s > 0 for _, s, _ in results)
+        assert any(s < 1 for _, s, _ in results)
+
+    @pytest.mark.parametrize("gravity", [False, True])
+    def test_default_grid_corners(self, gravity):
+        plant = point_mass(1.0, torque_limit=300.0, torque_rate_limit=2e4,
+                           gravity_enabled=gravity)
+        m = ActionMapping(alpha=1.0, beta=1, gamma=1)
+        for kp, kd in default_grid().corners().values():
+            gains = GainConfig(kp=kp, kd=kd, gravity_comp=gravity,
+                               gravity_comp_scale=0.9)
+            problem = ToyShapingProblem(plant, gains, episodes=3, seed=42)
+            assert problem.evaluate(m) == per_episode_evaluate(problem, m)
+
+    def test_two_joint_chain(self):
+        plant = chain([1.0, 0.4], torque_limit=80.0, torque_rate_limit=5e3,
+                      viscous_friction=[0.2, 0.1], static_friction=[0.3, 0.0],
+                      dynamic_friction_ratio=[0.5, 0.0])
+        problem = ToyShapingProblem(plant, GainConfig(kp=[64, 128], kd=[8, 4]),
+                                    episodes=3, seed=9)
+        rng = np.random.default_rng(4)
+        for beta, gamma, n_alpha in ((0, 0, 1), (1, 1, 2), (0, 1, 2)):
+            m = _random_mapping(rng, beta, gamma, n_alpha)
+            assert problem.evaluate(m) == per_episode_evaluate(problem, m)
+
+    def test_goal_rate_hundred_episodes(self):
+        plant = point_mass(1.0, torque_limit=300.0, torque_rate_limit=2e4)
+        problem = ToyShapingProblem(plant, GainConfig(kp=16, kd=2), episodes=6,
+                                    seed=42)
+        m = ActionMapping(alpha=0.01, beta=0, gamma=1)
+        rng = np.random.default_rng(10_000)
+        eps = [(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)) for _ in range(100)]
+        rate = problem.goal_rate(m, n_episodes=100)
+        assert rate == per_episode_evaluate(problem, m, episodes=eps)[1]
+        assert 0.0 < rate < 1.0
+
+    def test_no_episodes_rejected(self):
+        problem = ToyShapingProblem(point_mass(1.0), GainConfig(kp=16, kd=2),
+                                    episodes=0)
+        with pytest.raises(ValueError):
+            problem.evaluate(ActionMapping(alpha=1.0))
