@@ -111,6 +111,13 @@ def validate(config: ExperimentConfig) -> list[str]:
                 findings.append(
                     f"params.dt: dt too coarse for Kp={config.grid.kp_values[-1]:g}, "
                     f"m={m_min:g} (omega_n*dt = {wn_max * float(dt):.3f} >= 0.1)")
+    if config.kind == "stats-report":
+        for key, allowed in (("metric", ("success", "error")),
+                             ("alternative", ("greater", "less"))):
+            v = config.params.get(key)
+            if v is not None and v not in allowed:
+                findings.append(f"params.{key}: unknown value {v!r}; "
+                                f"expected one of {', '.join(allowed)}")
     for key in ("trials", "budget", "n_demos", "iters"):
         v = config.params.get(key)
         if v is not None and int(v) < 1:

@@ -150,9 +150,15 @@ class GainGrid:
 
     @property
     def stiffness_split(self) -> float:
-        """Geometric median of the Kp axis (median in log space)."""
-        logs = np.log(self.kp_values)
-        return float(np.exp(np.median(logs)))
+        """Geometric median of the Kp axis (median in log space).
+
+        The middle of the sorted logs, as np.median computes it, without
+        np.median's first-call import of numpy.ma.
+        """
+        logs = np.sort(np.log(self.kp_values))
+        mid = logs.size // 2
+        med = logs[mid] if logs.size % 2 else (logs[mid - 1] + logs[mid]) / 2
+        return float(np.exp(med))
 
     def corners(self) -> dict[str, tuple[float, float]]:
         """Regime-corner cells: compliant=low Kp, overdamped=high Kd."""

@@ -320,7 +320,13 @@ class ToyShapingProblem:
         return j, success_rate, rates
 
     def __call__(self, mapping: ActionMapping) -> float:
-        j, success_rate, rates = self.evaluate(mapping)
+        try:
+            j, success_rate, rates = self.evaluate(mapping)
+        except Exception:
+            # keep details aligned with the caller's ledger of every candidate
+            self.details.append({"success": math.nan,
+                                 **dict.fromkeys(CONSTRAINTS, math.nan)})
+            raise
         self.details.append({"success": success_rate, **rates})
         return j
 

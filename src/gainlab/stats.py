@@ -3,7 +3,9 @@
 Implements the pieces end to end: binomial logistic regression fit by
 iteratively reweighted least squares on (log2 Kp, log2 Kd), one-sided
 Barnard's exact unconditional test (score statistic, nuisance maximized
-over a 2001-point grid with golden-section refinement), one-sided
+over a 2001-point grid with golden-section refinement; each tail sums the
+rejection region's per-row runs against a cumulative group-2 pmf, so a
+G-point grid costs O(n1*n2 + G*(n1 + n2))), one-sided
 Mann-Whitney U (exact by enumeration for small tie-free samples, normal
 approximation with tie and continuity corrections otherwise), OLS on
 log-transformed errors, and the Bonferroni correction. All operations are
@@ -149,15 +151,23 @@ def _score_statistic(y1, n1, y2, n2):
     return t
 
 
-def _log_binom_pmf_table(n: int, pis: np.ndarray) -> np.ndarray:
-    """(len(pis), n+1) binomial pmf values."""
-    ks = np.arange(n + 1)
-    logc = np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                     for k in ks])
+def _binom_pmf_table(n: int, ks: np.ndarray, logc: np.ndarray,
+                     pis: np.ndarray) -> np.ndarray:
+    """(len(pis), len(ks)) binomial(n, pi) pmf values at the counts ``ks``.
+
+    ``logc`` holds log C(n, k) for each entry of ``ks``.
+    """
     with np.errstate(divide="ignore"):
-        logp = np.log(pis)[:, None] * ks[None, :] \
-            + np.log1p(-pis)[:, None] * (n - ks)[None, :]
-    return np.exp(logc[None, :] + logp)
+        out = np.multiply.outer(np.log(pis), ks)
+        out += np.multiply.outer(np.log1p(-pis), n - ks)
+    out += logc
+    return np.exp(out, out=out)
+
+
+def _log_binom_coef(n: int) -> np.ndarray:
+    """log C(n, k) for k = 0..n."""
+    return np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                     for k in range(n + 1)])
 
 
 def barnard_exact(a: int, b: int, c: int, d: int, side: str = "greater",
@@ -170,6 +180,15 @@ def barnard_exact(a: int, b: int, c: int, d: int, side: str = "greater",
     probability over the nuisance success probability on a uniform grid
     of ``n_grid`` interior points followed by one golden-section
     refinement pass.
+
+    The rejection region is run-length encoded per group-1 count y1 into
+    runs [start, stop) of group-2 counts, so the tail at pi is
+    sum over runs of P(y1) * (C(stop - 1) - C(start - 1)), where C is the
+    cumulative group-2 pmf. This holds for any region; the score
+    statistic's region is convex in Barnard's sense, and with the y2 axis
+    reversed for 'less' each row is one prefix (start = 0), so no tail
+    needs a subtraction. Cost is O(n1*n2 + n_grid*(n1 + n2)) instead of
+    the O(n1*n2*n_grid) of summing the region as a dense matrix.
     """
     if min(a, b, c, d) < 0:
         raise ValueError("counts must be non-negative")
@@ -185,19 +204,36 @@ def barnard_exact(a: int, b: int, c: int, d: int, side: str = "greater",
                                    np.array(c, dtype=float), n2))
     tol = 1e-12 * max(1.0, abs(t_obs))
     mask = (T >= t_obs - tol) if side == "greater" else (T <= t_obs + tol)
-    mask = mask.astype(float)
+    del T
 
-    grid = np.linspace(0.0, 1.0, n_grid + 2)[1:-1]
-    b1 = _log_binom_pmf_table(n1, grid)
-    b2 = _log_binom_pmf_table(n2, grid)
-    tail = np.einsum("pi,ij,pj->p", b1, mask, b2)
-    k = int(np.argmax(tail))
-    p_best = float(tail[k])
+    ks1 = np.arange(n1 + 1)
+    ks2 = np.arange(n2 + 1)
+    if side == "less":
+        mask = mask[:, ::-1]
+        ks2 = ks2[::-1]
+    logc1 = _log_binom_coef(n1)
+    logc2 = _log_binom_coef(n2)[ks2]
+    edges = np.diff(mask.astype(np.int8), axis=1, prepend=0, append=0)
+    rows, start = np.nonzero(edges > 0)
+    stop = np.nonzero(edges < 0)[1]
+    inner = np.nonzero(start > 0)[0]
+
+    def tail(pis: np.ndarray) -> np.ndarray:
+        cum2 = _binom_pmf_table(n2, ks2, logc2, pis)
+        np.cumsum(cum2, axis=1, out=cum2)
+        seg = cum2[:, stop - 1]
+        seg[:, inner] -= cum2[:, start[inner] - 1]
+        del cum2  # free it before the group-1 table is built: peak memory
+        b1 = _binom_pmf_table(n1, ks1, logc1, pis)
+        return np.einsum("pr,pr->p", b1[:, rows], seg)
 
     def tail_at(pi: float) -> float:
-        row1 = _log_binom_pmf_table(n1, np.array([pi]))[0]
-        row2 = _log_binom_pmf_table(n2, np.array([pi]))[0]
-        return float(row1 @ mask @ row2)
+        return float(tail(np.array([pi]))[0])
+
+    grid = np.linspace(0.0, 1.0, n_grid + 2)[1:-1]
+    tails = tail(grid)
+    k = int(np.argmax(tails))
+    p_best = float(tails[k])
 
     lo = grid[k - 1] if k > 0 else 0.0
     hi = grid[k + 1] if k < len(grid) - 1 else 1.0
@@ -338,6 +374,8 @@ def region_test(outcomes, region: str, metric: str, alternative: str = "greater"
     relative to the complement ('greater' means larger success
     probability / larger error).
     """
+    if alternative not in ("greater", "less"):
+        raise ValueError(f"alternative must be 'greater' or 'less', not {alternative!r}")
     outcomes = list(outcomes)
     inside = [o for o in outcomes if o.region == region]
     outside = [o for o in outcomes if o.region != region]
@@ -349,8 +387,7 @@ def region_test(outcomes, region: str, metric: str, alternative: str = "greater"
         n_in = sum(o.trials for o in inside)
         s_out = sum(o.successes for o in outside)
         n_out = sum(o.trials for o in outside)
-        side = "greater" if alternative == "greater" else "less"
-        p = barnard_exact(s_in, n_in - s_in, s_out, n_out - s_out, side=side)
+        p = barnard_exact(s_in, n_in - s_in, s_out, n_out - s_out, side=alternative)
         stat = float(_score_statistic(np.array(float(s_in)), n_in,
                                       np.array(float(s_out)), n_out))
         detail = {"region_rate": s_in / n_in, "complement_rate": s_out / n_out}
@@ -360,8 +397,7 @@ def region_test(outcomes, region: str, metric: str, alternative: str = "greater"
         e_out = [o.scalar_error for o in outside]
         if any(e is None for e in e_in + e_out):
             raise ValueError("error metric needs scalar_error on every cell")
-        side = "greater" if alternative == "greater" else "less"
-        stat, p = mannwhitney_u(e_in, e_out, side=side)
+        stat, p = mannwhitney_u(e_in, e_out, side=alternative)
         detail = {"region_median": float(np.median(e_in)),
                   "complement_median": float(np.median(e_out))}
         name = "mannwhitney_u"

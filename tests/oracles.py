@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from gainlab import dynamics, shaping
+from gainlab import dynamics, shaping, stats
 
 
 def brute_force_barnard(a, b, c, d, side="greater", n_grid=50001):
@@ -38,6 +38,61 @@ def brute_force_barnard(a, b, c, d, side="greater", n_grid=50001):
         coeff = math.comb(n1, y1) * math.comb(n2, y2)
         total += coeff * pis ** (y1 + y2) * (1 - pis) ** (n1 - y1 + n2 - y2)
     return float(min(1.0, total.max()))
+
+
+def dense_barnard(a, b, c, d, side="greater", n_grid=2001):
+    """Barnard p with the rejection region summed as a dense 0/1 matrix.
+
+    The same score statistic, tie tolerance, nuisance grid and
+    golden-section refinement as ``stats.barnard_exact``, but every tail
+    is the full b1 @ mask @ b2 product, O(n1*n2) per nuisance value, with
+    log-binomial coefficients recomputed for every pmf table.
+    """
+    def pmf_table(n, pis):
+        ks = np.arange(n + 1)
+        logc = np.array([math.lgamma(n + 1) - math.lgamma(k + 1)
+                         - math.lgamma(n - k + 1) for k in ks])
+        with np.errstate(divide="ignore"):
+            logp = np.log(pis)[:, None] * ks[None, :] \
+                + np.log1p(-pis)[:, None] * (n - ks)[None, :]
+        return np.exp(logc[None, :] + logp)
+
+    n1, n2 = a + b, c + d
+    y1 = np.arange(n1 + 1)[:, None]
+    y2 = np.arange(n2 + 1)[None, :]
+    T = stats._score_statistic(y1, n1, y2, n2)
+    t_obs = float(stats._score_statistic(np.array(a, dtype=float), n1,
+                                         np.array(c, dtype=float), n2))
+    tol = 1e-12 * max(1.0, abs(t_obs))
+    mask = (T >= t_obs - tol) if side == "greater" else (T <= t_obs + tol)
+    mask = mask.astype(float)
+
+    grid = np.linspace(0.0, 1.0, n_grid + 2)[1:-1]
+    tail = np.einsum("pi,ij,pj->p", pmf_table(n1, grid), mask, pmf_table(n2, grid))
+    k = int(np.argmax(tail))
+    p_best = float(tail[k])
+
+    def tail_at(pi):
+        row1 = pmf_table(n1, np.array([pi]))[0]
+        row2 = pmf_table(n2, np.array([pi]))[0]
+        return float(row1 @ mask @ row2)
+
+    lo = grid[k - 1] if k > 0 else 0.0
+    hi = grid[k + 1] if k < len(grid) - 1 else 1.0
+    x1 = hi - stats.GOLDEN * (hi - lo)
+    x2 = lo + stats.GOLDEN * (hi - lo)
+    f1, f2 = tail_at(x1), tail_at(x2)
+    for _ in range(60):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + stats.GOLDEN * (hi - lo)
+            f2 = tail_at(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - stats.GOLDEN * (hi - lo)
+            f1 = tail_at(x1)
+    p_best = max(p_best, f1, f2)
+    return float(min(1.0, p_best))
 
 
 def normal_approx_mwu_p(x, y, side="less"):

@@ -83,6 +83,38 @@ class TestConfigAndValidate:
         assert main(["validate", "--config", bad]) == 1
 
 
+STATS_INI = """
+[experiment]
+kind = stats-report
+seed = 0
+out = {out}
+
+[params]
+input = {input}
+"""
+
+
+class TestStatsReportValidation:
+    @pytest.mark.parametrize("key,value", [("alternative", "grater"),
+                                           ("metric", "succes")])
+    def test_unknown_choice_rejected_before_any_work(self, tmp_path, key, value):
+        out = tmp_path / "s"
+        text = STATS_INI.format(out=out, input=tmp_path / "missing.csv") \
+            + f"{key} = {value}\n"
+        findings = validate(load_config(text))
+        assert len(findings) == 1 and findings[0].startswith(f"params.{key}:")
+        assert value in findings[0]
+        path = write(tmp_path, "s.ini", text)
+        assert main(["validate", "--config", path]) == 1
+        assert main(["run", "--config", path]) == 1
+        assert not out.exists()
+
+    def test_known_choices_pass(self, tmp_path):
+        text = STATS_INI.format(out=tmp_path / "s", input=tmp_path / "in.csv") \
+            + "alternative = less\nmetric = error\n"
+        assert validate(load_config(text)) == []
+
+
 class TestRunExperiments:
     def test_variance_check_outputs_and_determinism(self, tmp_path):
         out1 = tmp_path / "o1"
@@ -174,9 +206,13 @@ class TestPassthroughs:
             "viol_pos", "viol_vel", "viol_tau", "viol_taurate"]
         assert len(ledger) == 17
 
-    def test_shape_objective_error_fails_the_cell(self, tmp_path, monkeypatch):
-        # a raising evaluation scores -inf in the ledger but adds no detail
-        # row; the cell must fail instead of pairing later rows wrongly
+    def test_shape_objective_error_keeps_the_other_candidates(
+            self, tmp_path, monkeypatch):
+        # a raising evaluation is ledgered as J = -1 with NaN rates; the
+        # other 15 candidates keep the rows of an uninjected run
+        argv = ["shape", "--gains", "64,16", "--budget", "16", "--seed", "1"]
+        clean = tmp_path / "clean"
+        assert main(argv + ["--out", str(clean)]) == 0
         original = shaping.ToyShapingProblem.evaluate
         calls = []
 
@@ -188,14 +224,18 @@ class TestPassthroughs:
 
         monkeypatch.setattr(shaping.ToyShapingProblem, "evaluate", evaluate)
         out = tmp_path / "shape"
-        rc = main(["shape", "--gains", "64,16", "--budget", "16",
-                   "--seed", "1", "--out", str(out)])
-        assert rc == 2
-        assert len(calls) == 16
-        failures = (out / "failures.csv").read_text().strip().splitlines()
-        assert failures[0] == "cell,error"
-        assert len(failures) == 2 and "ValueError" in failures[1]
-        assert not (out / "ledger_kp64_kd16.csv").exists()
+        assert main(argv + ["--out", str(out)]) == 0
+        assert not (out / "failures.csv").exists()
+        name = "ledger_kp64_kd16.csv"
+        ledger = (out / name).read_text().strip().splitlines()
+        expected = (clean / name).read_text().strip().splitlines()
+        assert len(ledger) == 17
+        header = ledger[0].split(",")
+        row3 = dict(zip(header, ledger[3].split(",")))
+        assert row3["trial"] == "2" and row3["J"] == "-1"
+        assert [row3[k] for k in ("success", "viol_pos", "viol_vel", "viol_tau",
+                                  "viol_taurate")] == ["nan"] * 5
+        assert ledger[:3] + ledger[4:] == expected[:3] + expected[4:]
 
     def test_stats_report(self, tmp_path):
         rng = np.random.default_rng(0)

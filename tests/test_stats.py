@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gainlab import stats
 from gainlab.stats import (SweepOutcome, barnard_exact, bonferroni,
                            logistic_fit, mannwhitney_u, ols_log_fit,
                            region_test)
-from oracles import brute_force_barnard, normal_approx_mwu_p
+from oracles import brute_force_barnard, dense_barnard, normal_approx_mwu_p
 
 
 class TestLogisticFit:
@@ -123,6 +125,85 @@ class TestBarnard:
             for side in ("greater", "less"):
                 p = barnard_exact(a, int(n1 - a), c, int(n2 - c), side=side)
                 assert 0.0 <= p <= 1.0
+
+
+def assert_matches_dense(a, b, c, d, side):
+    p = barnard_exact(a, b, c, d, side=side)
+    p_dense = dense_barnard(a, b, c, d, side=side)
+    if p_dense == 0.0:
+        assert p == 0.0, (a, b, c, d, side)
+    else:
+        assert abs(p - p_dense) <= 1e-12 * p_dense, (a, b, c, d, side, p, p_dense)
+
+
+class TestBarnardMatchesDenseOracle:
+    """The run/prefix-sum tail against the dense region-matrix product."""
+
+    @pytest.mark.parametrize("side", ["greater", "less"])
+    def test_every_table_with_margins_up_to_8(self, side):
+        for n1, n2 in itertools.product(range(1, 9), repeat=2):
+            for a in range(n1 + 1):
+                for c in range(n2 + 1):
+                    assert_matches_dense(a, n1 - a, c, n2 - c, side)
+
+    @pytest.mark.parametrize("side", ["greater", "less"])
+    def test_random_tables_with_margins_up_to_60(self, side):
+        rng = np.random.default_rng(23)
+        for _ in range(150):
+            n1, n2 = (int(n) for n in rng.integers(1, 61, size=2))
+            a = int(rng.integers(0, n1 + 1))
+            c = int(rng.integers(0, n2 + 1))
+            assert_matches_dense(a, n1 - a, c, n2 - c, side)
+
+    @pytest.mark.parametrize("side", ["greater", "less"])
+    def test_bench_sized_table(self, side):
+        # CO pools 13 cells x 40 trials against 36 x 40
+        assert_matches_dense(443, 77, 562, 878, side)
+
+    def test_large_region_table(self):
+        # 1300 vs 3600 pooled trials, a close call (p of a few percent)
+        assert_matches_dense(546, 754, 1404, 2196, "greater")
+
+    def test_mirror_pair(self):
+        # the paper's CO effect: 85.1% against 39.0%
+        assert_matches_dense(85, 15, 39, 61, "greater")
+        assert_matches_dense(39, 61, 85, 15, "less")
+        assert barnard_exact(85, 15, 39, 61, side="greater") == pytest.approx(
+            barnard_exact(39, 61, 85, 15, side="less"), rel=1e-12)
+
+
+margins = st.integers(min_value=1, max_value=30)
+
+
+@st.composite
+def tables(draw):
+    n1, n2 = draw(margins), draw(margins)
+    a = draw(st.integers(min_value=0, max_value=n1))
+    c = draw(st.integers(min_value=0, max_value=n2))
+    return a, n1 - a, c, n2 - c
+
+
+class TestBarnardProperties:
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(table=tables(), side=st.sampled_from(["greater", "less"]))
+    def test_p_in_unit_interval(self, table, side):
+        assert 0.0 <= barnard_exact(*table, side=side) <= 1.0
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(table=tables())
+    def test_success_moved_into_group_1_never_raises_p(self, table):
+        a, b, c, d = table
+        assume(b > 0)
+        p_lo = barnard_exact(a, b, c, d, side="greater")
+        p_hi = barnard_exact(a + 1, b - 1, c, d, side="greater")
+        assert p_hi <= p_lo + 1e-12
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(table=tables())
+    def test_mirror_symmetry(self, table):
+        a, b, c, d = table
+        assert barnard_exact(a, b, c, d, side="greater") == pytest.approx(
+            barnard_exact(c, d, a, b, side="less"), abs=1e-9)
 
 
 class TestMannWhitney:
@@ -286,6 +367,12 @@ class TestRegionTest:
         rows = make_grid_outcomes(lambda kp, kd: 0.5)
         with pytest.raises(ValueError):
             region_test(rows, "XX", "success")
+
+    @pytest.mark.parametrize("metric", ["success", "error"])
+    def test_unknown_alternative_rejected(self, metric):
+        rows = make_grid_outcomes(lambda kp, kd: 0.5, error_fn=lambda kp, kd: 0.1)
+        with pytest.raises(ValueError, match="alternative"):
+            region_test(rows, "CO", metric, alternative="grater")
 
     def test_error_metric_requires_errors(self):
         rows = make_grid_outcomes(lambda kp, kd: 0.5)
