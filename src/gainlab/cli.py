@@ -2,11 +2,14 @@
 
 One INI config describes one experiment: an ``[experiment]`` section
 (kind, seed, out), a ``[plant]`` section, a ``[grid]`` section (kp/kd
-lists), and a ``[params]`` section of kind-specific knobs. Every run
-writes per-cell CSVs, long-format heatmap tables (``kp,kd,value`` with Kd
-as the outer loop), and a manifest of content hashes; identical
-config+seed reruns produce byte-identical payloads regardless of the
-worker count.
+lists), and a ``[params]`` section of kind-specific knobs. ``RUNNERS``
+holds one entry per kind. Seven kinds are gain-grid sweeps, all run by
+``_run_grid`` from their entry's cell function, cell list (grid cells,
+cells x masses, or corners), results.csv columns, long-format heatmaps
+(``kp,kd,value`` with Kd as the outer loop) and per-cell sidecars;
+``stats-report`` has no cells. Every run writes a manifest of content
+hashes; identical config+seed reruns produce byte-identical payloads
+regardless of the worker count.
 
 Subcommands: ``run``, ``validate``, plus direct passthroughs ``sysid``,
 ``shape``, and ``stats``. Exit codes: 0 success, 1 validation error,
@@ -23,6 +26,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -32,9 +36,6 @@ from . import control, dynamics, noise, retarget, shaping, stats, sysid
 from .control import GainConfig, GainGrid, default_grid
 from .dynamics import PlantParams
 from .shaping import ToyShapingProblem
-
-KINDS = ("tpr-sweep", "variance-check", "noisy-replay", "sysid-sweep",
-         "shape-search", "stats-report", "compliance-probe", "jitter-scan")
 
 WORKERS_ENV = "GAINLAB_WORKERS"
 
@@ -63,30 +64,40 @@ def _parse_value(text: str):
     return text
 
 
+def _read_ini(source) -> configparser.ConfigParser:
+    """Parse INI text, or the file at a path (a string with no newline)."""
+    text = str(source)
+    if "\n" not in text:
+        with open(text) as fh:
+            text = fh.read()
+    cp = configparser.ConfigParser()
+    cp.read_string(text)
+    return cp
+
+
+def _parse_grid(cp: configparser.ConfigParser, missing=None) -> GainGrid | None:
+    """The [grid] kp/kd lists, or ``missing`` without a [grid] section;
+    None unless both lists are non-empty, numeric and strictly increasing."""
+    if not cp.has_section("grid"):
+        return missing
+    try:
+        kp, kd = ([float(v) for v in cp["grid"].get(axis, "").split(",") if v.strip()]
+                  for axis in ("kp", "kd"))
+        return GainGrid(kp_values=np.array(kp), kd_values=np.array(kd))
+    except ValueError:
+        return None
+
+
 def load_config(source) -> ExperimentConfig:
     """Parse an experiment config from a path or INI string."""
-    cp = configparser.ConfigParser()
-    text = str(source)
-    if "\n" in text:
-        cp.read_string(text)
-    else:
-        with open(text) as fh:
-            cp.read_string(fh.read())
+    cp = _read_ini(source)
     exp = cp["experiment"] if cp.has_section("experiment") else {}
     kind = exp.get("kind", "")
     seed = int(exp.get("seed", 0))
     out = exp.get("out", "out")
     plant = dynamics.load_plant(dict(cp["plant"])) if cp.has_section("plant") \
         else dynamics.point_mass(1.0)
-    if cp.has_section("grid"):
-        kp = [float(v) for v in cp["grid"].get("kp", "").split(",") if v.strip()]
-        kd = [float(v) for v in cp["grid"].get("kd", "").split(",") if v.strip()]
-        try:
-            grid = GainGrid(kp_values=np.array(kp), kd_values=np.array(kd))
-        except ValueError:
-            grid = None
-    else:
-        grid = default_grid()
+    grid = _parse_grid(cp, missing=default_grid())
     params = {}
     if cp.has_section("params"):
         params = {k: _parse_value(v) for k, v in cp["params"].items()}
@@ -94,34 +105,46 @@ def load_config(source) -> ExperimentConfig:
                             grid=grid, params=params)
 
 
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def validate(config: ExperimentConfig) -> list[str]:
     """Schema and cross-field checks; findings are the output, not errors."""
     findings = []
+    p = config.params
     if config.kind not in KINDS:
         findings.append(f"experiment.kind: unknown kind {config.kind!r}; "
                         f"expected one of {', '.join(KINDS)}")
     if config.grid is None:
         findings.append("grid: must be non-empty with strictly increasing axes")
-    if config.kind == "variance-check" and config.grid is not None:
-        dt = config.params.get("dt")
-        if dt:
-            m_min = float(np.min(config.plant.mass))
-            wn_max = math.sqrt(config.grid.kp_values[-1] / m_min)
-            if wn_max * float(dt) >= 0.1:
-                findings.append(
-                    f"params.dt: dt too coarse for Kp={config.grid.kp_values[-1]:g}, "
-                    f"m={m_min:g} (omega_n*dt = {wn_max * float(dt):.3f} >= 0.1)")
-    if config.kind == "stats-report":
-        for key, allowed in (("metric", ("success", "error")),
-                             ("alternative", ("greater", "less"))):
-            v = config.params.get(key)
-            if v is not None and v not in allowed:
-                findings.append(f"params.{key}: unknown value {v!r}; "
-                                f"expected one of {', '.join(allowed)}")
+    choices = RUNNERS[config.kind].choices if config.kind in KINDS else {}
+    for key, allowed in choices.items():
+        if key in p and p[key] not in allowed:
+            findings.append(f"params.{key}: unknown value {p[key]!r}; "
+                            f"expected one of {', '.join(allowed)}")
     for key in ("trials", "budget", "n_demos", "iters"):
-        v = config.params.get(key)
-        if v is not None and int(v) < 1:
-            findings.append(f"params.{key}: must be >= 1")
+        if key in p and not (_finite(p[key]) and p[key] >= 1):
+            findings.append(f"params.{key}: must be a number >= 1, not {p[key]!r}")
+    if config.kind == "variance-check":
+        try:
+            m_min = min(_masses(config))
+        except (TypeError, ValueError):  # not numbers, or an empty list
+            m_min = math.nan
+        dt = p.get("dt", 0.0)
+        if not m_min > 0:
+            findings.append(f"params.masses: must be numbers > 0, not {p.get('masses')!r}")
+        elif not (_finite(dt) and dt >= 0):
+            findings.append(f"params.dt: must be a number >= 0, not {dt!r}")
+        elif dt and config.grid is not None:
+            kp_max = config.grid.kp_values[-1]
+            wn_dt = math.sqrt(kp_max / m_min) * dt
+            if wn_dt >= 0.1:
+                findings.append(f"params.dt: dt too coarse for Kp={kp_max:g}, "
+                                f"m={m_min:g} (omega_n*dt = {wn_dt:.3f} >= 0.1)")
+        rate = p.get("rate")
+        if p.get("mode") == noise.HELD and not (_finite(rate) and rate > 0):
+            findings.append("params.rate: mode = held needs a rate > 0")
     return findings
 
 
@@ -147,51 +170,55 @@ def _csv(rows: list[dict], columns: list[str]) -> str:
 
 
 def _heatmap(rows: list[dict], value_key: str, grid: GainGrid) -> str:
-    by_cell = {(r["kp"], r["kd"]): r[value_key] for r in rows}
+    """kp,kd,value over the rows holding value_key; a cell with several
+    such rows gets their maximum."""
+    by_cell = {}
+    for r in rows:
+        if value_key in r:
+            cell, v = (r["kp"], r["kd"]), r[value_key]
+            by_cell[cell] = max(by_cell.get(cell, v), v)
     out = [{"kp": kp, "kd": kd, "value": by_cell[(kp, kd)]}
            for kp, kd in grid.cells() if (kp, kd) in by_cell]
     return _csv(out, ["kp", "kd", "value"])
 
 
-def _workers(override: int | None) -> int:
-    if override is not None:
-        return max(1, override)
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-
-
-def _map_cells(fn, args_list, workers: int):
-    """Run fn over jobs; returns (results aligned to jobs, failures).
-
-    Failed cells leave None in the results and an (index, error) entry in
-    the failure ledger; results are gathered by job index so the output
-    is identical regardless of the worker count.
-    """
-    results = [None] * len(args_list)
-    failures = []
-    if workers <= 1 or len(args_list) <= 1:
-        for i, a in enumerate(args_list):
-            try:
-                results[i] = fn(a)
-            except Exception as exc:
-                failures.append((i, repr(exc)))
-        return results, failures
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, a): i for i, a in enumerate(args_list)}
-        for fut, i in futures.items():
-            try:
-                results[i] = fut.result()
-            except Exception as exc:
-                failures.append((i, repr(exc)))
-    failures.sort()
-    return results, failures
-
-
 # ---------------------------------------------------------------------------
-# Experiment runners: each returns {filename: text}
+# Experiment kinds: cell functions and the table that runs them
+
+
+def _masses(cfg: ExperimentConfig) -> list[float]:
+    """variance-check's masses: params.masses, else the plant's lightest."""
+    m = cfg.params.get("masses", float(np.min(cfg.plant.mass)))
+    return [float(v) for v in (m if isinstance(m, list) else [m])]
+
+
+def _decimations(cfg: ExperimentConfig) -> list[int]:
+    d = cfg.params.get("decimations", [1, 10, 25, 50])
+    return [int(v) for v in (d if isinstance(d, list) else [d])]
+
+
+def _demos(cfg: ExperimentConfig, n: int,
+           default_duration: float) -> list[retarget.TorqueDemo]:
+    """n random point-to-point demos, all seeded from the config seed."""
+    p = cfg.params
+    duration = float(p.get("duration", default_duration))
+    base_rate = float(p.get("base_rate", 500.0))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    demos = []
+    for _ in range(n):
+        q0 = rng.uniform(-0.8, 0.8, size=cfg.plant.n_joints)
+        qf = rng.uniform(-0.8, 0.8, size=cfg.plant.n_joints)
+        pos, vel, acc = retarget.quintic_reference(q0, qf, 0.75 * duration)
+        ctrl = retarget.computed_torque_tracker(cfg.plant, pos, vel, acc)
+        goal = retarget.TaskGoal(q_goal=qf, tol=float(p.get("goal_tol", 0.05)))
+        demos.append(retarget.make_demo(cfg.plant, ctrl, duration, base_rate,
+                                        q0=q0, goal=goal, reference=pos))
+    return demos
 
 
 def _variance_cell(job):
-    cfg, kp, kd, mass, index = job
+    cfg, kp, kd, masses, index = job
+    mass = masses[index % len(masses)]
     p = cfg.params
     sigma = float(p.get("sigma", 0.1))
     trials = int(p.get("trials", 100))
@@ -206,89 +233,31 @@ def _variance_cell(job):
                            seed=_cell_seed(cfg.seed, index))
     est = noise.simulate_perturbation(GainConfig(kp=kp, kd=kd), mass, spec,
                                       dt=dt, horizon=horizon, n_trials=trials)
-    return {"kp": kp, "kd": kd, "mass": mass, "sigma": sigma, "mode": mode,
-            "empirical_var": est.value, "stderr": est.stderr,
-            "analytic_var": est.analytic}
-
-
-def run_variance_check(cfg: ExperimentConfig, workers: int = 1):
-    masses = cfg.params.get("masses", [float(np.min(cfg.plant.mass))])
-    if not isinstance(masses, list):
-        masses = [float(masses)]
-    jobs = []
-    index = 0
-    for kp, kd in cfg.grid.cells():
-        for mass in masses:
-            jobs.append((cfg, kp, kd, float(mass), index))
-            index += 1
-    results, failures = _map_cells(_variance_cell, jobs, workers)
-    rows = [r for r in results if r is not None]
-    files = {"results.csv": _csv(rows, ["kp", "kd", "mass", "sigma", "mode",
-                                        "empirical_var", "stderr", "analytic_var"])}
-    worst = {}
-    for r in rows:
-        rel = abs(r["empirical_var"] - r["analytic_var"]) / r["analytic_var"] \
-            if r["analytic_var"] else 0.0
-        key = (r["kp"], r["kd"])
-        worst[key] = max(worst.get(key, 0.0), rel)
-    hm = [{"kp": kp, "kd": kd, "value": worst[(kp, kd)]}
-          for kp, kd in cfg.grid.cells() if (kp, kd) in worst]
-    files["heatmap_rel_err.csv"] = _csv(hm, ["kp", "kd", "value"])
-    return files, failures
-
-
-def _random_demo(cfg: ExperimentConfig, rng: np.random.Generator,
-                 duration: float, base_rate: float) -> retarget.TorqueDemo:
-    n = cfg.plant.n_joints
-    q0 = rng.uniform(-0.8, 0.8, size=n)
-    qf = rng.uniform(-0.8, 0.8, size=n)
-    pos, vel, acc = retarget.quintic_reference(q0, qf, 0.75 * duration)
-    ctrl = retarget.computed_torque_tracker(cfg.plant, pos, vel, acc)
-    goal = retarget.TaskGoal(q_goal=qf, tol=float(cfg.params.get("goal_tol", 0.05)))
-    return retarget.make_demo(cfg.plant, ctrl, duration, base_rate, q0=q0,
-                              goal=goal, reference=pos)
+    rel_err = abs(est.value - est.analytic) / est.analytic if est.analytic else 0.0
+    return [{"kp": kp, "kd": kd, "mass": mass, "sigma": sigma, "mode": mode,
+             "empirical_var": est.value, "stderr": est.stderr,
+             "analytic_var": est.analytic, "rel_err": rel_err}], {}
 
 
 def _tpr_cell(job):
-    cfg, kp, kd, demos, decimations = job
+    cfg, kp, kd, demos, _ = job
     gains = GainConfig(kp=kp, kd=kd, gravity_comp=cfg.plant.gravity_enabled)
     rows = []
-    for dec in decimations:
+    for dec in _decimations(cfg):
         mses, reached = [], []
         for demo in demos:
             rd = retarget.tpr_joint(demo, gains, plant=cfg.plant)
-            _, rep = retarget.replay(rd, int(dec), cfg.plant, source=demo)
+            _, rep = retarget.replay(rd, dec, cfg.plant, source=demo)
             mses.append(rep.mse)
             reached.append(rep.goal_reached)
-        rows.append({"kp": kp, "kd": kd, "decimation": int(dec),
-                     "mse": float(np.mean(mses)),
-                     "goal_reached": float(np.mean(reached))})
-    return rows
-
-
-def run_tpr_sweep(cfg: ExperimentConfig, workers: int = 1):
-    p = cfg.params
-    decimations = p.get("decimations", [1, 10, 25, 50])
-    if not isinstance(decimations, list):
-        decimations = [decimations]
-    n_demos = int(p.get("n_demos", 5))
-    duration = float(p.get("duration", 2.0))
-    base_rate = float(p.get("base_rate", 500.0))
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-    demos = [_random_demo(cfg, rng, duration, base_rate) for _ in range(n_demos)]
-    jobs = [(cfg, kp, kd, demos, decimations) for kp, kd in cfg.grid.cells()]
-    nested, failures = _map_cells(_tpr_cell, jobs, workers)
-    rows = [r for cell_rows in nested if cell_rows for r in cell_rows]
-    files = {"results.csv": _csv(rows, ["kp", "kd", "decimation", "mse",
-                                        "goal_reached"])}
-    for dec in decimations:
-        sub = [r for r in rows if r["decimation"] == int(dec)]
-        files[f"heatmap_mse_dec{int(dec)}.csv"] = _heatmap(sub, "mse", cfg.grid)
-    return files, failures
+        mse = float(np.mean(mses))
+        rows.append({"kp": kp, "kd": kd, "decimation": dec, "mse": mse,
+                     f"mse_dec{dec}": mse, "goal_reached": float(np.mean(reached))})
+    return rows, {}
 
 
 def _noisy_cell(job):
-    cfg, kp, kd, demo, index = job
+    cfg, kp, kd, (demo,), index = job
     p = cfg.params
     decimation = int(p.get("decimation", 10))
     sigma = float(p.get("sigma", 0.05))
@@ -300,37 +269,17 @@ def _noisy_cell(job):
                            seed=_cell_seed(cfg.seed, index))
     res = noise.noisy_openloop_replay(rd, cfg.plant, spec, trials,
                                       decimation=decimation)
-    return {"kp": kp, "kd": kd, "goal_rate": res.goal_rate,
-            "rms_deviation": res.rms_deviation}
+    return [{"kp": kp, "kd": kd, "goal_rate": res.goal_rate,
+             "rms_deviation": res.rms_deviation}], {}
 
 
-def run_noisy_replay(cfg: ExperimentConfig, workers: int = 1):
-    p = cfg.params
-    duration = float(p.get("duration", 2.0))
-    base_rate = float(p.get("base_rate", 500.0))
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-    demo = _random_demo(cfg, rng, duration, base_rate)
-    jobs = [(cfg, kp, kd, demo, i) for i, (kp, kd) in enumerate(cfg.grid.cells())]
-    results, failures = _map_cells(_noisy_cell, jobs, workers)
-    rows = [r for r in results if r is not None]
-    return {
-        "results.csv": _csv(rows, ["kp", "kd", "goal_rate", "rms_deviation"]),
-        "heatmap_goal_rate.csv": _heatmap(rows, "goal_rate", cfg.grid),
-        "heatmap_rms_deviation.csv": _heatmap(rows, "rms_deviation", cfg.grid),
-    }, failures
-
-
-PSI_COLUMNS = ("stiffness", "damping", "armature", "static_friction",
-               "dynamic_friction_ratio", "viscous_friction")
+PSI_COLUMNS = sysid.FROZEN_GAIN_PARAMS + sysid.FREE_PARAMS
 
 
 def _load_bounds(path) -> sysid.SysidBounds:
     """[bounds] section: one `name = lower, upper` line per parameter."""
-    cp = configparser.ConfigParser()
-    with open(path) as fh:
-        cp.read_string(fh.read())
     defaults = {n: (lo, hi) for n, lo, hi in sysid.SysidBounds.default().params}
-    for name, value in cp["bounds"].items():
+    for name, value in _read_ini(path)["bounds"].items():
         lo, hi = (float(v) for v in value.split(","))
         defaults[name] = (lo, hi)
     return sysid.SysidBounds(params=tuple((n, lo, hi)
@@ -338,45 +287,29 @@ def _load_bounds(path) -> sysid.SysidBounds:
 
 
 def _sysid_cell(job):
-    cfg, kp, kd, index = job
+    cfg, kp, kd, _, index = job
     p = cfg.params
     gains = GainConfig(kp=kp, kd=kd)
     bounds = _load_bounds(p["bounds"]) if p.get("bounds") \
         else sysid.SysidBounds.default()
-    free = {n: (lo, hi) for n, lo, hi in bounds.params
-            if n in sysid.FREE_PARAMS}
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
-    hidden = {name: rng.uniform(lo, hi) for name, (lo, hi) in free.items()}
+    hidden = {n: rng.uniform(lo, hi)
+              for n, lo, hi in bounds.subset(sysid.FREE_PARAMS).params}
     hidden_plant, _ = sysid._apply_params(cfg.plant, gains, hidden)
-    proto = sysid.ExcitationProtocol()
     reference = sysid.excite(hidden_plant, gains)
     cmaes_cfg = sysid.CmaesConfig(sigma0=float(p.get("sigma0", 3.0)),
                                   max_iter=int(p.get("iters", 200)),
                                   seed=_cell_seed(cfg.seed, index))
-    fit = sysid.identify(reference, gains, bounds, cmaes_cfg, cfg.plant,
-                         protocol=proto)
+    fit = sysid.identify(reference, gains, bounds, cmaes_cfg, cfg.plant)
     row = {"kp": kp, "kd": kd, "final_loss": fit.loss, "evals": fit.n_evals}
     row.update({name: fit.params.get(name, float("nan")) for name in PSI_COLUMNS})
     history = _csv([{"iter": i, "best_loss": v} for i, v in enumerate(fit.history)],
                    ["iter", "best_loss"])
-    return row, (f"history_kp{kp:g}_kd{kd:g}.csv", history)
-
-
-def run_sysid_sweep(cfg: ExperimentConfig, workers: int = 1):
-    jobs = [(cfg, kp, kd, i) for i, (kp, kd) in enumerate(cfg.grid.cells())]
-    results, failures = _map_cells(_sysid_cell, jobs, workers)
-    results = [r for r in results if r is not None]
-    rows = [r for r, _ in results]
-    files = {"results.csv": _csv(rows, ["kp", "kd", "final_loss", "evals",
-                                        *PSI_COLUMNS]),
-             "heatmap_final_loss.csv": _heatmap(rows, "final_loss", cfg.grid)}
-    for _, (name, text) in results:
-        files[name] = text
-    return files, failures
+    return [row], {f"history_kp{kp:g}_kd{kd:g}.csv": history}
 
 
 def _shape_cell(job):
-    cfg, kp, kd, index = job
+    cfg, kp, kd, _, index = job
     p = cfg.params
     budget = int(p.get("budget", 200))
     gains = GainConfig(kp=kp, kd=kd)
@@ -404,47 +337,22 @@ def _shape_cell(job):
     ledger_csv = _csv(ledger_rows, ["trial", "alpha1", "alpha2", "beta", "gamma",
                                     "J", "success", "viol_pos", "viol_vel",
                                     "viol_tau", "viol_taurate"])
-    return summary, (f"ledger_kp{kp:g}_kd{kd:g}.csv", ledger_csv)
-
-
-def run_shape_search(cfg: ExperimentConfig, workers: int = 1):
-    which = cfg.params.get("cells", "corners")
-    if which == "all":
-        cells = list(cfg.grid.cells())
-    else:
-        cells = list(cfg.grid.corners().values())
-    jobs = [(cfg, kp, kd, i) for i, (kp, kd) in enumerate(cells)]
-    results, failures = _map_cells(_shape_cell, jobs, workers)
-    results = [r for r in results if r is not None]
-    rows = [r for r, _ in results]
-    files = {"results.csv": _csv(rows, ["kp", "kd", "best_J", "goal_rate",
-                                        "alpha", "beta", "gamma"])}
-    for _, (name, text) in results:
-        files[name] = text
-    return files, failures
+    return [summary], {f"ledger_kp{kp:g}_kd{kd:g}.csv": ledger_csv}
 
 
 def _compliance_cell(job):
-    cfg, kp, kd, _ = job
+    cfg, kp, kd, _, _ = job
     p = cfg.params
     gains = GainConfig(kp=kp, kd=kd, gravity_comp=cfg.plant.gravity_enabled)
     n = cfg.plant.n_joints
     probe = np.full(n, float(p.get("probe_force", 1.0)))
     k_eff = control.effective_stiffness(cfg.plant, gains, probe,
                                         settle_time=float(p.get("settle_time", 8.0)))
-    return {"kp": kp, "kd": kd, "k_eff": k_eff}
-
-
-def run_compliance_probe(cfg: ExperimentConfig, workers: int = 1):
-    jobs = [(cfg, kp, kd, i) for i, (kp, kd) in enumerate(cfg.grid.cells())]
-    results, failures = _map_cells(_compliance_cell, jobs, workers)
-    rows = [r for r in results if r is not None]
-    return {"results.csv": _csv(rows, ["kp", "kd", "k_eff"]),
-            "heatmap_k_eff.csv": _heatmap(rows, "k_eff", cfg.grid)}, failures
+    return [{"kp": kp, "kd": kd, "k_eff": k_eff}], {}
 
 
 def _jitter_cell(job):
-    cfg, kp, kd, demo, index = job
+    cfg, kp, kd, (demo,), index = job
     p = cfg.params
     decimation = int(p.get("decimation", 10))
     sigma = float(p.get("sigma", 0.02))
@@ -456,21 +364,8 @@ def _jitter_cell(job):
     traj, _ = retarget.replay(rd, decimation, cfg.plant, command_noise=pert)
     report = sysid.jitter_detect(traj, window=float(p.get("window", 2.0)),
                                  threshold=float(p.get("threshold", 0.04)))
-    return {"kp": kp, "kd": kd, "max_std": report.max_std,
-            "flagged": report.flagged}
-
-
-def run_jitter_scan(cfg: ExperimentConfig, workers: int = 1):
-    p = cfg.params
-    duration = float(p.get("duration", 6.0))
-    base_rate = float(p.get("base_rate", 500.0))
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-    demo = _random_demo(cfg, rng, duration, base_rate)
-    jobs = [(cfg, kp, kd, demo, i) for i, (kp, kd) in enumerate(cfg.grid.cells())]
-    results, failures = _map_cells(_jitter_cell, jobs, workers)
-    rows = [r for r in results if r is not None]
-    return {"results.csv": _csv(rows, ["kp", "kd", "max_std", "flagged"]),
-            "heatmap_max_std.csv": _heatmap(rows, "max_std", cfg.grid)}, failures
+    return [{"kp": kp, "kd": kd, "max_std": report.max_std,
+             "flagged": report.flagged}], {}
 
 
 def read_sweep_csv(path) -> list[stats.SweepOutcome]:
@@ -491,7 +386,7 @@ def read_sweep_csv(path) -> list[stats.SweepOutcome]:
     return rows
 
 
-def run_stats_report(cfg: ExperimentConfig, workers: int = 1) -> dict:
+def run_stats_report(cfg: ExperimentConfig, workers: int = 1):
     p = cfg.params
     outcomes = read_sweep_csv(p["input"])
     if outcomes and outcomes[0].region is None:
@@ -529,16 +424,93 @@ def run_stats_report(cfg: ExperimentConfig, workers: int = 1) -> dict:
     return files, []
 
 
+def _run_grid(kind: str, cfg: ExperimentConfig, workers: int):
+    """Run the kind's cell on every job; return ({filename: text}, failures).
+
+    A failed cell adds (job index, error) to the failures and no rows.
+    Results are gathered in job order, so the files are identical
+    regardless of the worker count.
+    """
+    spec = RUNNERS[kind]
+    shared = spec.shared(cfg)
+    jobs = [(cfg, kp, kd, shared, i) for i, (kp, kd) in enumerate(spec.cells(cfg))]
+    results, failures = [], []
+
+    def collect(i, call):
+        try:
+            results.append(call())
+        except Exception as exc:
+            failures.append((i, repr(exc)))
+
+    if workers <= 1 or len(jobs) <= 1:
+        for i, job in enumerate(jobs):
+            collect(i, lambda: spec.cell(job))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for i, future in enumerate([pool.submit(spec.cell, job) for job in jobs]):
+                collect(i, future.result)
+    rows = [row for cell_rows, _ in results for row in cell_rows]
+    files = {"results.csv": _csv(rows, spec.columns)}
+    for key in spec.heatmaps(cfg):
+        files[f"heatmap_{key}.csv"] = _heatmap(rows, key, cfg.grid)
+    for _, sidecars in results:
+        files.update(sidecars)
+    return files, failures
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One kind; ``runner(kind, cfg, workers)`` returns ({name: text}, failures).
+
+    A grid kind's ``cell`` gets a job ``(cfg, kp, kd, shared(cfg), index)``
+    per ``cells(cfg)`` entry and returns (rows, {sidecar name: text}). The
+    rows' ``columns`` go to results.csv and each row key in ``heatmaps(cfg)``
+    to heatmap_<key>.csv. ``choices`` maps a param to its allowed values.
+    """
+
+    cell: Callable | None = None
+    columns: tuple[str, ...] = ()
+    heatmaps: Callable = lambda cfg: ()
+    cells: Callable = lambda cfg: list(cfg.grid.cells())
+    shared: Callable = lambda cfg: None
+    choices: dict = field(default_factory=dict)
+    runner: Callable = _run_grid
+
+
 RUNNERS = {
-    "variance-check": run_variance_check,
-    "tpr-sweep": run_tpr_sweep,
-    "noisy-replay": run_noisy_replay,
-    "sysid-sweep": run_sysid_sweep,
-    "shape-search": run_shape_search,
-    "stats-report": run_stats_report,
-    "compliance-probe": run_compliance_probe,
-    "jitter-scan": run_jitter_scan,
+    "tpr-sweep": _Kind(
+        _tpr_cell, ("kp", "kd", "decimation", "mse", "goal_reached"),
+        heatmaps=lambda cfg: [f"mse_dec{d}" for d in _decimations(cfg)],
+        shared=lambda cfg: _demos(cfg, int(cfg.params.get("n_demos", 5)), 2.0)),
+    "variance-check": _Kind(
+        _variance_cell, ("kp", "kd", "mass", "sigma", "mode", "empirical_var",
+                         "stderr", "analytic_var"),
+        heatmaps=lambda cfg: ["rel_err"],  # worst over the masses
+        cells=lambda cfg: [c for c in cfg.grid.cells() for _ in _masses(cfg)],
+        shared=_masses, choices={"mode": (noise.CONTINUOUS, noise.HELD)}),
+    "noisy-replay": _Kind(
+        _noisy_cell, ("kp", "kd", "goal_rate", "rms_deviation"),
+        heatmaps=lambda cfg: ["goal_rate", "rms_deviation"],
+        shared=lambda cfg: _demos(cfg, 1, 2.0)),
+    "sysid-sweep": _Kind(
+        _sysid_cell, ("kp", "kd", "final_loss", "evals", *PSI_COLUMNS),
+        heatmaps=lambda cfg: ["final_loss"]),
+    "shape-search": _Kind(
+        _shape_cell, ("kp", "kd", "best_J", "goal_rate", "alpha", "beta", "gamma"),
+        # every grid cell, or the regime corners once each (CO, SO, CU, SU)
+        cells=lambda cfg: list(cfg.grid.cells() if cfg.params.get("cells") == "all"
+                               else dict.fromkeys(cfg.grid.corners().values())),
+        choices={"cells": ("corners", "all")}),
+    "stats-report": _Kind(
+        runner=lambda kind, cfg, workers: run_stats_report(cfg, workers),
+        choices={"metric": ("success", "error"), "alternative": ("greater", "less")}),
+    "compliance-probe": _Kind(_compliance_cell, ("kp", "kd", "k_eff"),
+                              heatmaps=lambda cfg: ["k_eff"]),
+    "jitter-scan": _Kind(
+        _jitter_cell, ("kp", "kd", "max_std", "flagged"),
+        heatmaps=lambda cfg: ["max_std"], shared=lambda cfg: _demos(cfg, 1, 6.0)),
 }
+KINDS = tuple(RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +523,12 @@ def run(config: ExperimentConfig, workers: int | None = None) -> int:
         for f in findings:
             print(f"validation: {f}", file=sys.stderr)
         return 1
+    if workers is None:
+        workers = int(os.environ.get(WORKERS_ENV, "1"))
     os.makedirs(config.out, exist_ok=True)
     try:
-        files, failures = RUNNERS[config.kind](config, workers=_workers(workers))
+        files, failures = RUNNERS[config.kind].runner(config.kind, config,
+                                                      max(1, workers))
     except Exception as exc:
         with open(os.path.join(config.out, "failures.csv"), "w") as fh:
             fh.write("cell,error\n-1," + repr(exc).replace(",", ";") + "\n")
@@ -580,11 +555,9 @@ def run(config: ExperimentConfig, workers: int | None = None) -> int:
     with open(os.path.join(config.out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if failures:
-        for i, err in failures:
-            print(f"cell {i} failed: {err}", file=sys.stderr)
-        return 2
-    return 0
+    for i, err in failures:
+        print(f"cell {i} failed: {err}", file=sys.stderr)
+    return 2 if failures else 0
 
 
 def _cmd_run(args) -> int:
@@ -608,17 +581,8 @@ def _cmd_validate(args) -> int:
     return 1 if findings else 0
 
 
-def _grid_from_file(path) -> GainGrid:
-    cp = configparser.ConfigParser()
-    with open(path) as fh:
-        cp.read_string(fh.read())
-    kp = [float(v) for v in cp["grid"]["kp"].split(",") if v.strip()]
-    kd = [float(v) for v in cp["grid"]["kd"].split(",") if v.strip()]
-    return GainGrid(kp_values=np.array(kp), kd_values=np.array(kd))
-
-
 def _cmd_sysid(args) -> int:
-    grid = _grid_from_file(args.grid) if args.grid else default_grid()
+    grid = _parse_grid(_read_ini(args.grid)) if args.grid else default_grid()
     params = {"iters": args.iters, "sigma0": args.sigma0}
     if args.bounds:
         params["bounds"] = args.bounds
@@ -687,9 +651,9 @@ def main(argv=None) -> int:
     p_stats.add_argument("--input", required=True)
     p_stats.add_argument("--region", default="CO")
     p_stats.add_argument("--metric", default="success",
-                         choices=["success", "error"])
+                         choices=RUNNERS["stats-report"].choices["metric"])
     p_stats.add_argument("--alternative", default="greater",
-                         choices=["greater", "less"])
+                         choices=RUNNERS["stats-report"].choices["alternative"])
     p_stats.add_argument("--alpha", type=float, default=0.05)
     p_stats.add_argument("--m", type=int, default=1)
     p_stats.add_argument("--out", default="out")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import GainConfig, classify_regime
+from .control import GainConfig, _median, classify_regime
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -310,7 +310,9 @@ def mannwhitney_u(x, y, side: str = "less") -> tuple[float, float]:
     pooled = np.concatenate([x, y])
     ranks = _rankdata(pooled)
     u_x = float(np.sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0)
-    has_ties = len(np.unique(pooled)) < pooled.size
+    # with return_counts, np.unique skips its numpy.ma masked-array check
+    _, t_counts = np.unique(pooled, return_counts=True)
+    has_ties = t_counts.size < pooled.size
     if n1 * n2 <= 400 and not has_ties:
         counts = _mwu_exact_counts(n1, n2)
         total = counts.sum()
@@ -322,7 +324,6 @@ def mannwhitney_u(x, y, side: str = "less") -> tuple[float, float]:
         return u_x, float(min(1.0, p))
     mean = n1 * n2 / 2.0
     nt = n1 + n2
-    _, t_counts = np.unique(pooled, return_counts=True)
     tie_term = float(np.sum(t_counts**3 - t_counts)) / (nt * (nt - 1.0))
     var = n1 * n2 / 12.0 * ((nt + 1.0) - tie_term)
     if var <= 0:
@@ -398,8 +399,7 @@ def region_test(outcomes, region: str, metric: str, alternative: str = "greater"
         if any(e is None for e in e_in + e_out):
             raise ValueError("error metric needs scalar_error on every cell")
         stat, p = mannwhitney_u(e_in, e_out, side=alternative)
-        detail = {"region_median": float(np.median(e_in)),
-                  "complement_median": float(np.median(e_out))}
+        detail = {"region_median": _median(e_in), "complement_median": _median(e_out)}
         name = "mannwhitney_u"
     else:
         raise ValueError("metric must be 'success' or 'error'")

@@ -146,6 +146,18 @@ class TestGainGrid:
         assert c == {"CO": (16.0, 128.0), "SO": (1024.0, 128.0),
                      "CU": (16.0, 2.0), "SU": (1024.0, 2.0)}
 
+    def test_median_is_numpys_bitwise(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 60):
+            x = rng.lognormal(0.0, 3.0, size=n)
+            assert control._median(x) == float(np.median(x))
+            assert control._median(list(np.round(x))) == float(np.median(np.round(x)))
+        assert math.isnan(control._median([1.0, float("nan"), 2.0]))
+        for _ in range(200):
+            kp = np.cumsum(rng.uniform(0.1, 50.0, size=rng.integers(1, 12)))
+            grid = GainGrid(kp_values=kp, kd_values=np.array([1.0]))
+            assert grid.stiffness_split == float(np.exp(np.median(np.log(kp))))
+
     def test_axes_must_increase(self):
         with pytest.raises(ValueError):
             GainGrid(kp_values=np.array([2.0, 1.0]), kd_values=np.array([1.0]))

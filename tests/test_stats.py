@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -378,3 +381,23 @@ class TestRegionTest:
         rows = make_grid_outcomes(lambda kp, kd: 0.5)
         with pytest.raises(ValueError):
             region_test(rows, "CO", "error")
+
+
+def test_region_tests_do_not_import_numpy_ma():
+    # np.median and a plain np.unique import numpy.ma on first use (~13 ms)
+    code = """
+import sys
+from gainlab import stats
+from gainlab.control import default_grid
+rows = [stats.SweepOutcome(kp=kp, kd=kd, successes=int(kp) % 7, trials=10,
+                           scalar_error=kp / kd) for kp, kd in default_grid().cells()]
+rows = stats.label_outcomes(rows, 1.0, default_grid().stiffness_split)
+stats.region_test(rows, "SO", "error")
+stats.region_test(rows, "CO", "success")
+stats.ols_log_fit(rows)
+stats.logistic_fit(rows)
+assert "numpy.ma" not in sys.modules, "numpy.ma imported"
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stats.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
