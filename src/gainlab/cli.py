@@ -123,7 +123,7 @@ def validate(config: ExperimentConfig) -> list[str]:
         if key in p and p[key] not in allowed:
             findings.append(f"params.{key}: unknown value {p[key]!r}; "
                             f"expected one of {', '.join(allowed)}")
-    for key in ("trials", "budget", "n_demos", "iters"):
+    for key in ("trials", "budget", "n_demos", "iters", "m"):
         if key in p and not (_finite(p[key]) and p[key] >= 1):
             findings.append(f"params.{key}: must be a number >= 1, not {p[key]!r}")
     if config.kind == "variance-check":
@@ -216,6 +216,17 @@ def _demos(cfg: ExperimentConfig, n: int,
     return demos
 
 
+def _default_dt(wn: float, rate: float | None) -> float:
+    """0.02/omega_n; with a hold rate, the largest dt <= that dividing 1/rate."""
+    dt = 0.02 / wn
+    if rate is None:
+        return dt
+    delta = 1.0 / rate
+    if abs(round(delta / dt) * dt - delta) <= 1e-9 * delta:  # simulate_perturbation's test
+        return dt
+    return delta / math.ceil(delta / dt)
+
+
 def _variance_cell(job):
     cfg, kp, kd, masses, index = job
     mass = masses[index % len(masses)]
@@ -224,11 +235,11 @@ def _variance_cell(job):
     trials = int(p.get("trials", 100))
     mode = str(p.get("mode", noise.CONTINUOUS))
     wn = math.sqrt(kp / mass)
-    dt = float(p.get("dt", 0.0)) or 0.02 / wn
+    rate = float(p["rate"]) if mode == noise.HELD else None
+    dt = float(p.get("dt", 0.0)) or _default_dt(wn, rate)
     zeta = kd / (2.0 * math.sqrt(mass * kp))
     tc = noise.time_constant(wn, zeta)
     horizon = float(p.get("horizon", 0.0)) or 60.0 * tc
-    rate = float(p["rate"]) if mode == noise.HELD else None
     spec = noise.NoiseSpec(sigma=sigma, mode=mode, rate=rate,
                            seed=_cell_seed(cfg.seed, index))
     est = noise.simulate_perturbation(GainConfig(kp=kp, kd=kd), mass, spec,

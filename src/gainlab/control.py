@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .dynamics import PlantParams, State, _as_vector
+from .dynamics import PlantParams, State, Trajectory, _as_vector
 
 REGIMES = ("CO", "SO", "CU", "SU")
 
@@ -88,6 +88,65 @@ def limit_torque(plant: PlantParams, tau, tau_prev, dt: float) -> np.ndarray:
     tau_prev = _as_vector(tau_prev, n)
     max_delta = plant.torque_rate_limit * dt
     return tau_prev + np.clip(tau - tau_prev, -max_delta, max_delta)
+
+
+def track(plant: PlantParams, gains: GainConfig, commands, hold: int, dt: float,
+          q0, q_dot0, n_steps: int) -> tuple[Trajectory, State]:
+    """Track zero-order-held position commands with the PD law.
+
+    Command c is held over physics steps [c*hold, (c+1)*hold), the last
+    one to the end. The torque is :func:`pd_torque` toward the held
+    command (plus gravity compensation when ``gains.gravity_comp``),
+    clamped to the plant's torque limit. Returns the trajectory in
+    :func:`dynamics.simulate`'s layout (n_steps+1 samples) and the final
+    state. The two-link arm runs through ``simulate``; the diagonal plants
+    step State-free through :func:`dynamics.decoupled_stepper`. A
+    floating-point overflow or invalid operation at step k raises
+    ``SimulationDivergedError(step_index=k)``.
+    """
+    start = State(q=q0, q_dot=q_dot0)
+    g = gains.expand(plant.n_joints)
+    last = len(commands) - 1
+    if plant.kind == dynamics.TWO_LINK:
+        def q_des_fn(state, k):
+            return commands[min(k // hold, last)]
+
+        def torque_fn(state, k):
+            grav = dynamics.gravity_torque(plant, state.q)
+            tau = pd_torque(g, state, q_des_fn(state, k), gravity_term=grav)
+            return np.clip(tau, -plant.torque_limit, plant.torque_limit)
+
+        return dynamics.simulate(plant, start, torque_fn, dt, n_steps, q_des_fn=q_des_fn)
+
+    advance = dynamics.decoupled_stepper(plant)
+    comp = g.gravity_comp_scale * dynamics.gravity_torque(plant, start.q) \
+        if g.gravity_comp else None
+    shape = (n_steps + 1, plant.n_joints)
+    rec_q, rec_qd, rec_qdes, rec_tau = (np.empty(shape) for _ in range(4))
+    q, qd = start.q, start.q_dot
+    cmd, tau = q, np.zeros(plant.n_joints)
+    k = 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(n_steps):
+                cmd = commands[min(k // hold, last)]
+                # 0.0 - qd, not -qd: pd_torque's signed zeros
+                tau = g.kp * (cmd - q) + g.kd * (0.0 - qd)
+                if comp is not None:
+                    tau = tau + comp
+                tau = np.clip(tau, -plant.torque_limit, plant.torque_limit)
+                rec_q[k], rec_qd[k], rec_qdes[k], rec_tau[k] = q, qd, cmd, tau
+                q, qd = advance(q, qd, tau, dt)
+    except FloatingPointError as exc:
+        raise dynamics.SimulationDivergedError(step_index=k) from exc
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qd))):
+        raise dynamics.SimulationDivergedError(step_index=n_steps)
+    rec_q[n_steps], rec_qd[n_steps], rec_qdes[n_steps], rec_tau[n_steps] = q, qd, cmd, tau
+    # t accumulates dt per step, as simulate's State.t does
+    t = np.concatenate(([0.0], np.cumsum(np.full(n_steps, dt))))
+    traj = Trajectory(sample_rate=1.0 / dt, t=t, q=rec_q, q_dot=rec_qd,
+                      q_des=rec_qdes, tau=rec_tau)
+    return traj, State(q=q, q_dot=qd, t=float(t[-1]))
 
 
 @dataclass(frozen=True)

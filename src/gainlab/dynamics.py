@@ -286,7 +286,9 @@ def step(plant: PlantParams, state: State, tau, dt: float,
     n = plant.n_joints
     tau = _as_vector(tau, n)
     fe = np.zeros(n) if f_ext is None else _as_vector(f_ext, n)
-    if integrator == SEMI_IMPLICIT:
+    if integrator == SEMI_IMPLICIT and plant.kind != TWO_LINK:
+        q_new, qd_new = decoupled_stepper(plant)(state.q, state.q_dot, tau + fe, dt)
+    elif integrator == SEMI_IMPLICIT:
         q, qd = state.q, state.q_dot
         M = mass_matrix(plant, q)
         m_eff = np.diag(M)
@@ -294,10 +296,7 @@ def step(plant: PlantParams, state: State, tau, dt: float,
             raise NonPositiveInertiaError("non-positive effective inertia")
         smooth = tau + fe - coriolis_torque(plant, q, qd) - gravity_torque(plant, q) \
             - plant.viscous_friction * qd
-        if plant.kind == TWO_LINK:
-            v_cand = qd + dt * np.linalg.solve(M, smooth)
-        else:
-            v_cand = qd + dt * smooth / m_eff
+        v_cand = qd + dt * np.linalg.solve(M, smooth)
         dry = np.where(np.abs(qd) > STICTION_VEL_EPS,
                        plant.dynamic_friction_ratio * plant.static_friction,
                        plant.static_friction)
@@ -330,9 +329,9 @@ def kinetic_energy(plant: PlantParams, state: State) -> float:
 def decoupled_stepper(plant: PlantParams):
     """Allocation-free semi-implicit stepper for the diagonal plants.
 
-    Returns ``advance(q, q_dot, tau, dt) -> (q, q_dot)`` producing exactly
-    the same floating-point results as :func:`step` with the
-    semi-implicit integrator (hot loops sidestep the State wrapper).
+    Returns ``advance(q, q_dot, tau, dt) -> (q, q_dot)``, the
+    semi-implicit integrator of :func:`step` for these plants; hot loops
+    call it directly to sidestep the State wrapper.
     """
     if plant.kind == TWO_LINK:
         raise ValueError("decoupled_stepper covers point_mass and chain only")
@@ -426,10 +425,6 @@ class Trajectory:
             buf.write(",".join(f"{v:.9g}" for v in row) + "\n")
         return buf.getvalue()
 
-    def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
     @classmethod
     def from_csv(cls, text_or_path) -> "Trajectory":
         if "\n" not in str(text_or_path):
@@ -463,7 +458,9 @@ def simulate(plant: PlantParams, state0: State, torque_fn, dt: float, n_steps: i
     ``q_des_fn(state, k)`` (optional) the logged position target;
     ``f_ext_fn(state, k)`` (optional) an external torque. The trajectory
     holds n_steps+1 samples including the initial state; the torque logged
-    with the final sample is the last applied one.
+    with the final sample is the last applied one. A floating-point
+    overflow or invalid operation at step k raises
+    ``SimulationDivergedError(step_index=k)``.
     """
     n = plant.n_joints
     t = np.empty(n_steps + 1)
@@ -474,36 +471,30 @@ def simulate(plant: PlantParams, state0: State, torque_fn, dt: float, n_steps: i
     fext = np.empty((n_steps + 1, n)) if f_ext_fn is not None else None
     s = state0
     last_tau = np.zeros(n)
-    for k in range(n_steps + 1):
-        t[k], q[k], qd[k] = s.t, s.q, s.q_dot
-        if k == n_steps:
-            qdes[k] = qdes[k - 1] if n_steps else s.q
-            tau[k] = last_tau
-            if fext is not None:
-                fext[k] = fext[k - 1] if n_steps else 0.0
-            break
-        tk = _as_vector(torque_fn(s, k), n)
-        fe = _as_vector(f_ext_fn(s, k), n) if f_ext_fn is not None else None
-        qdes[k] = _as_vector(q_des_fn(s, k), n) if q_des_fn is not None else s.q
-        tau[k] = tk
-        if fext is not None:
-            fext[k] = fe
-        last_tau = tk
-        s = step(plant, s, tk, dt, integrator=integrator, f_ext=fe)
+    k = 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(n_steps + 1):
+                t[k], q[k], qd[k] = s.t, s.q, s.q_dot
+                if k == n_steps:
+                    qdes[k] = qdes[k - 1] if n_steps else s.q
+                    tau[k] = last_tau
+                    if fext is not None:
+                        fext[k] = fext[k - 1] if n_steps else 0.0
+                    break
+                tk = _as_vector(torque_fn(s, k), n)
+                fe = _as_vector(f_ext_fn(s, k), n) if f_ext_fn is not None else None
+                qdes[k] = _as_vector(q_des_fn(s, k), n) if q_des_fn is not None else s.q
+                tau[k] = tk
+                if fext is not None:
+                    fext[k] = fe
+                last_tau = tk
+                s = step(plant, s, tk, dt, integrator=integrator, f_ext=fe)
+    except FloatingPointError as exc:
+        raise SimulationDivergedError(step_index=k) from exc
     traj = Trajectory(sample_rate=1.0 / dt, t=t, q=q, q_dot=qd, q_des=qdes,
                       tau=tau, f_ext=fext)
     return traj, s
-
-
-def decimate_trajectory(traj: Trajectory, factor: int) -> Trajectory:
-    """Keep every ``factor``-th sample (rate divides accordingly)."""
-    if factor < 1 or int(factor) != factor:
-        raise ValueError("factor must be a positive integer")
-    sl = slice(None, None, int(factor))
-    return Trajectory(sample_rate=traj.sample_rate / factor, t=traj.t[sl],
-                      q=traj.q[sl], q_dot=traj.q_dot[sl], q_des=traj.q_des[sl],
-                      tau=traj.tau[sl],
-                      f_ext=None if traj.f_ext is None else traj.f_ext[sl])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import control, dynamics
-from .control import GainConfig, pd_torque
+from .control import GainConfig
 from .dynamics import PlantParams, State, Trajectory, _as_vector
 
 
@@ -163,51 +163,32 @@ def tpr_task(demo: TaskSpaceDemo, gains_task: GainConfig) -> RetargetedDemo:
 
 
 def replay(retargeted: RetargetedDemo, decimation: int, plant: PlantParams,
-           source: TorqueDemo | None = None, rate_limit: bool = False,
-           command_noise: np.ndarray | None = None,
-           integrator: str = dynamics.SEMI_IMPLICIT) -> tuple[Trajectory, FidelityReport]:
+           source: TorqueDemo | None = None,
+           command_noise: np.ndarray | None = None) -> tuple[Trajectory, FidelityReport]:
     """Replay retargeted commands with zero-order hold at a decimated rate.
 
     Physics steps run at the demo base rate; each kept command is held for
-    ``decimation * (base_rate / command_rate)`` steps. Torques are clamped
-    to the plant limit; rate limiting (the hardware deployment behavior)
-    is off by default. ``command_noise`` (same shape as the kept command
-    array) perturbs each held command. The fidelity MSE is computed
-    against ``source`` when given.
+    ``decimation * (base_rate / command_rate)`` steps and tracked by
+    :func:`control.track` (torques clamped to the plant limit, no rate
+    limit). ``command_noise`` (same shape as the kept command array)
+    perturbs each held command. The fidelity MSE is computed against
+    ``source`` when given.
     """
     if decimation < 1 or int(decimation) != decimation:
         raise ValueError("decimation must be a positive integer")
     decimation = int(decimation)
     if retargeted.provenance.get("space") == "task":
         raise ValueError("task-space retargets are not replayable (no task-space plant)")
-    gains = retargeted.gains
     commands = retargeted.q_des[::decimation]
     if command_noise is not None:
         if command_noise.shape != commands.shape:
             raise ValueError("command_noise must match the kept command array")
         commands = commands + command_noise
     base_per_command = int(round(retargeted.base_rate / retargeted.command_rate))
-    hold = decimation * base_per_command
-    dt = 1.0 / retargeted.base_rate
-    n_steps = retargeted.n_commands * base_per_command - 1
-    state0 = State(q=retargeted.q0, q_dot=retargeted.q_dot0, t=0.0)
-    prev_tau = np.zeros(plant.n_joints)
-
-    def q_des_fn(state, k):
-        return commands[min(k // hold, len(commands) - 1)]
-
-    def torque_fn(state, k):
-        nonlocal prev_tau
-        grav = dynamics.gravity_torque(plant, state.q)
-        tau = pd_torque(gains, state, q_des_fn(state, k), gravity_term=grav)
-        tau = np.clip(tau, -plant.torque_limit, plant.torque_limit)
-        if rate_limit:
-            tau = control.limit_torque(plant, tau, prev_tau, dt)
-        prev_tau = tau
-        return tau
-
-    traj, final = dynamics.simulate(plant, state0, torque_fn, dt, n_steps,
-                                    integrator=integrator, q_des_fn=q_des_fn)
+    traj, final = control.track(plant, retargeted.gains, commands,
+                                decimation * base_per_command, 1.0 / retargeted.base_rate,
+                                retargeted.q0, retargeted.q_dot0,
+                                retargeted.n_commands * base_per_command - 1)
     if source is not None:
         m = min(traj.n_samples, source.traj.n_samples)
         mse = float(np.mean((traj.q[:m] - source.traj.q[:m]) ** 2))

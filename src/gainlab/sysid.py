@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dynamics
-from .control import GainConfig, pd_torque
+from .control import GainConfig, track
 from .dynamics import PlantParams, Trajectory
 
 
@@ -206,14 +206,6 @@ class ExcitationProtocol:
     log_rate: float = 50.0
     physics_rate: float = 100.0
 
-    def reference(self, q0: np.ndarray):
-        # sin(pi*k/50) with k the 50 Hz sample index == sin(pi*t) in seconds,
-        # i.e. a 2 s period, two full periods over the default duration.
-        def q_des(t: float) -> np.ndarray:
-            return q0 + self.amplitude * math.sin(math.pi * t)
-
-        return q_des
-
 
 def excite(plant: PlantParams, gains: GainConfig, amplitude: float = 0.1,
            duration: float = 4.0, log_rate: float = 50.0,
@@ -233,54 +225,16 @@ def excite(plant: PlantParams, gains: GainConfig, amplitude: float = 0.1,
         raise ValueError("log_rate must divide physics_rate")
     n_cmd = int(round(duration * log_rate))
     start = dynamics.rest_state(plant, q=q0)
-    proto = ExcitationProtocol(amplitude=amplitude, duration=duration,
-                               log_rate=log_rate, physics_rate=physics_rate)
-    ref = proto.reference(start.q)
-    dt = 1.0 / physics_rate
-    g = gains.expand(plant.n_joints)
-
-    if plant.kind == dynamics.TWO_LINK:
-        def q_des_fn(state, k):
-            return ref((k // spc) / log_rate)
-
-        def torque_fn(state, k):
-            grav = dynamics.gravity_torque(plant, state.q)
-            tau = pd_torque(g, state, q_des_fn(state, k), gravity_term=grav)
-            return np.clip(tau, -plant.torque_limit, plant.torque_limit)
-
-        traj, _ = dynamics.simulate(plant, start, torque_fn, dt, n_cmd * spc,
-                                    q_des_fn=q_des_fn)
-        logged = dynamics.decimate_trajectory(traj, spc)
-        return Trajectory(sample_rate=log_rate, t=logged.t[:n_cmd],
-                          q=logged.q[:n_cmd], q_dot=logged.q_dot[:n_cmd],
-                          q_des=logged.q_des[:n_cmd], tau=logged.tau[:n_cmd])
-
-    advance = dynamics.decoupled_stepper(plant)
-    grav = plant.mass * dynamics.GRAVITY if plant.gravity_enabled \
-        else np.zeros(plant.n_joints)
-    comp = g.gravity_comp_scale * grav if g.gravity_comp else None
-    q, qd = start.q.copy(), start.q_dot.copy()
-    rec = {name: np.empty((n_cmd, plant.n_joints))
-           for name in ("q", "q_dot", "q_des", "tau")}
-    cmd = q.copy()
-    for k in range(n_cmd * spc):
-        if k % spc == 0:
-            cmd = ref((k // spc) / log_rate)
-        tau = g.kp * (cmd - q) + g.kd * (np.zeros(1) - qd)
-        if comp is not None:
-            tau = tau + comp
-        tau = np.clip(tau, -plant.torque_limit, plant.torque_limit)
-        if k % spc == 0:
-            c = k // spc
-            rec["q"][c] = q
-            rec["q_dot"][c] = qd
-            rec["q_des"][c] = cmd
-            rec["tau"][c] = tau
-        q, qd = advance(q, qd, tau, dt)
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qd))):
-        raise dynamics.SimulationDivergedError(step_index=n_cmd * spc)
-    t = np.arange(n_cmd) / log_rate
-    return Trajectory(sample_rate=log_rate, t=t, **rec)
+    # sin(pi*c/50) with c the 50 Hz command index == sin(pi*t) in seconds,
+    # i.e. a 2 s period, two full periods over the default duration.
+    commands = np.array([start.q + amplitude * math.sin(math.pi * (c / log_rate))
+                         for c in range(n_cmd)])
+    traj, _ = track(plant, gains, commands, spc, 1.0 / physics_rate,
+                    start.q, start.q_dot, n_cmd * spc)
+    logged = slice(0, n_cmd * spc, spc)
+    return Trajectory(sample_rate=log_rate, t=np.arange(n_cmd) / log_rate,
+                      q=traj.q[logged], q_dot=traj.q_dot[logged],
+                      q_des=traj.q_des[logged], tau=traj.tau[logged])
 
 
 _DFT_CACHE: dict[int, np.ndarray] = {}

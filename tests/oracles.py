@@ -5,6 +5,8 @@ import math
 import numpy as np
 
 from gainlab import dynamics, shaping, stats
+from gainlab.control import pd_torque
+from gainlab.dynamics import State, Trajectory
 
 
 def brute_force_barnard(a, b, c, d, side="greater", n_grid=50001):
@@ -158,3 +160,86 @@ def per_episode_evaluate(problem, mapping, episodes=None):
     success_rate = succ / len(episodes)
     j = shaping.constrained_objective(success_rate, rates, problem.spec)
     return j, success_rate, rates
+
+
+def simulate_replay(retargeted, decimation, plant, command_noise=None):
+    """retarget.replay's rollout as closures around dynamics.simulate.
+
+    Every plant steps through the generic ``dynamics.step``; returns the
+    (trajectory, final state) pair of ``control.track``.
+    """
+    gains = retargeted.gains
+    commands = retargeted.q_des[::decimation]
+    if command_noise is not None:
+        commands = commands + command_noise
+    base_per_command = int(round(retargeted.base_rate / retargeted.command_rate))
+    hold = decimation * base_per_command
+    dt = 1.0 / retargeted.base_rate
+    n_steps = retargeted.n_commands * base_per_command - 1
+    state0 = State(q=retargeted.q0, q_dot=retargeted.q_dot0, t=0.0)
+
+    def q_des_fn(state, k):
+        return commands[min(k // hold, len(commands) - 1)]
+
+    def torque_fn(state, k):
+        grav = dynamics.gravity_torque(plant, state.q)
+        tau = pd_torque(gains, state, q_des_fn(state, k), gravity_term=grav)
+        return np.clip(tau, -plant.torque_limit, plant.torque_limit)
+
+    return dynamics.simulate(plant, state0, torque_fn, dt, n_steps, q_des_fn=q_des_fn)
+
+
+def loop_excite(plant, gains, amplitude=0.1, duration=4.0, log_rate=50.0,
+                physics_rate=100.0, q0=None):
+    """sysid.excite as two loops: simulate-and-decimate for the two-link
+    arm, a hand-written decoupled-stepper loop for the diagonal plants."""
+    spc = int(round(physics_rate / log_rate))
+    n_cmd = int(round(duration * log_rate))
+    start = dynamics.rest_state(plant, q=q0)
+
+    def ref(t):
+        return start.q + amplitude * math.sin(math.pi * t)
+
+    dt = 1.0 / physics_rate
+    g = gains.expand(plant.n_joints)
+
+    if plant.kind == dynamics.TWO_LINK:
+        def q_des_fn(state, k):
+            return ref((k // spc) / log_rate)
+
+        def torque_fn(state, k):
+            grav = dynamics.gravity_torque(plant, state.q)
+            tau = pd_torque(g, state, q_des_fn(state, k), gravity_term=grav)
+            return np.clip(tau, -plant.torque_limit, plant.torque_limit)
+
+        traj, _ = dynamics.simulate(plant, start, torque_fn, dt, n_cmd * spc,
+                                    q_des_fn=q_des_fn)
+        sl = slice(None, None, spc)
+        return Trajectory(sample_rate=log_rate, t=traj.t[sl][:n_cmd],
+                          q=traj.q[sl][:n_cmd], q_dot=traj.q_dot[sl][:n_cmd],
+                          q_des=traj.q_des[sl][:n_cmd], tau=traj.tau[sl][:n_cmd])
+
+    advance = dynamics.decoupled_stepper(plant)
+    grav = plant.mass * dynamics.GRAVITY if plant.gravity_enabled \
+        else np.zeros(plant.n_joints)
+    comp = g.gravity_comp_scale * grav if g.gravity_comp else None
+    q, qd = start.q.copy(), start.q_dot.copy()
+    rec = {name: np.empty((n_cmd, plant.n_joints))
+           for name in ("q", "q_dot", "q_des", "tau")}
+    cmd = q.copy()
+    for k in range(n_cmd * spc):
+        if k % spc == 0:
+            cmd = ref((k // spc) / log_rate)
+        tau = g.kp * (cmd - q) + g.kd * (np.zeros(1) - qd)
+        if comp is not None:
+            tau = tau + comp
+        tau = np.clip(tau, -plant.torque_limit, plant.torque_limit)
+        if k % spc == 0:
+            c = k // spc
+            rec["q"][c] = q
+            rec["q_dot"][c] = qd
+            rec["q_des"][c] = cmd
+            rec["tau"][c] = tau
+        q, qd = advance(q, qd, tau, dt)
+    t = np.arange(n_cmd) / log_rate
+    return Trajectory(sample_rate=log_rate, t=t, **rec)

@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from gainlab import shaping
-from gainlab.cli import KINDS, load_config, main, validate
+from gainlab.cli import KINDS, _default_dt, load_config, main, validate
 
 VARIANCE_INI = """
 [experiment]
@@ -172,6 +173,10 @@ class TestValidateFindings:
         text = VARIANCE_INI.replace("masses = 1\n", "masses = 1, 4\ndt = 0.01\n")
         assert validate(load_config(text.format(out=tmp_path / "o"))) == []
 
+    def test_stats_report_m(self, tmp_path):
+        text = STATS_INI.format(out="{out}", input=tmp_path / "in.csv")
+        self.assert_reported(tmp_path, text + "m = 0\n", "params.m")
+
     def test_shape_search_cells(self, tmp_path):
         text = SHAPE_INI.format(out="{out}", kp=16, kd=8)
         self.assert_reported(tmp_path, text + "cells = everything\n", "params.cells")
@@ -206,6 +211,20 @@ class TestRunExperiments:
         assert m1["files"] == m2["files"]
         for name, digest in m1["files"].items():
             assert (out1 / name).exists()
+
+    def test_variance_check_held_default_dt_divides_the_hold(self, tmp_path):
+        # the default 0.02/omega_n divides 1/50 s only for kp/m = 2/2 and 8/2
+        out = tmp_path / "held"
+        text = VARIANCE_INI.replace("masses = 1\n", "masses = 1, 2, 4\nmode = held\n"
+                                    "rate = 50\n")
+        path = write(tmp_path, "c.ini", text.format(out=out))
+        assert main(["run", "--config", path]) == 0
+        assert len((out / "results.csv").read_text().strip().splitlines()) == 1 + 12
+        assert _default_dt(1.0, 50.0) == 0.02
+        assert _default_dt(2.0, 50.0) == 0.01
+        assert _default_dt(math.sqrt(2.0), 50.0) == 0.02 / 2
+        assert _default_dt(math.sqrt(0.5), 50.0) == 0.02
+        assert _default_dt(math.sqrt(2.0), None) == 0.02 / math.sqrt(2.0)
 
     def test_tpr_sweep_protocol_decimations(self, tmp_path):
         out = tmp_path / "tpr"

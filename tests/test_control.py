@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gainlab import control, dynamics
+from gainlab import control, dynamics, retarget, sysid
 from gainlab.control import (GainConfig, GainGrid, classify_regime, default_grid,
                              effective_stiffness, limit_torque, pd_torque)
 from gainlab.dynamics import State, point_mass
+from oracles import loop_excite, simulate_replay
 
 
 class TestPdTorque:
@@ -198,3 +199,65 @@ class TestEffectiveStiffness:
         g = GainConfig(kp=50.0, kd=1.0)
         with pytest.raises(control.NotSettledError):
             effective_stiffness(plant, g, [2.0], settle_time=0.05)
+
+
+# Gravity, dry and viscous friction, and a torque limit the stiff cells hit.
+TRACK_PLANTS = {
+    "point_mass": (dynamics.point_mass(1.5, gravity_enabled=True, static_friction=0.3,
+                                       dynamic_friction_ratio=0.6, viscous_friction=0.2,
+                                       torque_limit=20.0), [0.1], [0.7]),
+    "chain": (dynamics.chain([1.0, 0.4, 2.0], gravity_enabled=True,
+                             static_friction=[0.2, 0.1, 0.0], dynamic_friction_ratio=0.5,
+                             viscous_friction=0.1, torque_limit=15.0),
+              [0.0, 0.2, -0.3], [0.5, -0.4, 0.3]),
+    "two_link": (dynamics.two_link(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4),
+                                   gravity_enabled=True, static_friction=0.1,
+                                   dynamic_friction_ratio=0.5, viscous_friction=0.05,
+                                   torque_limit=12.0), [-0.4, 0.6], [0.5, -0.3]),
+}
+TRACK_GAINS = [GainConfig(kp=64.0, kd=8.0),
+               GainConfig(kp=512.0, kd=24.0, gravity_comp=True, gravity_comp_scale=0.9)]
+
+
+class TestTrackMatchesLoopOracles:
+    """control.track reproduces the rollout loops it replaced, bit for bit."""
+
+    FIELDS = ("q", "q_dot", "q_des", "tau")
+
+    @pytest.mark.parametrize("decimation", [1, 10, 25])
+    @pytest.mark.parametrize("gains", TRACK_GAINS, ids=["pd", "pd_gravity_comp"])
+    @pytest.mark.parametrize("name", list(TRACK_PLANTS))
+    def test_replay(self, name, gains, decimation):
+        plant, q0, qf = TRACK_PLANTS[name]
+        pos, vel, acc = retarget.quintic_reference(q0, qf, 1.5)
+        ctrl = retarget.computed_torque_tracker(plant, pos, vel, acc)
+        demo = retarget.make_demo(plant, ctrl, 2.0, 500.0, q0=q0, reference=pos)
+        rd = retarget.tpr_joint(demo, gains, plant=plant)
+        noise = np.random.default_rng(3).normal(0.0, 0.05, rd.q_des[::decimation].shape)
+        for command_noise in (None, noise):
+            want, final = simulate_replay(rd, decimation, plant, command_noise)
+            commands = rd.q_des[::decimation]
+            if command_noise is not None:
+                commands = commands + command_noise
+            got, state = control.track(plant, gains, commands, decimation,
+                                       1.0 / rd.base_rate, rd.q0, rd.q_dot0,
+                                       rd.n_commands - 1)
+            replayed, _ = retarget.replay(rd, decimation, plant,
+                                          command_noise=command_noise)
+            for f in ("t",) + self.FIELDS:
+                assert np.array_equal(getattr(got, f), getattr(want, f)), f
+                assert np.array_equal(getattr(replayed, f), getattr(want, f)), f
+            assert np.array_equal(state.q, final.q)
+            assert np.array_equal(state.q_dot, final.q_dot)
+            assert state.t == final.t
+
+    @pytest.mark.parametrize("gains", TRACK_GAINS, ids=["pd", "pd_gravity_comp"])
+    @pytest.mark.parametrize("name", list(TRACK_PLANTS))
+    def test_excite(self, name, gains):
+        plant, q0, _ = TRACK_PLANTS[name]
+        traj = sysid.excite(plant, gains, q0=q0)
+        want = loop_excite(plant, gains, q0=q0)
+        for f in self.FIELDS:
+            assert np.array_equal(getattr(traj, f), getattr(want, f)), f
+        # the arm's oracle logs simulate's accumulated State.t
+        assert_allclose(traj.t, want.t, rtol=0, atol=1e-12)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,22 @@ class TestExcite:
         traj = excite(arm, GainConfig(kp=100.0, kd=20.0), duration=1.0)
         assert traj.n_samples == 50
         assert traj.n_joints == 2
+
+    @pytest.mark.parametrize("plant,gains", [
+        (dynamics.two_link(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4)),
+         GainConfig(kp=512.0, kd=24.0)),
+        (point_mass(1.0), GainConfig(kp=1e6, kd=1.0)),
+    ], ids=["two_link", "point_mass"])
+    def test_divergence_raises_without_warnings(self, plant, gains):
+        # identification_loss scores a diverged candidate as +inf only if
+        # the overflow surfaces as SimulationDivergedError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(dynamics.SimulationDivergedError) as err:
+                excite(plant, gains)
+            assert sysid.identification_loss(excite(plant, GainConfig(kp=64.0, kd=8.0)),
+                                             plant, gains, ExcitationProtocol()) == math.inf
+        assert 0 <= err.value.step_index < 400
 
 
 class TestSpectralMse:
