@@ -18,7 +18,7 @@ state = dynamics.rest_state(plant)
 
 traj, final = dynamics.simulate(
     plant, state,
-    lambda s, k: control.pd_torque(gains, s, q_des=[1.0]),
+    lambda s, k: control.pd_torque(gains, s.q, s.q_dot, q_des=[1.0]),
     dt=1e-3, n_steps=3000)
 print(f"step response: q(3s) = {final.q[0]:.6f} (target 1.0)")
 
@@ -27,7 +27,7 @@ print(f"step response: q(3s) = {final.q[0]:.6f} (target 1.0)")
 tau_ext = np.array([2.0])
 _, rest = dynamics.simulate(
     plant, state,
-    lambda s, k: control.pd_torque(gains, s, q_des=[0.0]),
+    lambda s, k: control.pd_torque(gains, s.q, s.q_dot, q_des=[0.0]),
     dt=1e-3, n_steps=8000, f_ext_fn=lambda s, k: tau_ext)
 print(f"impedance: tau_ext / displacement = {tau_ext[0] / rest.q[0]:.3f} "
       f"(Kp = {gains.kp[0]:g})")
@@ -63,7 +63,7 @@ arm = dynamics.two_link(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4),
 g2 = GainConfig(kp=[200.0, 120.0], kd=[30.0, 20.0], gravity_comp=True)
 _, settled = dynamics.simulate(
     arm, dynamics.rest_state(arm, q=[0.2, -0.1]),
-    lambda s, k: control.pd_torque(g2, s, q_des=[0.6, -0.4],
+    lambda s, k: control.pd_torque(g2, s.q, s.q_dot, q_des=[0.6, -0.4],
                                    gravity_term=dynamics.gravity_torque(arm, s.q)),
     dt=1e-3, n_steps=4000)
 print(f"2-link reach with gravity comp: q = {np.round(settled.q, 4)} "

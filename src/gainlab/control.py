@@ -66,16 +66,17 @@ class GainConfig:
                           gravity_comp_scale=self.gravity_comp_scale)
 
 
-def pd_torque(gains: GainConfig, state: State, q_des, q_dot_des=None,
+def pd_torque(gains: GainConfig, q, q_dot, q_des, q_dot_des=None,
               gravity_term=None) -> np.ndarray:
-    """PD control torque; q_dot_des defaults to zero (deploy-style -Kd*q_dot)."""
-    n = state.n_joints
-    g = gains.expand(n)
-    q_des = _as_vector(q_des, n)
-    qd_des = np.zeros(n) if q_dot_des is None else _as_vector(q_dot_des, n)
-    tau = g.kp * (q_des - state.q) + g.kd * (qd_des - state.q_dot)
-    if g.gravity_comp and gravity_term is not None:
-        tau = tau + g.gravity_comp_scale * _as_vector(gravity_term, n)
+    """PD control torque; q_dot_des defaults to zero (deploy-style -Kd*q_dot).
+
+    Arrays are (n,) or (B, n) lane stacks; the gains broadcast over lanes.
+    """
+    # 0.0 - q_dot, not -q_dot: a resting joint gives +0.0, as a zero target does
+    qd_err = 0.0 - q_dot if q_dot_des is None else q_dot_des - q_dot
+    tau = gains.kp * (q_des - q) + gains.kd * qd_err
+    if gains.gravity_comp and gravity_term is not None:
+        tau = tau + gains.gravity_comp_scale * gravity_term
     return tau
 
 
@@ -91,62 +92,59 @@ def limit_torque(plant: PlantParams, tau, tau_prev, dt: float) -> np.ndarray:
 
 
 def track(plant: PlantParams, gains: GainConfig, commands, hold: int, dt: float,
-          q0, q_dot0, n_steps: int) -> tuple[Trajectory, State]:
-    """Track zero-order-held position commands with the PD law.
+          q0, q_dot0, n_steps: int):
+    """Track zero-order-held position commands with the PD law, State-free.
 
+    ``commands`` is (C, n), or (C, B, n) for B lanes from one start state.
     Command c is held over physics steps [c*hold, (c+1)*hold), the last
-    one to the end. The torque is :func:`pd_torque` toward the held
-    command (plus gravity compensation when ``gains.gravity_comp``),
-    clamped to the plant's torque limit. Returns the trajectory in
-    :func:`dynamics.simulate`'s layout (n_steps+1 samples) and the final
-    state. The two-link arm runs through ``simulate``; the diagonal plants
-    step State-free through :func:`dynamics.decoupled_stepper`. A
-    floating-point overflow or invalid operation at step k raises
-    ``SimulationDivergedError(step_index=k)``.
+    one to the end; the torque is :func:`pd_torque` toward it (plus
+    gravity compensation when ``gains.gravity_comp``), clamped to the
+    torque limit, and every plant steps through ``decoupled_stepper``.
+    Returns the trajectory in :func:`dynamics.simulate`'s layout
+    (n_steps+1 samples) and the final state, or a list of such pairs, one
+    per lane. A floating-point overflow or invalid operation at step k
+    raises ``SimulationDivergedError(step_index=k)``.
     """
     start = State(q=q0, q_dot=q_dot0)
+    commands = np.asarray(commands, dtype=float)
+    lanes = commands.shape[1:-1]
     g = gains.expand(plant.n_joints)
-    last = len(commands) - 1
-    if plant.kind == dynamics.TWO_LINK:
-        def q_des_fn(state, k):
-            return commands[min(k // hold, last)]
-
-        def torque_fn(state, k):
-            grav = dynamics.gravity_torque(plant, state.q)
-            tau = pd_torque(g, state, q_des_fn(state, k), gravity_term=grav)
-            return np.clip(tau, -plant.torque_limit, plant.torque_limit)
-
-        return dynamics.simulate(plant, start, torque_fn, dt, n_steps, q_des_fn=q_des_fn)
-
     advance = dynamics.decoupled_stepper(plant)
-    comp = g.gravity_comp_scale * dynamics.gravity_torque(plant, start.q) \
-        if g.gravity_comp else None
-    shape = (n_steps + 1, plant.n_joints)
-    rec_q, rec_qd, rec_qdes, rec_tau = (np.empty(shape) for _ in range(4))
-    q, qd = start.q, start.q_dot
-    cmd, tau = q, np.zeros(plant.n_joints)
-    k = 0
+    # lane-major records, so each lane's trajectory is contiguous
+    rec_q, rec_qd, rec_qdes, rec_tau = (np.empty(lanes + (n_steps + 1, plant.n_joints))
+                                        for _ in range(4))
+    step_q, step_qd, step_qdes, step_tau = (np.moveaxis(r, -2, 0)
+                                            for r in (rec_q, rec_qd, rec_qdes, rec_tau))
+    q, qd = (np.broadcast_to(v, commands.shape[1:]) for v in (start.q, start.q_dot))
+    cmd, tau = q, np.zeros_like(q)
+    last = len(commands) - 1
     try:
         with np.errstate(over="raise", invalid="raise"):
             for k in range(n_steps):
                 cmd = commands[min(k // hold, last)]
-                # 0.0 - qd, not -qd: pd_torque's signed zeros
-                tau = g.kp * (cmd - q) + g.kd * (0.0 - qd)
-                if comp is not None:
-                    tau = tau + comp
-                tau = np.clip(tau, -plant.torque_limit, plant.torque_limit)
-                rec_q[k], rec_qd[k], rec_qdes[k], rec_tau[k] = q, qd, cmd, tau
+                grav = dynamics.gravity_torque(plant, q) if g.gravity_comp else None
+                tau = np.clip(pd_torque(g, q, qd, cmd, gravity_term=grav),
+                              -plant.torque_limit, plant.torque_limit)
+                step_q[k], step_qd[k], step_qdes[k], step_tau[k] = q, qd, cmd, tau
                 q, qd = advance(q, qd, tau, dt)
     except FloatingPointError as exc:
-        raise dynamics.SimulationDivergedError(step_index=k) from exc
+        # np.linalg.solve overflows silently, so the state entering step k
+        # can already be non-finite: then step k-1 diverged
+        finite = np.all(np.isfinite(q)) and np.all(np.isfinite(qd))
+        raise dynamics.SimulationDivergedError(step_index=k - (not finite)) from exc
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qd))):
-        raise dynamics.SimulationDivergedError(step_index=n_steps)
-    rec_q[n_steps], rec_qd[n_steps], rec_qdes[n_steps], rec_tau[n_steps] = q, qd, cmd, tau
+        raise dynamics.SimulationDivergedError(step_index=n_steps - 1)
+    step_q[n_steps], step_qd[n_steps], step_qdes[n_steps], step_tau[n_steps] = \
+        q, qd, cmd, tau
     # t accumulates dt per step, as simulate's State.t does
     t = np.concatenate(([0.0], np.cumsum(np.full(n_steps, dt))))
-    traj = Trajectory(sample_rate=1.0 / dt, t=t, q=rec_q, q_dot=rec_qd,
-                      q_des=rec_qdes, tau=rec_tau)
-    return traj, State(q=q, q_dot=qd, t=float(t[-1]))
+
+    def lane(i):
+        traj = Trajectory(sample_rate=1.0 / dt, t=t, q=rec_q[i], q_dot=rec_qd[i],
+                          q_des=rec_qdes[i], tau=rec_tau[i])
+        return traj, State(q=q[i], q_dot=qd[i], t=float(t[-1]))
+
+    return [lane(i) for i in range(lanes[0])] if lanes else lane(...)
 
 
 @dataclass(frozen=True)
@@ -258,7 +256,7 @@ def effective_stiffness(plant: PlantParams, gains: GainConfig, probe_force,
 
     def torque_fn(state, k):
         grav = dynamics.gravity_torque(plant, state.q)
-        return pd_torque(gains, state, q_des_of(state), gravity_term=grav)
+        return pd_torque(gains, state.q, state.q_dot, q_des_of(state), gravity_term=grav)
 
     n_steps = int(round(settle_time / dt))
     _, final = dynamics.simulate(plant, start, torque_fn, dt, n_steps,

@@ -8,7 +8,8 @@ the rigid-body form
     M(q) q_dd + C(q, q_dot) q_dot + g(q) = tau + tau_friction + tau_ext
 
 Plants and states are immutable; stepping returns new states, so
-independent simulations are safe to run in parallel.
+independent simulations are safe to run in parallel. The two-link terms
+and :func:`decoupled_stepper` also take (B, n) stacks of B lanes.
 """
 
 from __future__ import annotations
@@ -159,10 +160,6 @@ class State:
         if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.q_dot))):
             raise ValueError("state must be finite")
 
-    @property
-    def n_joints(self) -> int:
-        return self.q.size
-
 
 def rest_state(plant: PlantParams, q=None, t: float = 0.0) -> State:
     n = plant.n_joints
@@ -176,19 +173,17 @@ def rest_state(plant: PlantParams, q=None, t: float = 0.0) -> State:
 
 def mass_matrix(plant: PlantParams, q: np.ndarray) -> np.ndarray:
     """Inertia matrix M(q) including armature on the diagonal."""
-    n = plant.n_joints
     if plant.kind == TWO_LINK:
         m1, m2 = plant.link_masses
         l1, l2 = plant.link_lengths
-        c2 = math.cos(q[1])
-        m11 = (m1 + m2) * l1**2 + m2 * l2**2 + 2.0 * m2 * l1 * l2 * c2
-        m12 = m2 * l2**2 + m2 * l1 * l2 * c2
-        m22 = m2 * l2**2
-        M = np.array([[m11, m12], [m12, m22]])
+        c2 = np.cos(q[..., 1])
+        M = np.empty(np.shape(c2) + (2, 2))
+        M[..., 0, 0] = (m1 + m2) * l1**2 + m2 * l2**2 + 2.0 * m2 * l1 * l2 * c2
+        M[..., 0, 1] = M[..., 1, 0] = m2 * l2**2 + m2 * l1 * l2 * c2
+        M[..., 1, 1] = m2 * l2**2
     else:
         M = np.diag(plant.mass)
-    M = M + np.diag(plant.armature)
-    return M
+    return M + np.diag(plant.armature)
 
 
 def coriolis_torque(plant: PlantParams, q: np.ndarray, q_dot: np.ndarray) -> np.ndarray:
@@ -197,9 +192,12 @@ def coriolis_torque(plant: PlantParams, q: np.ndarray, q_dot: np.ndarray) -> np.
         return np.zeros(plant.n_joints)
     m2 = plant.link_masses[1]
     l1, l2 = plant.link_lengths
-    h = -m2 * l1 * l2 * math.sin(q[1])
-    qd1, qd2 = q_dot
-    return np.array([h * qd2 * qd1 + h * (qd1 + qd2) * qd2, -h * qd1 * qd1])
+    h = -m2 * l1 * l2 * np.sin(q[..., 1])
+    qd1, qd2 = q_dot[..., 0], q_dot[..., 1]
+    out = np.empty(np.shape(q_dot))
+    out[..., 0] = h * qd2 * qd1 + h * (qd1 + qd2) * qd2
+    out[..., 1] = -h * qd1 * qd1
+    return out
 
 
 def gravity_torque(plant: PlantParams, q: np.ndarray) -> np.ndarray:
@@ -208,18 +206,17 @@ def gravity_torque(plant: PlantParams, q: np.ndarray) -> np.ndarray:
     Point mass/chain: constant load mass*G (vertical prismatic axis).
     Two-link: planar 2R closed form with angles from the horizontal.
     """
-    n = plant.n_joints
     if not plant.gravity_enabled:
-        return np.zeros(n)
+        return np.zeros(plant.n_joints)
     if plant.kind == TWO_LINK:
         m1, m2 = plant.link_masses
         l1, l2 = plant.link_lengths
-        c1 = math.cos(q[0])
-        c12 = math.cos(q[0] + q[1])
-        return np.array([
-            (m1 + m2) * GRAVITY * l1 * c1 + m2 * GRAVITY * l2 * c12,
-            m2 * GRAVITY * l2 * c12,
-        ])
+        c1 = np.cos(q[..., 0])
+        c12 = np.cos(q[..., 0] + q[..., 1])
+        out = np.empty(np.shape(q))
+        out[..., 0] = (m1 + m2) * GRAVITY * l1 * c1 + m2 * GRAVITY * l2 * c12
+        out[..., 1] = m2 * GRAVITY * l2 * c12
+        return out
     return plant.mass * GRAVITY
 
 
@@ -275,34 +272,17 @@ def step(plant: PlantParams, state: State, tau, dt: float,
          integrator: str = SEMI_IMPLICIT, f_ext=None) -> State:
     """Advance one physics step with torque held constant over the step.
 
-    Semi-implicit Euler updates q_dot then q; dry friction enters it as a
-    velocity impulse clamped so it can stop, but never reverse, a joint
-    within the step (keeps the scheme passive and realizes stiction
-    exactly). RK4 integrates the plain forward dynamics, intended for the
-    smooth (dry-friction-free) cases.
+    The semi-implicit step is :func:`decoupled_stepper`'s ``advance`` on
+    ``tau + f_ext``, wrapped in State. RK4 integrates the plain forward
+    dynamics, intended for the smooth (dry-friction-free) cases.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     n = plant.n_joints
     tau = _as_vector(tau, n)
     fe = np.zeros(n) if f_ext is None else _as_vector(f_ext, n)
-    if integrator == SEMI_IMPLICIT and plant.kind != TWO_LINK:
+    if integrator == SEMI_IMPLICIT:
         q_new, qd_new = decoupled_stepper(plant)(state.q, state.q_dot, tau + fe, dt)
-    elif integrator == SEMI_IMPLICIT:
-        q, qd = state.q, state.q_dot
-        M = mass_matrix(plant, q)
-        m_eff = np.diag(M)
-        if np.any(m_eff <= 0):
-            raise NonPositiveInertiaError("non-positive effective inertia")
-        smooth = tau + fe - coriolis_torque(plant, q, qd) - gravity_torque(plant, q) \
-            - plant.viscous_friction * qd
-        v_cand = qd + dt * np.linalg.solve(M, smooth)
-        dry = np.where(np.abs(qd) > STICTION_VEL_EPS,
-                       plant.dynamic_friction_ratio * plant.static_friction,
-                       plant.static_friction)
-        dv = np.minimum(np.abs(v_cand), dt * dry / m_eff)
-        qd_new = v_cand - np.sign(v_cand) * dv
-        q_new = q + dt * qd_new
     elif integrator == RK4:
         def deriv(q, qd):
             s = State(q=q, q_dot=qd, t=state.t)
@@ -327,25 +307,36 @@ def kinetic_energy(plant: PlantParams, state: State) -> float:
 
 
 def decoupled_stepper(plant: PlantParams):
-    """Allocation-free semi-implicit stepper for the diagonal plants.
+    """State-free semi-implicit stepper for every plant kind (the name
+    predates the two-link arm): ``advance(q, q_dot, tau, dt) -> (q, q_dot)``
+    on (n,) arrays or (B, n) stacks of B lanes.
 
-    Returns ``advance(q, q_dot, tau, dt) -> (q, q_dot)``, the
-    semi-implicit integrator of :func:`step` for these plants; hot loops
-    call it directly to sidestep the State wrapper.
+    Semi-implicit Euler updates q_dot then q; dry friction enters as a
+    velocity impulse clamped so it can stop, but never reverse, a joint
+    within the step (keeps the scheme passive and realizes stiction exactly).
     """
-    if plant.kind == TWO_LINK:
-        raise ValueError("decoupled_stepper covers point_mass and chain only")
-    m_eff = plant.mass + plant.armature
-    if np.any(m_eff <= 0):
-        raise NonPositiveInertiaError("non-positive effective inertia")
     visc = plant.viscous_friction
     static = plant.static_friction
     dyn = plant.dynamic_friction_ratio * plant.static_friction
-    grav = plant.mass * GRAVITY if plant.gravity_enabled else np.zeros(plant.n_joints)
+    two_link = plant.kind == TWO_LINK
+    if not two_link:
+        m_diag = plant.mass + plant.armature
+        if np.any(m_diag <= 0):
+            raise NonPositiveInertiaError("non-positive effective inertia")
+        grav = plant.mass * GRAVITY if plant.gravity_enabled else np.zeros(plant.n_joints)
 
     def advance(q, q_dot, tau, dt):
-        smooth = tau - grav - visc * q_dot
-        v_cand = q_dot + dt * smooth / m_eff
+        if two_link:
+            M = mass_matrix(plant, q)
+            m_eff = np.diagonal(M, axis1=-2, axis2=-1)
+            if np.any(m_eff <= 0):
+                raise NonPositiveInertiaError("non-positive effective inertia")
+            smooth = tau - coriolis_torque(plant, q, q_dot) - gravity_torque(plant, q) \
+                - visc * q_dot
+            v_cand = q_dot + dt * np.linalg.solve(M, smooth[..., None])[..., 0]
+        else:
+            m_eff = m_diag
+            v_cand = q_dot + dt * (tau - grav - visc * q_dot) / m_eff
         dry = np.where(np.abs(q_dot) > STICTION_VEL_EPS, dyn, static)
         dv = np.minimum(np.abs(v_cand), dt * dry / m_eff)
         qd_new = v_cand - np.sign(v_cand) * dv
@@ -450,8 +441,7 @@ class Trajectory:
 
 
 def simulate(plant: PlantParams, state0: State, torque_fn, dt: float, n_steps: int,
-             integrator: str = SEMI_IMPLICIT, f_ext_fn=None,
-             q_des_fn=None) -> tuple[Trajectory, State]:
+             f_ext_fn=None, q_des_fn=None) -> tuple[Trajectory, State]:
     """Run a closed-loop simulation and record it at the physics rate.
 
     ``torque_fn(state, k)`` supplies the applied torque for step k;
@@ -489,7 +479,7 @@ def simulate(plant: PlantParams, state0: State, torque_fn, dt: float, n_steps: i
                 if fext is not None:
                     fext[k] = fe
                 last_tau = tk
-                s = step(plant, s, tk, dt, integrator=integrator, f_ext=fe)
+                s = step(plant, s, tk, dt, f_ext=fe)
     except FloatingPointError as exc:
         raise SimulationDivergedError(step_index=k) from exc
     traj = Trajectory(sample_rate=1.0 / dt, t=t, q=q, q_dot=qd, q_des=qdes,

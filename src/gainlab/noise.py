@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import GainConfig
-from .dynamics import PlantParams
+from .dynamics import PlantParams, SimulationDivergedError
 from .retarget import RetargetedDemo, replay
 
 CONTINUOUS = "continuous-limit"
@@ -204,24 +204,30 @@ def noisy_openloop_replay(retargeted: RetargetedDemo, plant: PlantParams,
     """Replay held commands with i.i.d. per-command noise, per trial.
 
     ``noise`` must be in held mode at the post-decimation command rate;
-    sigma is the per-command std in rad. Reports the goal-reach rate and
-    the mean (over trials) RMS joint-position deviation from the clean
-    replay.
+    sigma is the per-command std in rad. The clean replay and the trials
+    run as lanes of one :func:`replay`; if it diverges, they re-run one at
+    a time in that order, so the first diverging lane's error is raised.
+    Reports the goal-reach rate and the mean (over trials) RMS
+    joint-position deviation from the clean replay.
     """
     if noise.mode != HELD:
         raise ValueError("open-loop replay needs held-mode noise")
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
     eff_rate = retargeted.command_rate / decimation
     if abs(noise.rate - eff_rate) > 1e-9 * eff_rate:
         raise ValueError(f"noise rate {noise.rate} Hz != command rate {eff_rate} Hz")
-    clean_traj, clean_rep = replay(retargeted, decimation, plant)
-    n_cmd = retargeted.q_des[::decimation].shape[0]
-    n_joints = retargeted.q_des.shape[1]
+    shape = retargeted.q_des[::decimation].shape
+    lanes = [None] + [trial_rng(noise.seed, trial).normal(0.0, noise.sigma, size=shape)
+                      for trial in range(n_trials)]
+    try:
+        runs = replay(retargeted, decimation, plant, command_noise=lanes)
+    except SimulationDivergedError:
+        runs = [replay(retargeted, decimation, plant, command_noise=[e])[0] for e in lanes]
+    (clean_traj, clean_rep), *trials = runs
     rms = np.empty(n_trials)
     reached = 0
-    for trial in range(n_trials):
-        rng = trial_rng(noise.seed, trial)
-        pert = rng.normal(0.0, noise.sigma, size=(n_cmd, n_joints))
-        traj, rep = replay(retargeted, decimation, plant, command_noise=pert)
+    for trial, (traj, rep) in enumerate(trials):
         m = min(traj.n_samples, clean_traj.n_samples)
         rms[trial] = math.sqrt(float(np.mean((traj.q[:m] - clean_traj.q[:m]) ** 2)))
         reached += rep.goal_reached

@@ -108,8 +108,7 @@ def tpr_joint(demo: TorqueDemo, gains: GainConfig, plant: PlantParams | None = N
     if g.gravity_comp:
         if plant is None:
             raise ValueError("gravity-compensating gains need the plant for g(q)")
-        grav = np.array([dynamics.gravity_torque(plant, q) for q in traj.q])
-        tau = tau - g.gravity_comp_scale * grav
+        tau = tau - g.gravity_comp_scale * dynamics.gravity_torque(plant, traj.q)
         gravity_excluded = True
     q_des = traj.q + (tau + g.kd * traj.q_dot) / g.kp
     return RetargetedDemo(
@@ -163,15 +162,16 @@ def tpr_task(demo: TaskSpaceDemo, gains_task: GainConfig) -> RetargetedDemo:
 
 
 def replay(retargeted: RetargetedDemo, decimation: int, plant: PlantParams,
-           source: TorqueDemo | None = None,
-           command_noise: np.ndarray | None = None) -> tuple[Trajectory, FidelityReport]:
+           source: TorqueDemo | None = None, command_noise=None):
     """Replay retargeted commands with zero-order hold at a decimated rate.
 
     Physics steps run at the demo base rate; each kept command is held for
     ``decimation * (base_rate / command_rate)`` steps and tracked by
     :func:`control.track` (torques clamped to the plant limit, no rate
     limit). ``command_noise`` (same shape as the kept command array)
-    perturbs each held command. The fidelity MSE is computed against
+    perturbs each held command; a list of such entries (``None`` for a
+    clean lane) replays as lanes of one ``track`` call and returns a list
+    of (trajectory, report) pairs. The fidelity MSE is computed against
     ``source`` when given.
     """
     if decimation < 1 or int(decimation) != decimation:
@@ -180,23 +180,25 @@ def replay(retargeted: RetargetedDemo, decimation: int, plant: PlantParams,
     if retargeted.provenance.get("space") == "task":
         raise ValueError("task-space retargets are not replayable (no task-space plant)")
     commands = retargeted.q_des[::decimation]
-    if command_noise is not None:
-        if command_noise.shape != commands.shape:
-            raise ValueError("command_noise must match the kept command array")
-        commands = commands + command_noise
+    lanes = command_noise if isinstance(command_noise, list) else [command_noise]
+    if any(e is not None and e.shape != commands.shape for e in lanes):
+        raise ValueError("command_noise must match the kept command array")
+    stacked = np.stack([commands if e is None else commands + e for e in lanes], axis=1)
     base_per_command = int(round(retargeted.base_rate / retargeted.command_rate))
-    traj, final = control.track(plant, retargeted.gains, commands,
-                                decimation * base_per_command, 1.0 / retargeted.base_rate,
-                                retargeted.q0, retargeted.q_dot0,
-                                retargeted.n_commands * base_per_command - 1)
-    if source is not None:
-        m = min(traj.n_samples, source.traj.n_samples)
-        mse = float(np.mean((traj.q[:m] - source.traj.q[:m]) ** 2))
-    else:
+    runs = control.track(plant, retargeted.gains, stacked,
+                         decimation * base_per_command, 1.0 / retargeted.base_rate,
+                         retargeted.q0, retargeted.q_dot0,
+                         retargeted.n_commands * base_per_command - 1)
+    out = []
+    for traj, final in runs:
         mse = float("nan")
-    reached = retargeted.goal.reached(final.q)
-    final_err = float(np.linalg.norm(final.q - retargeted.goal.q_goal))
-    return traj, FidelityReport(mse=mse, goal_reached=reached, final_error=final_err)
+        if source is not None:
+            m = min(traj.n_samples, source.traj.n_samples)
+            mse = float(np.mean((traj.q[:m] - source.traj.q[:m]) ** 2))
+        final_err = float(np.linalg.norm(final.q - retargeted.goal.q_goal))
+        reached = retargeted.goal.reached(final.q)
+        out.append((traj, FidelityReport(mse=mse, goal_reached=reached, final_error=final_err)))
+    return out if isinstance(command_noise, list) else out[0]
 
 
 # ---------------------------------------------------------------------------

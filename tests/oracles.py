@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 
-from gainlab import dynamics, shaping, stats
+from gainlab import dynamics, noise, shaping, stats
 from gainlab.control import pd_torque
-from gainlab.dynamics import State, Trajectory
+from gainlab.dynamics import GRAVITY, STICTION_VEL_EPS, State, Trajectory
 
 
 def brute_force_barnard(a, b, c, d, side="greater", n_grid=50001):
@@ -183,7 +183,7 @@ def simulate_replay(retargeted, decimation, plant, command_noise=None):
 
     def torque_fn(state, k):
         grav = dynamics.gravity_torque(plant, state.q)
-        tau = pd_torque(gains, state, q_des_fn(state, k), gravity_term=grav)
+        tau = pd_torque(gains, state.q, state.q_dot, q_des_fn(state, k), gravity_term=grav)
         return np.clip(tau, -plant.torque_limit, plant.torque_limit)
 
     return dynamics.simulate(plant, state0, torque_fn, dt, n_steps, q_des_fn=q_des_fn)
@@ -209,7 +209,7 @@ def loop_excite(plant, gains, amplitude=0.1, duration=4.0, log_rate=50.0,
 
         def torque_fn(state, k):
             grav = dynamics.gravity_torque(plant, state.q)
-            tau = pd_torque(g, state, q_des_fn(state, k), gravity_term=grav)
+            tau = pd_torque(g, state.q, state.q_dot, q_des_fn(state, k), gravity_term=grav)
             return np.clip(tau, -plant.torque_limit, plant.torque_limit)
 
         traj, _ = dynamics.simulate(plant, start, torque_fn, dt, n_cmd * spc,
@@ -243,3 +243,64 @@ def loop_excite(plant, gains, amplitude=0.1, duration=4.0, log_rate=50.0,
         q, qd = advance(q, qd, tau, dt)
     t = np.arange(n_cmd) / log_rate
     return Trajectory(sample_rate=log_rate, t=t, **rec)
+
+
+def two_link_terms(plant, q, q_dot):
+    """M(q) with armature, C(q, q_dot) q_dot and g(q) of one 2R arm state,
+    from scalar closed forms on math.cos/math.sin (g is zero without
+    gravity)."""
+    m1, m2 = plant.link_masses
+    l1, l2 = plant.link_lengths
+    c2 = math.cos(q[1])
+    m11 = (m1 + m2) * l1**2 + m2 * l2**2 + 2.0 * m2 * l1 * l2 * c2
+    m12 = m2 * l2**2 + m2 * l1 * l2 * c2
+    M = np.array([[m11, m12], [m12, m2 * l2**2]]) + np.diag(plant.armature)
+    h = -m2 * l1 * l2 * math.sin(q[1])
+    qd1, qd2 = q_dot
+    cor = np.array([h * qd2 * qd1 + h * (qd1 + qd2) * qd2, -h * qd1 * qd1])
+    grav = np.zeros(2)
+    if plant.gravity_enabled:
+        c1, c12 = math.cos(q[0]), math.cos(q[0] + q[1])
+        grav = np.array([(m1 + m2) * GRAVITY * l1 * c1 + m2 * GRAVITY * l2 * c12,
+                         m2 * GRAVITY * l2 * c12])
+    return M, cor, grav
+
+
+def two_link_step(plant, q, q_dot, tau, dt):
+    """One semi-implicit step of the 2R arm for one state: a 2x2 solve with
+    the scalar closed forms, then the clamped dry-friction impulse."""
+    M, cor, grav = two_link_terms(plant, q, q_dot)
+    m_eff = np.diag(M)
+    smooth = tau - cor - grav - plant.viscous_friction * q_dot
+    v_cand = q_dot + dt * np.linalg.solve(M, smooth)
+    dry = np.where(np.abs(q_dot) > STICTION_VEL_EPS,
+                   plant.dynamic_friction_ratio * plant.static_friction,
+                   plant.static_friction)
+    dv = np.minimum(np.abs(v_cand), dt * dry / m_eff)
+    qd_new = v_cand - np.sign(v_cand) * dv
+    return q + dt * qd_new, qd_new
+
+
+def per_trial_noisy_replay(retargeted, plant, spec, n_trials, decimation=1):
+    """noise.noisy_openloop_replay as one simulate_replay per trial.
+
+    The clean replay first, then trial i with noise from
+    ``noise.trial_rng(spec.seed, i)``; a diverging trial raises its own
+    SimulationDivergedError. Returns (goal_rate, rms_deviation,
+    per_trial_rms, clean_goal_reached).
+    """
+    goal = retargeted.goal
+    clean_traj, clean_final = simulate_replay(retargeted, decimation, plant)
+    n_cmd = retargeted.q_des[::decimation].shape[0]
+    n_joints = retargeted.q_des.shape[1]
+    rms = np.empty(n_trials)
+    reached = 0
+    for trial in range(n_trials):
+        rng = noise.trial_rng(spec.seed, trial)
+        pert = rng.normal(0.0, spec.sigma, size=(n_cmd, n_joints))
+        traj, final = simulate_replay(retargeted, decimation, plant, command_noise=pert)
+        m = min(traj.n_samples, clean_traj.n_samples)
+        rms[trial] = math.sqrt(float(np.mean((traj.q[:m] - clean_traj.q[:m]) ** 2)))
+        reached += goal.reached(final.q)
+    return (reached / n_trials, float(np.mean(rms)), rms,
+            goal.reached(clean_final.q))

@@ -15,27 +15,28 @@ class TestPdTorque:
     def test_zero_at_setpoint(self):
         g = GainConfig(kp=100.0, kd=10.0)
         s = State(q=[0.2], q_dot=[0.0])
-        assert_allclose(pd_torque(g, s, q_des=[0.2]), [0.0])
+        assert_allclose(pd_torque(g, s.q, s.q_dot, q_des=[0.2]), [0.0])
 
     def test_linear_law(self):
         g = GainConfig(kp=100.0, kd=1e-6)
         s = State(q=[0.0], q_dot=[0.0])
-        assert_allclose(pd_torque(g, s, q_des=[0.1]), [10.0])
+        assert_allclose(pd_torque(g, s.q, s.q_dot, q_des=[0.1]), [10.0])
 
     def test_velocity_reference_defaults_to_zero(self):
         g = GainConfig(kp=1.0, kd=5.0)
         s = State(q=[0.0], q_dot=[2.0])
-        assert_allclose(pd_torque(g, s, q_des=[0.0]), [-10.0])
+        assert_allclose(pd_torque(g, s.q, s.q_dot, q_des=[0.0]), [-10.0])
 
     def test_gravity_compensation_toggle(self):
         s = State(q=[0.0], q_dot=[0.0])
         on = GainConfig(kp=1.0, kd=1.0, gravity_comp=True)
         off = GainConfig(kp=1.0, kd=1.0, gravity_comp=False)
-        assert_allclose(pd_torque(on, s, [0.0], gravity_term=[3.0]), [3.0])
-        assert_allclose(pd_torque(off, s, [0.0], gravity_term=[3.0]), [0.0])
+        grav = np.array([3.0])
+        assert_allclose(pd_torque(on, s.q, s.q_dot, [0.0], gravity_term=grav), [3.0])
+        assert_allclose(pd_torque(off, s.q, s.q_dot, [0.0], gravity_term=grav), [0.0])
         scaled = GainConfig(kp=1.0, kd=1.0, gravity_comp=True,
                             gravity_comp_scale=0.5)
-        assert_allclose(pd_torque(scaled, s, [0.0], gravity_term=[3.0]), [1.5])
+        assert_allclose(pd_torque(scaled, s.q, s.q_dot, [0.0], gravity_term=grav), [1.5])
 
     def test_impedance_relation_at_steady_state(self):
         # constant external torque, simulate to rest: tau_ext = Kp (q - q_des)
@@ -45,7 +46,7 @@ class TestPdTorque:
         state = dynamics.rest_state(plant)
 
         def torque_fn(s, k):
-            return pd_torque(gains, s, [0.0])
+            return pd_torque(gains, s.q, s.q_dot, [0.0])
 
         _, final = dynamics.simulate(plant, state, torque_fn, 1e-3, 12000,
                                      f_ext_fn=lambda s, k: tau_ext)

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gainlab import dynamics
 from gainlab.dynamics import (GRAVITY, RK4, SEMI_IMPLICIT, State, Trajectory,
                               chain, point_mass, two_link)
+from oracles import two_link_step, two_link_terms
 
 
 def make_gravity_arm(link_masses=(1.0, 0.5), link_lengths=(0.5, 0.4), **kw):
@@ -310,6 +313,93 @@ class TestInvariants:
             q, qd = advance(q, qd, tau, 1e-3)
             assert np.array_equal(s.q, q)
             assert np.array_equal(s.q_dot, qd)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+_angles = st.floats(-1e3, 1e3, allow_nan=False)
+_positive = st.floats(0.05, 5.0)
+
+
+@st.composite
+def two_link_arms(draw, friction=False):
+    kw = dict(gravity_enabled=draw(st.booleans()),
+              armature=draw(st.lists(st.floats(0.0, 0.5), min_size=2, max_size=2)))
+    if friction:
+        kw.update(static_friction=draw(st.floats(0.0, 2.0)),
+                  dynamic_friction_ratio=draw(st.floats(0.0, 1.0)),
+                  viscous_friction=draw(st.floats(0.0, 1.0)))
+    return two_link(link_masses=draw(st.lists(_positive, min_size=2, max_size=2)),
+                    link_lengths=draw(st.lists(_positive, min_size=2, max_size=2)), **kw)
+
+
+def _lanes(draw, n_lanes, scale):
+    return np.array(draw(st.lists(st.lists(st.floats(-scale, scale), min_size=2, max_size=2),
+                                  min_size=n_lanes, max_size=n_lanes)))
+
+
+class TestLaneKernelFacts:
+    """The machine-dependent facts the two-link lane kernel's bitwise
+    equality with the one-state path rests on. SIMD dispatch differs by
+    machine, so these are checked, not assumed."""
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(x=st.lists(_angles, min_size=1, max_size=40))
+    def test_array_cos_sin_equal_math(self, x):
+        a = np.array(x)
+        for f, mf in ((np.cos, math.cos), (np.sin, math.sin)):
+            want = np.array([mf(v) for v in x])
+            assert np.array_equal(_bits(f(a)), _bits(want))
+            assert np.array_equal(_bits(f(a[::-1])), _bits(want[::-1]))
+            assert all(f(v) == mf(v) for v in a)
+
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(data=st.data(), arm=two_link_arms(), n_lanes=st.integers(1, 12))
+    def test_stacked_solve_equals_per_matrix_solves(self, data, arm, n_lanes):
+        q = _lanes(data.draw, n_lanes, 4.0)
+        rhs = _lanes(data.draw, n_lanes, 1e3)
+        M = dynamics.mass_matrix(arm, q)
+        x = np.linalg.solve(M, rhs[..., None])[..., 0]
+        for i in range(n_lanes):
+            assert np.array_equal(_bits(x[i]), _bits(np.linalg.solve(M[i], rhs[i])))
+
+
+class TestLaneKernel:
+    """decoupled_stepper's two-link advance against the one-state scalar
+    closed forms of tests/oracles.py, bit for bit."""
+
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(data=st.data(), arm=two_link_arms(), n_lanes=st.integers(1, 8))
+    def test_rigid_body_terms_per_lane(self, data, arm, n_lanes):
+        q = _lanes(data.draw, n_lanes, 4.0)
+        qd = _lanes(data.draw, n_lanes, 20.0)
+        M = dynamics.mass_matrix(arm, q)
+        cor = dynamics.coriolis_torque(arm, q, qd)
+        grav = np.broadcast_to(dynamics.gravity_torque(arm, q), q.shape)
+        for i in range(n_lanes):
+            want = two_link_terms(arm, q[i], qd[i])
+            for got, ref in zip((M[i], cor[i], grav[i]), want):
+                assert np.array_equal(_bits(got), _bits(ref))
+
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(data=st.data(), arm=two_link_arms(friction=True), n_lanes=st.integers(1, 8),
+           dt=st.sampled_from([1e-3, 2e-3, 1e-2]))
+    def test_advance_lanes_equal_one_state_steps(self, data, arm, n_lanes, dt):
+        q = _lanes(data.draw, n_lanes, 4.0)
+        qd = _lanes(data.draw, n_lanes, 5.0)
+        qd[::3, 1] = 0.0  # inside the stiction band
+        tau = _lanes(data.draw, n_lanes, 50.0)
+        advance = dynamics.decoupled_stepper(arm)
+        q_new, qd_new = advance(q, qd, tau, dt)
+        for i in range(n_lanes):
+            want_q, want_qd = two_link_step(arm, q[i], qd[i], tau[i], dt)
+            assert np.array_equal(_bits(q_new[i]), _bits(want_q))
+            assert np.array_equal(_bits(qd_new[i]), _bits(want_qd))
+            one = dynamics.step(arm, State(q=q[i], q_dot=qd[i]), tau[i], dt)
+            assert np.array_equal(_bits(one.q), _bits(want_q))
+            assert np.array_equal(_bits(one.q_dot), _bits(want_qd))
 
 
 class TestValidation:

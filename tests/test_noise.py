@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gainlab import noise, retarget
+from gainlab import dynamics, noise, retarget
 from gainlab.control import GainConfig, default_grid
-from gainlab.dynamics import point_mass
+from gainlab.dynamics import SimulationDivergedError, Trajectory, point_mass
 from gainlab.noise import (NoiseSpec, crandall_oracle, effective_error,
                            noisy_openloop_replay, predict_variance,
                            simulate_perturbation)
+from oracles import per_trial_noisy_replay, simulate_replay
 
 
 class TestPredictVariance:
@@ -212,3 +213,91 @@ class TestNoisyOpenloopReplay:
             noisy_openloop_replay(rd, plant,
                                   NoiseSpec(0.01, noise.HELD, 999.0), 1,
                                   decimation=10)
+
+    def test_needs_a_trial(self):
+        plant, demo = _demo_1dof()
+        rd = retarget.tpr_joint(demo, GainConfig(kp=64.0, kd=16.0))
+        with pytest.raises(ValueError, match="n_trials"):
+            noisy_openloop_replay(rd, plant, NoiseSpec(0.01, noise.HELD, 50.0), 0,
+                                  decimation=10)
+
+
+# Gravity (compensated at 0.9 on the stiff gains), dry and viscous friction,
+# and a torque limit the stiff cells hit.
+LANE_PLANTS = {
+    "point_mass": (point_mass(1.5, gravity_enabled=True, static_friction=0.3,
+                              dynamic_friction_ratio=0.6, viscous_friction=0.2,
+                              torque_limit=20.0), [0.1], [0.7]),
+    "chain": (dynamics.chain([1.0, 0.4, 2.0], gravity_enabled=True,
+                             static_friction=[0.2, 0.1, 0.0], dynamic_friction_ratio=0.5,
+                             viscous_friction=0.1, torque_limit=15.0),
+              [0.0, 0.2, -0.3], [0.5, -0.4, 0.3]),
+    "two_link": (dynamics.two_link(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4),
+                                   gravity_enabled=True, static_friction=0.1,
+                                   dynamic_friction_ratio=0.5, viscous_friction=0.05,
+                                   torque_limit=12.0), [-0.4, 0.6], [0.5, -0.3]),
+}
+LANE_GAINS = [GainConfig(kp=64.0, kd=8.0),
+              GainConfig(kp=512.0, kd=24.0, gravity_comp=True, gravity_comp_scale=0.9)]
+
+
+def _rest_demo(n=1000, base_rate=100.0):
+    traj = Trajectory(sample_rate=base_rate, t=np.arange(n) / base_rate,
+                      q=np.zeros((n, 1)), q_dot=np.zeros((n, 1)),
+                      q_des=np.zeros((n, 1)), tau=np.zeros((n, 1)))
+    return retarget.TorqueDemo(base_rate=base_rate, traj=traj,
+                               goal=retarget.TaskGoal([0.0]))
+
+
+class TestNoisyReplayMatchesPerTrialOracle:
+    """The lanes of one replay reproduce the per-trial loop bit for bit."""
+
+    @pytest.mark.parametrize("decimation", [1, 10])
+    @pytest.mark.parametrize("gains", LANE_GAINS, ids=["pd", "pd_gravity_comp"])
+    @pytest.mark.parametrize("name", list(LANE_PLANTS))
+    def test_lanes_equal_per_trial_loop(self, name, gains, decimation):
+        plant, q0, qf = LANE_PLANTS[name]
+        pos, vel, acc = retarget.quintic_reference(q0, qf, 1.5)
+        ctrl = retarget.computed_torque_tracker(plant, pos, vel, acc)
+        demo = retarget.make_demo(plant, ctrl, 2.0, 500.0, q0=q0, reference=pos,
+                                  goal=retarget.TaskGoal(qf, 0.05))
+        rd = retarget.tpr_joint(demo, gains, plant=plant)
+        spec = NoiseSpec(sigma=0.05, mode=noise.HELD, rate=500.0 / decimation, seed=7)
+        got = noisy_openloop_replay(rd, plant, spec, 4, decimation=decimation)
+        goal_rate, rms, per_trial, clean = per_trial_noisy_replay(rd, plant, spec, 4,
+                                                                  decimation)
+        assert got.goal_rate == goal_rate
+        assert got.rms_deviation == rms
+        assert np.array_equal(got.per_trial_rms, per_trial)
+        assert got.clean_goal_reached == clean
+
+    # An unstable stiff loop (Kp dt^2 / m = 10) held by stiction: a trial
+    # diverges once one of its noisy commands asks for more torque than the
+    # static friction, and the clean replay never moves.
+    PLANT = point_mass(1.0, static_friction=320.0, dynamic_friction_ratio=0.5)
+
+    def _diverging_steps(self, rd, spec, n_trials):
+        steps = []
+        for trial in range(n_trials):
+            pert = noise.trial_rng(spec.seed, trial).normal(0.0, spec.sigma, (100, 1))
+            try:
+                simulate_replay(rd, 10, self.PLANT, command_noise=pert)
+                steps.append(None)
+            except SimulationDivergedError as exc:
+                steps.append(exc.step_index)
+        return steps
+
+    @pytest.mark.parametrize("seed, steps", [
+        (25, [None, None, 354, None, None]),  # one diverging lane
+        (54, [763, None, None, None, 363]),  # the later trial diverges first
+    ])
+    def test_divergence_raises_the_per_trial_error(self, seed, steps):
+        rd = retarget.tpr_joint(_rest_demo(), GainConfig(kp=1e5, kd=1.0))
+        spec = NoiseSpec(sigma=1e-3, mode=noise.HELD, rate=10.0, seed=seed)
+        assert self._diverging_steps(rd, spec, 5) == steps
+        with pytest.raises(SimulationDivergedError) as want:
+            per_trial_noisy_replay(rd, self.PLANT, spec, 5, decimation=10)
+        with pytest.raises(SimulationDivergedError) as got:
+            noisy_openloop_replay(rd, self.PLANT, spec, 5, decimation=10)
+        first_in_trial_order = next(s for s in steps if s is not None)
+        assert got.value.step_index == want.value.step_index == first_in_trial_order

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gainlab import dynamics, retarget
@@ -8,6 +10,7 @@ from gainlab.dynamics import State, Trajectory, point_mass, two_link
 from gainlab.retarget import (TaskGoal, TorqueDemo, computed_torque_tracker,
                               make_demo, quintic_reference, replay,
                               synth_task_demo, tpr_joint, tpr_task)
+from oracles import two_link_terms
 
 
 def linear_demo(plant=None, q_to=0.8, duration=2.0, base_rate=500.0):
@@ -41,7 +44,7 @@ class TestTprJoint:
         gains = GainConfig(kp=64.0, kd=8.0)
         rd = tpr_joint(demo, gains)
         s0 = State(q=demo.traj.q[0], q_dot=demo.traj.q_dot[0])
-        tau0 = pd_torque(gains, s0, rd.q_des[0])
+        tau0 = pd_torque(gains, s0.q, s0.q_dot, rd.q_des[0])
         assert_allclose(tau0, demo.traj.tau[0], atol=1e-12)
 
     def test_round_trip_reproduces_torques_exactly(self):
@@ -66,6 +69,63 @@ class TestTprJoint:
         demo = linear_demo()
         with pytest.raises(ValueError):
             tpr_joint(demo, GainConfig(kp=10.0, kd=1.0, gravity_comp=True))
+
+
+@st.composite
+def recorded_demos(draw, gravity_comp):
+    """A plant with gravity, a torque demo on it and diagonal gains.
+
+    Torques stay at least 0.1 in magnitude, so rtol bounds the
+    cancellation in Kp (q_des - q) - Kd q_dot."""
+    kind = draw(st.sampled_from(["chain", "two_link"]))
+    n = draw(st.integers(1, 3)) if kind == "chain" else 2
+    rows = draw(st.integers(1, 20))
+
+    def vec(lo, hi):
+        return draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+
+    def block(lo, hi):
+        return np.array([vec(lo, hi) for _ in range(rows)])
+
+    if kind == "chain":
+        plant = dynamics.chain(vec(0.1, 5.0), gravity_enabled=True)
+    else:
+        plant = two_link(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4),
+                         gravity_enabled=True)
+    sign = np.where(block(-1.0, 1.0) < 0, -1.0, 1.0)
+    traj = Trajectory(sample_rate=100.0, t=np.arange(rows) / 100.0, q=block(-2.0, 2.0),
+                      q_dot=block(-5.0, 5.0), q_des=np.zeros((rows, n)),
+                      tau=sign * block(0.1, 100.0))
+    demo = TorqueDemo(base_rate=100.0, traj=traj, goal=TaskGoal(np.zeros(n)))
+    gains = GainConfig(kp=vec(1.0, 1e3), kd=vec(0.1, 100.0),
+                       gravity_comp=gravity_comp,
+                       gravity_comp_scale=draw(st.floats(0.0, 1.5)))
+    return plant, demo, gains
+
+
+class TestTprIdentity:
+    @pytest.mark.parametrize("gravity_comp", [False, True])
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(data=st.data())
+    def test_pd_torque_on_targets_reproduces_demo_torque(self, gravity_comp, data):
+        plant, demo, gains = data.draw(recorded_demos(gravity_comp))
+        traj = demo.traj
+        rd = tpr_joint(demo, gains, plant=plant)
+        tau = pd_torque(gains, traj.q, traj.q_dot, rd.q_des,
+                        gravity_term=dynamics.gravity_torque(plant, traj.q))
+        assert_allclose(tau, traj.tau, rtol=1e-9, atol=0)
+
+    def test_gravity_excluded_bitwise_per_row(self):
+        arm = two_link(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4),
+                       gravity_enabled=True)
+        demo = linear_demo(arm)
+        gains = GainConfig(kp=[200.0, 120.0], kd=[30.0, 20.0], gravity_comp=True,
+                           gravity_comp_scale=0.9)
+        traj = demo.traj
+        grav = np.array([two_link_terms(arm, q, qd)[2] for q, qd in zip(traj.q, traj.q_dot)])
+        want = traj.q + (traj.tau - 0.9 * grav + gains.kd * traj.q_dot) / gains.kp
+        got = tpr_joint(demo, gains, plant=arm).q_des
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestTprTask:
