@@ -27,8 +27,8 @@ print(f"step response: q(3s) = {final.q[0]:.6f} (target 1.0)")
 tau_ext = np.array([2.0])
 _, rest = dynamics.simulate(
     plant, state,
-    lambda s, k: control.pd_torque(gains, s.q, s.q_dot, q_des=[0.0]),
-    dt=1e-3, n_steps=8000, f_ext_fn=lambda s, k: tau_ext)
+    lambda s, k: control.pd_torque(gains, s.q, s.q_dot, q_des=[0.0]) + tau_ext,
+    dt=1e-3, n_steps=8000)
 print(f"impedance: tau_ext / displacement = {tau_ext[0] / rest.q[0]:.3f} "
       f"(Kp = {gains.kp[0]:g})")
 

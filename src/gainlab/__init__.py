@@ -2,7 +2,7 @@
 
 Modules
 -------
-dynamics   plants (point mass, decoupled chain, planar 2R arm) + integrators
+dynamics   plants (point mass, decoupled chain, planar 2R arm) + semi-implicit integrator
 control    PD/impedance law, torque limits, gain regimes, compliance probe
 retarget   torque-to-position retargeting and zero-order-hold replay
 noise      error-attenuation theory, its Monte Carlo check, noisy replay

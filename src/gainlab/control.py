@@ -80,17 +80,6 @@ def pd_torque(gains: GainConfig, q, q_dot, q_des, q_dot_des=None,
     return tau
 
 
-def limit_torque(plant: PlantParams, tau, tau_prev, dt: float) -> np.ndarray:
-    """Clamp to +-torque_limit, then rate-limit against the previous torque."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    n = plant.n_joints
-    tau = np.clip(_as_vector(tau, n), -plant.torque_limit, plant.torque_limit)
-    tau_prev = _as_vector(tau_prev, n)
-    max_delta = plant.torque_rate_limit * dt
-    return tau_prev + np.clip(tau - tau_prev, -max_delta, max_delta)
-
-
 def track(plant: PlantParams, gains: GainConfig, commands, hold: int, dt: float,
           q0, q_dot0, n_steps: int):
     """Track zero-order-held position commands with the PD law, State-free.
@@ -256,11 +245,11 @@ def effective_stiffness(plant: PlantParams, gains: GainConfig, probe_force,
 
     def torque_fn(state, k):
         grav = dynamics.gravity_torque(plant, state.q)
-        return pd_torque(gains, state.q, state.q_dot, q_des_of(state), gravity_term=grav)
+        return pd_torque(gains, state.q, state.q_dot, q_des_of(state),
+                         gravity_term=grav) + probe
 
     n_steps = int(round(settle_time / dt))
-    _, final = dynamics.simulate(plant, start, torque_fn, dt, n_steps,
-                                 f_ext_fn=lambda s, k: probe)
+    _, final = dynamics.simulate(plant, start, torque_fn, dt, n_steps)
     if np.linalg.norm(final.q_dot) > vel_tol:
         raise NotSettledError(
             f"velocity norm {np.linalg.norm(final.q_dot):.3e} > {vel_tol:.1e} "

@@ -1,11 +1,11 @@
-"""Closed-loop plant models and integrators.
+"""Closed-loop plant models and the semi-implicit integrator.
 
 Three plants cover the testbed: a 1-DOF point mass, a decoupled N-joint
 chain (diagonal inertia, no coupling), and a planar 2-link arm with
 configuration-dependent inertia, Coriolis terms, and gravity. All share
 the rigid-body form
 
-    M(q) q_dd + C(q, q_dot) q_dot + g(q) = tau + tau_friction + tau_ext
+    M(q) q_dd + C(q, q_dot) q_dot + g(q) = tau + tau_friction
 
 Plants and states are immutable; stepping returns new states, so
 independent simulations are safe to run in parallel. The two-link terms
@@ -14,8 +14,6 @@ and :func:`decoupled_stepper` also take (B, n) stacks of B lanes.
 
 from __future__ import annotations
 
-import configparser
-import io
 import math
 from dataclasses import dataclass
 
@@ -64,7 +62,7 @@ class PlantParams:
     is added rotor inertia reflected to the joint. For the two-link arm,
     ``link_masses``/``link_lengths`` define the closed-form dynamics and
     ``mass`` is unused. Friction follows a declared law (see
-    :func:`friction_torque`); the stiction threshold is
+    :func:`decoupled_stepper`); the stiction threshold is
     ``STICTION_VEL_EPS``.
     """
 
@@ -220,90 +218,20 @@ def gravity_torque(plant: PlantParams, q: np.ndarray) -> np.ndarray:
     return plant.mass * GRAVITY
 
 
-def friction_torque(plant: PlantParams, q_dot: np.ndarray, tau_net: np.ndarray) -> np.ndarray:
-    """Joint friction torque.
-
-    Moving joints (|q_dot| > STICTION_VEL_EPS) see Coulomb drag at the
-    dynamic level -sign(q_dot)*(ratio*static); joints inside the stiction
-    band instead oppose the net non-friction torque up to the static
-    level (stiction clamp). Viscous drag -viscous*q_dot acts in both
-    regimes, keeping the law continuous at the band edge when the dry
-    level vanishes.
-    """
-    q_dot = _as_vector(q_dot, plant.n_joints)
-    tau_net = _as_vector(tau_net, plant.n_joints)
-    moving = np.abs(q_dot) > STICTION_VEL_EPS
-    dyn = plant.dynamic_friction_ratio * plant.static_friction
-    tau_f = np.where(
-        moving,
-        -np.sign(q_dot) * dyn,
-        -np.clip(tau_net, -plant.static_friction, plant.static_friction),
-    )
-    return tau_f - plant.viscous_friction * q_dot
-
-
-def forward_dynamics(plant: PlantParams, state: State, tau, f_ext=None) -> np.ndarray:
-    """Solve M(q) q_dd + C q_dot + g = tau + tau_friction + tau_ext for q_dd."""
-    n = plant.n_joints
-    tau = _as_vector(tau, n)
-    fe = np.zeros(n) if f_ext is None else _as_vector(f_ext, n)
-    M = mass_matrix(plant, state.q)
-    if plant.kind == TWO_LINK:
-        if np.linalg.eigvalsh(M).min() <= 0:
-            raise NonPositiveInertiaError("inertia matrix not positive definite")
-    elif np.any(np.diag(M) <= 0):
-        raise NonPositiveInertiaError("non-positive effective inertia")
-    tau_net = tau + fe - coriolis_torque(plant, state.q, state.q_dot) \
-        - gravity_torque(plant, state.q)
-    rhs = tau_net + friction_torque(plant, state.q_dot, tau_net)
-    if plant.kind == TWO_LINK:
-        return np.linalg.solve(M, rhs)
-    return rhs / np.diag(M)
-
-
 # ---------------------------------------------------------------------------
-# Integrators
-
-SEMI_IMPLICIT = "semi-implicit-euler"
-RK4 = "rk4"
+# Integrator
 
 
-def step(plant: PlantParams, state: State, tau, dt: float,
-         integrator: str = SEMI_IMPLICIT, f_ext=None) -> State:
-    """Advance one physics step with torque held constant over the step.
-
-    The semi-implicit step is :func:`decoupled_stepper`'s ``advance`` on
-    ``tau + f_ext``, wrapped in State. RK4 integrates the plain forward
-    dynamics, intended for the smooth (dry-friction-free) cases.
-    """
+def step(plant: PlantParams, state: State, tau, dt: float) -> State:
+    """Advance one physics step with torque held constant over the step:
+    :func:`decoupled_stepper`'s ``advance``, wrapped in State."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    n = plant.n_joints
-    tau = _as_vector(tau, n)
-    fe = np.zeros(n) if f_ext is None else _as_vector(f_ext, n)
-    if integrator == SEMI_IMPLICIT:
-        q_new, qd_new = decoupled_stepper(plant)(state.q, state.q_dot, tau + fe, dt)
-    elif integrator == RK4:
-        def deriv(q, qd):
-            s = State(q=q, q_dot=qd, t=state.t)
-            return qd, forward_dynamics(plant, s, tau, fe)
-
-        k1q, k1v = deriv(state.q, state.q_dot)
-        k2q, k2v = deriv(state.q + 0.5 * dt * k1q, state.q_dot + 0.5 * dt * k1v)
-        k3q, k3v = deriv(state.q + 0.5 * dt * k2q, state.q_dot + 0.5 * dt * k2v)
-        k4q, k4v = deriv(state.q + dt * k3q, state.q_dot + dt * k3v)
-        q_new = state.q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
-        qd_new = state.q_dot + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    else:
-        raise ValueError(f"unknown integrator {integrator!r}")
+    tau = _as_vector(tau, plant.n_joints)
+    q_new, qd_new = decoupled_stepper(plant)(state.q, state.q_dot, tau, dt)
     if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(qd_new))):
         raise SimulationDivergedError(step_index=int(round(state.t / dt)))
     return State(q=q_new, q_dot=qd_new, t=state.t + dt)
-
-
-def kinetic_energy(plant: PlantParams, state: State) -> float:
-    M = mass_matrix(plant, state.q)
-    return 0.5 * float(state.q_dot @ M @ state.q_dot)
 
 
 def decoupled_stepper(plant: PlantParams):
@@ -311,9 +239,12 @@ def decoupled_stepper(plant: PlantParams):
     predates the two-link arm): ``advance(q, q_dot, tau, dt) -> (q, q_dot)``
     on (n,) arrays or (B, n) stacks of B lanes.
 
-    Semi-implicit Euler updates q_dot then q; dry friction enters as a
-    velocity impulse clamped so it can stop, but never reverse, a joint
-    within the step (keeps the scheme passive and realizes stiction exactly).
+    Semi-implicit Euler updates q_dot then q. Friction: viscous drag
+    -viscous*q_dot always acts; dry friction is the dynamic level
+    ratio*static on moving joints (|q_dot| > STICTION_VEL_EPS) and the
+    static level inside the stiction band. It enters as a velocity impulse
+    clamped so it can stop, but never reverse, a joint within the step
+    (keeps the scheme passive and realizes stiction exactly).
     """
     visc = plant.viscous_friction
     static = plant.static_friction
@@ -354,7 +285,6 @@ class Trajectory:
     """Uniformly sampled (t, q, q_dot, q_des, tau) records.
 
     Arrays are (n_samples,) for t and (n_samples, n_joints) otherwise.
-    ``f_ext`` is an optional external-force channel of the same shape.
     """
 
     sample_rate: float
@@ -363,7 +293,6 @@ class Trajectory:
     q_dot: np.ndarray
     q_des: np.ndarray
     tau: np.ndarray
-    f_ext: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.sample_rate > 0:
@@ -378,11 +307,6 @@ class Trajectory:
             if a.shape[0] != n:
                 raise ValueError(f"{name} has {a.shape[0]} rows, expected {n}")
             object.__setattr__(self, name, a)
-        if self.f_ext is not None:
-            fe = np.asarray(self.f_ext, dtype=float)
-            if fe.ndim == 1:
-                fe = fe[:, None]
-            object.__setattr__(self, "f_ext", fe)
         if n > 1:
             dt = np.diff(t)
             if np.any(dt <= 0):
@@ -398,58 +322,16 @@ class Trajectory:
     def n_joints(self) -> int:
         return self.q.shape[1]
 
-    def to_csv(self) -> str:
-        n = self.n_joints
-        cols = (["t"]
-                + [f"q{i}" for i in range(n)]
-                + [f"qd{i}" for i in range(n)]
-                + [f"qdes{i}" for i in range(n)]
-                + [f"tau{i}" for i in range(n)])
-        blocks = [self.t[:, None], self.q, self.q_dot, self.q_des, self.tau]
-        if self.f_ext is not None:
-            cols += [f"fext{i}" for i in range(n)]
-            blocks.append(self.f_ext)
-        data = np.hstack(blocks)
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for row in data:
-            buf.write(",".join(f"{v:.9g}" for v in row) + "\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text_or_path) -> "Trajectory":
-        if "\n" not in str(text_or_path):
-            with open(text_or_path) as fh:
-                text = fh.read()
-        else:
-            text = text_or_path
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        header = lines[0].split(",")
-        n = sum(1 for c in header if c.startswith("q") and not c.startswith("qd"))
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        t = data[:, 0]
-        sample_rate = 1.0 / (t[1] - t[0]) if t.size > 1 else 1.0
-        # round to avoid drift from 9-sig-digit serialization
-        sample_rate = float(np.round(sample_rate, 6))
-        k = 1
-        parts = {}
-        for name in ("q", "q_dot", "q_des", "tau"):
-            parts[name] = data[:, k:k + n]
-            k += n
-        f_ext = data[:, k:k + n] if data.shape[1] > k else None
-        return cls(sample_rate=sample_rate, t=t, f_ext=f_ext, **parts)
-
 
 def simulate(plant: PlantParams, state0: State, torque_fn, dt: float, n_steps: int,
-             f_ext_fn=None, q_des_fn=None) -> tuple[Trajectory, State]:
+             q_des_fn=None) -> tuple[Trajectory, State]:
     """Run a closed-loop simulation and record it at the physics rate.
 
     ``torque_fn(state, k)`` supplies the applied torque for step k;
-    ``q_des_fn(state, k)`` (optional) the logged position target;
-    ``f_ext_fn(state, k)`` (optional) an external torque. The trajectory
-    holds n_steps+1 samples including the initial state; the torque logged
-    with the final sample is the last applied one. A floating-point
-    overflow or invalid operation at step k raises
+    ``q_des_fn(state, k)`` (optional) the logged position target. The
+    trajectory holds n_steps+1 samples including the initial state; the
+    torque logged with the final sample is the last applied one. A
+    floating-point overflow or invalid operation at step k raises
     ``SimulationDivergedError(step_index=k)``.
     """
     n = plant.n_joints
@@ -458,7 +340,6 @@ def simulate(plant: PlantParams, state0: State, torque_fn, dt: float, n_steps: i
     qd = np.empty((n_steps + 1, n))
     qdes = np.empty((n_steps + 1, n))
     tau = np.empty((n_steps + 1, n))
-    fext = np.empty((n_steps + 1, n)) if f_ext_fn is not None else None
     s = state0
     last_tau = np.zeros(n)
     k = 0
@@ -469,21 +350,15 @@ def simulate(plant: PlantParams, state0: State, torque_fn, dt: float, n_steps: i
                 if k == n_steps:
                     qdes[k] = qdes[k - 1] if n_steps else s.q
                     tau[k] = last_tau
-                    if fext is not None:
-                        fext[k] = fext[k - 1] if n_steps else 0.0
                     break
                 tk = _as_vector(torque_fn(s, k), n)
-                fe = _as_vector(f_ext_fn(s, k), n) if f_ext_fn is not None else None
                 qdes[k] = _as_vector(q_des_fn(s, k), n) if q_des_fn is not None else s.q
                 tau[k] = tk
-                if fext is not None:
-                    fext[k] = fe
                 last_tau = tk
-                s = step(plant, s, tk, dt, f_ext=fe)
+                s = step(plant, s, tk, dt)
     except FloatingPointError as exc:
         raise SimulationDivergedError(step_index=k) from exc
-    traj = Trajectory(sample_rate=1.0 / dt, t=t, q=q, q_dot=qd, q_des=qdes,
-                      tau=tau, f_ext=fext)
+    traj = Trajectory(sample_rate=1.0 / dt, t=t, q=q, q_dot=qd, q_des=qdes, tau=tau)
     return traj, s
 
 
@@ -491,27 +366,13 @@ def simulate(plant: PlantParams, state0: State, torque_fn, dt: float, n_steps: i
 # Config loading
 
 
-def load_plant(source) -> PlantParams:
-    """Build a PlantParams from a flat key-value config.
-
-    ``source`` is a path, an INI string with a [plant] section, or a
-    mapping. Keys: kind, mass, armature, static_friction,
+def load_plant(section) -> PlantParams:
+    """Build a PlantParams from a flat key-value mapping of strings, such
+    as an INI [plant] section. Keys: kind, mass, armature, static_friction,
     dynamic_friction_ratio, viscous_friction, gravity_enabled,
     link_masses, link_lengths, torque_limit, torque_rate_limit.
     """
-    if isinstance(source, dict):
-        section = dict(source)
-    else:
-        cp = configparser.ConfigParser()
-        text = str(source)
-        if "\n" in text or "=" in text:
-            cp.read_string(text)
-        else:
-            with open(text) as fh:
-                cp.read_string(fh.read())
-        if not cp.has_section("plant"):
-            raise ValueError("config has no [plant] section")
-        section = dict(cp["plant"])
+    section = dict(section)
     kind = section.pop("kind", POINT_MASS)
     kw = {}
     for key, val in section.items():

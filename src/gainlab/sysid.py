@@ -207,15 +207,16 @@ class ExcitationProtocol:
     physics_rate: float = 100.0
 
 
-def excite(plant: PlantParams, gains: GainConfig, amplitude: float = 0.1,
-           duration: float = 4.0, log_rate: float = 50.0,
-           physics_rate: float = 100.0, q0=None) -> Trajectory:
-    """Drive the closed loop with the sinusoidal reference and log it.
+def excite(plant: PlantParams, gains: GainConfig,
+           protocol: ExcitationProtocol = ExcitationProtocol(), q0=None) -> Trajectory:
+    """Drive the closed loop with the protocol's sinusoidal reference and log it.
 
     The reference is applied uniformly across joints with zero-order hold
     at ``log_rate``; physics runs at ``physics_rate``. The returned
     trajectory holds exactly ``duration * log_rate`` samples.
     """
+    amplitude, duration = protocol.amplitude, protocol.duration
+    log_rate, physics_rate = protocol.log_rate, protocol.physics_rate
     if amplitude < 0:
         raise ValueError("amplitude must be non-negative")
     if not duration > 0:
@@ -299,9 +300,7 @@ def identification_loss(reference: Trajectory, plant: PlantParams,
                         gains: GainConfig, protocol: ExcitationProtocol) -> float:
     """Sum of spectral MSE on positions and velocities vs the reference."""
     try:
-        sim = excite(plant, gains, amplitude=protocol.amplitude,
-                     duration=protocol.duration, log_rate=protocol.log_rate,
-                     physics_rate=protocol.physics_rate, q0=reference.q[0])
+        sim = excite(plant, gains, protocol, q0=reference.q[0])
     except dynamics.SimulationDivergedError:
         return math.inf
     return spectral_mse(reference.q, sim.q) + spectral_mse(reference.q_dot, sim.q_dot)
@@ -339,9 +338,7 @@ def resimulate(fit: FitResult, gains: GainConfig, base_plant: PlantParams,
                q0=None) -> Trajectory:
     """Run the excitation under a fitted parameter set."""
     plant, g = _apply_params(base_plant, gains, fit.params)
-    return excite(plant, g, amplitude=protocol.amplitude,
-                  duration=protocol.duration, log_rate=protocol.log_rate,
-                  physics_rate=protocol.physics_rate, q0=q0)
+    return excite(plant, g, protocol, q0=q0)
 
 
 # ---------------------------------------------------------------------------

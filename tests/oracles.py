@@ -6,7 +6,9 @@ import numpy as np
 
 from gainlab import dynamics, noise, shaping, stats
 from gainlab.control import pd_torque
-from gainlab.dynamics import GRAVITY, STICTION_VEL_EPS, State, Trajectory
+from gainlab.dynamics import (GRAVITY, STICTION_VEL_EPS, TWO_LINK, NonPositiveInertiaError,
+                              PlantParams, State, Trajectory, _as_vector, coriolis_torque,
+                              gravity_torque, mass_matrix)
 
 
 def brute_force_barnard(a, b, c, d, side="greater", n_grid=50001):
@@ -304,3 +306,84 @@ def per_trial_noisy_replay(retargeted, plant, spec, n_trials, decimation=1):
         reached += goal.reached(final.q)
     return (reached / n_trials, float(np.mean(rms)), rms,
             goal.reached(clean_final.q))
+
+
+# ---------------------------------------------------------------------------
+# Reference physics: the continuous-time laws and an RK4 integrator, which
+# the library's one semi-implicit stepper is checked against.
+
+
+def friction_torque(plant: PlantParams, q_dot: np.ndarray, tau_net: np.ndarray) -> np.ndarray:
+    """Joint friction torque.
+
+    Moving joints (|q_dot| > STICTION_VEL_EPS) see Coulomb drag at the
+    dynamic level -sign(q_dot)*(ratio*static); joints inside the stiction
+    band instead oppose the net non-friction torque up to the static
+    level (stiction clamp). Viscous drag -viscous*q_dot acts in both
+    regimes, keeping the law continuous at the band edge when the dry
+    level vanishes.
+    """
+    q_dot = _as_vector(q_dot, plant.n_joints)
+    tau_net = _as_vector(tau_net, plant.n_joints)
+    moving = np.abs(q_dot) > STICTION_VEL_EPS
+    dyn = plant.dynamic_friction_ratio * plant.static_friction
+    tau_f = np.where(
+        moving,
+        -np.sign(q_dot) * dyn,
+        -np.clip(tau_net, -plant.static_friction, plant.static_friction),
+    )
+    return tau_f - plant.viscous_friction * q_dot
+
+
+def forward_dynamics(plant: PlantParams, state: State, tau, f_ext=None) -> np.ndarray:
+    """Solve M(q) q_dd + C q_dot + g = tau + tau_friction + tau_ext for q_dd."""
+    n = plant.n_joints
+    tau = _as_vector(tau, n)
+    fe = np.zeros(n) if f_ext is None else _as_vector(f_ext, n)
+    M = mass_matrix(plant, state.q)
+    if plant.kind == TWO_LINK:
+        if np.linalg.eigvalsh(M).min() <= 0:
+            raise NonPositiveInertiaError("inertia matrix not positive definite")
+    elif np.any(np.diag(M) <= 0):
+        raise NonPositiveInertiaError("non-positive effective inertia")
+    tau_net = tau + fe - coriolis_torque(plant, state.q, state.q_dot) \
+        - gravity_torque(plant, state.q)
+    rhs = tau_net + friction_torque(plant, state.q_dot, tau_net)
+    if plant.kind == TWO_LINK:
+        return np.linalg.solve(M, rhs)
+    return rhs / np.diag(M)
+
+
+def rk4_step(plant: PlantParams, state: State, tau, dt: float) -> State:
+    """One classical RK4 step of :func:`forward_dynamics` with the torque
+    held constant across the sub-stages (zero-order hold), intended for
+    the smooth (dry-friction-free) cases."""
+    tau = _as_vector(tau, plant.n_joints)
+
+    def deriv(q, qd):
+        s = State(q=q, q_dot=qd, t=state.t)
+        return qd, forward_dynamics(plant, s, tau)
+
+    k1q, k1v = deriv(state.q, state.q_dot)
+    k2q, k2v = deriv(state.q + 0.5 * dt * k1q, state.q_dot + 0.5 * dt * k1v)
+    k3q, k3v = deriv(state.q + 0.5 * dt * k2q, state.q_dot + 0.5 * dt * k2v)
+    k4q, k4v = deriv(state.q + dt * k3q, state.q_dot + dt * k3v)
+    q_new = state.q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
+    qd_new = state.q_dot + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    return State(q=q_new, q_dot=qd_new, t=state.t + dt)
+
+
+def kinetic_energy(plant: PlantParams, state: State) -> float:
+    M = mass_matrix(plant, state.q)
+    return 0.5 * float(state.q_dot @ M @ state.q_dot)
+
+
+def limit_torque(plant: PlantParams, tau, tau_prev, dt: float) -> np.ndarray:
+    """Clamp to +-torque_limit, then rate-limit against the previous torque."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    n = plant.n_joints
+    tau = np.clip(_as_vector(tau, n), -plant.torque_limit, plant.torque_limit)
+    tau_prev = _as_vector(tau_prev, n)
+    max_delta = plant.torque_rate_limit * dt
+    return tau_prev + np.clip(tau - tau_prev, -max_delta, max_delta)

@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 
 from gainlab import control, dynamics, retarget, sysid
 from gainlab.control import (GainConfig, GainGrid, classify_regime, default_grid,
-                             effective_stiffness, limit_torque, pd_torque)
+                             effective_stiffness, pd_torque)
 from gainlab.dynamics import State, point_mass
-from oracles import loop_excite, simulate_replay
+from oracles import limit_torque, loop_excite, simulate_replay
 
 
 class TestPdTorque:
@@ -46,10 +46,9 @@ class TestPdTorque:
         state = dynamics.rest_state(plant)
 
         def torque_fn(s, k):
-            return pd_torque(gains, s.q, s.q_dot, [0.0])
+            return pd_torque(gains, s.q, s.q_dot, [0.0]) + tau_ext
 
-        _, final = dynamics.simulate(plant, state, torque_fn, 1e-3, 12000,
-                                     f_ext_fn=lambda s, k: tau_ext)
+        _, final = dynamics.simulate(plant, state, torque_fn, 1e-3, 12000)
         assert_allclose(gains.kp * (final.q - 0.0), tau_ext, rtol=1e-6)
 
     def test_gain_validation(self):

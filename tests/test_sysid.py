@@ -27,20 +27,20 @@ class TestExcite:
     def test_reference_period_two_seconds(self):
         # sin(pi t): quarter period peak at t = 0.5 s (sample 25 at 50 Hz)
         traj = excite(point_mass(1.0), GainConfig(kp=64.0, kd=8.0),
-                      amplitude=0.1)
+                      ExcitationProtocol(amplitude=0.1))
         assert traj.q_des[25, 0] == pytest.approx(0.1, abs=1e-9)
         assert traj.q_des[100, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_amplitude_settles_to_q0(self):
         plant = point_mass(1.0, viscous_friction=0.5)
-        traj = excite(plant, GainConfig(kp=64.0, kd=8.0), amplitude=0.0,
+        traj = excite(plant, GainConfig(kp=64.0, kd=8.0), ExcitationProtocol(amplitude=0.0),
                       q0=[0.2])
         assert_allclose(traj.q[-1], [0.2], atol=1e-9)
         assert_allclose(traj.q_des, 0.2)
 
     def test_two_link_path_matches_contract(self):
         arm = dynamics.two_link()
-        traj = excite(arm, GainConfig(kp=100.0, kd=20.0), duration=1.0)
+        traj = excite(arm, GainConfig(kp=100.0, kd=20.0), ExcitationProtocol(duration=1.0))
         assert traj.n_samples == 50
         assert traj.n_joints == 2
 
