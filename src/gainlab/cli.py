@@ -64,14 +64,11 @@ def _parse_value(text: str):
     return text
 
 
-def _read_ini(source) -> configparser.ConfigParser:
-    """Parse INI text, or the file at a path (a string with no newline)."""
-    text = str(source)
-    if "\n" not in text:
-        with open(text) as fh:
-            text = fh.read()
+def _read_ini(path) -> configparser.ConfigParser:
+    """Parse the INI file at ``path``."""
     cp = configparser.ConfigParser()
-    cp.read_string(text)
+    with open(path) as fh:
+        cp.read_file(fh)
     return cp
 
 
@@ -88,9 +85,9 @@ def _parse_grid(cp: configparser.ConfigParser, missing=None) -> GainGrid | None:
         return None
 
 
-def load_config(source) -> ExperimentConfig:
-    """Parse an experiment config from a path or INI string."""
-    cp = _read_ini(source)
+def load_config(path) -> ExperimentConfig:
+    """Parse the experiment config file at ``path``."""
+    cp = _read_ini(path)
     exp = cp["experiment"] if cp.has_section("experiment") else {}
     kind = exp.get("kind", "")
     seed = int(exp.get("seed", 0))
@@ -284,13 +281,13 @@ def _noisy_cell(job):
              "rms_deviation": res.rms_deviation}], {}
 
 
-PSI_COLUMNS = sysid.FROZEN_GAIN_PARAMS + sysid.FREE_PARAMS
-
-
 def _load_bounds(path) -> sysid.SysidBounds:
-    """[bounds] section: one `name = lower, upper` line per parameter."""
+    """[bounds] section: one `name = lower, upper` line per searched parameter."""
     defaults = {n: (lo, hi) for n, lo, hi in sysid.SysidBounds.default().params}
     for name, value in _read_ini(path)["bounds"].items():
+        if name not in defaults:
+            raise ValueError(f"bounds: {name!r} is not identified; "
+                             f"expected one of {', '.join(defaults)}")
         lo, hi = (float(v) for v in value.split(","))
         defaults[name] = (lo, hi)
     return sysid.SysidBounds(params=tuple((n, lo, hi)
@@ -304,16 +301,15 @@ def _sysid_cell(job):
     bounds = _load_bounds(p["bounds"]) if p.get("bounds") \
         else sysid.SysidBounds.default()
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
-    hidden = {n: rng.uniform(lo, hi)
-              for n, lo, hi in bounds.subset(sysid.FREE_PARAMS).params}
-    hidden_plant, _ = sysid._apply_params(cfg.plant, gains, hidden)
-    reference = sysid.excite(hidden_plant, gains)
+    hidden = {n: rng.uniform(lo, hi) for n, lo, hi in bounds.params}
+    reference = sysid.excite(sysid._apply_params(cfg.plant, hidden), gains)
     cmaes_cfg = sysid.CmaesConfig(sigma0=float(p.get("sigma0", 3.0)),
                                   max_iter=int(p.get("iters", 200)),
                                   seed=_cell_seed(cfg.seed, index))
     fit = sysid.identify(reference, gains, bounds, cmaes_cfg, cfg.plant)
-    row = {"kp": kp, "kd": kd, "final_loss": fit.loss, "evals": fit.n_evals}
-    row.update({name: fit.params.get(name, float("nan")) for name in PSI_COLUMNS})
+    # the gains are not fitted: stiffness and damping are the cell's kp and kd
+    row = {"kp": kp, "kd": kd, "final_loss": fit.loss, "evals": fit.n_evals,
+           "stiffness": kp, "damping": kd, **fit.params}
     history = _csv([{"iter": i, "best_loss": v} for i, v in enumerate(fit.history)],
                    ["iter", "best_loss"])
     return [row], {f"history_kp{kp:g}_kd{kd:g}.csv": history}
@@ -397,7 +393,7 @@ def read_sweep_csv(path) -> list[stats.SweepOutcome]:
     return rows
 
 
-def run_stats_report(cfg: ExperimentConfig, workers: int = 1):
+def run_stats_report(cfg: ExperimentConfig):
     p = cfg.params
     outcomes = read_sweep_csv(p["input"])
     if outcomes and outcomes[0].region is None:
@@ -504,7 +500,8 @@ RUNNERS = {
         heatmaps=lambda cfg: ["goal_rate", "rms_deviation"],
         shared=lambda cfg: _demos(cfg, 1, 2.0)),
     "sysid-sweep": _Kind(
-        _sysid_cell, ("kp", "kd", "final_loss", "evals", *PSI_COLUMNS),
+        _sysid_cell, ("kp", "kd", "final_loss", "evals", "stiffness", "damping",
+                      *sysid.FREE_PARAMS),
         heatmaps=lambda cfg: ["final_loss"]),
     "shape-search": _Kind(
         _shape_cell, ("kp", "kd", "best_J", "goal_rate", "alpha", "beta", "gamma"),
@@ -513,7 +510,7 @@ RUNNERS = {
                                else dict.fromkeys(cfg.grid.corners().values())),
         choices={"cells": ("corners", "all")}),
     "stats-report": _Kind(
-        runner=lambda kind, cfg, workers: run_stats_report(cfg, workers),
+        runner=lambda kind, cfg, workers: run_stats_report(cfg),
         choices={"metric": ("success", "error"), "alternative": ("greater", "less")}),
     "compliance-probe": _Kind(_compliance_cell, ("kp", "kd", "k_eff"),
                               heatmaps=lambda cfg: ["k_eff"]),

@@ -1,6 +1,6 @@
 """Gain-parameterized PD/impedance controllers and gain-regime tools.
 
-The PD law tau = Kp (q_des - q) + Kd (q_dot_des - q_dot) [+ g(q)] acts as
+The PD law tau = Kp (q_des - q) - Kd q_dot [+ g(q)] acts as
 a virtual spring-damper: at rest under a constant external torque the
 displacement satisfies tau_ext = Kp (q - q_des). Per-joint second-order
 parameters omega_n = sqrt(Kp/m), zeta = Kd / (2 sqrt(m Kp)) classify each
@@ -66,15 +66,13 @@ class GainConfig:
                           gravity_comp_scale=self.gravity_comp_scale)
 
 
-def pd_torque(gains: GainConfig, q, q_dot, q_des, q_dot_des=None,
-              gravity_term=None) -> np.ndarray:
-    """PD control torque; q_dot_des defaults to zero (deploy-style -Kd*q_dot).
+def pd_torque(gains: GainConfig, q, q_dot, q_des, gravity_term=None) -> np.ndarray:
+    """PD control torque toward a zero velocity target (deploy-style -Kd*q_dot).
 
     Arrays are (n,) or (B, n) lane stacks; the gains broadcast over lanes.
     """
     # 0.0 - q_dot, not -q_dot: a resting joint gives +0.0, as a zero target does
-    qd_err = 0.0 - q_dot if q_dot_des is None else q_dot_des - q_dot
-    tau = gains.kp * (q_des - q) + gains.kd * qd_err
+    tau = gains.kp * (q_des - q) + gains.kd * (0.0 - q_dot)
     if gains.gravity_comp and gravity_term is not None:
         tau = tau + gains.gravity_comp_scale * gravity_term
     return tau
@@ -200,9 +198,6 @@ class GainGrid:
             for kp in self.kp_values:
                 yield float(kp), float(kd)
 
-    def config(self, kp: float, kd: float, **kw) -> GainConfig:
-        return GainConfig(kp=kp, kd=kd, **kw)
-
     @property
     def stiffness_split(self) -> float:
         """Geometric median of the Kp axis (median in log space)."""
@@ -222,22 +217,26 @@ def default_grid() -> GainGrid:
                     kd_values=2.0 * 2.0 ** np.arange(7))
 
 
+# compliance probe: physics step (s) and the settled velocity-norm bound
+PROBE_DT = 1e-3
+PROBE_VEL_TOL = 1e-8
+
+
 def effective_stiffness(plant: PlantParams, gains: GainConfig, probe_force,
-                        settle_time: float, policy=None, dt: float = 1e-3,
-                        q0=None, vel_tol: float = 1e-8) -> float:
+                        settle_time: float, policy=None) -> float:
     """Measure K_eff = |F| / |dx| under a constant probe torque.
 
-    Simulates the closed loop (PD on ``q_des`` from ``policy``, default
-    holding the start pose) with a constant external torque until
-    ``settle_time``, then requires the velocity norm to be below
-    ``vel_tol``. ``policy(state) -> q_des`` lets scripted reactive
-    policies change the composed-loop stiffness.
+    Simulates the closed loop from rest at q = 0 (PD on ``q_des`` from
+    ``policy``, default holding the start pose) with a constant external
+    torque for ``settle_time`` at ``PROBE_DT`` steps, then requires the
+    velocity norm to be below ``PROBE_VEL_TOL``. ``policy(state) -> q_des``
+    lets scripted reactive policies change the composed-loop stiffness.
     """
     n = plant.n_joints
     probe = _as_vector(probe_force, n)
     if not np.any(probe != 0.0):
         raise ValueError("probe_force must be non-zero")
-    start = dynamics.rest_state(plant, q=q0)
+    start = dynamics.rest_state(plant)
     q_ref = start.q.copy()
 
     def q_des_of(state):
@@ -248,11 +247,11 @@ def effective_stiffness(plant: PlantParams, gains: GainConfig, probe_force,
         return pd_torque(gains, state.q, state.q_dot, q_des_of(state),
                          gravity_term=grav) + probe
 
-    n_steps = int(round(settle_time / dt))
-    _, final = dynamics.simulate(plant, start, torque_fn, dt, n_steps)
-    if np.linalg.norm(final.q_dot) > vel_tol:
+    n_steps = int(round(settle_time / PROBE_DT))
+    _, final = dynamics.simulate(plant, start, torque_fn, PROBE_DT, n_steps)
+    if np.linalg.norm(final.q_dot) > PROBE_VEL_TOL:
         raise NotSettledError(
-            f"velocity norm {np.linalg.norm(final.q_dot):.3e} > {vel_tol:.1e} "
+            f"velocity norm {np.linalg.norm(final.q_dot):.3e} > {PROBE_VEL_TOL:.1e} "
             f"after {settle_time} s")
     dx = np.linalg.norm(final.q - start.q)
     if dx == 0.0:

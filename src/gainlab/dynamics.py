@@ -63,15 +63,16 @@ class PlantParams:
     ``link_masses``/``link_lengths`` define the closed-form dynamics and
     ``mass`` is unused. Friction follows a declared law (see
     :func:`decoupled_stepper`); the stiction threshold is
-    ``STICTION_VEL_EPS``.
+    ``STICTION_VEL_EPS``. The armature and friction fields default to 0;
+    a scalar broadcasts to every joint.
     """
 
     kind: str
     mass: np.ndarray
-    armature: np.ndarray
-    static_friction: np.ndarray
-    dynamic_friction_ratio: np.ndarray
-    viscous_friction: np.ndarray
+    armature: np.ndarray = 0.0
+    static_friction: np.ndarray = 0.0
+    dynamic_friction_ratio: np.ndarray = 0.0
+    viscous_friction: np.ndarray = 0.0
     gravity_enabled: bool = False
     link_masses: np.ndarray | None = None
     link_lengths: np.ndarray | None = None
@@ -114,34 +115,19 @@ class PlantParams:
 
 def point_mass(mass: float = 1.0, **kw) -> PlantParams:
     """1-DOF point mass; gravity (if enabled) is a constant load m*G."""
-    return _make_plant(POINT_MASS, mass, **kw)
+    return PlantParams(kind=POINT_MASS, mass=mass, **kw)
 
 
 def chain(masses, **kw) -> PlantParams:
     """Decoupled N-joint chain: diagonal inertia, no cross-coupling."""
-    return _make_plant(CHAIN, masses, **kw)
+    return PlantParams(kind=CHAIN, mass=masses, **kw)
 
 
 def two_link(link_masses=(1.0, 1.0), link_lengths=(1.0, 1.0), **kw) -> PlantParams:
     """Planar 2R arm, point masses at the link tips."""
-    kw.setdefault("mass", np.asarray(link_masses, dtype=float))
-    return PlantParams(kind=TWO_LINK, link_masses=np.asarray(link_masses, dtype=float),
-                       link_lengths=np.asarray(link_lengths, dtype=float),
-                       **_fill_defaults(kw, 2))
-
-
-def _fill_defaults(kw: dict, n: int) -> dict:
-    out = dict(kw)
-    out.setdefault("armature", np.zeros(n))
-    out.setdefault("static_friction", np.zeros(n))
-    out.setdefault("dynamic_friction_ratio", np.zeros(n))
-    out.setdefault("viscous_friction", np.zeros(n))
-    return out
-
-
-def _make_plant(kind: str, mass, **kw) -> PlantParams:
-    m = np.atleast_1d(np.asarray(mass, dtype=float))
-    return PlantParams(kind=kind, mass=m, **_fill_defaults(kw, m.size))
+    kw.setdefault("mass", link_masses)
+    return PlantParams(kind=TWO_LINK, link_masses=link_masses, link_lengths=link_lengths,
+                       **kw)
 
 
 @dataclass(frozen=True)
@@ -159,10 +145,10 @@ class State:
             raise ValueError("state must be finite")
 
 
-def rest_state(plant: PlantParams, q=None, t: float = 0.0) -> State:
+def rest_state(plant: PlantParams, q=None) -> State:
     n = plant.n_joints
     q0 = np.zeros(n) if q is None else _as_vector(q, n)
-    return State(q=q0, q_dot=np.zeros(n), t=t)
+    return State(q=q0, q_dot=np.zeros(n))
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,6 @@ CONTINUOUS = "continuous-limit"
 HELD = "held"
 
 
-class UnboundedVarianceError(ValueError):
-    """Kd = 0 gives an unbounded steady-state variance."""
-
-
 class PerturbationDivergedError(RuntimeError):
     """Perturbation state diverged across the burn-in (unstable setup)."""
 
@@ -72,9 +68,8 @@ class VariancePrediction:
 
 
 def predict_variance(gains: GainConfig, sigma: float) -> VariancePrediction:
-    """Steady-state position error variance sigma^2 Kp / (2 Kd) per joint."""
-    if np.any(gains.kd <= 0):
-        raise UnboundedVarianceError("Kd must be positive for a bounded variance")
+    """Steady-state position error variance sigma^2 Kp / (2 Kd) per joint
+    (bounded: GainConfig has Kd > 0)."""
     ratio = gains.kp / (2.0 * gains.kd)
     return VariancePrediction(var_pos=sigma**2 * ratio,
                               attenuation_factor=np.sqrt(ratio))

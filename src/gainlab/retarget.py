@@ -45,7 +45,6 @@ class TorqueDemo:
     base_rate: float
     traj: Trajectory
     goal: TaskGoal
-    gravity_comp_recorded: bool = False
     torque_saturated: bool = False
 
     def __post_init__(self):
@@ -236,13 +235,14 @@ def quintic_reference(q0, qf, duration: float):
     return pos, vel, acc
 
 
-def computed_torque_tracker(plant: PlantParams, pos, vel, acc,
-                            kp_fb: float = 2500.0, kd_fb: float = 100.0):
+def computed_torque_tracker(plant: PlantParams, pos, vel, acc):
     """Inverse-dynamics tracker of a smooth reference.
 
-    tau = M(q)(acc_ref + kp e + kd e_dot) + C(q,qd) qd + g(q); exact on a
-    friction-free plant, so tracking error stays at integrator scale.
+    tau = M(q)(acc_ref + kp e + kd e_dot) + C(q,qd) qd + g(q) with kp = 2500,
+    kd = 100; exact on a friction-free plant, so tracking error stays at
+    integrator scale.
     """
+    kp_fb, kd_fb = 2500.0, 100.0
 
     def controller(state: State, t: float) -> np.ndarray:
         e = pos(t) - state.q

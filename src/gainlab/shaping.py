@@ -252,16 +252,16 @@ class ToyShapingProblem:
     evaluations are comparable.
     """
 
+    horizon = 6.0  # s
+    control_rate = 50.0  # Hz
+    physics_rate = 200.0  # Hz
+    tol = 0.05  # goal radius
+
     def __init__(self, plant: dynamics.PlantParams, gains: control.GainConfig,
-                 episodes: int = 8, seed: int = 0, horizon: float = 6.0,
-                 control_rate: float = 50.0, physics_rate: float = 200.0,
-                 tol: float = 0.05, pos_limit: float = 4.0, vel_limit: float = 20.0):
+                 episodes: int = 8, seed: int = 0, pos_limit: float = 4.0,
+                 vel_limit: float = 20.0):
         self.plant = plant
         self.gains = gains.expand(plant.n_joints)
-        self.horizon = horizon
-        self.control_rate = control_rate
-        self.physics_rate = physics_rate
-        self.tol = tol
         self.pos_limit = pos_limit
         self.vel_limit = vel_limit
         self.spec = ConstraintSpec()
@@ -279,6 +279,8 @@ class ToyShapingProblem:
 
         Each episode is one lane of (E, n) arrays; every update is
         elementwise, so a lane equals its episode rolled out alone bitwise.
+        A floating-point overflow or invalid operation at step k raises
+        ``SimulationDivergedError(step_index=k)``.
         """
         episodes = episodes if episodes is not None else self.episodes
         if not episodes:
@@ -295,20 +297,24 @@ class ToyShapingProblem:
         comp = gains.gravity_comp_scale * self._grav if gains.gravity_comp else None
         counts = {name: np.zeros(lanes, dtype=int) for name in CONSTRAINTS}
         prev_tau = np.zeros_like(q)
-        for k in range(n_steps):
-            if k % spc == 0:
-                x_des = map_action(mapping, goal - q, q, x_des)
-            tau_req = gains.kp * (x_des - q) - gains.kd * qd
-            if comp is not None:
-                tau_req = tau_req + comp
-            counts["torque"] += (np.abs(tau_req) > plant.torque_limit).any(axis=1)
-            counts["torque_rate"] += (
-                np.abs(tau_req - prev_tau) > dt * plant.torque_rate_limit).any(axis=1)
-            prev_tau = tau_req
-            tau = np.clip(tau_req, -plant.torque_limit, plant.torque_limit)
-            q, qd = self._advance(q, qd, tau, dt)
-            counts["position"] += (np.abs(q) > self.pos_limit).any(axis=1)
-            counts["velocity"] += (np.abs(qd) > self.vel_limit).any(axis=1)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for k in range(n_steps):
+                    if k % spc == 0:
+                        x_des = map_action(mapping, goal - q, q, x_des)
+                    tau_req = gains.kp * (x_des - q) - gains.kd * qd
+                    if comp is not None:
+                        tau_req = tau_req + comp
+                    counts["torque"] += (np.abs(tau_req) > plant.torque_limit).any(axis=1)
+                    counts["torque_rate"] += (np.abs(tau_req - prev_tau)
+                                              > dt * plant.torque_rate_limit).any(axis=1)
+                    prev_tau = tau_req
+                    tau = np.clip(tau_req, -plant.torque_limit, plant.torque_limit)
+                    q, qd = self._advance(q, qd, tau, dt)
+                    counts["position"] += (np.abs(q) > self.pos_limit).any(axis=1)
+                    counts["velocity"] += (np.abs(qd) > self.vel_limit).any(axis=1)
+        except FloatingPointError as exc:
+            raise dynamics.SimulationDivergedError(step_index=k) from exc
         succ = 0
         rates = dict.fromkeys(CONSTRAINTS, 0.0)
         for e in range(lanes):

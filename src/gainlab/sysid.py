@@ -46,8 +46,6 @@ class SysidBounds:
     @classmethod
     def default(cls) -> "SysidBounds":
         return cls(params=(
-            ("stiffness", 1.0, 1024.0),
-            ("damping", 1.0, 1024.0),
             ("armature", 0.0, 0.5),
             ("static_friction", 0.01, 1.0),
             ("dynamic_friction_ratio", 0.0, 1.0),
@@ -275,25 +273,13 @@ def spectral_mse(a, b, include_dc: bool = True) -> float:
 # ---------------------------------------------------------------------------
 # Identification against a reference trajectory
 
-FROZEN_GAIN_PARAMS = ("stiffness", "damping")
 FREE_PARAMS = ("armature", "static_friction", "dynamic_friction_ratio",
                "viscous_friction")
 
 
-def _apply_params(base: PlantParams, gains: GainConfig, params: dict) -> tuple[PlantParams, GainConfig]:
-    n = base.n_joints
-    plant_kw = {}
-    for name in FREE_PARAMS:
-        if name in params:
-            plant_kw[name] = np.full(n, params[name])
-    plant = replace(base, **plant_kw) if plant_kw else base
-    g = gains
-    if "stiffness" in params or "damping" in params:
-        g = GainConfig(kp=params.get("stiffness", gains.kp),
-                       kd=params.get("damping", gains.kd),
-                       gravity_comp=gains.gravity_comp,
-                       gravity_comp_scale=gains.gravity_comp_scale)
-    return plant, g
+def _apply_params(base: PlantParams, params: dict) -> PlantParams:
+    """``base`` with the named actuator parameters, each scalar on every joint."""
+    return replace(base, **params)
 
 
 def identification_loss(reference: Trajectory, plant: PlantParams,
@@ -308,37 +294,27 @@ def identification_loss(reference: Trajectory, plant: PlantParams,
 
 def identify(reference: Trajectory, gains: GainConfig, bounds: SysidBounds,
              config: CmaesConfig, base_plant: PlantParams,
-             protocol: ExcitationProtocol = ExcitationProtocol(),
-             fit_gains: bool = False) -> FitResult:
+             protocol: ExcitationProtocol = ExcitationProtocol()) -> FitResult:
     """Fit plant parameters so the simulated excitation matches ``reference``.
 
-    By default stiffness/damping stay frozen at the commanded gains and
-    the four actuator parameters are searched; ``fit_gains`` unfreezes
-    them. Simulation failures count as +inf loss.
+    The gains stay at their commanded values; CMA-ES searches the four
+    actuator parameters ``FREE_PARAMS`` within ``bounds``. Simulation
+    failures count as +inf loss.
     """
-    names = (FROZEN_GAIN_PARAMS + FREE_PARAMS) if fit_gains else FREE_PARAMS
-    box = bounds.subset([n for n in names if n in bounds.names])
+    box = bounds.subset(FREE_PARAMS)
 
     def objective(x: np.ndarray) -> float:
-        params = dict(zip(box.names, x))
-        plant, g = _apply_params(base_plant, gains, params)
-        return identification_loss(reference, plant, g, protocol)
+        plant = _apply_params(base_plant, dict(zip(box.names, x)))
+        return identification_loss(reference, plant, gains, protocol)
 
-    result = cmaes_minimize(objective, box, config)
-    full = dict(zip(box.names, result.x))
-    if not fit_gains:
-        full["stiffness"] = float(np.atleast_1d(gains.kp)[0])
-        full["damping"] = float(np.atleast_1d(gains.kd)[0])
-    return FitResult(x=result.x, params=full, loss=result.loss,
-                     history=result.history, n_evals=result.n_evals)
+    return cmaes_minimize(objective, box, config)
 
 
 def resimulate(fit: FitResult, gains: GainConfig, base_plant: PlantParams,
                protocol: ExcitationProtocol = ExcitationProtocol(),
                q0=None) -> Trajectory:
-    """Run the excitation under a fitted parameter set."""
-    plant, g = _apply_params(base_plant, gains, fit.params)
-    return excite(plant, g, protocol, q0=q0)
+    """Run the excitation under a fitted parameter set and the given gains."""
+    return excite(_apply_params(base_plant, fit.params), gains, protocol, q0=q0)
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def test_criterion_5_sysid_self_identification():
             "dynamic_friction_ratio": rng.uniform(0.0, 1.0),
             "viscous_friction": rng.uniform(0.0, 1.0),
         }
-        hidden, _ = sysid._apply_params(base, gains, hidden_params)
+        hidden = sysid._apply_params(base, hidden_params)
         ref = sysid.excite(hidden, gains)
         fit = sysid.identify(ref, gains, bounds,
                              sysid.CmaesConfig(sigma0=3.0, max_iter=200,

@@ -65,14 +65,15 @@ class TestConfigAndValidate:
         assert validate(cfg) == []
 
     def test_unknown_kind_flagged(self, tmp_path):
-        cfg = load_config(VARIANCE_INI.replace("variance-check", "nonsense")
-                          .format(out=tmp_path))
+        cfg = load_config(write(tmp_path, "c.ini",
+                                VARIANCE_INI.replace("variance-check", "nonsense")
+                                .format(out=tmp_path)))
         findings = validate(cfg)
         assert any("kind" in f for f in findings)
 
     def test_coarse_dt_flagged(self, tmp_path):
         text = VARIANCE_INI.format(out=tmp_path) + "dt = 0.1\n"
-        cfg = load_config(text)
+        cfg = load_config(write(tmp_path, "c.ini", text))
         findings = validate(cfg)
         assert any("dt too coarse" in f for f in findings)
 
@@ -102,7 +103,7 @@ class TestStatsReportValidation:
         out = tmp_path / "s"
         text = STATS_INI.format(out=out, input=tmp_path / "missing.csv") \
             + f"{key} = {value}\n"
-        findings = validate(load_config(text))
+        findings = validate(load_config(write(tmp_path, "s.ini", text)))
         assert len(findings) == 1 and findings[0].startswith(f"params.{key}:")
         assert value in findings[0]
         path = write(tmp_path, "s.ini", text)
@@ -113,7 +114,7 @@ class TestStatsReportValidation:
     def test_known_choices_pass(self, tmp_path):
         text = STATS_INI.format(out=tmp_path / "s", input=tmp_path / "in.csv") \
             + "alternative = less\nmetric = error\n"
-        assert validate(load_config(text)) == []
+        assert validate(load_config(write(tmp_path, "s.ini", text))) == []
 
 
 SHAPE_INI = """
@@ -144,7 +145,7 @@ class TestValidateFindings:
 
     def assert_reported(self, tmp_path, text, key):
         out = tmp_path / "o"
-        findings = validate(load_config(text.format(out=out)))
+        findings = validate(load_config(write(tmp_path, "c.ini", text.format(out=out))))
         assert len(findings) == 1 and findings[0].startswith(f"{key}:"), findings
         path = write(tmp_path, "c.ini", text.format(out=out))
         assert main(["validate", "--config", path]) == 1
@@ -171,7 +172,8 @@ class TestValidateFindings:
 
     def test_variance_check_dt_fits_the_lightest_listed_mass(self, tmp_path):
         text = VARIANCE_INI.replace("masses = 1\n", "masses = 1, 4\ndt = 0.01\n")
-        assert validate(load_config(text.format(out=tmp_path / "o"))) == []
+        assert validate(load_config(write(tmp_path, "c.ini",
+                                          text.format(out=tmp_path / "o")))) == []
 
     def test_stats_report_m(self, tmp_path):
         text = STATS_INI.format(out="{out}", input=tmp_path / "in.csv")
@@ -387,6 +389,16 @@ class TestPassthroughs:
         vals = dict(zip(header.split(","), row.split(",")))
         assert 0.2 <= float(vals["armature"]) <= 0.25
         assert 0.0 <= float(vals["viscous_friction"]) <= 0.1
+
+    def test_sysid_bounds_file_naming_an_unsearched_parameter_fails(self, tmp_path):
+        grid = write(tmp_path, "grid.ini", "[grid]\nkp = 64\nkd = 8\n")
+        bounds = write(tmp_path, "bounds.ini",
+                       "[bounds]\narmature = 0.2, 0.25\nstiffness = 10, 100\n")
+        out = tmp_path / "sysid_s"
+        rc = main(["sysid", "--grid", grid, "--bounds", bounds, "--iters", "2",
+                   "--seed", "2", "--out", str(out)])
+        assert rc == 2
+        assert "'stiffness'" in (out / "failures.csv").read_text()
 
     def test_unknown_args_fail(self):
         with pytest.raises(SystemExit):

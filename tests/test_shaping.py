@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gainlab import shaping
+from gainlab import dynamics, shaping
 from gainlab.control import GainConfig, default_grid
 from gainlab.dynamics import chain, point_mass
 from gainlab.shaping import (ActionMapping, ConstraintSpec, SearchSpace,
@@ -277,3 +278,30 @@ class TestToyShapingProblemMatchesPerEpisodeOracle:
                                     episodes=0)
         with pytest.raises(ValueError):
             problem.evaluate(ActionMapping(alpha=1.0))
+
+
+class TestToyShapingProblemDivergence:
+    """Kd*dt/m = 6.4 > 2: the semi-implicit loop is unstable from any start."""
+
+    def _problem(self):
+        return ToyShapingProblem(point_mass(0.1), GainConfig(kp=1024, kd=128),
+                                 episodes=2, seed=0)
+
+    def test_divergence_raises_without_warnings(self):
+        problem = self._problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(dynamics.SimulationDivergedError) as err:
+                problem.evaluate(ActionMapping(alpha=1.0, beta=1, gamma=1))
+        n_steps = round(problem.horizon * problem.physics_rate)
+        assert 0 < err.value.step_index < n_steps
+
+    def test_shape_search_records_minus_inf(self):
+        # warnings ignored, as in a plain run: only a raise can mark the candidate
+        problem = self._problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = shape_search(problem, SearchSpace(), budget=4, strategy=shaping.RANDOM)
+        assert [j for _, j in result.ledger] == [-math.inf] * 4
+        assert result.objective == -math.inf
+        assert all(math.isnan(d["success"]) for d in problem.details)

@@ -3,11 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gainlab import dynamics, sysid
 from gainlab.control import GainConfig
-from gainlab.dynamics import Trajectory, point_mass
+from gainlab.dynamics import Trajectory, chain, point_mass
 from gainlab.sysid import (CmaesConfig, ExcitationProtocol, SysidBounds,
                            cmaes_minimize, excite, identify, jitter_detect,
                            nn_error, spectral_mse, trajectory_error)
@@ -111,6 +113,35 @@ class TestSpectralMse:
             spectral_mse(np.zeros(4), np.zeros(5))
 
 
+# 0 or at least 1e-6 in magnitude, so no squared difference underflows
+_samples = st.floats(-1e3, 1e3).map(lambda x: 0.0 if abs(x) < 1e-6 else x)
+
+
+@st.composite
+def signal_pairs(draw):
+    n = draw(st.integers(1, 64))
+    shape = (n,) if draw(st.booleans()) else (n, draw(st.integers(1, 3)))
+    size = int(np.prod(shape))
+    a, b = (np.reshape(draw(st.lists(_samples, min_size=size, max_size=size)), shape)
+            for _ in range(2))
+    return a, b
+
+
+class TestSpectralMseProperties:
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(pair=signal_pairs())
+    def test_parseval_with_dc(self, pair):
+        # with the DC bin, (1/N) sum_k |dDFT_k|^2 = sum_n d_n^2 per channel
+        a, b = pair
+        assert_allclose(spectral_mse(a, b), np.sum((a - b) ** 2), rtol=1e-12)
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(pair=signal_pairs())
+    def test_symmetric(self, pair):
+        a, b = pair
+        assert spectral_mse(a, b) == spectral_mse(b, a)
+
+
 class TestCmaes:
     def test_sphere_6d(self):
         bounds = SysidBounds(params=tuple((f"x{i}", -5.0, 5.0) for i in range(6)))
@@ -198,6 +229,26 @@ class TestIdentify:
                        protocol=proto)
         assert math.isfinite(fit.loss)
         assert fit.loss > 1e-8
+
+
+class TestResimulate:
+    def test_two_joint_fit_resimulates_under_its_own_gains(self):
+        # per-joint gains: the fit's re-simulation must keep Kp=[100, 25] and
+        # Kd=[20, 10] rather than spreading one joint's gains over both
+        gains = GainConfig(kp=[100.0, 25.0], kd=[20.0, 10.0])
+        hidden = chain([1.0, 0.5], armature=0.1, static_friction=0.2,
+                       dynamic_friction_ratio=0.5, viscous_friction=0.3)
+        base = chain([1.0, 0.5])
+        ref = excite(hidden, gains)
+        fit = identify(ref, gains, SysidBounds.default(),
+                       CmaesConfig(seed=1, max_iter=5), base)
+        fitted = chain([1.0, 0.5], **{n: fit.params[n] for n in sysid.FREE_PARAMS})
+        resim = sysid.resimulate(fit, gains, base)
+        direct = excite(fitted, gains)
+        for name in ("t", "q", "q_dot", "q_des", "tau"):
+            assert np.array_equal(getattr(resim, name), getattr(direct, name)), name
+        loss = spectral_mse(ref.q, resim.q) + spectral_mse(ref.q_dot, resim.q_dot)
+        assert loss == fit.loss
 
 
 class TestTrajectoryError:
