@@ -82,9 +82,10 @@ def track(plant: PlantParams, gains: GainConfig, commands, hold: int, dt: float,
           q0, q_dot0, n_steps: int):
     """Track zero-order-held position commands with the PD law, State-free.
 
-    ``commands`` is (C, n), or (C, B, n) for B lanes from one start state.
-    Command c is held over physics steps [c*hold, (c+1)*hold), the last
-    one to the end; the torque is :func:`pd_torque` toward it (plus
+    ``commands`` is (C, n), or (C, B, n) for B lanes from one start state;
+    a lane-stacked plant (``plant.lanes == (B,)``) also makes B lanes, and
+    (C, n) commands then drive every lane. Command c is held over physics
+    steps [c*hold, (c+1)*hold), the last one to the end; the torque is :func:`pd_torque` toward it (plus
     gravity compensation when ``gains.gravity_comp``), clamped to the
     torque limit, and every plant steps through ``decoupled_stepper``.
     Returns the trajectory in :func:`dynamics.simulate`'s layout
@@ -94,7 +95,7 @@ def track(plant: PlantParams, gains: GainConfig, commands, hold: int, dt: float,
     """
     start = State(q=q0, q_dot=q_dot0)
     commands = np.asarray(commands, dtype=float)
-    lanes = commands.shape[1:-1]
+    lanes = np.broadcast_shapes(commands.shape[1:-1], plant.lanes)
     g = gains.expand(plant.n_joints)
     advance = dynamics.decoupled_stepper(plant)
     # lane-major records, so each lane's trajectory is contiguous
@@ -102,7 +103,7 @@ def track(plant: PlantParams, gains: GainConfig, commands, hold: int, dt: float,
                                         for _ in range(4))
     step_q, step_qd, step_qdes, step_tau = (np.moveaxis(r, -2, 0)
                                             for r in (rec_q, rec_qd, rec_qdes, rec_tau))
-    q, qd = (np.broadcast_to(v, commands.shape[1:]) for v in (start.q, start.q_dot))
+    q, qd = (np.broadcast_to(v, lanes + start.q.shape) for v in (start.q, start.q_dot))
     cmd, tau = q, np.zeros_like(q)
     last = len(commands) - 1
     try:

@@ -9,7 +9,9 @@ the rigid-body form
 
 Plants and states are immutable; stepping returns new states, so
 independent simulations are safe to run in parallel. The two-link terms
-and :func:`decoupled_stepper` also take (B, n) stacks of B lanes.
+and :func:`decoupled_stepper` also take (B, n) stacks of B lanes, and a
+plant may carry its armature and friction per lane (see
+``PlantParams.lanes``).
 """
 
 from __future__ import annotations
@@ -43,6 +45,22 @@ class NonPositiveInertiaError(ValueError):
     """Effective inertia lost positive-definiteness (invalid parameters)."""
 
 
+# PlantParams fields that may differ between the lanes of one plant
+LANE_FIELDS = ("armature", "static_friction", "dynamic_friction_ratio",
+               "viscous_friction")
+
+
+def _as_lanes(x, n: int) -> np.ndarray:
+    """A per-joint field as (n,), or as (B, n) when given one row per lane
+    (a (B, 1) column broadcasts to every joint)."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim < 2:
+        return _as_vector(v, n)
+    if v.ndim != 2 or v.shape[1] not in (1, n):
+        raise ValueError(f"expected shape (B, {n}) or (B, 1), got {v.shape}")
+    return np.repeat(v, n, axis=1) if v.shape[1] < n else v.copy()
+
+
 def _as_vector(x, n: int | None = None) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float)).copy()
     if v.ndim != 1:
@@ -64,7 +82,10 @@ class PlantParams:
     ``mass`` is unused. Friction follows a declared law (see
     :func:`decoupled_stepper`); the stiction threshold is
     ``STICTION_VEL_EPS``. The armature and friction fields default to 0;
-    a scalar broadcasts to every joint.
+    a scalar broadcasts to every joint. Given as (B, n) (or (B, 1))
+    arrays they describe a stack of B plants, one per lane, that differ
+    only in those fields; :func:`decoupled_stepper` and ``control.track``
+    run such a stack as B lanes.
     """
 
     kind: str
@@ -83,9 +104,11 @@ class PlantParams:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown plant kind {self.kind!r}")
         n = self.n_joints
-        for name in ("mass", "armature", "static_friction",
-                     "dynamic_friction_ratio", "viscous_friction"):
-            object.__setattr__(self, name, _as_vector(getattr(self, name), n))
+        object.__setattr__(self, "mass", _as_vector(self.mass, n))
+        for name in LANE_FIELDS:
+            object.__setattr__(self, name, _as_lanes(getattr(self, name), n))
+        if len({getattr(self, name).shape[:-1] for name in LANE_FIELDS} - {()}) > 1:
+            raise ValueError("per-lane fields must share one lane count")
         if self.kind == TWO_LINK:
             if self.link_masses is None or self.link_lengths is None:
                 raise ValueError("two_link plant needs link_masses and link_lengths")
@@ -103,6 +126,11 @@ class PlantParams:
             raise ValueError("dynamic_friction_ratio must lie in [0, 1]")
         if not self.torque_rate_limit > 0:
             raise ValueError("torque_rate_limit must be positive")
+
+    @property
+    def lanes(self) -> tuple[int, ...]:
+        """() for one plant, (B,) for a stack of B plants."""
+        return max(getattr(self, name).shape[:-1] for name in LANE_FIELDS)
 
     @property
     def n_joints(self) -> int:
@@ -156,18 +184,23 @@ def rest_state(plant: PlantParams, q=None) -> State:
 
 
 def mass_matrix(plant: PlantParams, q: np.ndarray) -> np.ndarray:
-    """Inertia matrix M(q) including armature on the diagonal."""
+    """Inertia matrix M(q) including armature on the diagonal; (B, n, n)
+    for lanes of q or of the plant."""
+    arm = plant.armature
     if plant.kind == TWO_LINK:
         m1, m2 = plant.link_masses
         l1, l2 = plant.link_lengths
         c2 = np.cos(q[..., 1])
-        M = np.empty(np.shape(c2) + (2, 2))
-        M[..., 0, 0] = (m1 + m2) * l1**2 + m2 * l2**2 + 2.0 * m2 * l1 * l2 * c2
+        M = np.empty(np.broadcast_shapes(np.shape(c2), arm.shape[:-1]) + (2, 2))
+        M[..., 0, 0] = (m1 + m2) * l1**2 + m2 * l2**2 + 2.0 * m2 * l1 * l2 * c2 \
+            + arm[..., 0]
         M[..., 0, 1] = M[..., 1, 0] = m2 * l2**2 + m2 * l1 * l2 * c2
-        M[..., 1, 1] = m2 * l2**2
-    else:
-        M = np.diag(plant.mass)
-    return M + np.diag(plant.armature)
+        M[..., 1, 1] = m2 * l2**2 + arm[..., 1]
+        return M
+    n = plant.n_joints
+    M = np.zeros(arm.shape + (n,))
+    M[..., np.arange(n), np.arange(n)] = plant.mass + arm
+    return M
 
 
 def coriolis_torque(plant: PlantParams, q: np.ndarray, q_dot: np.ndarray) -> np.ndarray:
@@ -223,7 +256,9 @@ def step(plant: PlantParams, state: State, tau, dt: float) -> State:
 def decoupled_stepper(plant: PlantParams):
     """State-free semi-implicit stepper for every plant kind (the name
     predates the two-link arm): ``advance(q, q_dot, tau, dt) -> (q, q_dot)``
-    on (n,) arrays or (B, n) stacks of B lanes.
+    on (n,) arrays or (B, n) stacks of B lanes. The armature and friction
+    of a lane-stacked plant enter lane by lane, elementwise, so lane i
+    equals plant i stepped alone bitwise.
 
     Semi-implicit Euler updates q_dot then q. Friction: viscous drag
     -viscous*q_dot always acts; dry friction is the dynamic level

@@ -5,8 +5,9 @@ covers absolute targets (gamma=0) and relative targets integrated on the
 current state (beta=1) or the previous target (beta=0). The two-stage
 constrained objective ranks every feasible configuration (J in [1,2])
 above every infeasible one (J in [0,1)). shape_search tunes (alpha per
-joint group, beta, gamma) against a black-box objective such as the
-batched goal-reaching ToyShapingProblem.
+joint group, beta, gamma) against a black-box objective that scores a
+batch of mappings at once, such as the goal-reaching ToyShapingProblem,
+which rolls out every (mapping, episode) pair as one lane of one loop.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import control, dynamics
-from .sysid import CmaesConfig, SysidBounds, cmaes_minimize
+from .sysid import CmaesAbortedError, CmaesConfig, SysidBounds, cmaes_minimize
 
 CONSTRAINTS = ("position", "velocity", "torque", "torque_rate")
 
@@ -61,18 +62,19 @@ def expand_alpha(mapping: ActionMapping, groups, n: int) -> np.ndarray:
     return mapping.alpha[groups]
 
 
-def map_action(mapping: ActionMapping, u, x, x_des_prev, groups=None) -> np.ndarray:
+def map_action(alpha, beta, gamma, u, x, x_des_prev) -> np.ndarray:
     """x_des = alpha*u + gamma*beta*x + gamma*(1-beta)*x_des_prev.
 
-    ``u`` is (n,) or an (..., n) stack of lanes; ``x`` and ``x_des_prev``
-    broadcast to it. Elementwise, so each row equals a row-wise call bitwise.
+    ``alpha`` is the per-joint scale (see :func:`expand_alpha`) and
+    ``beta``/``gamma`` the 0/1 switches, for one mapping or per lane: an
+    (L, n) alpha and (L, 1) switch columns give each of L lanes of an
+    (L, n) ``u`` its own mapping. ``x`` and ``x_des_prev`` broadcast to
+    ``u``. Elementwise, so each lane equals a one-lane call bitwise.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    x = np.broadcast_to(np.asarray(x, dtype=float), u.shape)
-    x_prev = np.broadcast_to(np.asarray(x_des_prev, dtype=float), u.shape)
-    alpha = expand_alpha(mapping, groups, u.shape[-1])
-    g, b = mapping.gamma, mapping.beta
-    return alpha * u + g * b * x + g * (1 - b) * x_prev
+    u = np.asarray(u, dtype=float)
+    x = np.asarray(x, dtype=float)
+    x_prev = np.asarray(x_des_prev, dtype=float)
+    return alpha * u + gamma * beta * x + gamma * (1 - beta) * x_prev
 
 
 def reward_sharp(q, g, lam: float) -> float:
@@ -171,34 +173,41 @@ def shape_search(objective, space: SearchSpace, budget: int,
                  strategy: str = CMAES_BRANCHED, seed: int = 0) -> ShapingResult:
     """Search (alpha per group, beta, gamma) for the best objective value.
 
-    ``objective(mapping) -> J``; evaluation failures record -inf. The
-    random strategy draws log-uniform alphas with random switches; the
-    branched strategy enumerates the four (beta, gamma) combinations and
-    runs CMA-ES over log10(alpha) within each, splitting the budget
-    evenly. Ties break toward the earliest candidate. Deterministic given
-    the seed.
+    ``objective(mappings) -> J values`` scores a list of mappings at once.
+    A raise scores nothing: the batch is re-run one mapping at a time,
+    and a single mapping that raises (or scores NaN) records -inf. The
+    random strategy draws log-uniform alphas with random switches, all in
+    one batch; the branched strategy enumerates the four (beta, gamma)
+    combinations and runs CMA-ES over log10(alpha) within each, one batch
+    per generation, splitting the budget evenly. A branch whose
+    generation has no finite J stops there. Random draws spend what the
+    branches leave. Ties break toward the earliest candidate.
+    Deterministic given the seed.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     ledger: list[tuple[ActionMapping, float]] = []
 
-    def evaluate(mapping: ActionMapping) -> float:
+    def evaluate(mappings: list[ActionMapping]) -> list[float]:
         try:
-            j = float(objective(mapping))
+            js = [float(j) for j in objective(mappings)]
         except Exception:
-            j = -math.inf
-        if math.isnan(j):
-            j = -math.inf
-        ledger.append((mapping, j))
-        return j
+            if len(mappings) > 1:
+                return [j for m in mappings for j in evaluate([m])]
+            js = [-math.inf]
+        js = [-math.inf if math.isnan(j) else j for j in js]
+        ledger.extend(zip(mappings, js, strict=True))
+        return js
+
+    lo, hi = math.log(space.alpha_low), math.log(space.alpha_high)
+
+    def draw(rng, k: int) -> list[ActionMapping]:
+        return [ActionMapping(alpha=np.exp(rng.uniform(lo, hi, size=space.n_groups)),
+                              beta=int(rng.integers(2)), gamma=int(rng.integers(2)))
+                for _ in range(k)]
 
     if strategy == RANDOM:
-        rng = np.random.default_rng(seed)
-        lo, hi = math.log(space.alpha_low), math.log(space.alpha_high)
-        for _ in range(budget):
-            alpha = np.exp(rng.uniform(lo, hi, size=space.n_groups))
-            evaluate(ActionMapping(alpha=alpha, beta=int(rng.integers(2)),
-                                   gamma=int(rng.integers(2))))
+        evaluate(draw(np.random.default_rng(seed), budget))
     elif strategy == CMAES_BRANCHED:
         branches = [(b, g) for g in (0, 1) for b in (0, 1)]
         per_branch = budget // len(branches)
@@ -212,21 +221,21 @@ def shape_search(objective, space: SearchSpace, budget: int,
             if n_evals < lam:
                 continue  # too few evaluations for a generation; filler below
 
-            def branch_obj(x, beta=beta, gamma=gamma):
-                mapping = ActionMapping(alpha=10.0 ** np.asarray(x), beta=beta,
-                                        gamma=gamma)
-                return -evaluate(mapping)
+            def branch_obj(X, beta=beta, gamma=gamma):
+                mappings = [ActionMapping(alpha=10.0 ** np.asarray(x), beta=beta,
+                                          gamma=gamma) for x in X]
+                return [-j for j in evaluate(mappings)]
 
             cfg = CmaesConfig(popsize=lam, sigma0=0.6, max_iter=n_evals // lam,
                               seed=seed + idx, penalty_weight=10.0)
-            cmaes_minimize(branch_obj, box, cfg)
+            try:
+                cmaes_minimize(branch_obj, box, cfg)
+            except CmaesAbortedError:
+                pass  # its candidates are ledgered; the filler spends the rest
         # branch budgets round down to whole generations; spend the rest
-        rng = np.random.default_rng(seed + len(branches))
-        lo, hi = math.log(space.alpha_low), math.log(space.alpha_high)
-        while len(ledger) < budget:
-            alpha = np.exp(rng.uniform(lo, hi, size=space.n_groups))
-            evaluate(ActionMapping(alpha=alpha, beta=int(rng.integers(2)),
-                                   gamma=int(rng.integers(2))))
+        rest = budget - len(ledger)
+        if rest:
+            evaluate(draw(np.random.default_rng(seed + len(branches)), rest))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -275,66 +284,25 @@ class ToyShapingProblem:
             else np.zeros(n)
 
     def evaluate(self, mapping: ActionMapping, episodes=None):
-        """(J, success rate, violation rates), all episodes rolled out at once.
+        """(J, success rate, violation rates) of one mapping: a
+        one-candidate :func:`rollout`."""
+        return rollout(self, [mapping], episodes)[0]
 
-        Each episode is one lane of (E, n) arrays; every update is
-        elementwise, so a lane equals its episode rolled out alone bitwise.
-        A floating-point overflow or invalid operation at step k raises
-        ``SimulationDivergedError(step_index=k)``.
-        """
-        episodes = episodes if episodes is not None else self.episodes
-        if not episodes:
-            raise ValueError("need at least one episode")
-        plant, gains = self.plant, self.gains
-        spc = int(round(self.physics_rate / self.control_rate))
-        dt = 1.0 / self.physics_rate
-        n_steps = int(round(self.horizon * self.physics_rate))
-        lanes = len(episodes)
-        q = np.array([q0 for q0, _ in episodes], dtype=float)
-        goal = np.array([g for _, g in episodes], dtype=float)
-        qd = np.zeros_like(q)
-        x_des = q.copy()
-        comp = gains.gravity_comp_scale * self._grav if gains.gravity_comp else None
-        counts = {name: np.zeros(lanes, dtype=int) for name in CONSTRAINTS}
-        prev_tau = np.zeros_like(q)
+    def __call__(self, mappings: list[ActionMapping]) -> list[float]:
+        """J of each mapping from one :func:`rollout`, with one ``details``
+        row per mapping. A raise records nothing for a batch (shape_search
+        re-runs it one mapping at a time) and a NaN row for one mapping,
+        which the caller ledgers as -inf."""
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                for k in range(n_steps):
-                    if k % spc == 0:
-                        x_des = map_action(mapping, goal - q, q, x_des)
-                    tau_req = gains.kp * (x_des - q) - gains.kd * qd
-                    if comp is not None:
-                        tau_req = tau_req + comp
-                    counts["torque"] += (np.abs(tau_req) > plant.torque_limit).any(axis=1)
-                    counts["torque_rate"] += (np.abs(tau_req - prev_tau)
-                                              > dt * plant.torque_rate_limit).any(axis=1)
-                    prev_tau = tau_req
-                    tau = np.clip(tau_req, -plant.torque_limit, plant.torque_limit)
-                    q, qd = self._advance(q, qd, tau, dt)
-                    counts["position"] += (np.abs(q) > self.pos_limit).any(axis=1)
-                    counts["velocity"] += (np.abs(qd) > self.vel_limit).any(axis=1)
-        except FloatingPointError as exc:
-            raise dynamics.SimulationDivergedError(step_index=k) from exc
-        succ = 0
-        rates = dict.fromkeys(CONSTRAINTS, 0.0)
-        for e in range(lanes):
-            succ += bool(np.linalg.norm(q[e] - goal[e]) <= self.tol)
-            for name in CONSTRAINTS:
-                rates[name] += float(counts[name][e]) / n_steps / lanes
-        success_rate = succ / lanes
-        j = constrained_objective(success_rate, rates, self.spec)
-        return j, success_rate, rates
-
-    def __call__(self, mapping: ActionMapping) -> float:
-        try:
-            j, success_rate, rates = self.evaluate(mapping)
+            results = rollout(self, mappings)
         except Exception:
-            # keep details aligned with the caller's ledger of every candidate
-            self.details.append({"success": math.nan,
-                                 **dict.fromkeys(CONSTRAINTS, math.nan)})
+            if len(mappings) == 1:
+                self.details.append({"success": math.nan,
+                                     **dict.fromkeys(CONSTRAINTS, math.nan)})
             raise
-        self.details.append({"success": success_rate, **rates})
-        return j
+        for _, success_rate, rates in results:
+            self.details.append({"success": success_rate, **rates})
+        return [j for j, _, _ in results]
 
     def goal_rate(self, mapping: ActionMapping, n_episodes: int = 100,
                   seed: int = 10_000) -> float:
@@ -344,3 +312,63 @@ class ToyShapingProblem:
                for _ in range(n_episodes)]
         _, rate, _ = self.evaluate(mapping, episodes=eps)
         return rate
+
+
+def rollout(problem: ToyShapingProblem, mappings: list[ActionMapping], episodes=None):
+    """(J, success rate, violation rates) of each mapping on ``problem``.
+
+    Every (mapping, episode) pair is one lane of (L, n) arrays, lane
+    c*E + e for mapping c on episode e, and :func:`map_action` gives each
+    lane its own mapping. Every update is elementwise, so a lane equals its
+    pair rolled out alone bitwise. A floating-point overflow or invalid
+    operation at step k, in any lane, raises
+    ``SimulationDivergedError(step_index=k)``.
+    """
+    episodes = episodes if episodes is not None else problem.episodes
+    if not episodes:
+        raise ValueError("need at least one episode")
+    plant, gains = problem.plant, problem.gains
+    spc = int(round(problem.physics_rate / problem.control_rate))
+    dt = 1.0 / problem.physics_rate
+    n_steps = int(round(problem.horizon * problem.physics_rate))
+    n_ep, n = len(episodes), plant.n_joints
+    q = np.tile(np.array([q0 for q0, _ in episodes], dtype=float), (len(mappings), 1))
+    goal = np.tile(np.array([g for _, g in episodes], dtype=float), (len(mappings), 1))
+    alpha = np.repeat([expand_alpha(m, None, n) for m in mappings], n_ep, axis=0)
+    beta = np.repeat([[m.beta] for m in mappings], n_ep, axis=0)
+    gamma = np.repeat([[m.gamma] for m in mappings], n_ep, axis=0)
+    qd = np.zeros_like(q)
+    x_des = q.copy()
+    comp = gains.gravity_comp_scale * problem._grav if gains.gravity_comp else None
+    counts = {name: np.zeros(len(q), dtype=int) for name in CONSTRAINTS}
+    prev_tau = np.zeros_like(q)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(n_steps):
+                if k % spc == 0:
+                    x_des = map_action(alpha, beta, gamma, goal - q, q, x_des)
+                tau_req = gains.kp * (x_des - q) - gains.kd * qd
+                if comp is not None:
+                    tau_req = tau_req + comp
+                counts["torque"] += (np.abs(tau_req) > plant.torque_limit).any(axis=1)
+                counts["torque_rate"] += (np.abs(tau_req - prev_tau)
+                                          > dt * plant.torque_rate_limit).any(axis=1)
+                prev_tau = tau_req
+                tau = np.clip(tau_req, -plant.torque_limit, plant.torque_limit)
+                q, qd = problem._advance(q, qd, tau, dt)
+                counts["position"] += (np.abs(q) > problem.pos_limit).any(axis=1)
+                counts["velocity"] += (np.abs(qd) > problem.vel_limit).any(axis=1)
+    except FloatingPointError as exc:
+        raise dynamics.SimulationDivergedError(step_index=k) from exc
+    results = []
+    for c in range(len(mappings)):
+        succ = 0
+        rates = dict.fromkeys(CONSTRAINTS, 0.0)
+        for lane in range(c * n_ep, (c + 1) * n_ep):
+            succ += bool(np.linalg.norm(q[lane] - goal[lane]) <= problem.tol)
+            for name in CONSTRAINTS:
+                rates[name] += float(counts[name][lane]) / n_steps / n_ep
+        success_rate = succ / n_ep
+        results.append((constrained_objective(success_rate, rates, problem.spec),
+                        success_rate, rates))
+    return results

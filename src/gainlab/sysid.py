@@ -25,10 +25,11 @@ from .dynamics import PlantParams, Trajectory
 
 
 class CmaesAbortedError(RuntimeError):
-    """A whole generation evaluated to NaN; carries the partial result."""
+    """No candidate of a generation had a finite loss; carries the partial
+    result."""
 
     def __init__(self, result: "FitResult"):
-        super().__init__("all candidates in a generation evaluated to NaN")
+        super().__init__("no candidate in a generation had a finite loss")
         self.result = result
 
 
@@ -108,10 +109,12 @@ def cmaes_minimize(objective, bounds: SysidBounds, config: CmaesConfig = CmaesCo
 
     Standard (mu/mu_w, lambda) covariance matrix adaptation with the
     published default weights and learning rates, run in normalized
-    [0,1]^n coordinates. Samples falling outside the box are evaluated at
-    the clamped point with a quadratic distance penalty added. NaN losses
-    rank last; a generation of only NaNs aborts. Deterministic given the
-    seed.
+    [0,1]^n coordinates, in ask/tell form: ``objective(X) -> losses``
+    scores a whole generation at once, X holding its lambda in-box points
+    as rows. Samples falling outside the box are evaluated at the clamped
+    point with a quadratic distance penalty added. NaN (or None) losses
+    rank last as +inf; a generation with no finite loss aborts.
+    Deterministic given the seed.
     """
     n = bounds.dim
     lo, hi = bounds.lower, bounds.upper
@@ -148,11 +151,14 @@ def cmaes_minimize(objective, bounds: SysidBounds, config: CmaesConfig = CmaesCo
         z = rng.standard_normal((lam, n))
         y = z @ (B * D).T
         xs = mean + sigma * y
+        clamped = np.clip(xs, 0.0, 1.0)
+        points = lo + clamped * span
+        values = objective(points)
+        if len(values) != lam:
+            raise ValueError(f"objective returned {len(values)} losses for {lam} points")
         losses = np.empty(lam)
-        for i in range(lam):
-            clamped = np.clip(xs[i], 0.0, 1.0)
-            dist2 = float(np.sum((xs[i] - clamped) ** 2))
-            val = objective(lo + clamped * span)
+        for i, val in enumerate(values):
+            dist2 = float(np.sum((xs[i] - clamped[i]) ** 2))
             n_evals += 1
             val = math.inf if (val is None or math.isnan(val)) else float(val)
             # penalty shapes the ranking; the reported best is the raw
@@ -160,8 +166,8 @@ def cmaes_minimize(objective, bounds: SysidBounds, config: CmaesConfig = CmaesCo
             losses[i] = val + config.penalty_weight * dist2
             if val < best_loss:
                 best_loss = val
-                best_x = lo + clamped * span
-        if np.all(np.isnan(losses)) or not np.any(np.isfinite(losses)):
+                best_x = points[i]
+        if not np.any(np.isfinite(losses)):
             result = FitResult(x=best_x, params=dict(zip(bounds.names, best_x)),
                                loss=best_loss, history=np.array(history),
                                n_evals=n_evals)
@@ -206,12 +212,15 @@ class ExcitationProtocol:
 
 
 def excite(plant: PlantParams, gains: GainConfig,
-           protocol: ExcitationProtocol = ExcitationProtocol(), q0=None) -> Trajectory:
+           protocol: ExcitationProtocol = ExcitationProtocol(), q0=None):
     """Drive the closed loop with the protocol's sinusoidal reference and log it.
 
     The reference is applied uniformly across joints with zero-order hold
     at ``log_rate``; physics runs at ``physics_rate``. The returned
-    trajectory holds exactly ``duration * log_rate`` samples.
+    trajectory holds exactly ``duration * log_rate`` samples. A
+    lane-stacked plant (``plant.lanes == (B,)``) runs as B lanes of one
+    rollout and gives a list of B trajectories; a diverging lane raises
+    ``SimulationDivergedError`` for the whole stack.
     """
     amplitude, duration = protocol.amplitude, protocol.duration
     log_rate, physics_rate = protocol.log_rate, protocol.physics_rate
@@ -228,12 +237,17 @@ def excite(plant: PlantParams, gains: GainConfig,
     # i.e. a 2 s period, two full periods over the default duration.
     commands = np.array([start.q + amplitude * math.sin(math.pi * (c / log_rate))
                          for c in range(n_cmd)])
-    traj, _ = track(plant, gains, commands, spc, 1.0 / physics_rate,
+    tracked = track(plant, gains, commands, spc, 1.0 / physics_rate,
                     start.q, start.q_dot, n_cmd * spc)
     logged = slice(0, n_cmd * spc, spc)
-    return Trajectory(sample_rate=log_rate, t=np.arange(n_cmd) / log_rate,
-                      q=traj.q[logged], q_dot=traj.q_dot[logged],
-                      q_des=traj.q_des[logged], tau=traj.tau[logged])
+    t = np.arange(n_cmd) / log_rate
+
+    def log(traj):
+        return Trajectory(sample_rate=log_rate, t=t, q=traj.q[logged],
+                          q_dot=traj.q_dot[logged], q_des=traj.q_des[logged],
+                          tau=traj.tau[logged])
+
+    return [log(traj) for traj, _ in tracked] if plant.lanes else log(tracked[0])
 
 
 _DFT_CACHE: dict[int, np.ndarray] = {}
@@ -252,7 +266,8 @@ def spectral_mse(a, b, include_dc: bool = True) -> float:
     """Mean over frequency bins of |DFT(a) - DFT(b)|^2, summed over channels.
 
     Uses the unnormalized forward transform evaluated directly (O(N^2)).
-    The DC bin captures steady-state offset and is included by default.
+    The DC bin captures steady-state offset and is included by default;
+    without it a signal needs at least 2 samples (with it, 1).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -262,6 +277,8 @@ def spectral_mse(a, b, include_dc: bool = True) -> float:
         a = a[:, None]
         b = b[:, None]
     n = a.shape[0]
+    if n < 2 - include_dc:
+        raise ValueError(f"a {n}-sample signal leaves no frequency bin to average")
     W = _dft_matrix(n)
     diff = W @ (a - b)
     power = np.abs(diff) ** 2
@@ -278,18 +295,24 @@ FREE_PARAMS = ("armature", "static_friction", "dynamic_friction_ratio",
 
 
 def _apply_params(base: PlantParams, params: dict) -> PlantParams:
-    """``base`` with the named actuator parameters, each scalar on every joint."""
+    """``base`` with the named actuator parameters, each a scalar on every
+    joint or a (B, 1) column of per-lane values."""
     return replace(base, **params)
+
+
+def _spectral_loss(reference: Trajectory, sim: Trajectory) -> float:
+    return spectral_mse(reference.q, sim.q) + spectral_mse(reference.q_dot, sim.q_dot)
 
 
 def identification_loss(reference: Trajectory, plant: PlantParams,
                         gains: GainConfig, protocol: ExcitationProtocol) -> float:
-    """Sum of spectral MSE on positions and velocities vs the reference."""
+    """Sum of spectral MSE on positions and velocities vs the reference;
+    +inf if the excitation diverges."""
     try:
         sim = excite(plant, gains, protocol, q0=reference.q[0])
     except dynamics.SimulationDivergedError:
         return math.inf
-    return spectral_mse(reference.q, sim.q) + spectral_mse(reference.q_dot, sim.q_dot)
+    return _spectral_loss(reference, sim)
 
 
 def identify(reference: Trajectory, gains: GainConfig, bounds: SysidBounds,
@@ -298,14 +321,23 @@ def identify(reference: Trajectory, gains: GainConfig, bounds: SysidBounds,
     """Fit plant parameters so the simulated excitation matches ``reference``.
 
     The gains stay at their commanded values; CMA-ES searches the four
-    actuator parameters ``FREE_PARAMS`` within ``bounds``. Simulation
-    failures count as +inf loss.
+    actuator parameters ``FREE_PARAMS`` within ``bounds``. Each generation
+    is one excitation with a lane per candidate. Simulation failures count
+    as +inf loss: one diverging lane aborts the whole rollout, so that
+    generation is then scored one candidate at a time.
     """
     box = bounds.subset(FREE_PARAMS)
 
-    def objective(x: np.ndarray) -> float:
-        plant = _apply_params(base_plant, dict(zip(box.names, x)))
-        return identification_loss(reference, plant, gains, protocol)
+    def objective(X: np.ndarray) -> list[float]:
+        # parameter columns as (lambda, 1) per-lane fields
+        plants = _apply_params(base_plant, dict(zip(box.names, X.T[:, :, None])))
+        try:
+            sims = excite(plants, gains, protocol, q0=reference.q[0])
+        except dynamics.SimulationDivergedError:
+            return [identification_loss(reference,
+                                        _apply_params(base_plant, dict(zip(box.names, x))),
+                                        gains, protocol) for x in X]
+        return [_spectral_loss(reference, sim) for sim in sims]
 
     return cmaes_minimize(objective, box, config)
 

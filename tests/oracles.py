@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from gainlab import dynamics, noise, shaping, stats
+from gainlab import dynamics, noise, shaping, stats, sysid
 from gainlab.control import pd_torque
 from gainlab.dynamics import (GRAVITY, STICTION_VEL_EPS, TWO_LINK, NonPositiveInertiaError,
                               PlantParams, State, Trajectory, _as_vector, coriolis_torque,
@@ -122,7 +122,7 @@ def per_episode_evaluate(problem, mapping, episodes=None):
     """ToyShapingProblem.evaluate rolled out one episode at a time.
 
     The unbatched loop: 1-D state vectors, a fresh decoupled stepper, one
-    row-wise map_action call per control step, and the per-episode rates
+    one-lane map_action call per control step, and the per-episode rates
     summed in episode order. Returns (J, success rate, violation rates).
     """
     episodes = episodes if episodes is not None else problem.episodes
@@ -134,6 +134,7 @@ def per_episode_evaluate(problem, mapping, episodes=None):
     dt = 1.0 / problem.physics_rate
     n_steps = int(round(problem.horizon * problem.physics_rate))
     comp = gains.gravity_comp_scale * grav if gains.gravity_comp else None
+    alpha = shaping.expand_alpha(mapping, None, plant.n_joints)
     succ = 0
     rates = dict.fromkeys(shaping.CONSTRAINTS, 0.0)
     for q0, goal in episodes:
@@ -144,7 +145,8 @@ def per_episode_evaluate(problem, mapping, episodes=None):
         prev_tau = np.zeros(plant.n_joints)
         for k in range(n_steps):
             if k % spc == 0:
-                x_des = shaping.map_action(mapping, goal - q, q, x_des)
+                x_des = shaping.map_action(alpha, mapping.beta, mapping.gamma,
+                                           goal - q, q, x_des)
             tau_req = gains.kp * (x_des - q) - gains.kd * qd
             if comp is not None:
                 tau_req = tau_req + comp
@@ -387,3 +389,180 @@ def limit_torque(plant: PlantParams, tau, tau_prev, dt: float) -> np.ndarray:
     tau_prev = _as_vector(tau_prev, n)
     max_delta = plant.torque_rate_limit * dt
     return tau_prev + np.clip(tau - tau_prev, -max_delta, max_delta)
+
+
+# ---------------------------------------------------------------------------
+# Searches one candidate at a time: the loops that the generation-batched
+# cmaes_minimize, identify and shape_search must reproduce exactly.
+
+
+def loop_cmaes_minimize(objective, bounds, config=sysid.CmaesConfig()):
+    """sysid.cmaes_minimize with a scalar ``objective(x) -> loss`` called
+    once per candidate, in candidate order."""
+    n = bounds.dim
+    lo, hi = bounds.lower, bounds.upper
+    span = hi - lo
+    lam = config.popsize or 4 + int(3 * math.log(n))
+    mu = lam // 2
+    w = math.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
+    w = w / w.sum()
+    mu_eff = 1.0 / np.sum(w**2)
+    c_sigma = (mu_eff + 2.0) / (n + mu_eff + 5.0)
+    d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (n + 1.0)) - 1.0) + c_sigma
+    c_c = (4.0 + mu_eff / n) / (n + 4.0 + 2.0 * mu_eff / n)
+    c_1 = 2.0 / ((n + 1.3) ** 2 + mu_eff)
+    c_mu = min(1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff))
+    chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2))
+
+    rng = np.random.default_rng(config.seed)
+    mean = np.full(n, 0.5)
+    sigma = config.sigma0
+    C = np.eye(n)
+    p_sigma = np.zeros(n)
+    p_c = np.zeros(n)
+
+    best_loss = math.inf
+    best_x = lo + mean * span
+    history = []
+    n_evals = 0
+
+    for gen in range(config.max_iter):
+        C = (C + C.T) / 2.0
+        eigvals, B = np.linalg.eigh(C)
+        eigvals = np.maximum(eigvals, 1e-20)
+        D = np.sqrt(eigvals)
+        z = rng.standard_normal((lam, n))
+        y = z @ (B * D).T
+        xs = mean + sigma * y
+        losses = np.empty(lam)
+        for i in range(lam):
+            clamped = np.clip(xs[i], 0.0, 1.0)
+            dist2 = float(np.sum((xs[i] - clamped) ** 2))
+            val = objective(lo + clamped * span)
+            n_evals += 1
+            val = math.inf if (val is None or math.isnan(val)) else float(val)
+            losses[i] = val + config.penalty_weight * dist2
+            if val < best_loss:
+                best_loss = val
+                best_x = lo + clamped * span
+        if not np.any(np.isfinite(losses)):
+            result = sysid.FitResult(x=best_x, params=dict(zip(bounds.names, best_x)),
+                                     loss=best_loss, history=np.array(history),
+                                     n_evals=n_evals)
+            raise sysid.CmaesAbortedError(result)
+        order = np.argsort(losses, kind="stable")
+        y_sel = y[order[:mu]]
+        y_w = w @ y_sel
+        mean = mean + sigma * y_w
+
+        inv_sqrt = (B / D) @ B.T
+        p_sigma = (1.0 - c_sigma) * p_sigma \
+            + math.sqrt(c_sigma * (2.0 - c_sigma) * mu_eff) * (inv_sqrt @ y_w)
+        norm_ps = np.linalg.norm(p_sigma)
+        h_sigma = norm_ps / math.sqrt(1.0 - (1.0 - c_sigma) ** (2 * (gen + 1))) \
+            < (1.4 + 2.0 / (n + 1.0)) * chi_n
+        p_c = (1.0 - c_c) * p_c \
+            + h_sigma * math.sqrt(c_c * (2.0 - c_c) * mu_eff) * y_w
+        rank_mu = (y_sel * w[:, None]).T @ y_sel
+        C = ((1.0 - c_1 - c_mu) * C
+             + c_1 * (np.outer(p_c, p_c) + (1.0 - h_sigma) * c_c * (2.0 - c_c) * C)
+             + c_mu * rank_mu)
+        sigma = sigma * math.exp(c_sigma / d_sigma * (norm_ps / chi_n - 1.0))
+        sigma = min(max(sigma, 1e-20), 1e8)
+        history.append(best_loss)
+
+    return sysid.FitResult(x=best_x, params=dict(zip(bounds.names, best_x)),
+                           loss=best_loss, history=np.array(history), n_evals=n_evals)
+
+
+def loop_identify(reference, gains, bounds, config, base_plant,
+                  protocol=sysid.ExcitationProtocol()):
+    """sysid.identify with one excitation per candidate."""
+    box = bounds.subset(sysid.FREE_PARAMS)
+
+    def objective(x):
+        plant = sysid._apply_params(base_plant, dict(zip(box.names, x)))
+        return sysid.identification_loss(reference, plant, gains, protocol)
+
+    return loop_cmaes_minimize(objective, box, config)
+
+
+def per_candidate_objective(problem):
+    """A ToyShapingProblem scored one mapping at a time through
+    ``problem.evaluate``: ``objective(mapping) -> J``, appending one
+    ``problem.details`` row per call (NaN rates when it raises)."""
+    def objective(mapping):
+        try:
+            j, success_rate, rates = problem.evaluate(mapping)
+        except Exception:
+            problem.details.append({"success": math.nan,
+                                    **dict.fromkeys(shaping.CONSTRAINTS, math.nan)})
+            raise
+        problem.details.append({"success": success_rate, **rates})
+        return j
+
+    return objective
+
+
+def loop_shape_search(objective, space, budget, strategy=shaping.CMAES_BRANCHED, seed=0):
+    """shaping.shape_search with ``objective(mapping) -> J`` called once per
+    candidate, in ledger order; a failure records -inf, and a branch whose
+    CMA-ES aborts leaves its budget to the random filler."""
+    ledger = []
+
+    def evaluate(mapping):
+        try:
+            j = float(objective(mapping))
+        except Exception:
+            j = -math.inf
+        if math.isnan(j):
+            j = -math.inf
+        ledger.append((mapping, j))
+        return j
+
+    def draw(rng):
+        lo, hi = math.log(space.alpha_low), math.log(space.alpha_high)
+        alpha = np.exp(rng.uniform(lo, hi, size=space.n_groups))
+        return shaping.ActionMapping(alpha=alpha, beta=int(rng.integers(2)),
+                                     gamma=int(rng.integers(2)))
+
+    if strategy == shaping.RANDOM:
+        rng = np.random.default_rng(seed)
+        for _ in range(budget):
+            evaluate(draw(rng))
+    else:
+        branches = [(b, g) for g in (0, 1) for b in (0, 1)]
+        per_branch = budget // len(branches)
+        extra = budget - per_branch * len(branches)
+        log_lo, log_hi = math.log10(space.alpha_low), math.log10(space.alpha_high)
+        box = sysid.SysidBounds(params=tuple(
+            (f"log10_alpha{i}", log_lo, log_hi) for i in range(space.n_groups)))
+        lam = 4 + int(3 * math.log(space.n_groups))
+        for idx, (beta, gamma) in enumerate(branches):
+            n_evals = per_branch + (1 if idx < extra else 0)
+            if n_evals < lam:
+                continue
+
+            def branch_obj(x, beta=beta, gamma=gamma):
+                mapping = shaping.ActionMapping(alpha=10.0 ** np.asarray(x), beta=beta,
+                                                gamma=gamma)
+                return -evaluate(mapping)
+
+            cfg = sysid.CmaesConfig(popsize=lam, sigma0=0.6, max_iter=n_evals // lam,
+                                    seed=seed + idx, penalty_weight=10.0)
+            try:
+                loop_cmaes_minimize(branch_obj, box, cfg)
+            except sysid.CmaesAbortedError:
+                pass
+        rng = np.random.default_rng(seed + len(branches))
+        while len(ledger) < budget:
+            evaluate(draw(rng))
+
+    best_idx, best_j = 0, -math.inf
+    for i, (_, j) in enumerate(ledger):
+        if j > best_j:
+            best_idx, best_j = i, j
+    if not math.isfinite(best_j):
+        best_j = -math.inf
+    return shaping.ShapingResult(best=ledger[best_idx][0], objective=best_j,
+                                 ledger=tuple(ledger))

