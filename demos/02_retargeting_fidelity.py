@@ -58,12 +58,11 @@ rng = np.random.default_rng(0)
 x = rng.normal(size=(100, 6)) * 0.1
 x_des = x + rng.normal(size=(100, 6)) * 0.02
 x_dot = rng.normal(size=(100, 6)) * 0.2
-task_demo = retarget.synth_task_demo(50.0, x=x, x_des=x_des, x_dot=x_dot,
-                                     recording_gains=rec)
+task_demo = retarget.synth_task_demo(x=x, x_des=x_des, x_dot=x_dot, recording_gains=rec)
 round_trip = retarget.tpr_task(task_demo, rec)
 new_gains = retarget.tpr_task(task_demo, GainConfig(kp=np.full(6, 400.0),
                                                     kd=np.full(6, 30.0)))
 print(f"\ntask-space TPR: round-trip error "
-      f"{np.max(np.abs(round_trip.q_des - x_des)):.2e}, "
+      f"{np.max(np.abs(round_trip - x_des)):.2e}, "
       f"max target shift at 4x stiffness "
-      f"{np.max(np.abs(new_gains.q_des - x_des)):.3f}")
+      f"{np.max(np.abs(new_gains - x_des)):.3f}")

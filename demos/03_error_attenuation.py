@@ -42,8 +42,7 @@ print("\nopen-loop replay with held action noise (50 Hz commands, "
       "sigma = 0.05 rad):")
 for name, (kp, kd) in default_grid().corners().items():
     rd = retarget.tpr_joint(demo, GainConfig(kp=kp, kd=kd))
-    res = noise.noisy_openloop_replay(
-        rd, plant, NoiseSpec(sigma=0.05, mode=noise.HELD, rate=50.0, seed=2),
-        n_trials=20, decimation=10)
+    res = noise.noisy_openloop_replay(rd, plant, sigma=0.05, seed=2, n_trials=20,
+                                      decimation=10)
     print(f"  {name}: RMS deviation {res.rms_deviation:8.5f} rad, "
           f"goal rate {res.goal_rate:.2f}")

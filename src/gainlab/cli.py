@@ -272,11 +272,8 @@ def _noisy_cell(job):
     trials = int(p.get("trials", 20))
     gains = GainConfig(kp=kp, kd=kd, gravity_comp=cfg.plant.gravity_enabled)
     rd = retarget.tpr_joint(demo, gains, plant=cfg.plant)
-    rate = rd.command_rate / decimation
-    spec = noise.NoiseSpec(sigma=sigma, mode=noise.HELD, rate=rate,
-                           seed=_cell_seed(cfg.seed, index))
-    res = noise.noisy_openloop_replay(rd, cfg.plant, spec, trials,
-                                      decimation=decimation)
+    res = noise.noisy_openloop_replay(rd, cfg.plant, sigma, _cell_seed(cfg.seed, index),
+                                      trials, decimation=decimation)
     return [{"kp": kp, "kd": kd, "goal_rate": res.goal_rate,
              "rms_deviation": res.rms_deviation}], {}
 

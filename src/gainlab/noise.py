@@ -36,13 +36,11 @@ class PerturbationDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Action-noise description.
+    """Action noise of :func:`simulate_perturbation`.
 
-    ``sigma`` is the noise intensity: in the continuous-limit convention
-    its units are rad*s^(1/2) and per-step draws have variance
-    sigma^2/delta for hold interval delta; consumers that perturb held
-    commands directly (open-loop replay) read it as the per-command std
-    in rad. ``rate`` is the hold rate f (Hz) in held mode.
+    ``sigma`` is the noise intensity in rad*s^(1/2): per-step draws have
+    variance sigma^2/delta for hold interval delta. ``rate`` is the hold
+    rate f (Hz) in held mode.
     """
 
     sigma: float
@@ -194,26 +192,23 @@ class NoisyReplayResult:
 
 
 def noisy_openloop_replay(retargeted: RetargetedDemo, plant: PlantParams,
-                          noise: NoiseSpec, n_trials: int,
+                          sigma: float, seed: int, n_trials: int,
                           decimation: int = 1) -> NoisyReplayResult:
     """Replay held commands with i.i.d. per-command noise, per trial.
 
-    ``noise`` must be in held mode at the post-decimation command rate;
-    sigma is the per-command std in rad. The clean replay and the trials
-    run as lanes of one :func:`replay`; if it diverges, they re-run one at
-    a time in that order, so the first diverging lane's error is raised.
-    Reports the goal-reach rate and the mean (over trials) RMS
-    joint-position deviation from the clean replay.
+    Each kept command of trial i is offset by a draw of std ``sigma`` (rad)
+    from ``trial_rng(seed, i)``. The clean replay and the trials run as
+    lanes of one :func:`replay`; if it diverges, they re-run one at a time
+    in that order, so the first diverging lane's error is raised. Reports
+    the goal-reach rate and the mean (over trials) RMS joint-position
+    deviation from the clean replay.
     """
-    if noise.mode != HELD:
-        raise ValueError("open-loop replay needs held-mode noise")
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    eff_rate = retargeted.command_rate / decimation
-    if abs(noise.rate - eff_rate) > 1e-9 * eff_rate:
-        raise ValueError(f"noise rate {noise.rate} Hz != command rate {eff_rate} Hz")
     shape = retargeted.q_des[::decimation].shape
-    lanes = [None] + [trial_rng(noise.seed, trial).normal(0.0, noise.sigma, size=shape)
+    lanes = [None] + [trial_rng(seed, trial).normal(0.0, sigma, size=shape)
                       for trial in range(n_trials)]
     try:
         runs = replay(retargeted, decimation, plant, command_noise=lanes)

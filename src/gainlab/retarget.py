@@ -13,8 +13,7 @@ command over the skipped physics steps.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,30 +52,18 @@ class TorqueDemo:
         if not np.all(np.isfinite(self.traj.tau)):
             raise ValueError("demo torques must be finite")
 
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for a in (self.traj.t, self.traj.q, self.traj.q_dot, self.traj.tau):
-            h.update(np.ascontiguousarray(a).tobytes())
-        return h.hexdigest()[:16]
-
 
 @dataclass(frozen=True)
 class RetargetedDemo:
-    """Position-target commands produced by TPR for one gain setting."""
+    """Position-target commands produced by TPR for one gain setting, one
+    per demo sample at ``base_rate``."""
 
     gains: GainConfig
     base_rate: float
-    command_rate: float
     q_des: np.ndarray
     goal: TaskGoal
     q0: np.ndarray
     q_dot0: np.ndarray
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        ratio = self.base_rate / self.command_rate
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("command_rate must divide base_rate")
 
     @property
     def n_commands(self) -> int:
@@ -97,24 +84,20 @@ def tpr_joint(demo: TorqueDemo, gains: GainConfig, plant: PlantParams | None = N
 
     When the replay controller compensates gravity, the gravity torque at
     the recorded states is excluded from tau on both sides of the
-    identity (requires ``plant``); the choice is stored in provenance.
+    identity (requires ``plant``).
     """
     traj = demo.traj
     n = traj.n_joints
     g = gains.expand(n)
     tau = traj.tau.copy()
-    gravity_excluded = False
     if g.gravity_comp:
         if plant is None:
             raise ValueError("gravity-compensating gains need the plant for g(q)")
         tau = tau - g.gravity_comp_scale * dynamics.gravity_torque(plant, traj.q)
-        gravity_excluded = True
     q_des = traj.q + (tau + g.kd * traj.q_dot) / g.kp
     return RetargetedDemo(
-        gains=g, base_rate=demo.base_rate, command_rate=demo.base_rate,
-        q_des=q_des, goal=demo.goal, q0=traj.q[0].copy(), q_dot0=traj.q_dot[0].copy(),
-        provenance={"source": demo.content_hash(), "gravity_excluded": gravity_excluded,
-                    "space": "joint"})
+        gains=g, base_rate=demo.base_rate, q_des=q_des, goal=demo.goal,
+        q0=traj.q[0].copy(), q_dot0=traj.q_dot[0].copy())
 
 
 @dataclass(frozen=True)
@@ -125,7 +108,6 @@ class TaskSpaceDemo:
     is F = Kp0 (x_des - x) - Kd0 x_dot per axis.
     """
 
-    base_rate: float
     x: np.ndarray
     x_dot: np.ndarray
     wrench: np.ndarray
@@ -140,24 +122,19 @@ class TaskSpaceDemo:
             raise ValueError("x, x_dot, wrench must share a shape")
 
 
-def synth_task_demo(base_rate: float, x: np.ndarray, x_des: np.ndarray,
-                    x_dot: np.ndarray, recording_gains: GainConfig) -> TaskSpaceDemo:
+def synth_task_demo(x: np.ndarray, x_des: np.ndarray, x_dot: np.ndarray,
+                    recording_gains: GainConfig) -> TaskSpaceDemo:
     """Build a task-space demo whose wrench follows the recording law."""
     g = recording_gains.expand(np.atleast_2d(x).shape[-1] if np.asarray(x).ndim > 1 else 1)
     wrench = g.kp * (np.asarray(x_des) - np.asarray(x)) - g.kd * np.asarray(x_dot)
-    return TaskSpaceDemo(base_rate=base_rate, x=x, x_dot=x_dot, wrench=wrench)
+    return TaskSpaceDemo(x=x, x_dot=x_dot, wrench=wrench)
 
 
-def tpr_task(demo: TaskSpaceDemo, gains_task: GainConfig) -> RetargetedDemo:
-    """Per-axis task-space retargeting: x_des = x + Kp'^-1 (F + Kd' x_dot)."""
-    n = demo.x.shape[1]
-    g = gains_task.expand(n)
-    x_des = demo.x + (demo.wrench + g.kd * demo.x_dot) / g.kp
-    return RetargetedDemo(
-        gains=g, base_rate=demo.base_rate, command_rate=demo.base_rate,
-        q_des=x_des, goal=TaskGoal(q_goal=demo.x[-1]),
-        q0=demo.x[0].copy(), q_dot0=demo.x_dot[0].copy(),
-        provenance={"space": "task"})
+def tpr_task(demo: TaskSpaceDemo, gains_task: GainConfig) -> np.ndarray:
+    """Per-axis task-space retargets x_des = x + Kp'^-1 (F + Kd' x_dot),
+    one row per sample."""
+    g = gains_task.expand(demo.x.shape[1])
+    return demo.x + (demo.wrench + g.kd * demo.x_dot) / g.kp
 
 
 def replay(retargeted: RetargetedDemo, decimation: int, plant: PlantParams,
@@ -165,29 +142,24 @@ def replay(retargeted: RetargetedDemo, decimation: int, plant: PlantParams,
     """Replay retargeted commands with zero-order hold at a decimated rate.
 
     Physics steps run at the demo base rate; each kept command is held for
-    ``decimation * (base_rate / command_rate)`` steps and tracked by
-    :func:`control.track` (torques clamped to the plant limit, no rate
-    limit). ``command_noise`` (same shape as the kept command array)
-    perturbs each held command; a list of such entries (``None`` for a
-    clean lane) replays as lanes of one ``track`` call and returns a list
-    of (trajectory, report) pairs. The fidelity MSE is computed against
-    ``source`` when given.
+    ``decimation`` steps and tracked by :func:`control.track` (torques
+    clamped to the plant limit, no rate limit). ``command_noise`` (same
+    shape as the kept command array) perturbs each held command; a list of
+    such entries (``None`` for a clean lane) replays as lanes of one
+    ``track`` call and returns a list of (trajectory, report) pairs. The
+    fidelity MSE is computed against ``source`` when given.
     """
     if decimation < 1 or int(decimation) != decimation:
         raise ValueError("decimation must be a positive integer")
     decimation = int(decimation)
-    if retargeted.provenance.get("space") == "task":
-        raise ValueError("task-space retargets are not replayable (no task-space plant)")
     commands = retargeted.q_des[::decimation]
     lanes = command_noise if isinstance(command_noise, list) else [command_noise]
     if any(e is not None and e.shape != commands.shape for e in lanes):
         raise ValueError("command_noise must match the kept command array")
     stacked = np.stack([commands if e is None else commands + e for e in lanes], axis=1)
-    base_per_command = int(round(retargeted.base_rate / retargeted.command_rate))
-    runs = control.track(plant, retargeted.gains, stacked,
-                         decimation * base_per_command, 1.0 / retargeted.base_rate,
-                         retargeted.q0, retargeted.q_dot0,
-                         retargeted.n_commands * base_per_command - 1)
+    runs = control.track(plant, retargeted.gains, stacked, decimation,
+                         1.0 / retargeted.base_rate, retargeted.q0, retargeted.q_dot0,
+                         retargeted.n_commands - 1)
     out = []
     for traj, final in runs:
         mse = float("nan")

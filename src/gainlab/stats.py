@@ -23,6 +23,7 @@ import numpy as np
 from .control import GainConfig, _median, classify_regime
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+BARNARD_GRID = 2001  # interior nuisance-grid points of barnard_exact
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,9 @@ class SweepOutcome:
     def __post_init__(self):
         if not 0 <= self.successes <= self.trials:
             raise ValueError("need 0 <= successes <= trials")
-        if self.scalar_error is not None and self.scalar_error < 0:
-            raise ValueError("scalar_error must be non-negative")
+        if self.scalar_error is not None and not 0 <= self.scalar_error < math.inf:
+            raise ValueError(f"scalar_error must be finite and non-negative, "
+                             f"not {self.scalar_error!r}")
 
 
 def label_outcomes(outcomes, m_eff: float, stiffness_split: float):
@@ -170,15 +172,14 @@ def _log_binom_coef(n: int) -> np.ndarray:
                      for k in range(n + 1)])
 
 
-def barnard_exact(a: int, b: int, c: int, d: int, side: str = "greater",
-                  n_grid: int = 2001) -> float:
+def barnard_exact(a: int, b: int, c: int, d: int, side: str = "greater") -> float:
     """One-sided Barnard's exact test on a 2x2 table.
 
     Group 1 has ``a`` successes and ``b`` failures, group 2 has ``c`` and
     ``d``. ``side='greater'`` tests the alternative p1 > p2 ('less' the
     reverse) using the score statistic; the p-value maximizes the tail
     probability over the nuisance success probability on a uniform grid
-    of ``n_grid`` interior points followed by one golden-section
+    of ``BARNARD_GRID`` interior points followed by one golden-section
     refinement pass.
 
     The rejection region is run-length encoded per group-1 count y1 into
@@ -187,8 +188,8 @@ def barnard_exact(a: int, b: int, c: int, d: int, side: str = "greater",
     cumulative group-2 pmf. This holds for any region; the score
     statistic's region is convex in Barnard's sense, and with the y2 axis
     reversed for 'less' each row is one prefix (start = 0), so no tail
-    needs a subtraction. Cost is O(n1*n2 + n_grid*(n1 + n2)) instead of
-    the O(n1*n2*n_grid) of summing the region as a dense matrix.
+    needs a subtraction. Cost is O(n1*n2 + G*(n1 + n2)) for G grid points
+    instead of the O(n1*n2*G) of summing the region as a dense matrix.
     """
     if min(a, b, c, d) < 0:
         raise ValueError("counts must be non-negative")
@@ -230,7 +231,7 @@ def barnard_exact(a: int, b: int, c: int, d: int, side: str = "greater",
     def tail_at(pi: float) -> float:
         return float(tail(np.array([pi]))[0])
 
-    grid = np.linspace(0.0, 1.0, n_grid + 2)[1:-1]
+    grid = np.linspace(0.0, 1.0, BARNARD_GRID + 2)[1:-1]
     tails = tail(grid)
     k = int(np.argmax(tails))
     p_best = float(tails[k])
@@ -255,21 +256,6 @@ def barnard_exact(a: int, b: int, c: int, d: int, side: str = "greater",
 
 # ---------------------------------------------------------------------------
 # Mann-Whitney U
-
-
-def _rankdata(values: np.ndarray) -> np.ndarray:
-    """Fractional (midrank) 1-based ranks."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
 
 
 def _mwu_exact_counts(n: int, m: int) -> np.ndarray:
@@ -308,10 +294,13 @@ def mannwhitney_u(x, y, side: str = "less") -> tuple[float, float]:
         raise ValueError("side must be 'less' or 'greater'")
     n1, n2 = x.size, y.size
     pooled = np.concatenate([x, y])
-    ranks = _rankdata(pooled)
+    if not np.all(np.isfinite(pooled)):
+        raise ValueError("samples must be finite")
+    # value k of the sorted distinct values spans 1-based ranks
+    # cumsum[k] - counts[k] + 1 .. cumsum[k]; its midrank is their mean
+    _, inverse, t_counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(t_counts) - (t_counts - 1) / 2.0)[inverse]
     u_x = float(np.sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0)
-    # with return_counts, np.unique skips its numpy.ma masked-array check
-    _, t_counts = np.unique(pooled, return_counts=True)
     has_ties = t_counts.size < pooled.size
     if n1 * n2 <= 400 and not has_ties:
         counts = _mwu_exact_counts(n1, n2)

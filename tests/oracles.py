@@ -118,6 +118,47 @@ def normal_approx_mwu_p(x, y, side="less"):
     return u, 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
+def loop_rankdata(values):
+    """Fractional (midrank) 1-based ranks by a walk over the sorted values."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def loop_mannwhitney_u(x, y, side="less"):
+    """stats.mannwhitney_u with its ranks from :func:`loop_rankdata`."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n1, n2 = x.size, y.size
+    pooled = np.concatenate([x, y])
+    ranks = loop_rankdata(pooled)
+    u_x = float(np.sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0)
+    _, t_counts = np.unique(pooled, return_counts=True)
+    if n1 * n2 <= 400 and t_counts.size == pooled.size:
+        counts = stats._mwu_exact_counts(n1, n2)
+        u_int = int(round(u_x))
+        tail = counts[:u_int + 1] if side == "less" else counts[u_int:]
+        return u_x, float(min(1.0, tail.sum() / counts.sum()))
+    nt = n1 + n2
+    tie_term = float(np.sum(t_counts**3 - t_counts)) / (nt * (nt - 1.0))
+    var = n1 * n2 / 12.0 * ((nt + 1.0) - tie_term)
+    if var <= 0:
+        return u_x, 1.0
+    if side == "less":
+        p = 1.0 - stats._norm_sf((u_x - n1 * n2 / 2.0 + 0.5) / math.sqrt(var))
+    else:
+        p = stats._norm_sf((u_x - n1 * n2 / 2.0 - 0.5) / math.sqrt(var))
+    return u_x, float(min(1.0, max(0.0, p)))
+
+
 def per_episode_evaluate(problem, mapping, episodes=None):
     """ToyShapingProblem.evaluate rolled out one episode at a time.
 
@@ -128,12 +169,9 @@ def per_episode_evaluate(problem, mapping, episodes=None):
     episodes = episodes if episodes is not None else problem.episodes
     plant, gains = problem.plant, problem.gains
     advance = dynamics.decoupled_stepper(plant)
-    grav = plant.mass * dynamics.GRAVITY if plant.gravity_enabled \
-        else np.zeros(plant.n_joints)
     spc = int(round(problem.physics_rate / problem.control_rate))
     dt = 1.0 / problem.physics_rate
     n_steps = int(round(problem.horizon * problem.physics_rate))
-    comp = gains.gravity_comp_scale * grav if gains.gravity_comp else None
     alpha = shaping.expand_alpha(mapping, None, plant.n_joints)
     succ = 0
     rates = dict.fromkeys(shaping.CONSTRAINTS, 0.0)
@@ -148,8 +186,9 @@ def per_episode_evaluate(problem, mapping, episodes=None):
                 x_des = shaping.map_action(alpha, mapping.beta, mapping.gamma,
                                            goal - q, q, x_des)
             tau_req = gains.kp * (x_des - q) - gains.kd * qd
-            if comp is not None:
-                tau_req = tau_req + comp
+            if gains.gravity_comp:
+                tau_req = tau_req + gains.gravity_comp_scale * dynamics.gravity_torque(
+                    plant, q)
             counts["torque"] += np.any(np.abs(tau_req) > plant.torque_limit)
             counts["torque_rate"] += np.any(
                 np.abs(tau_req - prev_tau) > dt * plant.torque_rate_limit)
@@ -158,7 +197,8 @@ def per_episode_evaluate(problem, mapping, episodes=None):
             q, qd = advance(q, qd, tau, dt)
             counts["position"] += np.any(np.abs(q) > problem.pos_limit)
             counts["velocity"] += np.any(np.abs(qd) > problem.vel_limit)
-        succ += bool(np.linalg.norm(q - goal) <= problem.tol)
+        d = q - goal
+        succ += bool(np.all(np.abs(d) <= problem.tol) and np.linalg.norm(d) <= problem.tol)
         for k in shaping.CONSTRAINTS:
             rates[k] += (float(counts[k]) / n_steps) / len(episodes)
     success_rate = succ / len(episodes)
@@ -176,14 +216,12 @@ def simulate_replay(retargeted, decimation, plant, command_noise=None):
     commands = retargeted.q_des[::decimation]
     if command_noise is not None:
         commands = commands + command_noise
-    base_per_command = int(round(retargeted.base_rate / retargeted.command_rate))
-    hold = decimation * base_per_command
     dt = 1.0 / retargeted.base_rate
-    n_steps = retargeted.n_commands * base_per_command - 1
+    n_steps = retargeted.n_commands - 1
     state0 = State(q=retargeted.q0, q_dot=retargeted.q_dot0, t=0.0)
 
     def q_des_fn(state, k):
-        return commands[min(k // hold, len(commands) - 1)]
+        return commands[min(k // decimation, len(commands) - 1)]
 
     def torque_fn(state, k):
         grav = dynamics.gravity_torque(plant, state.q)
@@ -285,11 +323,11 @@ def two_link_step(plant, q, q_dot, tau, dt):
     return q + dt * qd_new, qd_new
 
 
-def per_trial_noisy_replay(retargeted, plant, spec, n_trials, decimation=1):
+def per_trial_noisy_replay(retargeted, plant, sigma, seed, n_trials, decimation=1):
     """noise.noisy_openloop_replay as one simulate_replay per trial.
 
     The clean replay first, then trial i with noise from
-    ``noise.trial_rng(spec.seed, i)``; a diverging trial raises its own
+    ``noise.trial_rng(seed, i)``; a diverging trial raises its own
     SimulationDivergedError. Returns (goal_rate, rms_deviation,
     per_trial_rms, clean_goal_reached).
     """
@@ -300,8 +338,8 @@ def per_trial_noisy_replay(retargeted, plant, spec, n_trials, decimation=1):
     rms = np.empty(n_trials)
     reached = 0
     for trial in range(n_trials):
-        rng = noise.trial_rng(spec.seed, trial)
-        pert = rng.normal(0.0, spec.sigma, size=(n_cmd, n_joints))
+        rng = noise.trial_rng(seed, trial)
+        pert = rng.normal(0.0, sigma, size=(n_cmd, n_joints))
         traj, final = simulate_replay(retargeted, decimation, plant, command_noise=pert)
         m = min(traj.n_samples, clean_traj.n_samples)
         rms[trial] = math.sqrt(float(np.mean((traj.q[:m] - clean_traj.q[:m]) ** 2)))

@@ -142,9 +142,8 @@ def test_criterion_4_attenuation_ordering():
         rd = retarget.tpr_joint(demo, GainConfig(kp=kp, kd=kd))
         vals = []
         for seed in range(10):
-            res = noise.noisy_openloop_replay(
-                rd, plant, NoiseSpec(sigma=0.05, mode=noise.HELD, rate=50.0,
-                                     seed=seed), n_trials=1, decimation=10)
+            res = noise.noisy_openloop_replay(rd, plant, sigma=0.05, seed=seed,
+                                              n_trials=1, decimation=10)
             vals.append(res.rms_deviation)
         rms[name] = np.array(vals)
     ok = bool(np.all(rms["CO"] < rms["SU"]))

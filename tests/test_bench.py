@@ -7,7 +7,9 @@ every such self-check passed. ``replay`` must reach ``dynamics.simulate``,
 ``dynamics.step``, ``dynamics.mass_matrix``, ``dynamics.gravity_torque``
 and ``control.pd_torque``, among others; ``shape`` must reach
 ``shaping.evaluate``, ``shaping.map_action``, ``sysid.cmaes_minimize`` and
-``dynamics.advance`` without touching ``control``.
+``dynamics.advance`` without touching ``control``; ``stats`` must reach
+``stats.barnard_exact`` and ``stats.mannwhitney_u`` without any rollout
+layer.
 """
 
 import shutil
@@ -20,7 +22,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["replay", "shape"])
+@pytest.mark.parametrize("workload", ["replay", "shape", "stats"])
 def test_traced_run_passes_every_self_check(tmp_path, workload):
     for part in ("src", "bench"):
         shutil.copytree(ROOT / part, tmp_path / part,

@@ -172,10 +172,8 @@ class TestNoisyOpenloopReplay:
     def test_zero_noise_matches_clean(self):
         plant, demo = _demo_1dof()
         rd = retarget.tpr_joint(demo, GainConfig(kp=64.0, kd=16.0))
-        res = noisy_openloop_replay(rd, plant,
-                                    NoiseSpec(sigma=0.0, mode=noise.HELD,
-                                              rate=50.0, seed=0),
-                                    n_trials=2, decimation=10)
+        res = noisy_openloop_replay(rd, plant, sigma=0.0, seed=0, n_trials=2,
+                                    decimation=10)
         assert res.rms_deviation == 0.0
         assert res.goal_rate == float(res.clean_goal_reached)
 
@@ -186,39 +184,26 @@ class TestNoisyOpenloopReplay:
         for name in ("CO", "SU"):
             kp, kd = corners[name]
             rd = retarget.tpr_joint(demo, GainConfig(kp=kp, kd=kd))
-            res = noisy_openloop_replay(
-                rd, plant, NoiseSpec(sigma=0.05, mode=noise.HELD, rate=50.0,
-                                     seed=3), n_trials=5, decimation=10)
+            res = noisy_openloop_replay(rd, plant, sigma=0.05, seed=3, n_trials=5,
+                                        decimation=10)
             rms[name] = res.per_trial_rms
         assert np.all(rms["CO"] < rms["SU"])
 
     def test_doubling_sigma_doubles_deviation(self):
         plant, demo = _demo_1dof()
         rd = retarget.tpr_joint(demo, GainConfig(kp=64.0, kd=16.0))
-        r1 = noisy_openloop_replay(rd, plant,
-                                   NoiseSpec(0.02, noise.HELD, 50.0, seed=3),
-                                   n_trials=4, decimation=10)
-        r2 = noisy_openloop_replay(rd, plant,
-                                   NoiseSpec(0.04, noise.HELD, 50.0, seed=3),
-                                   n_trials=4, decimation=10)
+        r1 = noisy_openloop_replay(rd, plant, sigma=0.02, seed=3, n_trials=4,
+                                   decimation=10)
+        r2 = noisy_openloop_replay(rd, plant, sigma=0.04, seed=3, n_trials=4,
+                                   decimation=10)
         assert r2.rms_deviation == pytest.approx(2.0 * r1.rms_deviation,
                                                  rel=1e-9)
-
-    def test_requires_held_mode_at_command_rate(self):
-        plant, demo = _demo_1dof()
-        rd = retarget.tpr_joint(demo, GainConfig(kp=64.0, kd=16.0))
-        with pytest.raises(ValueError):
-            noisy_openloop_replay(rd, plant, NoiseSpec(0.01), 1, decimation=10)
-        with pytest.raises(ValueError):
-            noisy_openloop_replay(rd, plant,
-                                  NoiseSpec(0.01, noise.HELD, 999.0), 1,
-                                  decimation=10)
 
     def test_needs_a_trial(self):
         plant, demo = _demo_1dof()
         rd = retarget.tpr_joint(demo, GainConfig(kp=64.0, kd=16.0))
         with pytest.raises(ValueError, match="n_trials"):
-            noisy_openloop_replay(rd, plant, NoiseSpec(0.01, noise.HELD, 50.0), 0,
+            noisy_openloop_replay(rd, plant, sigma=0.01, seed=0, n_trials=0,
                                   decimation=10)
 
 
@@ -262,9 +247,8 @@ class TestNoisyReplayMatchesPerTrialOracle:
         demo = retarget.make_demo(plant, ctrl, 2.0, 500.0, q0=q0, reference=pos,
                                   goal=retarget.TaskGoal(qf, 0.05))
         rd = retarget.tpr_joint(demo, gains, plant=plant)
-        spec = NoiseSpec(sigma=0.05, mode=noise.HELD, rate=500.0 / decimation, seed=7)
-        got = noisy_openloop_replay(rd, plant, spec, 4, decimation=decimation)
-        goal_rate, rms, per_trial, clean = per_trial_noisy_replay(rd, plant, spec, 4,
+        got = noisy_openloop_replay(rd, plant, 0.05, 7, 4, decimation=decimation)
+        goal_rate, rms, per_trial, clean = per_trial_noisy_replay(rd, plant, 0.05, 7, 4,
                                                                   decimation)
         assert got.goal_rate == goal_rate
         assert got.rms_deviation == rms
@@ -276,10 +260,10 @@ class TestNoisyReplayMatchesPerTrialOracle:
     # static friction, and the clean replay never moves.
     PLANT = point_mass(1.0, static_friction=320.0, dynamic_friction_ratio=0.5)
 
-    def _diverging_steps(self, rd, spec, n_trials):
+    def _diverging_steps(self, rd, sigma, seed, n_trials):
         steps = []
         for trial in range(n_trials):
-            pert = noise.trial_rng(spec.seed, trial).normal(0.0, spec.sigma, (100, 1))
+            pert = noise.trial_rng(seed, trial).normal(0.0, sigma, (100, 1))
             try:
                 simulate_replay(rd, 10, self.PLANT, command_noise=pert)
                 steps.append(None)
@@ -293,11 +277,10 @@ class TestNoisyReplayMatchesPerTrialOracle:
     ])
     def test_divergence_raises_the_per_trial_error(self, seed, steps):
         rd = retarget.tpr_joint(_rest_demo(), GainConfig(kp=1e5, kd=1.0))
-        spec = NoiseSpec(sigma=1e-3, mode=noise.HELD, rate=10.0, seed=seed)
-        assert self._diverging_steps(rd, spec, 5) == steps
+        assert self._diverging_steps(rd, 1e-3, seed, 5) == steps
         with pytest.raises(SimulationDivergedError) as want:
-            per_trial_noisy_replay(rd, self.PLANT, spec, 5, decimation=10)
+            per_trial_noisy_replay(rd, self.PLANT, 1e-3, seed, 5, decimation=10)
         with pytest.raises(SimulationDivergedError) as got:
-            noisy_openloop_replay(rd, self.PLANT, spec, 5, decimation=10)
+            noisy_openloop_replay(rd, self.PLANT, 1e-3, seed, 5, decimation=10)
         first_in_trial_order = next(s for s in steps if s is not None)
         assert got.value.step_index == want.value.step_index == first_in_trial_order

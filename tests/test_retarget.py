@@ -130,18 +130,17 @@ class TestTprIdentity:
 
 class TestTprTask:
     def test_zero_wrench_zero_velocity_identity(self):
-        demo = synth_task_demo(50.0, x=np.zeros((5, 6)), x_des=np.zeros((5, 6)),
+        demo = synth_task_demo(x=np.zeros((5, 6)), x_des=np.zeros((5, 6)),
                                x_dot=np.zeros((5, 6)),
                                recording_gains=GainConfig(kp=100.0, kd=10.0))
-        rd = tpr_task(demo, GainConfig(kp=200.0, kd=20.0))
-        assert_allclose(rd.q_des, demo.x)
+        x_des = tpr_task(demo, GainConfig(kp=200.0, kd=20.0))
+        assert_allclose(x_des, demo.x)
 
     def test_hand_evaluation_single_axis(self):
         # Kp'=100, Kd'=10, F=5, xd=0.2 -> offset (5 + 2)/100 = 0.07
-        demo = retarget.TaskSpaceDemo(base_rate=50.0, x=[[0.0]], x_dot=[[0.2]],
-                                      wrench=[[5.0]])
-        rd = tpr_task(demo, GainConfig(kp=100.0, kd=10.0))
-        assert_allclose(rd.q_des, [[0.07]])
+        demo = retarget.TaskSpaceDemo(x=[[0.0]], x_dot=[[0.2]], wrench=[[5.0]])
+        x_des = tpr_task(demo, GainConfig(kp=100.0, kd=10.0))
+        assert_allclose(x_des, [[0.07]])
 
     def test_recording_gains_reproduce_original_targets(self):
         rng = np.random.default_rng(4)
@@ -149,17 +148,8 @@ class TestTprTask:
         x_des = x + rng.normal(scale=0.1, size=(20, 6))
         x_dot = rng.normal(size=(20, 6))
         rec = GainConfig(kp=np.full(6, 80.0), kd=np.full(6, 12.0))
-        demo = synth_task_demo(50.0, x=x, x_des=x_des, x_dot=x_dot,
-                               recording_gains=rec)
-        rd = tpr_task(demo, rec)
-        assert_allclose(rd.q_des, x_des, atol=1e-12)
-
-    def test_task_retargets_not_replayable(self):
-        demo = retarget.TaskSpaceDemo(base_rate=50.0, x=[[0.0]], x_dot=[[0.0]],
-                                      wrench=[[0.0]])
-        rd = tpr_task(demo, GainConfig(kp=1.0, kd=1.0))
-        with pytest.raises(ValueError):
-            replay(rd, 1, point_mass(1.0))
+        demo = synth_task_demo(x=x, x_des=x_des, x_dot=x_dot, recording_gains=rec)
+        assert_allclose(tpr_task(demo, rec), x_des, atol=1e-12)
 
 
 class TestReplay:

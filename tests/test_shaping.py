@@ -246,10 +246,10 @@ def _details_equal(a, b):
 class TestShapeSearchMatchesLoopOracle:
     """Batched generations give the one-candidate-at-a-time search's ledger
     and details exactly. Alphas above ~4 make this stiff point mass grow
-    without bound: large ones overflow (SimulationDivergedError), smaller
-    ones end huge but finite, and pytest's RuntimeWarning filter turns
-    their goal-distance overflow into a raise. Both re-run their batch one
-    candidate at a time."""
+    without bound: those up to ~7 end huge but finite (a miss), larger ones
+    overflow in the loop (SimulationDivergedError), and a batch holding one
+    of those re-runs one candidate at a time. With alphas up to 300 each
+    seed's random draw holds loop-diverging candidates (5 and 3 of 12)."""
 
     def _problem(self):
         return ToyShapingProblem(point_mass(0.5), GainConfig(kp=4096, kd=8),
@@ -257,7 +257,7 @@ class TestShapeSearchMatchesLoopOracle:
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("strategy,budget,alpha_high", [
-        (shaping.RANDOM, 12, 30.0), (shaping.RANDOM, 12, 3.0),  # with and without failures
+        (shaping.RANDOM, 12, 300.0), (shaping.RANDOM, 12, 3.0),  # with and without failures
         (shaping.CMAES_BRANCHED, 22, 30.0)])
     def test_ledger_and_details(self, strategy, budget, alpha_high, seed):
         space = SearchSpace(alpha_low=1e-3, alpha_high=alpha_high)
@@ -348,6 +348,15 @@ class TestToyShapingProblemMatchesPerEpisodeOracle:
         assert rate == per_episode_evaluate(problem, m, episodes=eps)[1]
         assert 0.0 < rate < 1.0
 
+    def test_two_link_gravity_comp(self):
+        arm = dynamics.two_link(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4),
+                                gravity_enabled=True, torque_limit=40.0)
+        gains = GainConfig(kp=[200, 120], kd=[20, 12], gravity_comp=True,
+                           gravity_comp_scale=0.9)
+        problem = ToyShapingProblem(arm, gains, episodes=3, seed=2)
+        m = ActionMapping(alpha=0.5, beta=1, gamma=1)
+        assert problem.evaluate(m) == per_episode_evaluate(problem, m)
+
     def test_no_episodes_rejected(self):
         problem = ToyShapingProblem(point_mass(1.0), GainConfig(kp=16, kd=2),
                                     episodes=0)
@@ -395,3 +404,35 @@ class TestToyShapingProblemDivergence:
         assert result.objective == -math.inf
         assert len(problem.details) == budget
         assert all(math.isnan(v) for d in problem.details for v in d.values())
+
+    @pytest.mark.parametrize("alpha", [4.0, 5.0, 6.0, 7.0])
+    def test_far_final_state_is_a_miss_with_warnings_as_errors(self, alpha):
+        # the loop stays finite, but the final error is far too large to
+        # square: the candidate misses, whatever the warning filter
+        problem = ToyShapingProblem(point_mass(0.5), GainConfig(kp=4096, kd=8),
+                                    episodes=2, seed=3)
+        m = ActionMapping(alpha=alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ignored = problem.evaluate(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strict = problem.evaluate(m)
+        assert strict == ignored
+        assert strict[1] == 0.0
+
+
+class TestToyShapingProblemGravity:
+    def test_compensation_follows_the_two_link_configuration(self):
+        # the targets stay on the start, which is the goal: with g(q)
+        # compensated at every step the arm holds still and every episode
+        # succeeds; a constant mass*G load would let it sag away
+        arm = dynamics.two_link(gravity_enabled=True)
+        problem = ToyShapingProblem(arm, GainConfig(kp=400.0, kd=40.0, gravity_comp=True),
+                                    episodes=3, seed=1)
+        episodes = [(q0, q0) for q0, _ in problem.episodes]
+        assert_allclose(dynamics.gravity_torque(arm, episodes[0][0]), [25.52, 5.91],
+                        atol=0.01)
+        _, success, _ = problem.evaluate(ActionMapping(alpha=0.0, beta=1, gamma=1),
+                                         episodes=episodes)
+        assert success == 1.0

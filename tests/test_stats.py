@@ -14,7 +14,8 @@ from gainlab import stats
 from gainlab.stats import (SweepOutcome, barnard_exact, bonferroni,
                            logistic_fit, mannwhitney_u, ols_log_fit,
                            region_test)
-from oracles import brute_force_barnard, dense_barnard, normal_approx_mwu_p
+from oracles import (brute_force_barnard, dense_barnard, loop_mannwhitney_u,
+                     normal_approx_mwu_p)
 
 
 class TestLogisticFit:
@@ -265,6 +266,25 @@ class TestMannWhitney:
         with pytest.raises(ValueError):
             mannwhitney_u([], [1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            mannwhitney_u([0.1, bad], [0.2, 0.3])
+        with pytest.raises(ValueError, match="finite"):
+            mannwhitney_u([0.1, 0.4], [bad])
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(st.integers(0, 6), min_size=1, max_size=30),
+           y=st.lists(st.integers(0, 6), min_size=1, max_size=30),
+           scale=st.sampled_from([1.0, 0.1, 3.7]),
+           side=st.sampled_from(["less", "greater"]))
+    def test_midranks_match_the_loop_oracle(self, x, y, scale, side):
+        # small integer supports give ties (and, now and then, a tie-free
+        # draw on the exact branch); U and p must be bit for bit the loop's
+        x = np.array(x) * scale
+        y = np.array(y) * scale
+        assert mannwhitney_u(x, y, side=side) == loop_mannwhitney_u(x, y, side=side)
+
 
 class TestOlsLogFit:
     def _cells(self):
@@ -315,6 +335,11 @@ class TestOlsLogFit:
                              scalar_error=0.0) for kp, kd in self._cells()]
         with pytest.raises(ValueError):
             ols_log_fit(rows)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_error_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ValueError, match="scalar_error"):
+            SweepOutcome(kp=16.0, kd=2.0, successes=0, trials=1, scalar_error=bad)
 
 
 class TestBonferroni:

@@ -377,6 +377,44 @@ class TestIdentify:
         assert fit.loss > 1e-8
 
 
+class TestOverflowingSpectra:
+    """A light point mass whose excitation grows to 1e61-1e220 without
+    overflowing inside the rollout: its spectra overflow, and the loss is
+    +inf with no warning (pytest turns any RuntimeWarning into an error)."""
+
+    GAINS = GainConfig(kp=512.0, kd=24.0)
+
+    def _reference(self):
+        return excite(point_mass(0.01, armature=0.3), self.GAINS)
+
+    @pytest.mark.parametrize("armature", [0.05, 0.07])
+    def test_identification_loss_is_inf(self, armature):
+        loss = sysid.identification_loss(self._reference(),
+                                         point_mass(0.01, armature=armature),
+                                         self.GAINS, ExcitationProtocol())
+        assert loss == math.inf
+
+    def test_growing_but_representable_loss_stays_finite(self):
+        loss = sysid.identification_loss(self._reference(), point_mass(0.01, armature=0.1),
+                                         self.GAINS, ExcitationProtocol())
+        assert loss == pytest.approx(3.53e128, rel=1e-3)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_identify_scores_overflowing_lanes_inf(self, seed, monkeypatch):
+        bounds = {n: (lo, hi) for n, lo, hi in SysidBounds.default().params}
+        bounds["armature"] = (0.04, 0.12)
+        bounds = SysidBounds(params=tuple((n, lo, hi) for n, (lo, hi) in bounds.items()))
+        ref, cfg = self._reference(), CmaesConfig(seed=seed, max_iter=4)
+        want = loop_identify(ref, self.GAINS, bounds, cfg, point_mass(0.01))
+        lane_losses = []
+        loss = sysid._spectral_loss
+        monkeypatch.setattr(sysid, "_spectral_loss",
+                            lambda *args: lane_losses.append(loss(*args)) or lane_losses[-1])
+        got = identify(ref, self.GAINS, bounds, cfg, point_mass(0.01))
+        assert _fits_equal(got, want)
+        assert math.inf in lane_losses and math.isfinite(got.loss)
+
+
 class TestResimulate:
     def test_two_joint_fit_resimulates_under_its_own_gains(self):
         # per-joint gains: the fit's re-simulation must keep Kp=[100, 25] and
