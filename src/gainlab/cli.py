@@ -120,9 +120,16 @@ def validate(config: ExperimentConfig) -> list[str]:
         if key in p and p[key] not in allowed:
             findings.append(f"params.{key}: unknown value {p[key]!r}; "
                             f"expected one of {', '.join(allowed)}")
-    for key in ("trials", "budget", "n_demos", "iters", "m"):
+    for key in ("trials", "budget", "n_demos", "iters", "m", "episodes", "eval_episodes",
+                "decimation"):
         if key in p and not (_finite(p[key]) and p[key] >= 1):
             findings.append(f"params.{key}: must be a number >= 1, not {p[key]!r}")
+    decimations = p.get("decimations", [])
+    if not all(_finite(d) and d >= 1
+               for d in (decimations if isinstance(decimations, list) else [decimations])):
+        findings.append(f"params.decimations: must be numbers >= 1, not {decimations!r}")
+    if "sigma" in p and not (_finite(p["sigma"]) and p["sigma"] >= 0):
+        findings.append(f"params.sigma: must be a number >= 0, not {p['sigma']!r}")
     if config.kind == "variance-check":
         try:
             m_min = min(_masses(config))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .dynamics import PlantParams, State, Trajectory, _as_vector
+from .dynamics import PlantParams, Trajectory, _as_vector
 
 REGIMES = ("CO", "SO", "CU", "SU")
 
@@ -80,7 +80,7 @@ def pd_torque(gains: GainConfig, q, q_dot, q_des, gravity_term=None) -> np.ndarr
 
 def track(plant: PlantParams, gains: GainConfig, commands, hold: int, dt: float,
           q0, q_dot0, n_steps: int):
-    """Track zero-order-held position commands with the PD law, State-free.
+    """Track zero-order-held position commands with the PD law.
 
     ``commands`` is (C, n), or (C, B, n) for B lanes from one start state;
     a lane-stacked plant (``plant.lanes == (B,)``) also makes B lanes, and
@@ -89,11 +89,11 @@ def track(plant: PlantParams, gains: GainConfig, commands, hold: int, dt: float,
     gravity compensation when ``gains.gravity_comp``), clamped to the
     torque limit, and every plant steps through ``decoupled_stepper``.
     Returns the trajectory in :func:`dynamics.simulate`'s layout
-    (n_steps+1 samples) and the final state, or a list of such pairs, one
-    per lane. A floating-point overflow or invalid operation at step k
-    raises ``SimulationDivergedError(step_index=k)``.
+    (n_steps+1 samples, the final state in the last row), or a list of
+    trajectories, one per lane. A floating-point overflow or invalid
+    operation at step k raises ``SimulationDivergedError(step_index=k)``.
     """
-    start = State(q=q0, q_dot=q_dot0)
+    q0, q_dot0 = dynamics._start_state(plant, q0, q_dot0)
     commands = np.asarray(commands, dtype=float)
     lanes = np.broadcast_shapes(commands.shape[1:-1], plant.lanes)
     g = gains.expand(plant.n_joints)
@@ -103,7 +103,7 @@ def track(plant: PlantParams, gains: GainConfig, commands, hold: int, dt: float,
                                         for _ in range(4))
     step_q, step_qd, step_qdes, step_tau = (np.moveaxis(r, -2, 0)
                                             for r in (rec_q, rec_qd, rec_qdes, rec_tau))
-    q, qd = (np.broadcast_to(v, lanes + start.q.shape) for v in (start.q, start.q_dot))
+    q, qd = (np.broadcast_to(v, lanes + v.shape) for v in (q0, q_dot0))
     cmd, tau = q, np.zeros_like(q)
     last = len(commands) - 1
     try:
@@ -124,13 +124,11 @@ def track(plant: PlantParams, gains: GainConfig, commands, hold: int, dt: float,
         raise dynamics.SimulationDivergedError(step_index=n_steps - 1)
     step_q[n_steps], step_qd[n_steps], step_qdes[n_steps], step_tau[n_steps] = \
         q, qd, cmd, tau
-    # t accumulates dt per step, as simulate's State.t does
-    t = np.concatenate(([0.0], np.cumsum(np.full(n_steps, dt))))
+    t = dynamics._step_times(dt, n_steps)
 
     def lane(i):
-        traj = Trajectory(sample_rate=1.0 / dt, t=t, q=rec_q[i], q_dot=rec_qd[i],
+        return Trajectory(sample_rate=1.0 / dt, t=t, q=rec_q[i], q_dot=rec_qd[i],
                           q_des=rec_qdes[i], tau=rec_tau[i])
-        return traj, State(q=q[i], q_dot=qd[i], t=float(t[-1]))
 
     return [lane(i) for i in range(lanes[0])] if lanes else lane(...)
 
@@ -230,31 +228,29 @@ def effective_stiffness(plant: PlantParams, gains: GainConfig, probe_force,
     Simulates the closed loop from rest at q = 0 (PD on ``q_des`` from
     ``policy``, default holding the start pose) with a constant external
     torque for ``settle_time`` at ``PROBE_DT`` steps, then requires the
-    velocity norm to be below ``PROBE_VEL_TOL``. ``policy(state) -> q_des``
-    lets scripted reactive policies change the composed-loop stiffness.
+    velocity norm to be below ``PROBE_VEL_TOL``. ``policy(q, q_dot) ->
+    q_des`` lets scripted reactive policies change the composed-loop
+    stiffness.
     """
     n = plant.n_joints
     probe = _as_vector(probe_force, n)
     if not np.any(probe != 0.0):
         raise ValueError("probe_force must be non-zero")
-    start = dynamics.rest_state(plant)
-    q_ref = start.q.copy()
+    q_ref = np.zeros(n)
 
-    def q_des_of(state):
-        return q_ref if policy is None else _as_vector(policy(state), n)
-
-    def torque_fn(state, k):
-        grav = dynamics.gravity_torque(plant, state.q)
-        return pd_torque(gains, state.q, state.q_dot, q_des_of(state),
-                         gravity_term=grav) + probe
+    def torque_fn(q, q_dot, k, t):
+        q_des = q_ref if policy is None else _as_vector(policy(q, q_dot), n)
+        grav = dynamics.gravity_torque(plant, q)
+        return pd_torque(gains, q, q_dot, q_des, gravity_term=grav) + probe, q_des
 
     n_steps = int(round(settle_time / PROBE_DT))
-    _, final = dynamics.simulate(plant, start, torque_fn, PROBE_DT, n_steps)
-    if np.linalg.norm(final.q_dot) > PROBE_VEL_TOL:
+    traj = dynamics.simulate(plant, q_ref, np.zeros(n), torque_fn, PROBE_DT, n_steps)
+    q_end, qd_end = traj.q[-1], traj.q_dot[-1]
+    if np.linalg.norm(qd_end) > PROBE_VEL_TOL:
         raise NotSettledError(
-            f"velocity norm {np.linalg.norm(final.q_dot):.3e} > {PROBE_VEL_TOL:.1e} "
+            f"velocity norm {np.linalg.norm(qd_end):.3e} > {PROBE_VEL_TOL:.1e} "
             f"after {settle_time} s")
-    dx = np.linalg.norm(final.q - start.q)
+    dx = np.linalg.norm(q_end - q_ref)
     if dx == 0.0:
         raise NotSettledError("no displacement under probe force")
     return float(np.linalg.norm(probe) / dx)

@@ -7,11 +7,11 @@ the rigid-body form
 
     M(q) q_dd + C(q, q_dot) q_dot + g(q) = tau + tau_friction
 
-Plants and states are immutable; stepping returns new states, so
-independent simulations are safe to run in parallel. The two-link terms
-and :func:`decoupled_stepper` also take (B, n) stacks of B lanes, and a
-plant may carry its armature and friction per lane (see
-``PlantParams.lanes``).
+A state is a pair of (n,) arrays (q, q_dot); plants are immutable and
+stepping returns new arrays, so independent simulations are safe to run
+in parallel. The two-link terms and :func:`decoupled_stepper` also take
+(B, n) stacks of B lanes, and a plant may carry its armature and
+friction per lane (see ``PlantParams.lanes``).
 """
 
 from __future__ import annotations
@@ -158,27 +158,6 @@ def two_link(link_masses=(1.0, 1.0), link_lengths=(1.0, 1.0), **kw) -> PlantPara
                        **kw)
 
 
-@dataclass(frozen=True)
-class State:
-    """Joint positions/velocities at time t. Immutable."""
-
-    q: np.ndarray
-    q_dot: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", _as_vector(self.q))
-        object.__setattr__(self, "q_dot", _as_vector(self.q_dot, self.q.size))
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.q_dot))):
-            raise ValueError("state must be finite")
-
-
-def rest_state(plant: PlantParams, q=None) -> State:
-    n = plant.n_joints
-    q0 = np.zeros(n) if q is None else _as_vector(q, n)
-    return State(q=q0, q_dot=np.zeros(n))
-
-
 # ---------------------------------------------------------------------------
 # Rigid-body terms
 
@@ -241,21 +220,23 @@ def gravity_torque(plant: PlantParams, q: np.ndarray) -> np.ndarray:
 # Integrator
 
 
-def step(plant: PlantParams, state: State, tau, dt: float) -> State:
+def step(plant: PlantParams, q, q_dot, tau, dt: float):
     """Advance one physics step with torque held constant over the step:
-    :func:`decoupled_stepper`'s ``advance``, wrapped in State."""
+    :func:`decoupled_stepper`'s ``advance``. Returns the new (q, q_dot);
+    a non-finite result raises ``SimulationDivergedError(step_index=0)``,
+    the index of the step within this call."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     tau = _as_vector(tau, plant.n_joints)
-    q_new, qd_new = decoupled_stepper(plant)(state.q, state.q_dot, tau, dt)
+    q_new, qd_new = decoupled_stepper(plant)(q, q_dot, tau, dt)
     if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(qd_new))):
-        raise SimulationDivergedError(step_index=int(round(state.t / dt)))
-    return State(q=q_new, q_dot=qd_new, t=state.t + dt)
+        raise SimulationDivergedError(step_index=0)
+    return q_new, qd_new
 
 
 def decoupled_stepper(plant: PlantParams):
-    """State-free semi-implicit stepper for every plant kind (the name
-    predates the two-link arm): ``advance(q, q_dot, tau, dt) -> (q, q_dot)``
+    """Semi-implicit stepper for every plant kind (the name predates the
+    two-link arm): ``advance(q, q_dot, tau, dt) -> (q, q_dot)``
     on (n,) arrays or (B, n) stacks of B lanes. The armature and friction
     of a lane-stacked plant enter lane by lane, elementwise, so lane i
     equals plant i stepped alone bitwise.
@@ -344,43 +325,52 @@ class Trajectory:
         return self.q.shape[1]
 
 
-def simulate(plant: PlantParams, state0: State, torque_fn, dt: float, n_steps: int,
-             q_des_fn=None) -> tuple[Trajectory, State]:
+def _start_state(plant: PlantParams, q0, q_dot0):
+    """(q0, q_dot0) as finite (n,) vectors (a scalar broadcasts to every
+    joint); the state every rollout starts from."""
+    n = plant.n_joints
+    q, q_dot = _as_vector(q0, n), _as_vector(q_dot0, n)
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(q_dot))):
+        raise ValueError("state must be finite")
+    return q, q_dot
+
+
+def _step_times(dt: float, n_steps: int) -> np.ndarray:
+    """The n_steps+1 sample times of a rollout: dt accumulated step by
+    step from 0, not k*dt."""
+    return np.concatenate(([0.0], np.cumsum(np.full(n_steps, dt))))
+
+
+def simulate(plant: PlantParams, q0, q_dot0, torque_fn, dt: float,
+             n_steps: int) -> Trajectory:
     """Run a closed-loop simulation and record it at the physics rate.
 
-    ``torque_fn(state, k)`` supplies the applied torque for step k;
-    ``q_des_fn(state, k)`` (optional) the logged position target. The
-    trajectory holds n_steps+1 samples including the initial state; the
-    torque logged with the final sample is the last applied one. A
-    floating-point overflow or invalid operation at step k raises
+    ``torque_fn(q, q_dot, k, t)`` gets the state entering step k and its
+    time t (see :func:`_step_times`) and returns (tau, q_des): the applied
+    torque and the logged position target. The trajectory holds n_steps+1
+    samples including the initial state; the final state is its last row,
+    logged with the last applied torque and target. A floating-point
+    overflow, invalid operation or non-finite state at step k raises
     ``SimulationDivergedError(step_index=k)``.
     """
-    n = plant.n_joints
-    t = np.empty(n_steps + 1)
-    q = np.empty((n_steps + 1, n))
-    qd = np.empty((n_steps + 1, n))
-    qdes = np.empty((n_steps + 1, n))
-    tau = np.empty((n_steps + 1, n))
-    s = state0
-    last_tau = np.zeros(n)
-    k = 0
+    q, qd = _start_state(plant, q0, q_dot0)
+    t = _step_times(dt, n_steps)
+    times = t.tolist()
+    rec_q, rec_qd, rec_qdes, rec_tau = (np.empty((n_steps + 1, plant.n_joints))
+                                        for _ in range(4))
+    q_des, tau = q, np.zeros(plant.n_joints)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for k in range(n_steps + 1):
-                t[k], q[k], qd[k] = s.t, s.q, s.q_dot
-                if k == n_steps:
-                    qdes[k] = qdes[k - 1] if n_steps else s.q
-                    tau[k] = last_tau
-                    break
-                tk = _as_vector(torque_fn(s, k), n)
-                qdes[k] = _as_vector(q_des_fn(s, k), n) if q_des_fn is not None else s.q
-                tau[k] = tk
-                last_tau = tk
-                s = step(plant, s, tk, dt)
-    except FloatingPointError as exc:
+            for k in range(n_steps):
+                tau, q_des = torque_fn(q, qd, k, times[k])
+                rec_q[k], rec_qd[k], rec_qdes[k], rec_tau[k] = q, qd, q_des, tau
+                q, qd = step(plant, q, qd, tau, dt)
+    except (FloatingPointError, SimulationDivergedError) as exc:
         raise SimulationDivergedError(step_index=k) from exc
-    traj = Trajectory(sample_rate=1.0 / dt, t=t, q=q, q_dot=qd, q_des=qdes, tau=tau)
-    return traj, s
+    rec_q[n_steps], rec_qd[n_steps], rec_qdes[n_steps], rec_tau[n_steps] = \
+        q, qd, q_des, tau
+    return Trajectory(sample_rate=1.0 / dt, t=t, q=rec_q, q_dot=rec_qd, q_des=rec_qdes,
+                      tau=rec_tau)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import control, dynamics
 from .control import GainConfig
-from .dynamics import PlantParams, State, Trajectory, _as_vector
+from .dynamics import PlantParams, Trajectory, _as_vector
 
 
 @dataclass(frozen=True)
@@ -161,13 +161,13 @@ def replay(retargeted: RetargetedDemo, decimation: int, plant: PlantParams,
                          1.0 / retargeted.base_rate, retargeted.q0, retargeted.q_dot0,
                          retargeted.n_commands - 1)
     out = []
-    for traj, final in runs:
+    for traj in runs:
         mse = float("nan")
         if source is not None:
             m = min(traj.n_samples, source.traj.n_samples)
             mse = float(np.mean((traj.q[:m] - source.traj.q[:m]) ** 2))
-        final_err = float(np.linalg.norm(final.q - retargeted.goal.q_goal))
-        reached = retargeted.goal.reached(final.q)
+        final_err = float(np.linalg.norm(traj.q[-1] - retargeted.goal.q_goal))
+        reached = retargeted.goal.reached(traj.q[-1])
         out.append((traj, FidelityReport(mse=mse, goal_reached=reached, final_error=final_err)))
     return out if isinstance(command_noise, list) else out[0]
 
@@ -216,13 +216,13 @@ def computed_torque_tracker(plant: PlantParams, pos, vel, acc):
     """
     kp_fb, kd_fb = 2500.0, 100.0
 
-    def controller(state: State, t: float) -> np.ndarray:
-        e = pos(t) - state.q
-        e_dot = vel(t) - state.q_dot
-        M = dynamics.mass_matrix(plant, state.q)
+    def controller(q, q_dot, t: float) -> np.ndarray:
+        e = pos(t) - q
+        e_dot = vel(t) - q_dot
+        M = dynamics.mass_matrix(plant, q)
         qdd_cmd = acc(t) + kp_fb * e + kd_fb * e_dot
-        return (M @ qdd_cmd + dynamics.coriolis_torque(plant, state.q, state.q_dot)
-                + dynamics.gravity_torque(plant, state.q))
+        return (M @ qdd_cmd + dynamics.coriolis_torque(plant, q, q_dot)
+                + dynamics.gravity_torque(plant, q))
 
     return controller
 
@@ -232,35 +232,32 @@ def make_demo(plant: PlantParams, controller, duration: float, base_rate: float,
               reference=None) -> TorqueDemo:
     """Record a torque demo from a scripted torque-level controller.
 
-    ``controller(state, t) -> tau``. Torques beyond the plant limit are
+    ``controller(q, q_dot, t) -> tau``. Torques beyond the plant limit are
     clamped before application and the demo is flagged. The recorded
-    ``q_des`` channel holds the reference when one is supplied. The demo
+    ``q_des`` channel holds ``reference(t)`` when a reference is supplied
+    and q otherwise. The demo starts at rest at ``q0`` (default 0) and
     holds exactly ``round(duration * base_rate)`` samples.
     """
     if not duration > 0:
         raise ValueError("duration must be positive")
     dt = 1.0 / base_rate
     n_steps = int(round(duration * base_rate))
-    state0 = dynamics.rest_state(plant, q=q0)
+    q0 = np.zeros(plant.n_joints) if q0 is None else q0
     saturated = False
 
-    def torque_fn(state, k):
+    def torque_fn(q, q_dot, k, t):
         nonlocal saturated
-        tau = _as_vector(controller(state, state.t), plant.n_joints)
+        tau = _as_vector(controller(q, q_dot, t), plant.n_joints)
         clipped = np.clip(tau, -plant.torque_limit, plant.torque_limit)
         if np.any(clipped != tau):
             saturated = True
-        return clipped
+        return clipped, q if reference is None else reference(t)
 
-    q_des_fn = None
-    if reference is not None:
-        q_des_fn = lambda state, k: reference(state.t)
-    traj, final = dynamics.simulate(plant, state0, torque_fn, dt, n_steps,
-                                    q_des_fn=q_des_fn)
+    traj = dynamics.simulate(plant, q0, np.zeros(plant.n_joints), torque_fn, dt, n_steps)
+    if goal is None:
+        goal = TaskGoal(q_goal=traj.q[-1])
     # drop the trailing state sample so the demo holds duration*base_rate records
     traj = Trajectory(sample_rate=base_rate, t=traj.t[:-1], q=traj.q[:-1],
                       q_dot=traj.q_dot[:-1], q_des=traj.q_des[:-1], tau=traj.tau[:-1])
-    if goal is None:
-        goal = TaskGoal(q_goal=final.q.copy())
     return TorqueDemo(base_rate=base_rate, traj=traj, goal=goal,
                       torque_saturated=saturated)

@@ -230,13 +230,13 @@ def excite(plant: PlantParams, gains: GainConfig,
         raise ValueError("duration must be positive")
     spc = int(round(physics_rate / log_rate))
     n_cmd = int(round(duration * log_rate))
-    start = dynamics.rest_state(plant, q=q0)
+    q0, q_dot0 = dynamics._start_state(plant, 0.0 if q0 is None else q0, 0.0)
     # sin(pi*c/50) with c the 50 Hz command index == sin(pi*t) in seconds,
     # i.e. a 2 s period, two full periods over the default duration.
-    commands = np.array([start.q + amplitude * math.sin(math.pi * (c / log_rate))
+    commands = np.array([q0 + amplitude * math.sin(math.pi * (c / log_rate))
                          for c in range(n_cmd)])
-    tracked = track(plant, gains, commands, spc, 1.0 / physics_rate,
-                    start.q, start.q_dot, n_cmd * spc)
+    tracked = track(plant, gains, commands, spc, 1.0 / physics_rate, q0, q_dot0,
+                    n_cmd * spc)
     logged = slice(0, n_cmd * spc, spc)
     t = np.arange(n_cmd) / log_rate
 
@@ -245,7 +245,7 @@ def excite(plant: PlantParams, gains: GainConfig,
                           q_dot=traj.q_dot[logged], q_des=traj.q_des[logged],
                           tau=traj.tau[logged])
 
-    return [log(traj) for traj, _ in tracked] if plant.lanes else log(tracked[0])
+    return [log(traj) for traj in tracked] if plant.lanes else log(tracked)
 
 
 _DFT_CACHE: dict[int, np.ndarray] = {}

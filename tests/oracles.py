@@ -1,14 +1,15 @@
 """Independent brute-force oracles shared by the unit and acceptance suites."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from gainlab import dynamics, noise, shaping, stats, sysid
 from gainlab.control import pd_torque
 from gainlab.dynamics import (GRAVITY, STICTION_VEL_EPS, TWO_LINK, NonPositiveInertiaError,
-                              PlantParams, State, Trajectory, _as_vector, coriolis_torque,
-                              gravity_torque, mass_matrix)
+                              PlantParams, SimulationDivergedError, Trajectory, _as_vector,
+                              coriolis_torque, gravity_torque, mass_matrix)
 
 
 def brute_force_barnard(a, b, c, d, side="greater", n_grid=50001):
@@ -207,10 +208,10 @@ def per_episode_evaluate(problem, mapping, episodes=None):
 
 
 def simulate_replay(retargeted, decimation, plant, command_noise=None):
-    """retarget.replay's rollout as closures around dynamics.simulate.
+    """retarget.replay's rollout as closures around :func:`state_simulate`.
 
-    Every plant steps through the generic ``dynamics.step``; returns the
-    (trajectory, final state) pair of ``control.track``.
+    Every plant steps through :func:`state_step`; returns the trajectory
+    and the final State.
     """
     gains = retargeted.gains
     commands = retargeted.q_des[::decimation]
@@ -228,16 +229,18 @@ def simulate_replay(retargeted, decimation, plant, command_noise=None):
         tau = pd_torque(gains, state.q, state.q_dot, q_des_fn(state, k), gravity_term=grav)
         return np.clip(tau, -plant.torque_limit, plant.torque_limit)
 
-    return dynamics.simulate(plant, state0, torque_fn, dt, n_steps, q_des_fn=q_des_fn)
+    return state_simulate(plant, state0, torque_fn, dt, n_steps, q_des_fn=q_des_fn)
 
 
 def loop_excite(plant, gains, amplitude=0.1, duration=4.0, log_rate=50.0,
                 physics_rate=100.0, q0=None):
-    """sysid.excite as two loops: simulate-and-decimate for the two-link
-    arm, a hand-written decoupled-stepper loop for the diagonal plants."""
+    """sysid.excite as two loops: :func:`state_simulate`-and-decimate for
+    the two-link arm, a hand-written decoupled-stepper loop for the
+    diagonal plants."""
     spc = int(round(physics_rate / log_rate))
     n_cmd = int(round(duration * log_rate))
-    start = dynamics.rest_state(plant, q=q0)
+    n = plant.n_joints
+    start = State(q=np.zeros(n) if q0 is None else _as_vector(q0, n), q_dot=np.zeros(n))
 
     def ref(t):
         return start.q + amplitude * math.sin(math.pi * t)
@@ -254,8 +257,8 @@ def loop_excite(plant, gains, amplitude=0.1, duration=4.0, log_rate=50.0,
             tau = pd_torque(g, state.q, state.q_dot, q_des_fn(state, k), gravity_term=grav)
             return np.clip(tau, -plant.torque_limit, plant.torque_limit)
 
-        traj, _ = dynamics.simulate(plant, start, torque_fn, dt, n_cmd * spc,
-                                    q_des_fn=q_des_fn)
+        traj, _ = state_simulate(plant, start, torque_fn, dt, n_cmd * spc,
+                                 q_des_fn=q_des_fn)
         sl = slice(None, None, spc)
         return Trajectory(sample_rate=log_rate, t=traj.t[sl][:n_cmd],
                           q=traj.q[sl][:n_cmd], q_dot=traj.q_dot[sl][:n_cmd],
@@ -375,47 +378,46 @@ def friction_torque(plant: PlantParams, q_dot: np.ndarray, tau_net: np.ndarray) 
     return tau_f - plant.viscous_friction * q_dot
 
 
-def forward_dynamics(plant: PlantParams, state: State, tau, f_ext=None) -> np.ndarray:
+def forward_dynamics(plant: PlantParams, q, q_dot, tau, f_ext=None) -> np.ndarray:
     """Solve M(q) q_dd + C q_dot + g = tau + tau_friction + tau_ext for q_dd."""
     n = plant.n_joints
-    tau = _as_vector(tau, n)
+    q, q_dot, tau = _as_vector(q, n), _as_vector(q_dot, n), _as_vector(tau, n)
     fe = np.zeros(n) if f_ext is None else _as_vector(f_ext, n)
-    M = mass_matrix(plant, state.q)
+    M = mass_matrix(plant, q)
     if plant.kind == TWO_LINK:
         if np.linalg.eigvalsh(M).min() <= 0:
             raise NonPositiveInertiaError("inertia matrix not positive definite")
     elif np.any(np.diag(M) <= 0):
         raise NonPositiveInertiaError("non-positive effective inertia")
-    tau_net = tau + fe - coriolis_torque(plant, state.q, state.q_dot) \
-        - gravity_torque(plant, state.q)
-    rhs = tau_net + friction_torque(plant, state.q_dot, tau_net)
+    tau_net = tau + fe - coriolis_torque(plant, q, q_dot) - gravity_torque(plant, q)
+    rhs = tau_net + friction_torque(plant, q_dot, tau_net)
     if plant.kind == TWO_LINK:
         return np.linalg.solve(M, rhs)
     return rhs / np.diag(M)
 
 
-def rk4_step(plant: PlantParams, state: State, tau, dt: float) -> State:
+def rk4_step(plant: PlantParams, q, q_dot, tau, dt: float):
     """One classical RK4 step of :func:`forward_dynamics` with the torque
     held constant across the sub-stages (zero-order hold), intended for
-    the smooth (dry-friction-free) cases."""
-    tau = _as_vector(tau, plant.n_joints)
+    the smooth (dry-friction-free) cases. Returns the new (q, q_dot)."""
+    n = plant.n_joints
+    q, q_dot, tau = _as_vector(q, n), _as_vector(q_dot, n), _as_vector(tau, n)
 
     def deriv(q, qd):
-        s = State(q=q, q_dot=qd, t=state.t)
-        return qd, forward_dynamics(plant, s, tau)
+        return qd, forward_dynamics(plant, q, qd, tau)
 
-    k1q, k1v = deriv(state.q, state.q_dot)
-    k2q, k2v = deriv(state.q + 0.5 * dt * k1q, state.q_dot + 0.5 * dt * k1v)
-    k3q, k3v = deriv(state.q + 0.5 * dt * k2q, state.q_dot + 0.5 * dt * k2v)
-    k4q, k4v = deriv(state.q + dt * k3q, state.q_dot + dt * k3v)
-    q_new = state.q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
-    qd_new = state.q_dot + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return State(q=q_new, q_dot=qd_new, t=state.t + dt)
+    k1q, k1v = deriv(q, q_dot)
+    k2q, k2v = deriv(q + 0.5 * dt * k1q, q_dot + 0.5 * dt * k1v)
+    k3q, k3v = deriv(q + 0.5 * dt * k2q, q_dot + 0.5 * dt * k2v)
+    k4q, k4v = deriv(q + dt * k3q, q_dot + dt * k3v)
+    return (q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q),
+            q_dot + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
 
 
-def kinetic_energy(plant: PlantParams, state: State) -> float:
-    M = mass_matrix(plant, state.q)
-    return 0.5 * float(state.q_dot @ M @ state.q_dot)
+def kinetic_energy(plant: PlantParams, q, q_dot) -> float:
+    q_dot = np.asarray(q_dot, dtype=float)
+    M = mass_matrix(plant, np.asarray(q, dtype=float))
+    return 0.5 * float(q_dot @ M @ q_dot)
 
 
 def limit_torque(plant: PlantParams, tau, tau_prev, dt: float) -> np.ndarray:
@@ -427,6 +429,104 @@ def limit_torque(plant: PlantParams, tau, tau_prev, dt: float) -> np.ndarray:
     tau_prev = _as_vector(tau_prev, n)
     max_delta = plant.torque_rate_limit * dt
     return tau_prev + np.clip(tau - tau_prev, -max_delta, max_delta)
+
+
+# ---------------------------------------------------------------------------
+# The State path that dynamics.simulate and dynamics.step ran before a
+# state became a pair of arrays: an immutable (q, q_dot, t) record, a
+# step that wraps decoupled_stepper, and a loop that logs optional
+# q_des_fn targets. Kept as the reference the array loop is checked
+# against bit for bit.
+
+
+@dataclass(frozen=True)
+class State:
+    """Joint positions/velocities at time t. Immutable."""
+
+    q: np.ndarray
+    q_dot: np.ndarray
+    t: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "q", _as_vector(self.q))
+        object.__setattr__(self, "q_dot", _as_vector(self.q_dot, self.q.size))
+        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.q_dot))):
+            raise ValueError("state must be finite")
+
+
+def state_step(plant: PlantParams, state: State, tau, dt: float) -> State:
+    """Advance one physics step with torque held constant over the step:
+    decoupled_stepper's ``advance``, wrapped in State."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    tau = _as_vector(tau, plant.n_joints)
+    q_new, qd_new = dynamics.decoupled_stepper(plant)(state.q, state.q_dot, tau, dt)
+    if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(qd_new))):
+        raise SimulationDivergedError(step_index=int(round(state.t / dt)))
+    return State(q=q_new, q_dot=qd_new, t=state.t + dt)
+
+
+def state_simulate(plant: PlantParams, state0: State, torque_fn, dt: float, n_steps: int,
+                   q_des_fn=None):
+    """Run a closed-loop simulation and record it at the physics rate.
+
+    ``torque_fn(state, k)`` supplies the applied torque for step k;
+    ``q_des_fn(state, k)`` (optional) the logged position target. Returns
+    the trajectory of n_steps+1 samples and the final State. A
+    floating-point overflow or invalid operation at step k raises
+    ``SimulationDivergedError(step_index=k)``.
+    """
+    n = plant.n_joints
+    t = np.empty(n_steps + 1)
+    q = np.empty((n_steps + 1, n))
+    qd = np.empty((n_steps + 1, n))
+    qdes = np.empty((n_steps + 1, n))
+    tau = np.empty((n_steps + 1, n))
+    s = state0
+    last_tau = np.zeros(n)
+    k = 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(n_steps + 1):
+                t[k], q[k], qd[k] = s.t, s.q, s.q_dot
+                if k == n_steps:
+                    qdes[k] = qdes[k - 1] if n_steps else s.q
+                    tau[k] = last_tau
+                    break
+                tk = _as_vector(torque_fn(s, k), n)
+                qdes[k] = _as_vector(q_des_fn(s, k), n) if q_des_fn is not None else s.q
+                tau[k] = tk
+                last_tau = tk
+                s = state_step(plant, s, tk, dt)
+    except FloatingPointError as exc:
+        raise SimulationDivergedError(step_index=k) from exc
+    traj = Trajectory(sample_rate=1.0 / dt, t=t, q=q, q_dot=qd, q_des=qdes, tau=tau)
+    return traj, s
+
+
+def state_make_demo(plant: PlantParams, controller, duration: float, base_rate: float,
+                    q0=None, reference=None):
+    """retarget.make_demo on the State path, with ``controller(q, q_dot,
+    t)`` called on each State's fields. Returns the recorded trajectory
+    (trailing sample dropped), the final State and the saturation flag."""
+    n = plant.n_joints
+    state0 = State(q=np.zeros(n) if q0 is None else _as_vector(q0, n), q_dot=np.zeros(n))
+    saturated = False
+
+    def torque_fn(state, k):
+        nonlocal saturated
+        tau = _as_vector(controller(state.q, state.q_dot, state.t), n)
+        clipped = np.clip(tau, -plant.torque_limit, plant.torque_limit)
+        if np.any(clipped != tau):
+            saturated = True
+        return clipped
+
+    q_des_fn = None if reference is None else (lambda state, k: reference(state.t))
+    traj, final = state_simulate(plant, state0, torque_fn, 1.0 / base_rate,
+                                 int(round(duration * base_rate)), q_des_fn=q_des_fn)
+    traj = Trajectory(sample_rate=base_rate, t=traj.t[:-1], q=traj.q[:-1],
+                      q_dot=traj.q_dot[:-1], q_des=traj.q_des[:-1], tau=traj.tau[:-1])
+    return traj, final, saturated
 
 
 # ---------------------------------------------------------------------------

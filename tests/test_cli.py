@@ -170,6 +170,27 @@ class TestValidateFindings:
         text = VARIANCE_INI.replace("trials = 10\n", "").replace("masses = 1\n", "")
         self.assert_reported(tmp_path, text + params, key)
 
+    @pytest.mark.parametrize("kind,line,key", [
+        ("noisy-replay", "sigma = -0.05", "params.sigma"),
+        ("noisy-replay", "sigma = inf", "params.sigma"),
+        ("jitter-scan", "sigma = -0.02", "params.sigma"),
+        ("variance-check", "sigma = -0.5", "params.sigma"),
+        ("variance-check", "sigma = nan", "params.sigma"),
+        ("shape-search", "episodes = 0", "params.episodes"),
+        ("shape-search", "eval_episodes = 0", "params.eval_episodes"),
+        ("noisy-replay", "decimation = 0", "params.decimation"),
+        ("jitter-scan", "decimation = -1", "params.decimation"),
+        ("tpr-sweep", "decimations = 1, 0", "params.decimations"),
+        ("tpr-sweep", "decimations = often", "params.decimations"),
+    ])
+    def test_sigma_and_counts(self, tmp_path, kind, line, key):
+        # each kind's pinned config, with the line's key set to a bad value
+        name = line.split(" = ")[0]
+        body = "".join(ln for ln in PINNED[kind][0].splitlines(keepends=True)
+                       if not ln.startswith(f"{name} ="))
+        text = f"[experiment]\nkind = {kind}\nseed = 7\nout = {{out}}\n\n{body}{line}\n"
+        self.assert_reported(tmp_path, text, key)
+
     def test_variance_check_dt_fits_the_lightest_listed_mass(self, tmp_path):
         text = VARIANCE_INI.replace("masses = 1\n", "masses = 1, 4\ndt = 0.01\n")
         assert validate(load_config(write(tmp_path, "c.ini",

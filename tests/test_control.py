@@ -7,49 +7,45 @@ from numpy.testing import assert_allclose
 from gainlab import control, dynamics, retarget, sysid
 from gainlab.control import (GainConfig, GainGrid, classify_regime, default_grid,
                              effective_stiffness, pd_torque)
-from gainlab.dynamics import State, point_mass
+from gainlab.dynamics import point_mass
 from oracles import limit_torque, loop_excite, simulate_replay
 
 
 class TestPdTorque:
     def test_zero_at_setpoint(self):
         g = GainConfig(kp=100.0, kd=10.0)
-        s = State(q=[0.2], q_dot=[0.0])
-        assert_allclose(pd_torque(g, s.q, s.q_dot, q_des=[0.2]), [0.0])
+        assert_allclose(pd_torque(g, np.array([0.2]), np.array([0.0]), q_des=[0.2]), [0.0])
 
     def test_linear_law(self):
         g = GainConfig(kp=100.0, kd=1e-6)
-        s = State(q=[0.0], q_dot=[0.0])
-        assert_allclose(pd_torque(g, s.q, s.q_dot, q_des=[0.1]), [10.0])
+        assert_allclose(pd_torque(g, np.array([0.0]), np.array([0.0]), q_des=[0.1]), [10.0])
 
     def test_velocity_reference_defaults_to_zero(self):
         g = GainConfig(kp=1.0, kd=5.0)
-        s = State(q=[0.0], q_dot=[2.0])
-        assert_allclose(pd_torque(g, s.q, s.q_dot, q_des=[0.0]), [-10.0])
+        assert_allclose(pd_torque(g, np.array([0.0]), np.array([2.0]), q_des=[0.0]), [-10.0])
 
     def test_gravity_compensation_toggle(self):
-        s = State(q=[0.0], q_dot=[0.0])
+        q = q_dot = np.array([0.0])
         on = GainConfig(kp=1.0, kd=1.0, gravity_comp=True)
         off = GainConfig(kp=1.0, kd=1.0, gravity_comp=False)
         grav = np.array([3.0])
-        assert_allclose(pd_torque(on, s.q, s.q_dot, [0.0], gravity_term=grav), [3.0])
-        assert_allclose(pd_torque(off, s.q, s.q_dot, [0.0], gravity_term=grav), [0.0])
+        assert_allclose(pd_torque(on, q, q_dot, [0.0], gravity_term=grav), [3.0])
+        assert_allclose(pd_torque(off, q, q_dot, [0.0], gravity_term=grav), [0.0])
         scaled = GainConfig(kp=1.0, kd=1.0, gravity_comp=True,
                             gravity_comp_scale=0.5)
-        assert_allclose(pd_torque(scaled, s.q, s.q_dot, [0.0], gravity_term=grav), [1.5])
+        assert_allclose(pd_torque(scaled, q, q_dot, [0.0], gravity_term=grav), [1.5])
 
     def test_impedance_relation_at_steady_state(self):
         # constant external torque, simulate to rest: tau_ext = Kp (q - q_des)
         plant = point_mass(1.0)
         gains = GainConfig(kp=40.0, kd=15.0)
         tau_ext = np.array([1.7])
-        state = dynamics.rest_state(plant)
 
-        def torque_fn(s, k):
-            return pd_torque(gains, s.q, s.q_dot, [0.0]) + tau_ext
+        def torque_fn(q, q_dot, k, t):
+            return pd_torque(gains, q, q_dot, [0.0]) + tau_ext, [0.0]
 
-        _, final = dynamics.simulate(plant, state, torque_fn, 1e-3, 12000)
-        assert_allclose(gains.kp * (final.q - 0.0), tau_ext, rtol=1e-6)
+        traj = dynamics.simulate(plant, [0.0], [0.0], torque_fn, 1e-3, 12000)
+        assert_allclose(gains.kp * (traj.q[-1] - 0.0), tau_ext, rtol=1e-6)
 
     def test_gain_validation(self):
         with pytest.raises(ValueError):
@@ -177,14 +173,14 @@ class TestEffectiveStiffness:
         plant = point_mass(1.0)
         g = GainConfig(kp=50.0, kd=20.0)
         k_up = effective_stiffness(plant, g, [2.0], 8.0,
-                                   policy=lambda s: -0.7 * s.q)
+                                   policy=lambda q, q_dot: -0.7 * q)
         assert k_up == pytest.approx(50.0 * 1.7, rel=1e-6)
 
     def test_policy_can_realize_stiffness_below_kp(self):
         plant = point_mass(1.0)
         g = GainConfig(kp=50.0, kd=20.0)
         k_down = effective_stiffness(plant, g, [2.0], 20.0,
-                                     policy=lambda s: 0.5 * s.q)
+                                     policy=lambda q, q_dot: 0.5 * q)
         assert k_down == pytest.approx(25.0, rel=1e-6)
         assert k_down < 50.0
 
@@ -239,17 +235,16 @@ class TestTrackMatchesLoopOracles:
             commands = rd.q_des[::decimation]
             if command_noise is not None:
                 commands = commands + command_noise
-            got, state = control.track(plant, gains, commands, decimation,
-                                       1.0 / rd.base_rate, rd.q0, rd.q_dot0,
-                                       rd.n_commands - 1)
+            got = control.track(plant, gains, commands, decimation, 1.0 / rd.base_rate,
+                                rd.q0, rd.q_dot0, rd.n_commands - 1)
             replayed, _ = retarget.replay(rd, decimation, plant,
                                           command_noise=command_noise)
             for f in ("t",) + self.FIELDS:
                 assert np.array_equal(getattr(got, f), getattr(want, f)), f
                 assert np.array_equal(getattr(replayed, f), getattr(want, f)), f
-            assert np.array_equal(state.q, final.q)
-            assert np.array_equal(state.q_dot, final.q_dot)
-            assert state.t == final.t
+            assert np.array_equal(got.q[-1], final.q)
+            assert np.array_equal(got.q_dot[-1], final.q_dot)
+            assert got.t[-1] == final.t
 
     @pytest.mark.parametrize("gains", TRACK_GAINS, ids=["pd", "pd_gravity_comp"])
     @pytest.mark.parametrize("name", list(TRACK_PLANTS))
@@ -259,5 +254,5 @@ class TestTrackMatchesLoopOracles:
         want = loop_excite(plant, gains, q0=q0)
         for f in self.FIELDS:
             assert np.array_equal(getattr(traj, f), getattr(want, f)), f
-        # the arm's oracle logs simulate's accumulated State.t
+        # the arm's oracle logs the State path's accumulated t
         assert_allclose(traj.t, want.t, rtol=0, atol=1e-12)

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gainlab import dynamics
-from gainlab.dynamics import GRAVITY, State, Trajectory, chain, point_mass, two_link
-from oracles import (forward_dynamics, friction_torque, kinetic_energy, rk4_step,
-                     two_link_step, two_link_terms)
+from gainlab import dynamics, retarget
+from gainlab.control import GainConfig, pd_torque
+from gainlab.dynamics import GRAVITY, Trajectory, chain, point_mass, two_link
+from oracles import (State, forward_dynamics, friction_torque, kinetic_energy, rk4_step,
+                     state_make_demo, state_simulate, two_link_step, two_link_terms)
 
 
 def make_gravity_arm(link_masses=(1.0, 0.5), link_lengths=(0.5, 0.4), **kw):
@@ -94,17 +95,17 @@ def lagrangian_oracle_accel(arm, q, qd, tau, h=1e-4):
 class TestForwardDynamics:
     def test_equilibrium_point_mass(self):
         p = point_mass(1.0)
-        qdd = forward_dynamics(p, dynamics.rest_state(p), tau=[0.0])
+        qdd = forward_dynamics(p, [0.0], [0.0], tau=[0.0])
         assert_allclose(qdd, [0.0])
 
     def test_newtons_law(self):
         p = point_mass(2.0)
-        qdd = forward_dynamics(p, dynamics.rest_state(p), tau=[4.0])
+        qdd = forward_dynamics(p, [0.0], [0.0], tau=[4.0])
         assert_allclose(qdd, [2.0])
 
     def test_armature_adds_inertia(self):
         p = point_mass(1.0, armature=1.0)
-        qdd = forward_dynamics(p, dynamics.rest_state(p), tau=[4.0])
+        qdd = forward_dynamics(p, [0.0], [0.0], tau=[4.0])
         assert_allclose(qdd, [2.0])
 
     @pytest.mark.parametrize("gravity", [False, True])
@@ -116,14 +117,14 @@ class TestForwardDynamics:
             q = rng.uniform(-math.pi, math.pi, 2)
             qd = rng.uniform(-2.0, 2.0, 2)
             tau = rng.uniform(-5.0, 5.0, 2)
-            got = forward_dynamics(arm, State(q=q, q_dot=qd), tau)
+            got = forward_dynamics(arm, q, qd, tau)
             want = lagrangian_oracle_accel(arm, q, qd, tau)
             rel = np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want))
             assert rel < 1e-6
 
     def test_external_torque_channel(self):
         p = point_mass(1.0)
-        qdd = forward_dynamics(p, dynamics.rest_state(p), tau=[1.0], f_ext=[2.0])
+        qdd = forward_dynamics(p, [0.0], [0.0], tau=[1.0], f_ext=[2.0])
         assert_allclose(qdd, [3.0])
 
 
@@ -149,14 +150,12 @@ class TestFriction:
 
 
 class TestStep:
-    def test_zero_dynamics_only_time_advances(self):
+    def test_zero_dynamics_leave_the_state_unchanged(self):
         p = point_mass(1.0)
-        s0 = dynamics.rest_state(p, q=[0.3])
         for step in (dynamics.step, rk4_step):
-            s1 = step(p, s0, [0.0], 1e-3)
-            assert_allclose(s1.q, s0.q)
-            assert_allclose(s1.q_dot, s0.q_dot)
-            assert s1.t == pytest.approx(1e-3)
+            q1, qd1 = step(p, [0.3], [0.0], [0.0], 1e-3)
+            assert_allclose(q1, [0.3])
+            assert_allclose(qd1, [0.0])
 
     def test_rk4_energy_conservation(self):
         # Undamped oscillation driven by the plant's own conservative
@@ -167,32 +166,31 @@ class TestStep:
         m1, m2 = arm.link_masses
         l1, l2 = arm.link_lengths
 
-        def energy(s):
-            y1 = l1 * math.sin(s.q[0])
-            y2 = y1 + l2 * math.sin(s.q[0] + s.q[1])
-            return (kinetic_energy(arm, s)
+        def energy(q, qd):
+            y1 = l1 * math.sin(q[0])
+            y2 = y1 + l2 * math.sin(q[0] + q[1])
+            return (kinetic_energy(arm, q, qd)
                     + GRAVITY * (m1 * y1 + m2 * y2))
 
-        s = State(q=[0.4, -0.2], q_dot=[0.0, 0.0])
-        e0 = energy(s)
-        scale = abs(e0) + kinetic_energy(arm, s) + 1.0
+        q, qd = np.array([0.4, -0.2]), np.zeros(2)
+        e0 = energy(q, qd)
+        scale = abs(e0) + kinetic_energy(arm, q, qd) + 1.0
         for _ in range(1000):
-            s = rk4_step(arm, s, [0.0, 0.0], 1e-3)
-            assert abs(energy(s) - e0) / scale < 1e-6
+            q, qd = rk4_step(arm, q, qd, [0.0, 0.0], 1e-3)
+            assert abs(energy(q, qd) - e0) / scale < 1e-6
 
     def test_integrator_convergence_orders(self):
         # Damped oscillator realized with in-plant smooth forces
         # (pendulum gravity + viscous friction). Richardson ratios give
         # the observed order; semi-implicit >= 1 and RK4 >= 4.
         arm = make_gravity_arm(viscous_friction=[0.3, 0.2])
-        s0 = State(q=[0.5, -0.3], q_dot=[0.4, 0.1])
         horizon = 0.5
 
         def final_q(dt, integ):
-            s = s0
+            q, qd = np.array([0.5, -0.3]), np.array([0.4, 0.1])
             for _ in range(int(round(horizon / dt))):
-                s = integ(arm, s, [0.0, 0.0], dt)
-            return s.q
+                q, qd = integ(arm, q, qd, [0.0, 0.0], dt)
+            return q
 
         ref = final_q(6.25e-5, rk4_step)
         orders = {}
@@ -210,13 +208,12 @@ class TestStep:
 
     def test_semi_implicit_and_rk4_converge_to_same_trajectory(self):
         arm = make_gravity_arm(viscous_friction=[0.3, 0.2])
-        s0 = State(q=[0.5, -0.3], q_dot=[0.0, 0.0])
 
         def final_q(dt, integ):
-            s = s0
+            q, qd = np.array([0.5, -0.3]), np.zeros(2)
             for _ in range(int(round(0.5 / dt))):
-                s = integ(arm, s, [0.0, 0.0], dt)
-            return s.q
+                q, qd = integ(arm, q, qd, [0.0, 0.0], dt)
+            return q
 
         gap_coarse = np.linalg.norm(final_q(2e-3, dynamics.step) - final_q(2e-3, rk4_step))
         gap_fine = np.linalg.norm(final_q(2.5e-4, dynamics.step) - final_q(2.5e-4, rk4_step))
@@ -225,14 +222,14 @@ class TestStep:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_nonfinite_state_raises_with_step_index(self):
         p = point_mass(1.0)
-        s = dynamics.rest_state(p)
-        with pytest.raises(dynamics.SimulationDivergedError):
-            dynamics.step(p, s, [1e308], 1e3)
+        with pytest.raises(dynamics.SimulationDivergedError) as err:
+            dynamics.step(p, [0.0], [0.0], [1e308], 1e3)
+        assert err.value.step_index == 0
 
     def test_dt_must_be_positive(self):
         p = point_mass(1.0)
         with pytest.raises(ValueError):
-            dynamics.step(p, dynamics.rest_state(p), [0.0], 0.0)
+            dynamics.step(p, [0.0], [0.0], [0.0], 0.0)
 
 
 @st.composite
@@ -261,20 +258,20 @@ class TestInvariants:
                    dynamic_friction_ratio=[0.5, 0.0, 1.0])
         rng = np.random.default_rng(7)
         taus = rng.normal(scale=2.0, size=(200, 3))
-        s_chain = State(q=np.zeros(3), q_dot=np.zeros(3))
+        q_chain, qd_chain = np.zeros(3), np.zeros(3)
         singles = []
         for j in range(3):
             pj = point_mass(masses[j], viscous_friction=ch.viscous_friction[j],
                             static_friction=ch.static_friction[j],
                             dynamic_friction_ratio=ch.dynamic_friction_ratio[j])
-            singles.append((pj, State(q=[0.0], q_dot=[0.0])))
+            singles.append((pj, np.zeros(1), np.zeros(1)))
         for k in range(200):
-            s_chain = dynamics.step(ch, s_chain, taus[k], 1e-3)
-            for j, (pj, sj) in enumerate(singles):
-                sj = dynamics.step(pj, sj, [taus[k, j]], 1e-3)
-                singles[j] = (pj, sj)
-                assert s_chain.q[j] == sj.q[0]
-                assert s_chain.q_dot[j] == sj.q_dot[0]
+            q_chain, qd_chain = dynamics.step(ch, q_chain, qd_chain, taus[k], 1e-3)
+            for j, (pj, qj, qdj) in enumerate(singles):
+                qj, qdj = dynamics.step(pj, qj, qdj, [taus[k, j]], 1e-3)
+                singles[j] = (pj, qj, qdj)
+                assert q_chain[j] == qj[0]
+                assert qd_chain[j] == qdj[0]
 
     def test_two_link_inertia_spd_on_random_grid(self):
         arm = two_link(link_masses=(1.5, 0.4), link_lengths=(0.7, 0.3),
@@ -295,11 +292,11 @@ class TestInvariants:
     ])
     def test_passivity_kinetic_energy_nonincreasing(self, friction):
         p = point_mass(1.0, **friction)
-        s = State(q=[0.0], q_dot=[1.3])
-        ke = kinetic_energy(p, s)
+        q, qd = np.zeros(1), np.array([1.3])
+        ke = kinetic_energy(p, q, qd)
         for _ in range(2000):
-            s = dynamics.step(p, s, [0.0], 1e-3)
-            ke_next = kinetic_energy(p, s)
+            q, qd = dynamics.step(p, q, qd, [0.0], 1e-3)
+            ke_next = kinetic_energy(p, q, qd)
             assert ke_next <= ke + 1e-9
             ke = ke_next
 
@@ -307,11 +304,11 @@ class TestInvariants:
     @given(plant_and_velocity=diagonal_plants_with_velocity())
     def test_passivity_generated_plants(self, plant_and_velocity):
         p, q_dot = plant_and_velocity
-        s = State(q=np.zeros(p.n_joints), q_dot=q_dot)
-        ke = kinetic_energy(p, s)
+        q = np.zeros(p.n_joints)
+        ke = kinetic_energy(p, q, q_dot)
         for _ in range(2000):
-            s = dynamics.step(p, s, np.zeros(p.n_joints), 1e-3)
-            ke_next = kinetic_energy(p, s)
+            q, q_dot = dynamics.step(p, q, q_dot, np.zeros(p.n_joints), 1e-3)
+            ke_next = kinetic_energy(p, q, q_dot)
             assert ke_next <= ke + 1e-9
             ke = ke_next
 
@@ -321,11 +318,11 @@ class TestInvariants:
         taus = rng.normal(size=(100, 2))
 
         def run():
-            s = State(q=[0.2, 0.1], q_dot=[0.0, 0.0])
+            q, qd = np.array([0.2, 0.1]), np.zeros(2)
             out = []
             for k in range(100):
-                s = dynamics.step(arm, s, taus[k], 1e-3)
-                out.append(s.q.copy())
+                q, qd = dynamics.step(arm, q, qd, taus[k], 1e-3)
+                out.append(q)
             return np.array(out)
 
         assert np.array_equal(run(), run())
@@ -335,14 +332,14 @@ class TestInvariants:
                   dynamic_friction_ratio=[0.4, 0.9], viscous_friction=[0.1, 0.3])
         advance = dynamics.decoupled_stepper(p)
         rng = np.random.default_rng(5)
-        s = State(q=rng.normal(size=2), q_dot=rng.normal(size=2))
-        q, qd = s.q.copy(), s.q_dot.copy()
+        q, qd = rng.normal(size=2), rng.normal(size=2)
+        q_fast, qd_fast = q.copy(), qd.copy()
         for _ in range(500):
             tau = rng.normal(scale=2.0, size=2)
-            s = dynamics.step(p, s, tau, 1e-3)
-            q, qd = advance(q, qd, tau, 1e-3)
-            assert np.array_equal(s.q, q)
-            assert np.array_equal(s.q_dot, qd)
+            q, qd = dynamics.step(p, q, qd, tau, 1e-3)
+            q_fast, qd_fast = advance(q_fast, qd_fast, tau, 1e-3)
+            assert np.array_equal(q, q_fast)
+            assert np.array_equal(qd, qd_fast)
 
 
 def _bits(a):
@@ -427,9 +424,9 @@ class TestLaneKernel:
             want_q, want_qd = two_link_step(arm, q[i], qd[i], tau[i], dt)
             assert np.array_equal(_bits(q_new[i]), _bits(want_q))
             assert np.array_equal(_bits(qd_new[i]), _bits(want_qd))
-            one = dynamics.step(arm, State(q=q[i], q_dot=qd[i]), tau[i], dt)
-            assert np.array_equal(_bits(one.q), _bits(want_q))
-            assert np.array_equal(_bits(one.q_dot), _bits(want_qd))
+            one_q, one_qd = dynamics.step(arm, q[i], qd[i], tau[i], dt)
+            assert np.array_equal(_bits(one_q), _bits(want_q))
+            assert np.array_equal(_bits(one_qd), _bits(want_qd))
 
 
 class TestLaneStackedPlant:
@@ -474,6 +471,124 @@ class TestLaneStackedPlant:
             [[0.1, 0.1], [0.2, 0.2]]
 
 
+# plant, start q, goal q
+LOOP_PLANTS = {
+    "point_mass": (point_mass(1.5, gravity_enabled=True, viscous_friction=0.2,
+                              static_friction=0.3, dynamic_friction_ratio=0.5),
+                   [0.1], [0.6]),
+    "chain": (chain([1.0, 0.4], armature=[0.05, 0.0], viscous_friction=[0.1, 0.3]),
+              [0.1, -0.2], [0.5, 0.3]),
+    "two_link": (two_link(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4),
+                          gravity_enabled=True), [-0.4, 0.6], [0.3, -0.2]),
+}
+
+
+def _clamped(plant, clamp, peak):
+    """The plant, or the plant with a torque limit at 80% of ``peak``."""
+    return replace(plant, torque_limit=0.8 * peak) if clamp else plant
+
+
+class TestSimulateMatchesStatePath:
+    """dynamics.simulate and retarget.make_demo against the State path they
+    replaced (tests/oracles.py), bit for bit: records, the final row, the
+    saturation flag and every divergence step index."""
+
+    FIELDS = ("t", "q", "q_dot", "q_des", "tau")
+
+    def assert_same(self, got, want):
+        for f in self.FIELDS:
+            assert np.array_equal(_bits(getattr(got, f)), _bits(getattr(want, f))), f
+
+    @pytest.mark.parametrize("clamp", [False, True], ids=["free", "clamped"])
+    @pytest.mark.parametrize("name", list(LOOP_PLANTS))
+    def test_make_demo(self, name, clamp):
+        plant, q0, qf = LOOP_PLANTS[name]
+        pos, vel, acc = retarget.quintic_reference(q0, qf, 0.75)
+        free = retarget.make_demo(plant, retarget.computed_torque_tracker(plant, pos, vel, acc),
+                                  1.0, 500.0, q0=q0)
+        plant = _clamped(plant, clamp, np.max(np.abs(free.traj.tau)))
+        ctrl = retarget.computed_torque_tracker(plant, pos, vel, acc)
+        for reference in (pos, None):
+            demo = retarget.make_demo(plant, ctrl, 1.0, 500.0, q0=q0, reference=reference)
+            want, final, saturated = state_make_demo(plant, ctrl, 1.0, 500.0, q0=q0,
+                                                     reference=reference)
+            self.assert_same(demo.traj, want)
+            assert np.array_equal(_bits(demo.goal.q_goal), _bits(final.q))
+            assert demo.torque_saturated is saturated is clamp
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 400])
+    @pytest.mark.parametrize("clamp", [False, True], ids=["free", "clamped"])
+    @pytest.mark.parametrize("name", list(LOOP_PLANTS))
+    def test_pd_loop(self, name, clamp, n_steps):
+        plant, q0, qf = LOOP_PLANTS[name]
+        plant = _clamped(plant, clamp, 200.0 * np.max(np.abs(np.subtract(qf, q0))))
+        gains = GainConfig(kp=200.0, kd=12.0, gravity_comp=True)
+        qf = np.asarray(qf)
+        seen_new, seen_old = [], []
+
+        def torque(q, q_dot):
+            tau = pd_torque(gains, q, q_dot, qf, gravity_term=dynamics.gravity_torque(plant, q))
+            return np.clip(tau, -plant.torque_limit, plant.torque_limit)
+
+        def torque_fn(q, q_dot, k, t):
+            seen_new.append((k, t))
+            return torque(q, q_dot), qf
+
+        def state_torque_fn(state, k):
+            seen_old.append((k, state.t))
+            return torque(state.q, state.q_dot)
+
+        got = dynamics.simulate(plant, q0, np.zeros(plant.n_joints), torque_fn, 1e-3, n_steps)
+        want, final = state_simulate(plant, State(q=q0, q_dot=np.zeros(plant.n_joints)),
+                                     state_torque_fn, 1e-3, n_steps,
+                                     q_des_fn=lambda state, k: qf)
+        self.assert_same(got, want)
+        assert np.array_equal(_bits(got.q[-1]), _bits(final.q))
+        assert np.array_equal(_bits(got.q_dot[-1]), _bits(final.q_dot))
+        assert got.t[-1] == final.t
+        assert seen_new == seen_old
+        if clamp and n_steps:
+            assert np.max(np.abs(got.tau)) == plant.torque_limit
+
+    LIGHT_ARM = two_link(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4),
+                         gravity_enabled=True)
+
+    @pytest.mark.parametrize("plant, kp, kd, dt", [
+        (point_mass(1.0), 1e6, 1.0, 1e-2),
+        (chain([1.0, 0.4]), 4e4, 1.0, 2e-2),
+        (LIGHT_ARM, 512.0, 24.0, 1e-2),
+    ], ids=["point_mass", "chain", "two_link"])
+    def test_unstable_pd_diverges_at_the_same_step(self, plant, kp, kd, dt):
+        gains = GainConfig(kp=kp, kd=kd)
+        n = plant.n_joints
+        with pytest.raises(dynamics.SimulationDivergedError) as got:
+            dynamics.simulate(plant, np.full(n, 0.1), np.zeros(n),
+                              lambda q, q_dot, k, t: (pd_torque(gains, q, q_dot, 0.0), 0.0),
+                              dt, 400)
+        with pytest.raises(dynamics.SimulationDivergedError) as want:
+            state_simulate(plant, State(q=np.full(n, 0.1), q_dot=np.zeros(n)),
+                           lambda state, k: pd_torque(gains, state.q, state.q_dot, 0.0), dt, 400)
+        assert isinstance(want.value.__cause__, FloatingPointError)
+        assert got.value.step_index == want.value.step_index > 0
+
+    def test_silent_solve_overflow_diverges_at_the_same_step(self):
+        # np.linalg.solve overflows without a floating-point error, so the
+        # State path caught this step by its finiteness check, not errstate
+        arm, n = self.LIGHT_ARM, 2
+
+        def kick(k):
+            return np.array([1e308, -1e308]) if k == 7 else np.zeros(n)
+
+        with pytest.raises(dynamics.SimulationDivergedError) as got:
+            dynamics.simulate(arm, [0.2, -0.1], np.zeros(n),
+                              lambda q, q_dot, k, t: (kick(k), q), 1e-3, 20)
+        with pytest.raises(dynamics.SimulationDivergedError) as want:
+            state_simulate(arm, State(q=[0.2, -0.1], q_dot=np.zeros(n)),
+                           lambda state, k: kick(k), 1e-3, 20)
+        assert want.value.__cause__ is None
+        assert got.value.step_index == want.value.step_index == 7
+
+
 class TestValidation:
     def test_bad_mass_rejected(self):
         with pytest.raises(ValueError):
@@ -484,13 +599,19 @@ class TestValidation:
             point_mass(1.0, dynamic_friction_ratio=1.5)
 
     def test_state_must_be_finite(self):
-        with pytest.raises(ValueError):
-            State(q=[math.nan], q_dot=[0.0])
+        p = point_mass(1.0)
+        with pytest.raises(ValueError, match="state must be finite"):
+            dynamics.simulate(p, [math.nan], [0.0], lambda *a: ([0.0], [0.0]), 1e-3, 1)
 
     def test_dimension_mismatch_rejected(self):
         p = chain([1.0, 1.0])
         with pytest.raises(ValueError):
-            forward_dynamics(p, dynamics.rest_state(p), tau=[1.0, 2.0, 3.0])
+            forward_dynamics(p, np.zeros(2), np.zeros(2), tau=[1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            dynamics.step(p, np.zeros(2), np.zeros(2), [1.0, 2.0, 3.0], 1e-3)
+        with pytest.raises(ValueError):
+            dynamics.simulate(p, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                              lambda *a: ([0.0], [0.0]), 1e-3, 1)
 
 
 class TestTrajectoryIO:

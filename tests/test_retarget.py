@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from gainlab import dynamics, retarget
 from gainlab.control import GainConfig, pd_torque
-from gainlab.dynamics import State, Trajectory, point_mass, two_link
+from gainlab.dynamics import Trajectory, point_mass, two_link
 from gainlab.retarget import (TaskGoal, TorqueDemo, computed_torque_tracker,
                               make_demo, quintic_reference, replay,
                               synth_task_demo, tpr_joint, tpr_task)
@@ -43,8 +43,7 @@ class TestTprJoint:
         demo = linear_demo()
         gains = GainConfig(kp=64.0, kd=8.0)
         rd = tpr_joint(demo, gains)
-        s0 = State(q=demo.traj.q[0], q_dot=demo.traj.q_dot[0])
-        tau0 = pd_torque(gains, s0.q, s0.q_dot, rd.q_des[0])
+        tau0 = pd_torque(gains, demo.traj.q[0], demo.traj.q_dot[0], rd.q_des[0])
         assert_allclose(tau0, demo.traj.tau[0], atol=1e-12)
 
     def test_round_trip_reproduces_torques_exactly(self):
@@ -204,7 +203,7 @@ class TestReplay:
 class TestMakeDemo:
     def test_duration_guard(self):
         with pytest.raises(ValueError):
-            make_demo(point_mass(1.0), lambda s, t: [0.0], 0.0, 500.0)
+            make_demo(point_mass(1.0), lambda q, q_dot, t: [0.0], 0.0, 500.0)
 
     def test_sample_count_bookkeeping(self):
         demo = linear_demo(duration=2.0, base_rate=500.0)
@@ -220,6 +219,6 @@ class TestMakeDemo:
 
     def test_saturation_flagged(self):
         plant = point_mass(1.0, torque_limit=0.5)
-        demo = make_demo(plant, lambda s, t: [10.0], 0.1, 500.0)
+        demo = make_demo(plant, lambda q, q_dot, t: [10.0], 0.1, 500.0)
         assert demo.torque_saturated
         assert np.max(np.abs(demo.traj.tau)) <= 0.5
