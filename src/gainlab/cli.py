@@ -11,9 +11,9 @@ cells x masses, or corners), results.csv columns, long-format heatmaps
 hashes; identical config+seed reruns produce byte-identical payloads
 regardless of the worker count.
 
-Subcommands: ``run``, ``validate``, plus direct passthroughs ``sysid``,
-``shape``, and ``stats``. Exit codes: 0 success, 1 validation error,
-2 runtime failure.
+Subcommands: ``run`` and ``validate``, each on one ``--config`` file.
+Exit codes: 0 success, 1 validation error (a finding, or a config that
+cannot be parsed), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from . import control, dynamics, noise, retarget, shaping, stats, sysid
 from .control import GainConfig, GainGrid, default_grid
 from .dynamics import PlantParams
 from .shaping import ToyShapingProblem
-
-WORKERS_ENV = "GAINLAB_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -72,11 +70,11 @@ def _read_ini(path) -> configparser.ConfigParser:
     return cp
 
 
-def _parse_grid(cp: configparser.ConfigParser, missing=None) -> GainGrid | None:
-    """The [grid] kp/kd lists, or ``missing`` without a [grid] section;
+def _parse_grid(cp: configparser.ConfigParser) -> GainGrid | None:
+    """The [grid] kp/kd lists, or the default grid without a [grid] section;
     None unless both lists are non-empty, numeric and strictly increasing."""
     if not cp.has_section("grid"):
-        return missing
+        return default_grid()
     try:
         kp, kd = ([float(v) for v in cp["grid"].get(axis, "").split(",") if v.strip()]
                   for axis in ("kp", "kd"))
@@ -94,7 +92,7 @@ def load_config(path) -> ExperimentConfig:
     out = exp.get("out", "out")
     plant = dynamics.load_plant(dict(cp["plant"])) if cp.has_section("plant") \
         else dynamics.point_mass(1.0)
-    grid = _parse_grid(cp, missing=default_grid())
+    grid = _parse_grid(cp)
     params = {}
     if cp.has_section("params"):
         params = {k: _parse_value(v) for k, v in cp["params"].items()}
@@ -529,14 +527,12 @@ KINDS = tuple(RUNNERS)
 # Entry points
 
 
-def run(config: ExperimentConfig, workers: int | None = None) -> int:
+def run(config: ExperimentConfig, workers: int = 1) -> int:
     findings = validate(config)
     if findings:
         for f in findings:
             print(f"validation: {f}", file=sys.stderr)
         return 1
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     os.makedirs(config.out, exist_ok=True)
     try:
         files, failures = RUNNERS[config.kind].runner(config.kind, config,
@@ -572,57 +568,6 @@ def run(config: ExperimentConfig, workers: int | None = None) -> int:
     return 2 if failures else 0
 
 
-def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if args.out is not None:
-        config = dataclasses.replace(config, out=args.out)
-    return run(config, workers=args.workers)
-
-
-def _cmd_validate(args) -> int:
-    try:
-        config = load_config(args.config)
-    except Exception as exc:
-        print(f"validation: cannot parse config: {exc}", file=sys.stderr)
-        return 1
-    findings = validate(config)
-    for f in findings:
-        print(f"validation: {f}")
-    return 1 if findings else 0
-
-
-def _cmd_sysid(args) -> int:
-    grid = _parse_grid(_read_ini(args.grid)) if args.grid else default_grid()
-    params = {"iters": args.iters, "sigma0": args.sigma0}
-    if args.bounds:
-        params["bounds"] = args.bounds
-    config = ExperimentConfig(kind="sysid-sweep", seed=args.seed, out=args.out,
-                              plant=dynamics.point_mass(1.0), grid=grid,
-                              params=params)
-    return run(config, workers=args.workers)
-
-
-def _cmd_shape(args) -> int:
-    kp, kd = (float(v) for v in args.gains.split(","))
-    grid = GainGrid(kp_values=np.array([kp]), kd_values=np.array([kd]))
-    plant = dynamics.point_mass(1.0, torque_limit=300.0, torque_rate_limit=2e4)
-    config = ExperimentConfig(kind="shape-search", seed=args.seed, out=args.out,
-                              plant=plant, grid=grid,
-                              params={"budget": args.budget, "cells": "all"})
-    return run(config, workers=args.workers)
-
-
-def _cmd_stats(args) -> int:
-    params = {"input": args.input, "region": args.region, "metric": args.metric,
-              "alternative": args.alternative, "alpha": args.alpha, "m": args.m}
-    config = ExperimentConfig(kind="stats-report", seed=0, out=args.out,
-                              plant=dynamics.point_mass(1.0),
-                              grid=default_grid(), params=params)
-    return run(config)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="gainlab",
                                      description="gain-grid experiment runner")
@@ -632,48 +577,28 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--workers", type=int, default=None)
-    p_run.set_defaults(fn=_cmd_run)
+    p_run.add_argument("--workers", type=int, default=1)
 
     p_val = sub.add_parser("validate", help="validate a config without running")
     p_val.add_argument("--config", required=True)
-    p_val.set_defaults(fn=_cmd_validate)
-
-    p_sys = sub.add_parser("sysid", help="per-cell self-identification sweep")
-    p_sys.add_argument("--grid", default=None)
-    p_sys.add_argument("--bounds", default=None,
-                       help="INI with a [bounds] section of `name = lo, hi` "
-                            "lines overriding the standard table")
-    p_sys.add_argument("--iters", type=int, default=200)
-    p_sys.add_argument("--sigma0", type=float, default=3.0)
-    p_sys.add_argument("--seed", type=int, required=True)
-    p_sys.add_argument("--out", default="out")
-    p_sys.add_argument("--workers", type=int, default=None)
-    p_sys.set_defaults(fn=_cmd_sysid)
-
-    p_shape = sub.add_parser("shape", help="shaping search for one gain cell")
-    p_shape.add_argument("--gains", required=True, help="kp,kd")
-    p_shape.add_argument("--budget", type=int, default=200)
-    p_shape.add_argument("--seed", type=int, required=True)
-    p_shape.add_argument("--out", default="out")
-    p_shape.add_argument("--workers", type=int, default=None)
-    p_shape.set_defaults(fn=_cmd_shape)
-
-    p_stats = sub.add_parser("stats", help="region test on a sweep CSV")
-    p_stats.add_argument("--input", required=True)
-    p_stats.add_argument("--region", default="CO")
-    p_stats.add_argument("--metric", default="success",
-                         choices=RUNNERS["stats-report"].choices["metric"])
-    p_stats.add_argument("--alternative", default="greater",
-                         choices=RUNNERS["stats-report"].choices["alternative"])
-    p_stats.add_argument("--alpha", type=float, default=0.05)
-    p_stats.add_argument("--m", type=int, default=1)
-    p_stats.add_argument("--out", default="out")
-    p_stats.set_defaults(fn=_cmd_stats)
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        config = load_config(args.config)
+    except Exception as exc:
+        print(f"validation: cannot parse config: {exc}", file=sys.stderr)
+        return 1
+    if args.command == "validate":
+        findings = validate(config)
+        for f in findings:
+            print(f"validation: {f}")
+        return 1 if findings else 0
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    if args.out is not None:
+        config = dataclasses.replace(config, out=args.out)
+    try:
+        return run(config, workers=args.workers)
     except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2

@@ -118,6 +118,12 @@ class PlantParams:
                 raise ValueError("link masses and lengths must be positive")
         elif np.any(self.mass <= 0):
             raise ValueError("mass/inertia must be positive")
+        links = ("link_masses", "link_lengths") if self.kind == TWO_LINK else ()
+        if not all(np.all(np.isfinite(getattr(self, name)))
+                   for name in ("mass", *LANE_FIELDS, *links)):
+            raise ValueError("plant parameters must be finite")
+        if not self.torque_limit > 0:  # infinity means no limit
+            raise ValueError("torque_limit must be positive")
         if np.any(self.armature < 0):
             raise ValueError("armature must be non-negative")
         if np.any(self.static_friction < 0) or np.any(self.viscous_friction < 0):
@@ -339,6 +345,55 @@ def _step_times(dt: float, n_steps: int) -> np.ndarray:
     """The n_steps+1 sample times of a rollout: dt accumulated step by
     step from 0, not k*dt."""
     return np.concatenate(([0.0], np.cumsum(np.full(n_steps, dt))))
+
+
+def _park(state, mask):
+    """``state`` with the lanes in ``mask`` set to zero."""
+    return tuple(np.where(mask.reshape((-1,) + (1,) * (s.ndim - 1)), 0, s) for s in state)
+
+
+def _finite_lanes(state) -> np.ndarray:
+    """Per lane, whether every array of ``state`` is finite there."""
+    return np.logical_and.reduce([np.isfinite(s).reshape(len(s), -1).all(axis=1)
+                                  for s in state])
+
+
+def _run_lanes(step, state, n_steps: int):
+    """Run ``state = step(k, state)`` for k < n_steps over a tuple of lane
+    stacks (arrays whose first axis is the lane; ``step`` must not modify
+    them) and return (state, {lane: SimulationDivergedError}).
+
+    Each lane diverges on its own. On a floating-point error at step k,
+    step k is re-run once per live lane with the other lanes parked at
+    zero; a lane that raises alone diverged at step k, or at k-1 if it
+    entered step k non-finite (``np.linalg.solve`` overflows silently),
+    and is parked while the others go on. A lane non-finite at the end
+    diverged at step n_steps-1: each index is the one the lane raises alone.
+    """
+    lanes = np.arange(len(state[0]))
+    dead, errors = np.zeros(lanes.size, dtype=bool), {}
+    k = 0
+    with np.errstate(over="raise", invalid="raise"):
+        while k < n_steps:
+            try:
+                for k in range(k, n_steps):
+                    state = step(k, state)
+                break
+            except FloatingPointError:
+                finite = _finite_lanes(state)
+                for i in lanes[~dead].tolist():
+                    try:
+                        step(k, _park(state, lanes != i))
+                    except FloatingPointError:
+                        dead[i] = True
+                        errors[i] = SimulationDivergedError(step_index=k - (not finite[i]))
+                if dead.all():
+                    break
+                state = step(k, _park(state, dead))
+                k += 1
+    for i in lanes[~_finite_lanes(state)].tolist():
+        errors.setdefault(i, SimulationDivergedError(step_index=n_steps - 1))
+    return state, errors
 
 
 def simulate(plant: PlantParams, q0, q_dot0, torque_fn, dt: float,

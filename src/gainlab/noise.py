@@ -198,8 +198,8 @@ def noisy_openloop_replay(retargeted: RetargetedDemo, plant: PlantParams,
 
     Each kept command of trial i is offset by a draw of std ``sigma`` (rad)
     from ``trial_rng(seed, i)``. The clean replay and the trials run as
-    lanes of one :func:`replay`; if it diverges, they re-run one at a time
-    in that order, so the first diverging lane's error is raised. Reports
+    lanes of one :func:`replay`; the first diverged lane, in that order,
+    raises its ``SimulationDivergedError``. Reports
     the goal-reach rate and the mean (over trials) RMS joint-position
     deviation from the clean replay.
     """
@@ -210,10 +210,10 @@ def noisy_openloop_replay(retargeted: RetargetedDemo, plant: PlantParams,
     shape = retargeted.q_des[::decimation].shape
     lanes = [None] + [trial_rng(seed, trial).normal(0.0, sigma, size=shape)
                       for trial in range(n_trials)]
-    try:
-        runs = replay(retargeted, decimation, plant, command_noise=lanes)
-    except SimulationDivergedError:
-        runs = [replay(retargeted, decimation, plant, command_noise=[e])[0] for e in lanes]
+    runs = replay(retargeted, decimation, plant, command_noise=lanes)
+    for run in runs:
+        if isinstance(run, SimulationDivergedError):
+            raise run
     (clean_traj, clean_rep), *trials = runs
     rms = np.empty(n_trials)
     reached = 0

@@ -146,22 +146,27 @@ def replay(retargeted: RetargetedDemo, decimation: int, plant: PlantParams,
     clamped to the plant limit, no rate limit). ``command_noise`` (same
     shape as the kept command array) perturbs each held command; a list of
     such entries (``None`` for a clean lane) replays as lanes of one
-    ``track`` call and returns a list of (trajectory, report) pairs. The
-    fidelity MSE is computed against ``source`` when given.
+    ``track`` call and returns a list of (trajectory, report) pairs, with a
+    diverged lane's ``SimulationDivergedError`` in its slot. The fidelity
+    MSE is computed against ``source`` when given.
     """
     if decimation < 1 or int(decimation) != decimation:
         raise ValueError("decimation must be a positive integer")
     decimation = int(decimation)
     commands = retargeted.q_des[::decimation]
-    lanes = command_noise if isinstance(command_noise, list) else [command_noise]
+    many = isinstance(command_noise, list)
+    lanes = command_noise if many else [command_noise]
     if any(e is not None and e.shape != commands.shape for e in lanes):
         raise ValueError("command_noise must match the kept command array")
     stacked = np.stack([commands if e is None else commands + e for e in lanes], axis=1)
-    runs = control.track(plant, retargeted.gains, stacked, decimation,
-                         1.0 / retargeted.base_rate, retargeted.q0, retargeted.q_dot0,
-                         retargeted.n_commands - 1)
+    runs = control.track(plant, retargeted.gains, stacked if many else stacked[:, 0],
+                         decimation, 1.0 / retargeted.base_rate, retargeted.q0,
+                         retargeted.q_dot0, retargeted.n_commands - 1)
     out = []
-    for traj in runs:
+    for traj in runs if many else [runs]:
+        if isinstance(traj, dynamics.SimulationDivergedError):
+            out.append(traj)
+            continue
         mse = float("nan")
         if source is not None:
             m = min(traj.n_samples, source.traj.n_samples)
@@ -169,7 +174,7 @@ def replay(retargeted: RetargetedDemo, decimation: int, plant: PlantParams,
         final_err = float(np.linalg.norm(traj.q[-1] - retargeted.goal.q_goal))
         reached = retargeted.goal.reached(traj.q[-1])
         out.append((traj, FidelityReport(mse=mse, goal_reached=reached, final_error=final_err)))
-    return out if isinstance(command_noise, list) else out[0]
+    return out if many else out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -173,29 +173,21 @@ def shape_search(objective, space: SearchSpace, budget: int,
                  strategy: str = CMAES_BRANCHED, seed: int = 0) -> ShapingResult:
     """Search (alpha per group, beta, gamma) for the best objective value.
 
-    ``objective(mappings) -> J values`` scores a list of mappings at once.
-    A raise scores nothing: the batch is re-run one mapping at a time,
-    and a single mapping that raises (or scores NaN) records -inf. The
-    random strategy draws log-uniform alphas with random switches, all in
-    one batch; the branched strategy enumerates the four (beta, gamma)
-    combinations and runs CMA-ES over log10(alpha) within each, one batch
-    per generation, splitting the budget evenly. A branch whose
-    generation has no finite J stops there. Random draws spend what the
-    branches leave. Ties break toward the earliest candidate.
-    Deterministic given the seed.
+    ``objective(mappings) -> J values`` scores a list of mappings at once;
+    a NaN J records -inf, and a raise propagates. The random strategy
+    draws log-uniform alphas with random switches, all in one batch; the
+    branched strategy enumerates the four (beta, gamma) combinations and
+    runs CMA-ES over log10(alpha) within each, one batch per generation,
+    splitting the budget evenly. A branch whose generation has no finite
+    J stops there. Random draws spend what the branches leave. Ties break
+    toward the earliest candidate. Deterministic given the seed.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     ledger: list[tuple[ActionMapping, float]] = []
 
     def evaluate(mappings: list[ActionMapping]) -> list[float]:
-        try:
-            js = [float(j) for j in objective(mappings)]
-        except Exception:
-            if len(mappings) > 1:
-                return [j for m in mappings for j in evaluate([m])]
-            js = [-math.inf]
-        js = [-math.inf if math.isnan(j) else j for j in js]
+        js = [-math.inf if math.isnan(j) else j for j in map(float, objective(mappings))]
         ledger.extend(zip(mappings, js, strict=True))
         return js
 
@@ -283,24 +275,23 @@ class ToyShapingProblem:
 
     def evaluate(self, mapping: ActionMapping, episodes=None):
         """(J, success rate, violation rates) of one mapping: a
-        one-candidate :func:`rollout`."""
-        return rollout(self, [mapping], episodes)[0]
+        one-candidate :func:`rollout`, which raises its divergence."""
+        (result,) = rollout(self, [mapping], episodes)
+        if isinstance(result, dynamics.SimulationDivergedError):
+            raise result
+        return result
 
     def __call__(self, mappings: list[ActionMapping]) -> list[float]:
         """J of each mapping from one :func:`rollout`, with one ``details``
-        row per mapping. A raise records nothing for a batch (shape_search
-        re-runs it one mapping at a time) and a NaN row for one mapping,
-        which the caller ledgers as -inf."""
-        try:
-            results = rollout(self, mappings)
-        except Exception:
-            if len(mappings) == 1:
-                self.details.append({"success": math.nan,
-                                     **dict.fromkeys(CONSTRAINTS, math.nan)})
-            raise
-        for _, success_rate, rates in results:
+        row per mapping; a diverged mapping scores -inf with a NaN row."""
+        js = []
+        for result in rollout(self, mappings):
+            if isinstance(result, dynamics.SimulationDivergedError):
+                result = -math.inf, math.nan, dict.fromkeys(CONSTRAINTS, math.nan)
+            j, success_rate, rates = result
             self.details.append({"success": success_rate, **rates})
-        return [j for j, _, _ in results]
+            js.append(j)
+        return js
 
     def goal_rate(self, mapping: ActionMapping, n_episodes: int = 100) -> float:
         """Success rate of ``mapping`` on fresh episodes from a fixed seed."""
@@ -318,9 +309,10 @@ def rollout(problem: ToyShapingProblem, mappings: list[ActionMapping], episodes=
     Every (mapping, episode) pair is one lane of (L, n) arrays, lane
     c*E + e for mapping c on episode e, and :func:`map_action` gives each
     lane its own mapping. Every update is elementwise, so a lane equals its
-    pair rolled out alone bitwise. A floating-point overflow or invalid
-    operation at step k, in any lane, raises
-    ``SimulationDivergedError(step_index=k)``.
+    pair rolled out alone bitwise. A mapping with a diverged lane (a
+    floating-point overflow or invalid operation at step k) gets the
+    earliest ``SimulationDivergedError(step_index=k)`` of its lanes in
+    place of its result.
     """
     episodes = episodes if episodes is not None else problem.episodes
     if not episodes:
@@ -335,31 +327,37 @@ def rollout(problem: ToyShapingProblem, mappings: list[ActionMapping], episodes=
     alpha = np.repeat([expand_alpha(m, None, n) for m in mappings], n_ep, axis=0)
     beta = np.repeat([[m.beta] for m in mappings], n_ep, axis=0)
     gamma = np.repeat([[m.gamma] for m in mappings], n_ep, axis=0)
-    qd = np.zeros_like(q)
-    x_des = q.copy()
-    counts = {name: np.zeros(len(q), dtype=int) for name in CONSTRAINTS}
-    prev_tau = np.zeros_like(q)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for k in range(n_steps):
-                if k % spc == 0:
-                    x_des = map_action(alpha, beta, gamma, goal - q, q, x_des)
-                tau_req = gains.kp * (x_des - q) - gains.kd * qd
-                if gains.gravity_comp:
-                    tau_req = tau_req + gains.gravity_comp_scale * dynamics.gravity_torque(
-                        plant, q)
-                counts["torque"] += (np.abs(tau_req) > plant.torque_limit).any(axis=1)
-                counts["torque_rate"] += (np.abs(tau_req - prev_tau)
-                                          > dt * plant.torque_rate_limit).any(axis=1)
-                prev_tau = tau_req
-                tau = np.clip(tau_req, -plant.torque_limit, plant.torque_limit)
-                q, qd = problem._advance(q, qd, tau, dt)
-                counts["position"] += (np.abs(q) > problem.pos_limit).any(axis=1)
-                counts["velocity"] += (np.abs(qd) > problem.vel_limit).any(axis=1)
-    except FloatingPointError as exc:
-        raise dynamics.SimulationDivergedError(step_index=k) from exc
+
+    def step(k, state):
+        # the violation counts are per lane and in CONSTRAINTS order
+        q, qd, x_des, prev_tau, n_pos, n_vel, n_tau, n_rate = state
+        if k % spc == 0:
+            x_des = map_action(alpha, beta, gamma, goal - q, q, x_des)
+        tau_req = gains.kp * (x_des - q) - gains.kd * qd
+        if gains.gravity_comp:
+            tau_req = tau_req + gains.gravity_comp_scale * dynamics.gravity_torque(plant, q)
+        n_tau = n_tau + (np.abs(tau_req) > plant.torque_limit).any(axis=1)
+        n_rate = n_rate + (np.abs(tau_req - prev_tau)
+                           > dt * plant.torque_rate_limit).any(axis=1)
+        tau = np.clip(tau_req, -plant.torque_limit, plant.torque_limit)
+        q, qd = problem._advance(q, qd, tau, dt)
+        n_pos = n_pos + (np.abs(q) > problem.pos_limit).any(axis=1)
+        n_vel = n_vel + (np.abs(qd) > problem.vel_limit).any(axis=1)
+        return q, qd, x_des, tau_req, n_pos, n_vel, n_tau, n_rate
+
+    zero = np.zeros(len(q), dtype=int)
+    state, diverged = dynamics._run_lanes(
+        step, (q, np.zeros_like(q), q.copy(), np.zeros_like(q), zero, zero, zero, zero),
+        n_steps)
+    q = state[0]
+    counts = dict(zip(CONSTRAINTS, state[4:]))
     results = []
     for c in range(len(mappings)):
+        errors = [diverged[lane] for lane in range(c * n_ep, (c + 1) * n_ep)
+                  if lane in diverged]
+        if errors:
+            results.append(min(errors, key=lambda e: e.step_index))
+            continue
         succ = 0
         rates = dict.fromkeys(CONSTRAINTS, 0.0)
         for lane in range(c * n_ep, (c + 1) * n_ep):

@@ -219,8 +219,8 @@ def excite(plant: PlantParams, gains: GainConfig,
     at ``log_rate``; physics runs at ``physics_rate``. The returned
     trajectory holds exactly ``duration * log_rate`` samples. A
     lane-stacked plant (``plant.lanes == (B,)``) runs as B lanes of one
-    rollout and gives a list of B trajectories; a diverging lane raises
-    ``SimulationDivergedError`` for the whole stack.
+    rollout and gives a list of B entries: a trajectory, or the
+    ``SimulationDivergedError`` of a lane that diverged.
     """
     amplitude, duration = protocol.amplitude, protocol.duration
     log_rate, physics_rate = protocol.log_rate, protocol.physics_rate
@@ -245,7 +245,10 @@ def excite(plant: PlantParams, gains: GainConfig,
                           q_dot=traj.q_dot[logged], q_des=traj.q_des[logged],
                           tau=traj.tau[logged])
 
-    return [log(traj) for traj in tracked] if plant.lanes else log(tracked)
+    if not plant.lanes:
+        return log(tracked)
+    return [traj if isinstance(traj, dynamics.SimulationDivergedError) else log(traj)
+            for traj in tracked]
 
 
 _DFT_CACHE: dict[int, np.ndarray] = {}
@@ -325,22 +328,17 @@ def identify(reference: Trajectory, gains: GainConfig, bounds: SysidBounds,
 
     The gains stay at their commanded values; CMA-ES searches the four
     actuator parameters ``FREE_PARAMS`` within ``bounds``. Each generation
-    is one excitation with a lane per candidate. Simulation failures and
-    overflowing spectra count as +inf loss: one diverging lane aborts the whole rollout, so that
-    generation is then scored one candidate at a time.
+    is one excitation with a lane per candidate. A diverged lane and
+    overflowing spectra count as +inf loss.
     """
     box = bounds.subset(FREE_PARAMS)
 
     def objective(X: np.ndarray) -> list[float]:
         # parameter columns as (lambda, 1) per-lane fields
         plants = _apply_params(base_plant, dict(zip(box.names, X.T[:, :, None])))
-        try:
-            sims = excite(plants, gains, protocol, q0=reference.q[0])
-        except dynamics.SimulationDivergedError:
-            return [identification_loss(reference,
-                                        _apply_params(base_plant, dict(zip(box.names, x))),
-                                        gains, protocol) for x in X]
-        return [_spectral_loss(reference, sim) for sim in sims]
+        sims = excite(plants, gains, protocol, q0=reference.q[0])
+        return [math.inf if isinstance(sim, dynamics.SimulationDivergedError)
+                else _spectral_loss(reference, sim) for sim in sims]
 
     return cmaes_minimize(objective, box, config)
 

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from gainlab import shaping
-from gainlab.cli import KINDS, _default_dt, load_config, main, validate
+from gainlab.cli import KINDS, _cell_seed, _default_dt, _fmt, load_config, main, validate
+from gainlab.control import GainConfig
+from gainlab.dynamics import point_mass
+from gainlab.shaping import SearchSpace, ToyShapingProblem
+from oracles import loop_shape_search, per_candidate_objective
 
 VARIANCE_INI = """
 [experiment]
@@ -208,16 +211,6 @@ class TestValidateFindings:
         self.assert_reported(tmp_path, VARIANCE_INI.replace("kp = 2, 8", "kp = 2, eight"),
                              "grid")
 
-    @pytest.mark.parametrize("text", ["[grid]\nkp = 64, abc\nkd = 8\n",
-                                      "[grid]\nkp = 64\n",
-                                      "[gains]\nkp = 64\nkd = 8\n"])
-    def test_malformed_sysid_grid_file(self, tmp_path, text):
-        grid = write(tmp_path, "grid.ini", text)
-        out = tmp_path / "sysid"
-        assert main(["sysid", "--grid", grid, "--iters", "2", "--seed", "1",
-                     "--out", str(out)]) == 1
-        assert not out.exists()
-
 
 class TestRunExperiments:
     def test_variance_check_outputs_and_determinism(self, tmp_path):
@@ -326,49 +319,80 @@ input = {missing}
         assert (tmp_path / "s" / "failures.csv").exists()
 
 
-class TestPassthroughs:
+SYSID_INI = """
+[experiment]
+kind = sysid-sweep
+seed = 2
+out = {out}
+
+[grid]
+kp = 64
+kd = 8
+
+[params]
+iters = {iters}
+"""
+
+# No torque limit: alphas above ~7 make this stiff, light point mass
+# overflow inside the rollout loop (3 of the 16 candidates at seed 5).
+DIVERGING_SHAPE_INI = """
+[experiment]
+kind = shape-search
+seed = 5
+out = {out}
+
+[plant]
+kind = point_mass
+mass = 0.5
+
+[grid]
+kp = 4096
+kd = 8
+
+[params]
+budget = 16
+episodes = 2
+eval_episodes = 2
+cells = all
+"""
+
+
+class TestRunConfigs:
+    """`gainlab run` on one config per job: the shape ledger, the stats
+    report and the sysid sidecars and bounds file."""
+
     def test_shape_single_cell(self, tmp_path):
         out = tmp_path / "shape"
-        rc = main(["shape", "--gains", "64,16", "--budget", "16",
-                   "--seed", "1", "--out", str(out)])
-        assert rc == 0
+        text = SHAPE_INI.format(out=out, kp=64, kd=16).replace(
+            "budget = 4\nepisodes = 2\neval_episodes = 2\n", "budget = 16\ncells = all\n")
+        path = write(tmp_path, "s.ini", text.replace("seed = 4", "seed = 1"))
+        assert main(["run", "--config", path]) == 0
         ledger = (out / "ledger_kp64_kd16.csv").read_text().strip().splitlines()
         assert ledger[0].split(",") == [
             "trial", "alpha1", "alpha2", "beta", "gamma", "J", "success",
             "viol_pos", "viol_vel", "viol_tau", "viol_taurate"]
         assert len(ledger) == 17
 
-    def test_shape_objective_error_keeps_the_other_candidates(
-            self, tmp_path, monkeypatch):
-        # a raising evaluation is ledgered as J = -1 with NaN rates; the
-        # other 15 candidates keep the rows of an uninjected run
-        argv = ["shape", "--gains", "64,16", "--budget", "16", "--seed", "1"]
-        clean = tmp_path / "clean"
-        assert main(argv + ["--out", str(clean)]) == 0
-        original = shaping.rollout
-        seen = []
-
-        def rollout(problem, mappings, episodes=None):
-            # the third candidate rolled out raises, in its batch and alone
-            seen.extend(m for m in mappings if not any(m is s for s in seen))
-            if len(seen) > 2 and any(m is seen[2] for m in mappings):
-                raise RuntimeError("injected evaluation failure")
-            return original(problem, mappings, episodes)
-
-        monkeypatch.setattr(shaping, "rollout", rollout)
+    def test_shape_candidates_diverging_in_the_loop(self, tmp_path):
+        # a diverged candidate is ledgered J = -1 with NaN rates, and the
+        # ledger equals the one-candidate-at-a-time search's, row for row
         out = tmp_path / "shape"
-        assert main(argv + ["--out", str(out)]) == 0
+        path = write(tmp_path, "s.ini", DIVERGING_SHAPE_INI.format(out=out))
+        assert main(["run", "--config", path]) == 0
         assert not (out / "failures.csv").exists()
-        name = "ledger_kp64_kd16.csv"
-        ledger = (out / name).read_text().strip().splitlines()
-        expected = (clean / name).read_text().strip().splitlines()
-        assert len(ledger) == 17
-        header = ledger[0].split(",")
-        row3 = dict(zip(header, ledger[3].split(",")))
-        assert row3["trial"] == "2" and row3["J"] == "-1"
-        assert [row3[k] for k in ("success", "viol_pos", "viol_vel", "viol_tau",
-                                  "viol_taurate")] == ["nan"] * 5
-        assert ledger[:3] + ledger[4:] == expected[:3] + expected[4:]
+        _, *rows = (out / "ledger_kp4096_kd8.csv").read_text().strip().splitlines()
+        seed = _cell_seed(5, 0)
+        problem = ToyShapingProblem(point_mass(0.5), GainConfig(kp=4096.0, kd=8.0),
+                                    episodes=2, seed=seed)
+        want = loop_shape_search(per_candidate_objective(problem),
+                                 SearchSpace(alpha_low=1e-3, alpha_high=30.0), 16, seed=seed)
+        assert rows == [",".join(_fmt(v) for v in (
+            i, m.alpha[0], m.alpha[0], m.beta, m.gamma, j if math.isfinite(j) else -1.0,
+            d["success"], d["position"], d["velocity"], d["torque"], d["torque_rate"]))
+            for i, ((m, j), d) in enumerate(zip(want.ledger, problem.details, strict=True))]
+        diverged = [r for r in rows if r.split(",")[5] == "-1"]
+        assert len(diverged) == 3
+        assert all(r.split(",")[6:] == ["nan"] * 5 for r in diverged)
 
     def test_stats_report(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -379,52 +403,70 @@ class TestPassthroughs:
                 lines.append(f"{kp},{kd},{rng.binomial(100, p)},100")
         sweep = write(tmp_path, "sweep.csv", "\n".join(lines) + "\n")
         out = tmp_path / "stats"
-        rc = main(["stats", "--input", sweep, "--region", "CO",
-                   "--metric", "success", "--alternative", "greater",
-                   "--m", "6", "--out", str(out)])
-        assert rc == 0
+        text = STATS_INI.format(out=out, input=sweep) \
+            + "region = CO\nmetric = success\nalternative = greater\nm = 6\n"
+        assert main(["run", "--config", write(tmp_path, "s.ini", text)]) == 0
         report = (out / "report.csv").read_text().strip().splitlines()
         assert report[0] == "test,region,statistic,p,alpha_adj,reject"
         assert "barnard_exact" in report[1]
         assert (out / "summary.txt").read_text().startswith("barnard_exact")
 
-    def test_sysid_passthrough_writes_history_sidecars(self, tmp_path):
-        grid = write(tmp_path, "grid.ini", "[grid]\nkp = 64\nkd = 8\n")
+    def test_sysid_run_writes_history_sidecars(self, tmp_path):
         out = tmp_path / "sysid"
-        rc = main(["sysid", "--grid", grid, "--iters", "5", "--seed", "2",
-                   "--out", str(out)])
-        assert rc == 0
+        path = write(tmp_path, "s.ini", SYSID_INI.format(out=out, iters=5))
+        assert main(["run", "--config", path]) == 0
         rows = (out / "results.csv").read_text().strip().splitlines()
         assert rows[0].startswith("kp,kd,final_loss,evals,")
         assert (out / "history_kp64_kd8.csv").exists()
 
     def test_sysid_bounds_file_narrows_search(self, tmp_path):
-        grid = write(tmp_path, "grid.ini", "[grid]\nkp = 64\nkd = 8\n")
         bounds = write(tmp_path, "bounds.ini",
                        "[bounds]\narmature = 0.2, 0.25\n"
                        "viscous_friction = 0.0, 0.1\n")
         out = tmp_path / "sysid_b"
-        rc = main(["sysid", "--grid", grid, "--bounds", bounds, "--iters", "5",
-                   "--seed", "2", "--out", str(out)])
-        assert rc == 0
+        text = SYSID_INI.format(out=out, iters=5) + f"bounds = {bounds}\n"
+        assert main(["run", "--config", write(tmp_path, "s.ini", text)]) == 0
         header, row = (out / "results.csv").read_text().strip().splitlines()
         vals = dict(zip(header.split(","), row.split(",")))
         assert 0.2 <= float(vals["armature"]) <= 0.25
         assert 0.0 <= float(vals["viscous_friction"]) <= 0.1
 
     def test_sysid_bounds_file_naming_an_unsearched_parameter_fails(self, tmp_path):
-        grid = write(tmp_path, "grid.ini", "[grid]\nkp = 64\nkd = 8\n")
         bounds = write(tmp_path, "bounds.ini",
                        "[bounds]\narmature = 0.2, 0.25\nstiffness = 10, 100\n")
         out = tmp_path / "sysid_s"
-        rc = main(["sysid", "--grid", grid, "--bounds", bounds, "--iters", "2",
-                   "--seed", "2", "--out", str(out)])
-        assert rc == 2
+        text = SYSID_INI.format(out=out, iters=2) + f"bounds = {bounds}\n"
+        assert main(["run", "--config", write(tmp_path, "s.ini", text)]) == 2
         assert "'stiffness'" in (out / "failures.csv").read_text()
 
     def test_unknown_args_fail(self):
         with pytest.raises(SystemExit):
             main(["run"])  # missing --config
+
+    @pytest.mark.parametrize("command", ["sysid", "shape", "stats"])
+    def test_only_run_and_validate(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--config", "c.ini"])
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+class TestUnparseableConfig:
+    """A config that cannot be loaded is a validation error (exit 1) for
+    `run` as for `validate`, and nothing is written."""
+
+    @pytest.mark.parametrize("line", ["masss = 1.0", "mass = nan", "mass = inf",
+                                      "torque_limit = -5", "torque_limit = 0",
+                                      "viscous_friction = nan"])
+    def test_exit_1(self, tmp_path, line):
+        out = tmp_path / "o"
+        text = VARIANCE_INI.replace("mass = 1.0", line).format(out=out)
+        path = write(tmp_path, "c.ini", text)
+        assert main(["validate", "--config", path]) == 1
+        assert main(["run", "--config", path]) == 1
+        assert not out.exists()
+
+    def test_missing_file(self, tmp_path):
+        assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 1
 
 
 # One small config per kind, run from inside tmp_path so every input path

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gainlab import control, dynamics, retarget, sysid
@@ -256,3 +258,86 @@ class TestTrackMatchesLoopOracles:
             assert np.array_equal(getattr(traj, f), getattr(want, f)), f
         # the arm's oracle logs the State path's accumulated t
         assert_allclose(traj.t, want.t, rtol=0, atol=1e-12)
+
+
+def _same_outcome(got, alone):
+    """A lane of a stacked track call against its one-lane call: the same
+    trajectory bitwise, or the same divergence step."""
+    if isinstance(alone, dynamics.SimulationDivergedError):
+        return isinstance(got, dynamics.SimulationDivergedError) and \
+            got.step_index == alone.step_index
+    return isinstance(got, dynamics.Trajectory) and all(
+        np.array_equal(getattr(got, f), getattr(alone, f))
+        for f in ("t", "q", "q_dot", "q_des", "tau"))
+
+
+def _track_alone(*args):
+    try:
+        return control.track(*args)
+    except dynamics.SimulationDivergedError as exc:
+        return exc
+
+
+class TestTrackLanesDivergeAlone:
+    """A diverging lane of a stack gets the error it raises alone, and every
+    other lane is the trajectory it gets alone."""
+
+    M, DT = 1e-6, 0.01
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_lane_equals_its_one_lane_call(self, data):
+        # a lane's semi-implicit step is unstable when (Kd + viscous)*dt/m_eff
+        # exceeds 2: here 0.01*(1 + visc)/(1e-6 + armature) spans 0.01-2e4,
+        # and a lane with zero commands rests at the start even when unstable
+        n_lanes = data.draw(st.integers(1, 5), label="lanes")
+        lane_floats = st.lists(st.floats(0.0, 1.0), min_size=n_lanes, max_size=n_lanes)
+        armature = 10.0 ** np.array(data.draw(
+            st.lists(st.floats(-8.0, 0.0), min_size=n_lanes, max_size=n_lanes),
+            label="log10 armature"))[:, None]
+        visc = np.array(data.draw(lane_floats, label="visc"))[:, None]
+        hold = data.draw(st.integers(1, 4), label="hold")
+        n_steps = data.draw(st.integers(0, 150), label="n_steps")
+        kp = data.draw(st.floats(0.1, 100.0), label="kp")
+        scale = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.01, 1.0]), min_size=n_lanes,
+                                            max_size=n_lanes), label="command scale"))
+        n_cmd = max(1, -(-n_steps // hold))
+        commands = scale[None, :, None] * np.random.default_rng(
+            data.draw(st.integers(0, 2**16), label="seed")).uniform(-1, 1, (n_cmd, n_lanes, 1))
+        gains = GainConfig(kp=kp, kd=1.0)
+        plant = point_mass(self.M, armature=armature, viscous_friction=visc)
+        got = control.track(plant, gains, commands, hold, self.DT, 0.0, 0.0, n_steps)
+        assert len(got) == n_lanes
+        for i, lane in enumerate(got):
+            one = point_mass(self.M, armature=armature[i, 0], viscous_friction=visc[i, 0])
+            alone = _track_alone(one, gains, commands[:, i], hold, self.DT, 0.0, 0.0,
+                                 n_steps)
+            assert _same_outcome(lane, alone), (i, lane, alone)
+
+    @pytest.mark.parametrize("n_steps", [20, 8])
+    def test_silent_solve_overflow(self, n_steps):
+        # a 1e308 command makes np.linalg.solve overflow without a
+        # floating-point error at step 7; the next step raises, or with 8
+        # steps the lane ends non-finite
+        arm = dynamics.two_link(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4))
+        gains = GainConfig(kp=1.0, kd=1.0)
+        commands = np.zeros((20, 2, 2))
+        commands[:, 0] = [0.3, -0.2]
+        commands[7, 1] = [1e308, -1e308]
+        got = control.track(arm, gains, commands, 1, 1e-3, [0.2, -0.1], 0.0, n_steps)
+        alone = [_track_alone(arm, gains, commands[:, i], 1, 1e-3, [0.2, -0.1], 0.0, n_steps)
+                 for i in range(2)]
+        assert isinstance(alone[0], dynamics.Trajectory)
+        assert alone[1].step_index == 7
+        assert all(_same_outcome(g, a) for g, a in zip(got, alone))
+
+    def test_zero_steps(self):
+        # the one row holds the start state, its command and zero torque
+        gains, armature = GainConfig(kp=4.0, kd=1.0), [0.0, 0.5]
+        got = control.track(point_mass(1.0, armature=np.array(armature)[:, None]), gains,
+                            [[0.7]], 1, 0.01, 0.1, 0.2, 0)
+        for lane, arm in zip(got, armature, strict=True):
+            one = point_mass(1.0, armature=arm)
+            assert _same_outcome(lane, control.track(one, gains, [[0.7]], 1, 0.01, 0.1, 0.2, 0))
+            assert (lane.t.tolist(), lane.q.tolist(), lane.q_dot.tolist(), lane.q_des.tolist(),
+                    lane.tau.tolist()) == ([0.0], [[0.1]], [[0.2]], [[0.1]], [[0.0]])

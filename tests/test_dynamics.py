@@ -598,6 +598,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             point_mass(1.0, dynamic_friction_ratio=1.5)
 
+    @pytest.mark.parametrize("make,kw", [
+        (point_mass, {"mass": math.nan}),
+        (chain, {"masses": [1.0, math.inf]}),
+        (point_mass, {"armature": math.inf}),
+        (point_mass, {"armature": [[0.1], [math.nan]]}),
+        (point_mass, {"static_friction": math.inf}),
+        (point_mass, {"dynamic_friction_ratio": math.nan}),
+        (point_mass, {"viscous_friction": math.nan}),
+        (two_link, {"link_masses": (1.0, math.nan)}),
+        (two_link, {"link_lengths": (math.inf, 1.0)}),
+    ])
+    def test_non_finite_parameters_rejected(self, make, kw):
+        with pytest.raises(ValueError, match="must be finite"):
+            make(**kw)
+
+    @pytest.mark.parametrize("limit", [-5.0, 0.0, math.nan, -math.inf])
+    def test_torque_limit_must_be_positive(self, limit):
+        with pytest.raises(ValueError, match="torque_limit"):
+            point_mass(1.0, torque_limit=limit)
+        assert point_mass(1.0, torque_limit=math.inf).torque_limit == math.inf
+
     def test_state_must_be_finite(self):
         p = point_mass(1.0)
         with pytest.raises(ValueError, match="state must be finite"):

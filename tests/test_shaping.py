@@ -205,15 +205,21 @@ class TestShapeSearch:
 
         def objective(m):
             calls.append(m)
-            if len(calls) % 2 == 0:
-                raise RuntimeError("boom")
-            return 1.0
+            return math.nan if len(calls) % 2 == 0 else 1.0
 
         res = shape_search(rowwise(objective), SearchSpace(), budget=10,
                            strategy=shaping.RANDOM, seed=3)
         js = [j for _, j in res.ledger]
         assert js.count(-math.inf) == 5
         assert res.objective == 1.0
+
+    def test_raising_objective_propagates(self):
+        def objective(mappings):
+            raise RuntimeError("boom")
+
+        for strategy in (shaping.RANDOM, shaping.CMAES_BRANCHED):
+            with pytest.raises(RuntimeError, match="boom"):
+                shape_search(objective, SearchSpace(), budget=10, strategy=strategy, seed=3)
 
     def test_ledger_argmax_consistency_and_tie_break(self):
         res = shape_search(rowwise(lambda m: 1.0), SearchSpace(), budget=9,
@@ -247,9 +253,10 @@ class TestShapeSearchMatchesLoopOracle:
     """Batched generations give the one-candidate-at-a-time search's ledger
     and details exactly. Alphas above ~4 make this stiff point mass grow
     without bound: those up to ~7 end huge but finite (a miss), larger ones
-    overflow in the loop (SimulationDivergedError), and a batch holding one
-    of those re-runs one candidate at a time. With alphas up to 300 each
-    seed's random draw holds loop-diverging candidates (5 and 3 of 12)."""
+    overflow in the loop (SimulationDivergedError), a per-lane outcome
+    that scores its candidate -inf while the rest of the batch goes on.
+    With alphas up to 300 each seed's random draw holds loop-diverging
+    candidates (5 and 3 of 12)."""
 
     def _problem(self):
         return ToyShapingProblem(point_mass(0.5), GainConfig(kp=4096, kd=8),
