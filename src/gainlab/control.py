@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .dynamics import PlantParams, Trajectory, _as_vector
+from .dynamics import PlantParams, _as_vector
 
 REGIMES = ("CO", "SO", "CU", "SU")
 
@@ -85,55 +85,26 @@ def track(plant: PlantParams, gains: GainConfig, commands, hold: int, dt: float,
     ``commands`` is (C, n), or (C, B, n) for B lanes from one start state;
     a lane-stacked plant (``plant.lanes == (B,)``) also makes B lanes, and
     (C, n) commands then drive every lane. Command c is held over physics
-    steps [c*hold, (c+1)*hold), the last one to the end; the torque is :func:`pd_torque` toward it (plus
-    gravity compensation when ``gains.gravity_comp``), clamped to the
-    torque limit, and every plant steps through ``decoupled_stepper``.
-    Returns the trajectory in :func:`dynamics.simulate`'s layout
-    (n_steps+1 samples, the final state in the last row), or a list with
-    one entry per lane. Each lane runs on its own: a lane that diverges
-    (a floating-point overflow or invalid operation at step k) gets the
-    ``SimulationDivergedError(step_index=k)`` it would raise alone in its
-    slot, and a single lane raises it.
+    steps [c*hold, (c+1)*hold), the last one to the end; the torque is
+    :func:`pd_torque` toward it (plus gravity compensation when
+    ``gains.gravity_comp``), clamped to the torque limit. This is the
+    ``torque_fn`` of one :func:`dynamics.simulate` call, which returns the
+    trajectory (the command logged as q_des), or a list with one entry per
+    lane, a diverged lane's ``SimulationDivergedError`` in its slot.
     """
-    q0, q_dot0 = dynamics._start_state(plant, q0, q_dot0)
     commands = np.asarray(commands, dtype=float)
-    lanes = np.broadcast_shapes(commands.shape[1:-1], plant.lanes)
     g = gains.expand(plant.n_joints)
-    advance = dynamics.decoupled_stepper(plant)
-    stack = lanes or (1,)  # a single lane runs as a stack of one
-    # lane-major records, so each lane's trajectory is contiguous
-    rec_q, rec_qd, rec_qdes, rec_tau = (np.empty(stack + (n_steps + 1, plant.n_joints))
-                                        for _ in range(4))
-    step_q, step_qd, step_qdes, step_tau = (np.moveaxis(r, -2, 0)
-                                            for r in (rec_q, rec_qd, rec_qdes, rec_tau))
     last = len(commands) - 1
 
-    def step(k, state):
-        q, qd = state
+    def torque_fn(q, q_dot, k, t):
         cmd = commands[min(k // hold, last)]
         grav = dynamics.gravity_torque(plant, q) if g.gravity_comp else None
-        tau = np.clip(pd_torque(g, q, qd, cmd, gravity_term=grav),
-                      -plant.torque_limit, plant.torque_limit)
-        step_q[k], step_qd[k], step_qdes[k], step_tau[k] = q, qd, cmd, tau
-        return advance(q, qd, tau, dt)
+        tau = pd_torque(g, q, q_dot, cmd, gravity_term=grav)
+        return np.clip(tau, -plant.torque_limit, plant.torque_limit), cmd
 
-    start = tuple(np.broadcast_to(v, stack + v.shape) for v in (q0, q_dot0))
-    (step_q[n_steps], step_qd[n_steps]), diverged = dynamics._run_lanes(step, start, n_steps)
-    # the final row repeats the last applied command and torque
-    step_qdes[n_steps] = step_qdes[n_steps - 1] if n_steps else q0
-    step_tau[n_steps] = step_tau[n_steps - 1] if n_steps else 0.0
-    t = dynamics._step_times(dt, n_steps)
-
-    def lane(i):
-        return diverged.get(i) or Trajectory(sample_rate=1.0 / dt, t=t, q=rec_q[i],
-                                             q_dot=rec_qd[i], q_des=rec_qdes[i],
-                                             tau=rec_tau[i])
-
-    if lanes:
-        return [lane(i) for i in range(lanes[0])]
-    if diverged:
-        raise diverged[0]
-    return lane(0)
+    shape = commands.shape[1:-1] + (plant.n_joints,)  # command lanes share one start
+    return dynamics.simulate(plant, np.broadcast_to(q0, shape), np.broadcast_to(q_dot0, shape),
+                             torque_fn, dt, n_steps)
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,17 @@ the rigid-body form
 
     M(q) q_dd + C(q, q_dot) q_dot + g(q) = tau + tau_friction
 
-A state is a pair of (n,) arrays (q, q_dot); plants are immutable and
-stepping returns new arrays, so independent simulations are safe to run
-in parallel. The two-link terms and :func:`decoupled_stepper` also take
-(B, n) stacks of B lanes, and a plant may carry its armature and
-friction per lane (see ``PlantParams.lanes``).
+A state is a pair of (n,) arrays (q, q_dot), or of (B, n) stacks of B
+lanes, and a plant may carry its armature and friction per lane (see
+``PlantParams.lanes``). Plants are immutable and stepping returns new
+arrays, so independent simulations are safe to run in parallel.
+:func:`simulate`, one :func:`step` per physics step, is the one recorded
+closed loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,8 +86,8 @@ class PlantParams:
     ``STICTION_VEL_EPS``. The armature and friction fields default to 0;
     a scalar broadcasts to every joint. Given as (B, n) (or (B, 1))
     arrays they describe a stack of B plants, one per lane, that differ
-    only in those fields; :func:`decoupled_stepper` and ``control.track``
-    run such a stack as B lanes.
+    only in those fields; :func:`step` and :func:`simulate` run such a
+    stack as B lanes.
     """
 
     kind: str
@@ -132,6 +134,13 @@ class PlantParams:
             raise ValueError("dynamic_friction_ratio must lie in [0, 1]")
         if not self.torque_rate_limit > 0:
             raise ValueError("torque_rate_limit must be positive")
+        # the stepper's constants, derived once
+        object.__setattr__(self, "_dry_moving",
+                           self.dynamic_friction_ratio * self.static_friction)
+        if self.kind != TWO_LINK:
+            object.__setattr__(self, "_m_eff", self.mass + self.armature)
+            object.__setattr__(self, "_gravity", self.mass * GRAVITY if self.gravity_enabled
+                               else np.zeros(n))
 
     @property
     def lanes(self) -> tuple[int, ...]:
@@ -227,25 +236,11 @@ def gravity_torque(plant: PlantParams, q: np.ndarray) -> np.ndarray:
 
 
 def step(plant: PlantParams, q, q_dot, tau, dt: float):
-    """Advance one physics step with torque held constant over the step:
-    :func:`decoupled_stepper`'s ``advance``. Returns the new (q, q_dot);
-    a non-finite result raises ``SimulationDivergedError(step_index=0)``,
-    the index of the step within this call."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    tau = _as_vector(tau, plant.n_joints)
-    q_new, qd_new = decoupled_stepper(plant)(q, q_dot, tau, dt)
-    if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(qd_new))):
-        raise SimulationDivergedError(step_index=0)
-    return q_new, qd_new
-
-
-def decoupled_stepper(plant: PlantParams):
-    """Semi-implicit stepper for every plant kind (the name predates the
-    two-link arm): ``advance(q, q_dot, tau, dt) -> (q, q_dot)``
-    on (n,) arrays or (B, n) stacks of B lanes. The armature and friction
-    of a lane-stacked plant enter lane by lane, elementwise, so lane i
-    equals plant i stepped alone bitwise.
+    """Advance one physics step with torque held constant over the step,
+    on (n,) arrays or (B, n) stacks of B lanes; returns the new (q, q_dot).
+    The armature and friction of a lane-stacked plant enter lane by lane,
+    elementwise, so lane i equals plant i stepped alone bitwise. The
+    result is not checked: :func:`simulate` detects a diverged lane.
 
     Semi-implicit Euler updates q_dot then q. Friction: viscous drag
     -viscous*q_dot always acts; dry friction is the dynamic level
@@ -254,34 +249,35 @@ def decoupled_stepper(plant: PlantParams):
     clamped so it can stop, but never reverse, a joint within the step
     (keeps the scheme passive and realizes stiction exactly).
     """
-    visc = plant.viscous_friction
-    static = plant.static_friction
-    dyn = plant.dynamic_friction_ratio * plant.static_friction
-    two_link = plant.kind == TWO_LINK
-    if not two_link:
-        m_diag = plant.mass + plant.armature
-        if np.any(m_diag <= 0):
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
+    return _advance(plant, q, q_dot, tau, dt)
+
+
+def _advance(plant: PlantParams, q, q_dot, tau, dt: float):
+    """:func:`step` without the dt check."""
+    if plant.kind == TWO_LINK:
+        M = mass_matrix(plant, q)
+        m_eff = np.diagonal(M, axis1=-2, axis2=-1)
+        if np.any(m_eff <= 0):
             raise NonPositiveInertiaError("non-positive effective inertia")
-        grav = plant.mass * GRAVITY if plant.gravity_enabled else np.zeros(plant.n_joints)
+        smooth = tau - coriolis_torque(plant, q, q_dot) - gravity_torque(plant, q) \
+            - plant.viscous_friction * q_dot
+        v_cand = q_dot + dt * np.linalg.solve(M, smooth[..., None])[..., 0]
+    else:
+        m_eff = plant._m_eff
+        v_cand = q_dot + dt * (tau - plant._gravity - plant.viscous_friction * q_dot) / m_eff
+    dry = np.where(np.abs(q_dot) > STICTION_VEL_EPS, plant._dry_moving, plant.static_friction)
+    dv = np.minimum(np.abs(v_cand), dt * dry / m_eff)
+    qd_new = v_cand - np.sign(v_cand) * dv
+    return q + dt * qd_new, qd_new
 
-    def advance(q, q_dot, tau, dt):
-        if two_link:
-            M = mass_matrix(plant, q)
-            m_eff = np.diagonal(M, axis1=-2, axis2=-1)
-            if np.any(m_eff <= 0):
-                raise NonPositiveInertiaError("non-positive effective inertia")
-            smooth = tau - coriolis_torque(plant, q, q_dot) - gravity_torque(plant, q) \
-                - visc * q_dot
-            v_cand = q_dot + dt * np.linalg.solve(M, smooth[..., None])[..., 0]
-        else:
-            m_eff = m_diag
-            v_cand = q_dot + dt * (tau - grav - visc * q_dot) / m_eff
-        dry = np.where(np.abs(q_dot) > STICTION_VEL_EPS, dyn, static)
-        dv = np.minimum(np.abs(v_cand), dt * dry / m_eff)
-        qd_new = v_cand - np.sign(v_cand) * dv
-        return q + dt * qd_new, qd_new
 
-    return advance
+def decoupled_stepper(plant: PlantParams):
+    """``advance(q, q_dot, tau, dt) -> (q, q_dot)``: :func:`step` bound to
+    ``plant``, without the dt check, for loops that own their records
+    (the shaping episode). The name predates the two-link arm."""
+    return functools.partial(_advance, plant)
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +328,11 @@ class Trajectory:
 
 
 def _start_state(plant: PlantParams, q0, q_dot0):
-    """(q0, q_dot0) as finite (n,) vectors (a scalar broadcasts to every
-    joint); the state every rollout starts from."""
+    """(q0, q_dot0) as finite (n,) vectors or (B, n) lane stacks (see
+    :func:`_as_lanes`; a scalar broadcasts to every joint); the state every
+    rollout starts from."""
     n = plant.n_joints
-    q, q_dot = _as_vector(q0, n), _as_vector(q_dot0, n)
+    q, q_dot = _as_lanes(q0, n), _as_lanes(q_dot0, n)
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(q_dot))):
         raise ValueError("state must be finite")
     return q, q_dot
@@ -364,11 +361,14 @@ def _run_lanes(step, state, n_steps: int):
     them) and return (state, {lane: SimulationDivergedError}).
 
     Each lane diverges on its own. On a floating-point error at step k,
-    step k is re-run once per live lane with the other lanes parked at
-    zero; a lane that raises alone diverged at step k, or at k-1 if it
-    entered step k non-finite (``np.linalg.solve`` overflows silently),
-    and is parked while the others go on. A lane non-finite at the end
-    diverged at step n_steps-1: each index is the one the lane raises alone.
+    step k is re-run with the diverged lanes re-parked at zero (a parked
+    lane that its inputs drive to diverge again leaves the live ones
+    alone); if that still raises, step k is re-run once per live lane with
+    the other lanes parked; a lane that raises alone diverged at step k,
+    or at k-1 if it entered step k non-finite (``np.linalg.solve``
+    overflows silently), and is parked while the others go on. A lane
+    non-finite at the end diverged at step n_steps-1: each index is the
+    one the lane raises alone.
     """
     lanes = np.arange(len(state[0]))
     dead, errors = np.zeros(lanes.size, dtype=bool), {}
@@ -380,6 +380,13 @@ def _run_lanes(step, state, n_steps: int):
                     state = step(k, state)
                 break
             except FloatingPointError:
+                if dead.any():
+                    try:
+                        state = step(k, _park(state, dead))
+                        k += 1
+                        continue
+                    except FloatingPointError:
+                        pass
                 finite = _finite_lanes(state)
                 for i in lanes[~dead].tolist():
                     try:
@@ -396,36 +403,60 @@ def _run_lanes(step, state, n_steps: int):
     return state, errors
 
 
-def simulate(plant: PlantParams, q0, q_dot0, torque_fn, dt: float,
-             n_steps: int) -> Trajectory:
+def simulate(plant: PlantParams, q0, q_dot0, torque_fn, dt: float, n_steps: int):
     """Run a closed-loop simulation and record it at the physics rate.
 
-    ``torque_fn(q, q_dot, k, t)`` gets the state entering step k and its
-    time t (see :func:`_step_times`) and returns (tau, q_des): the applied
-    torque and the logged position target. The trajectory holds n_steps+1
-    samples including the initial state; the final state is its last row,
-    logged with the last applied torque and target. A floating-point
-    overflow, invalid operation or non-finite state at step k raises
-    ``SimulationDivergedError(step_index=k)``.
+    ``q0`` and ``q_dot0`` are (n,) start states or (B, n) stacks of B
+    lanes; a lane-stacked plant (``plant.lanes == (B,)``) also makes B
+    lanes. ``torque_fn(q, q_dot, k, t)`` gets the state entering step k
+    ((n,) arrays for one lane, (B, n) stacks for B) and its time t (see
+    :func:`_step_times`) and returns (tau, q_des): the applied torque and
+    the logged position target. The trajectory holds n_steps+1 samples
+    including the start state; the final state is its last row, logged
+    with the last applied torque and target (the start state and zero
+    torque at n_steps = 0). B lanes give a list with one entry per lane.
+    Each lane runs on its own (see :func:`_run_lanes`): a lane that
+    diverges (a floating-point overflow or invalid operation at step k)
+    gets the ``SimulationDivergedError(step_index=k)`` it would raise alone
+    in its slot, and a single lane raises it. A ``dt`` that is not finite
+    and positive raises ``ValueError`` before any step.
     """
-    q, qd = _start_state(plant, q0, q_dot0)
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
+    q0, q_dot0 = _start_state(plant, q0, q_dot0)
+    lanes = np.broadcast_shapes(q0.shape[:-1], q_dot0.shape[:-1], plant.lanes)
+    stack = lanes or (1,)  # a single lane runs as a stack of one
+    # lane-major records, so each lane's trajectory is contiguous
+    rec_q, rec_qd, rec_qdes, rec_tau = (np.empty(stack + (n_steps + 1, plant.n_joints))
+                                        for _ in range(4))
+    step_q, step_qd, step_qdes, step_tau = (np.moveaxis(r, -2, 0)
+                                            for r in (rec_q, rec_qd, rec_qdes, rec_tau))
     t = _step_times(dt, n_steps)
     times = t.tolist()
-    rec_q, rec_qd, rec_qdes, rec_tau = (np.empty((n_steps + 1, plant.n_joints))
-                                        for _ in range(4))
-    q_des, tau = q, np.zeros(plant.n_joints)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for k in range(n_steps):
-                tau, q_des = torque_fn(q, qd, k, times[k])
-                rec_q[k], rec_qd[k], rec_qdes[k], rec_tau[k] = q, qd, q_des, tau
-                q, qd = step(plant, q, qd, tau, dt)
-    except (FloatingPointError, SimulationDivergedError) as exc:
-        raise SimulationDivergedError(step_index=k) from exc
-    rec_q[n_steps], rec_qd[n_steps], rec_qdes[n_steps], rec_tau[n_steps] = \
-        q, qd, q_des, tau
-    return Trajectory(sample_rate=1.0 / dt, t=t, q=rec_q, q_dot=rec_qd, q_des=rec_qdes,
-                      tau=rec_tau)
+
+    def advance(k, state):
+        q, qd = state
+        tau, q_des = torque_fn(q, qd, k, times[k]) if lanes else \
+            torque_fn(q[0], qd[0], k, times[k])
+        step_q[k], step_qd[k], step_qdes[k], step_tau[k] = q, qd, q_des, tau
+        return step(plant, q, qd, tau, dt)
+
+    start = tuple(np.broadcast_to(v, stack + (plant.n_joints,)) for v in (q0, q_dot0))
+    (step_q[n_steps], step_qd[n_steps]), diverged = _run_lanes(advance, start, n_steps)
+    # the final row repeats the last applied target and torque
+    step_qdes[n_steps] = step_qdes[n_steps - 1] if n_steps else q0
+    step_tau[n_steps] = step_tau[n_steps - 1] if n_steps else 0.0
+
+    def lane(i):
+        return diverged.get(i) or Trajectory(sample_rate=1.0 / dt, t=t, q=rec_q[i],
+                                             q_dot=rec_qd[i], q_des=rec_qdes[i],
+                                             tau=rec_tau[i])
+
+    if lanes:
+        return [lane(i) for i in range(lanes[0])]
+    if diverged:
+        raise diverged[0]
+    return lane(0)
 
 
 # ---------------------------------------------------------------------------

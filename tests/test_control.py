@@ -278,6 +278,15 @@ def _track_alone(*args):
         return exc
 
 
+class TestTrackDt:
+    @pytest.mark.parametrize("n_steps", [0, 3])
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.inf, math.nan])
+    def test_dt_must_be_finite_and_positive(self, dt, n_steps):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            control.track(point_mass(1.0), GainConfig(kp=4.0, kd=1.0), [[0.5]], 1, dt,
+                          0.0, 0.0, n_steps)
+
+
 class TestTrackLanesDivergeAlone:
     """A diverging lane of a stack gets the error it raises alone, and every
     other lane is the trajectory it gets alone."""

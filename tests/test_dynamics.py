@@ -219,11 +219,10 @@ class TestStep:
         gap_fine = np.linalg.norm(final_q(2.5e-4, dynamics.step) - final_q(2.5e-4, rk4_step))
         assert gap_fine < gap_coarse / 4.0
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_nonfinite_state_raises_with_step_index(self):
         p = point_mass(1.0)
         with pytest.raises(dynamics.SimulationDivergedError) as err:
-            dynamics.step(p, [0.0], [0.0], [1e308], 1e3)
+            dynamics.simulate(p, [0.0], [0.0], lambda *a: ([1e308], [0.0]), 1e3, 1)
         assert err.value.step_index == 0
 
     def test_dt_must_be_positive(self):
@@ -589,6 +588,96 @@ class TestSimulateMatchesStatePath:
         assert got.value.step_index == want.value.step_index == 7
 
 
+def _simulate_alone(*args):
+    try:
+        return dynamics.simulate(*args)
+    except dynamics.SimulationDivergedError as exc:
+        return exc
+
+
+class TestSimulateLanes:
+    """A lane of a stacked simulate call equals its one-lane call bitwise:
+    records and final row, or the step its divergence is reported at."""
+
+    PLANTS = {"point_mass": point_mass(1.0, static_friction=0.3, dynamic_friction_ratio=0.5,
+                                       gravity_enabled=True),
+              "chain": chain([1.0, 0.4]),
+              "two_link": two_link(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4),
+                                   gravity_enabled=True)}
+    DT = 0.02
+
+    @staticmethod
+    def torque_fn(kp, target):
+        # elementwise in the lanes and conditioned on the state: PD toward
+        # target with a sin(q) term and damping that switches on the sign
+        # of q_dot; at dt = 0.02 a lane's kp of 1e4 or more is unstable
+        def fn(q, q_dot, k, t):
+            damping = np.where(q_dot > 0.0, 2.0, 1.0)
+            return kp * (target - q) - damping * q_dot + 0.5 * np.sin(q), target
+
+        return fn
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(list(PLANTS)),
+           stacked=st.sampled_from(["start", "plant", "both"]))
+    def test_every_lane_equals_its_one_lane_call(self, data, name, stacked):
+        base = self.PLANTS[name]
+        n = base.n_joints
+        n_lanes = data.draw(st.integers(1, 4), label="lanes")
+        n_steps = data.draw(st.integers(0, 60), label="n_steps")
+
+        def lane_rows(lo, hi, cols):
+            return np.array(data.draw(st.lists(
+                st.lists(st.floats(lo, hi), min_size=cols, max_size=cols),
+                min_size=n_lanes, max_size=n_lanes)))
+
+        kp = 10.0 ** lane_rows(0.0, 10.0, 1)
+        target, q0, qd0 = (lane_rows(-1.0, 1.0, n) for _ in range(3))
+        armature, visc = lane_rows(0.0, 0.5, 1), lane_rows(0.0, 1.0, 1)
+        if stacked == "start":  # one plant for every lane
+            armature, visc = np.repeat(armature[:1], n_lanes, 0), np.repeat(visc[:1], n_lanes, 0)
+            plant = replace(base, armature=armature[0, 0], viscous_friction=visc[0, 0])
+        else:
+            plant = replace(base, armature=armature, viscous_friction=visc)
+        if stacked == "plant":  # one start state for every lane
+            q0, qd0 = np.repeat(q0[:1], n_lanes, 0), np.repeat(qd0[:1], n_lanes, 0)
+            start = (q0[0], qd0[0])
+        else:
+            start = (q0, qd0)
+        got = dynamics.simulate(plant, *start, self.torque_fn(kp, target), self.DT, n_steps)
+        assert len(got) == n_lanes
+        for i, lane in enumerate(got):
+            one = replace(base, armature=armature[i, 0], viscous_friction=visc[i, 0])
+            alone = _simulate_alone(one, q0[i], qd0[i], self.torque_fn(kp[i], target[i]),
+                                    self.DT, n_steps)
+            if isinstance(alone, dynamics.SimulationDivergedError):
+                assert isinstance(lane, dynamics.SimulationDivergedError), i
+                assert lane.step_index == alone.step_index, i
+                continue
+            assert isinstance(lane, Trajectory), (i, lane)
+            for f in ("t", "q", "q_dot", "q_des", "tau"):
+                assert np.array_equal(_bits(getattr(lane, f)), _bits(getattr(alone, f))), f
+
+
+class TestRunLanes:
+    def test_a_parked_lane_diverging_again_costs_one_step_call(self):
+        # lane 1 grows by 1e300 a step: it overflows at step 1 and, parked
+        # at zero and restarted from 1, again at steps 3 and 5
+        gain, calls = np.array([1.0, 1e300]), []
+
+        def step(k, state):
+            calls.append(k)
+            (x,) = state
+            return (x * gain + 1.0,)
+
+        (x,), errors = dynamics._run_lanes(step, (np.ones(2),), 6)
+        assert list(errors) == [1] and errors[1].step_index == 1
+        assert x.tolist() == [7.0, 1.0]
+        # each step once; step 1 also once per lane alone and once with lane
+        # 1 parked; steps 3 and 5 once more each, with lane 1 re-parked
+        assert calls == [0, 1, 1, 1, 1, 2, 3, 3, 4, 5, 5]
+
+
 class TestValidation:
     def test_bad_mass_rejected(self):
         with pytest.raises(ValueError):
@@ -618,6 +707,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="torque_limit"):
             point_mass(1.0, torque_limit=limit)
         assert point_mass(1.0, torque_limit=math.inf).torque_limit == math.inf
+
+    @pytest.mark.parametrize("n_steps", [0, 3])
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.inf, math.nan])
+    def test_dt_must_be_finite_and_positive(self, dt, n_steps):
+        calls = []
+
+        def torque_fn(q, q_dot, k, t):
+            calls.append(k)
+            return [0.0], [0.0]
+
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            dynamics.simulate(point_mass(1.0), [0.0], [0.0], torque_fn, dt, n_steps)
+        assert calls == []
 
     def test_state_must_be_finite(self):
         p = point_mass(1.0)
