@@ -128,6 +128,9 @@ def validate(config: ExperimentConfig) -> list[str]:
         findings.append(f"params.decimations: must be numbers >= 1, not {decimations!r}")
     if "sigma" in p and not (_finite(p["sigma"]) and p["sigma"] >= 0):
         findings.append(f"params.sigma: must be a number >= 0, not {p['sigma']!r}")
+    for key in ("base_rate", "duration"):  # the demos' sample rate and length
+        if key in p and not (_finite(p[key]) and p[key] > 0):
+            findings.append(f"params.{key}: must be a number > 0, not {p[key]!r}")
     if config.kind == "variance-check":
         try:
             m_min = min(_masses(config))

@@ -368,7 +368,10 @@ def _run_lanes(step, state, n_steps: int):
     or at k-1 if it entered step k non-finite (``np.linalg.solve``
     overflows silently), and is parked while the others go on. A lane
     non-finite at the end diverged at step n_steps-1: each index is the
-    one the lane raises alone.
+    one the lane raises alone. ``step`` may write row k of records outside
+    the state (``simulate``'s trajectory, the shaping episode's limit
+    records): step k may run more than once, and its last call, the one
+    the loop goes on from, is the one kept.
     """
     lanes = np.arange(len(state[0]))
     dead, errors = np.zeros(lanes.size, dtype=bool), {}
@@ -416,9 +419,10 @@ def simulate(plant: PlantParams, q0, q_dot0, torque_fn, dt: float, n_steps: int)
     with the last applied torque and target (the start state and zero
     torque at n_steps = 0). B lanes give a list with one entry per lane.
     Each lane runs on its own (see :func:`_run_lanes`): a lane that
-    diverges (a floating-point overflow or invalid operation at step k)
-    gets the ``SimulationDivergedError(step_index=k)`` it would raise alone
-    in its slot, and a single lane raises it. A ``dt`` that is not finite
+    diverges (a floating-point overflow or invalid operation at step k, or
+    a non-finite torque or new state at step k with no such error) gets the
+    ``SimulationDivergedError(step_index=k)`` it would raise alone in its
+    slot, and a single lane raises it. A ``dt`` that is not finite
     and positive raises ``ValueError`` before any step.
     """
     if not 0 < dt < math.inf:
@@ -443,6 +447,15 @@ def simulate(plant: PlantParams, q0, q_dot0, torque_fn, dt: float, n_steps: int)
 
     start = tuple(np.broadcast_to(v, stack + (plant.n_joints,)) for v in (q0, q_dot0))
     (step_q[n_steps], step_qd[n_steps]), diverged = _run_lanes(advance, start, n_steps)
+    for i, err in diverged.items():
+        # a NaN torque goes non-finite with no floating-point error: the lane
+        # diverged at the first step up to its index (later rows are parked or
+        # unwritten) whose torque or new state is non-finite
+        finite = (np.isfinite(rec_tau[i, :-1]) & np.isfinite(rec_q[i, 1:])
+                  & np.isfinite(rec_qd[i, 1:])).all(axis=1)
+        bad = np.flatnonzero(~finite[:err.step_index + 1])
+        if bad.size:
+            diverged[i] = SimulationDivergedError(step_index=int(bad[0]))
     # the final row repeats the last applied target and torque
     step_qdes[n_steps] = step_qdes[n_steps - 1] if n_steps else q0
     step_tau[n_steps] = step_tau[n_steps - 1] if n_steps else 0.0

@@ -271,7 +271,6 @@ class ToyShapingProblem:
         self.episodes = [(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
                          for _ in range(episodes)]
         self.details: list[dict] = []
-        self._advance = dynamics.decoupled_stepper(plant)
 
     def evaluate(self, mapping: ActionMapping, episodes=None):
         """(J, success rate, violation rates) of one mapping: a
@@ -328,29 +327,30 @@ def rollout(problem: ToyShapingProblem, mappings: list[ActionMapping], episodes=
     beta = np.repeat([[m.beta] for m in mappings], n_ep, axis=0)
     gamma = np.repeat([[m.gamma] for m in mappings], n_ep, axis=0)
 
+    advance = dynamics.decoupled_stepper(plant)
+    # row k of each record: the state (q, q_dot) step k leads to, its
+    # requested torque and that torque's change from step k-1's (from zero
+    # at k = 0), taken in the loop so that its overflow diverges the lane
+    rec = np.zeros((4, n_steps) + q.shape)
+
     def step(k, state):
-        # the violation counts are per lane and in CONSTRAINTS order
-        q, qd, x_des, prev_tau, n_pos, n_vel, n_tau, n_rate = state
+        q, qd, x_des = state
         if k % spc == 0:
             x_des = map_action(alpha, beta, gamma, goal - q, q, x_des)
         tau_req = gains.kp * (x_des - q) - gains.kd * qd
         if gains.gravity_comp:
             tau_req = tau_req + gains.gravity_comp_scale * dynamics.gravity_torque(plant, q)
-        n_tau = n_tau + (np.abs(tau_req) > plant.torque_limit).any(axis=1)
-        n_rate = n_rate + (np.abs(tau_req - prev_tau)
-                           > dt * plant.torque_rate_limit).any(axis=1)
-        tau = np.clip(tau_req, -plant.torque_limit, plant.torque_limit)
-        q, qd = problem._advance(q, qd, tau, dt)
-        n_pos = n_pos + (np.abs(q) > problem.pos_limit).any(axis=1)
-        n_vel = n_vel + (np.abs(qd) > problem.vel_limit).any(axis=1)
-        return q, qd, x_des, tau_req, n_pos, n_vel, n_tau, n_rate
+        d_tau = tau_req - (rec[2, k - 1] if k else 0.0)
+        q, qd = advance(q, qd, np.clip(tau_req, -plant.torque_limit, plant.torque_limit), dt)
+        rec[:, k] = q, qd, tau_req, d_tau
+        return q, qd, x_des
 
-    zero = np.zeros(len(q), dtype=int)
-    state, diverged = dynamics._run_lanes(
-        step, (q, np.zeros_like(q), q.copy(), np.zeros_like(q), zero, zero, zero, zero),
-        n_steps)
-    q = state[0]
-    counts = dict(zip(CONSTRAINTS, state[4:]))
+    (q, _, _), diverged = dynamics._run_lanes(step, (q, np.zeros_like(q), q.copy()),
+                                              n_steps)
+    # per lane, the steps in which any joint breaks each limit (CONSTRAINTS order)
+    limits = (problem.pos_limit, problem.vel_limit, plant.torque_limit,
+              dt * plant.torque_rate_limit)
+    counts = (np.abs(rec) > np.reshape(limits, (4, 1, 1, 1))).any(axis=3).sum(axis=1)
     results = []
     for c in range(len(mappings)):
         errors = [diverged[lane] for lane in range(c * n_ep, (c + 1) * n_ep)
@@ -366,8 +366,8 @@ def rollout(problem: ToyShapingProblem, mappings: list[ActionMapping], episodes=
             d = q[lane] - goal[lane]
             succ += bool(np.all(np.abs(d) <= problem.tol)
                          and np.linalg.norm(d) <= problem.tol)
-            for name in CONSTRAINTS:
-                rates[name] += float(counts[name][lane]) / n_steps / n_ep
+            for name, count in zip(CONSTRAINTS, counts[:, lane]):
+                rates[name] += float(count) / n_steps / n_ep
         success_rate = succ / n_ep
         results.append((constrained_objective(success_rate, rates, problem.spec),
                         success_rate, rates))

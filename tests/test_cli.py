@@ -187,7 +187,23 @@ class TestValidateFindings:
         ("tpr-sweep", "decimations = often", "params.decimations"),
     ])
     def test_sigma_and_counts(self, tmp_path, kind, line, key):
-        # each kind's pinned config, with the line's key set to a bad value
+        self.assert_pinned_reported(tmp_path, kind, line, key)
+
+    @pytest.mark.parametrize("kind,line,key", [
+        ("noisy-replay", "base_rate = -500", "params.base_rate"),
+        ("noisy-replay", "base_rate = inf", "params.base_rate"),
+        ("noisy-replay", "duration = 0", "params.duration"),
+        ("noisy-replay", "duration = -1", "params.duration"),
+        ("tpr-sweep", "duration = nan", "params.duration"),
+        ("jitter-scan", "base_rate = fast", "params.base_rate"),
+    ])
+    def test_demo_base_rate_and_duration(self, tmp_path, kind, line, key):
+        # the demos these kinds replay are sampled at base_rate for duration
+        # seconds; a bad value used to fail every cell at run time instead
+        self.assert_pinned_reported(tmp_path, kind, line, key)
+
+    def assert_pinned_reported(self, tmp_path, kind, line, key):
+        # the kind's pinned config, with the line's key set to a bad value
         name = line.split(" = ")[0]
         body = "".join(ln for ln in PINNED[kind][0].splitlines(keepends=True)
                        if not ln.startswith(f"{name} ="))

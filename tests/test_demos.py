@@ -1,9 +1,10 @@
-"""Smoke test: the quick demos run to completion without errors or warnings.
+"""Smoke test: the demos run to completion without errors or warnings.
 
-Demo 05 (shaping search) takes 10-15 s and is left out; demo 04 (system
-identification) takes 3-5 s. Demos 01-04 drive the recorded closed loop
-(``dynamics.simulate``, through ``control.track`` in 02-04) and must also
-print the output pinned below.
+Demo 05 (shaping search) takes 5-10 s and demo 04 (system
+identification) 3-5 s. Demos 01-04 drive the recorded closed loop
+(``dynamics.simulate``, through ``control.track`` in 02-04) and demo 05
+the shaping episode (``shaping.rollout``); each must also print the output
+pinned below.
 """
 
 import os
@@ -16,7 +17,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = ["01_plants_and_regimes.py", "02_retargeting_fidelity.py",
          "03_error_attenuation.py", "04_system_identification.py",
-         "06_stats_pipeline.py"]
+         "05_shaping_search.py", "06_stats_pipeline.py"]
 
 
 PINNED_STDOUT = {"01_plants_and_regimes.py": """\
@@ -87,6 +88,30 @@ policy-output divergence along both trajectories: 6.21e-14
 jitter detector on synthetic tails (threshold 0.04 rad/s):
   settled      max tail std 0.0010 rad/s -> flagged: False
   oscillating  max tail std 0.6750 rad/s -> flagged: True
+""",
+                 "05_shaping_search.py": """\
+reward utilities at work:
+  sharp at goal: 1.000
+  sharp 1 lambda out: 0.238
+  soft with action churn: 0.510
+
+constrained objective (torque-rate allowance 0.2):
+  feasible 80% success: 1.80
+  infeasible (30% over on velocity): 0.70
+
+ regime     kp   kd     alpha  beta  gamma      J  goal rate
+     CO     16  128    0.0151     0      1  2.000       1.00
+     SO   1024  128    0.0408     0      1  2.000       1.00
+     CU     16    2    0.0159     0      1  2.000       1.00
+     SU   1024    2    0.0159     0      1  2.000       1.00
+
+why re-tuning matters: one fixed state-relative mapping (alpha=1, beta=1, gamma=1) across the corners:
+  CO: J=1.167 success=0.17 worst violation rate=0.000  (feasible)
+  SO: J=0.998 success=1.00 worst violation rate=0.003  (infeasible)
+  CU: J=2.000 success=1.00 worst violation rate=0.000  (feasible)
+  SU: J=0.863 success=1.00 worst violation rate=0.123  (infeasible)
+
+the same scripted policy succeeds in every regime once the mapping is re-tuned per gain setting; the fixed mapping fully solves only one corner -- it breaks the torque budget under stiff gains and is too sluggish for the heavily damped one.
 """}
 
 

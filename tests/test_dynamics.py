@@ -659,6 +659,37 @@ class TestSimulateLanes:
                 assert np.array_equal(_bits(getattr(lane, f)), _bits(getattr(alone, f))), f
 
 
+class TestSilentNonFiniteTorque:
+    """A NaN torque makes the state NaN without a floating-point error, so
+    only the records show the step it entered at."""
+
+    @staticmethod
+    def torque_fn(nan_lane):
+        def fn(q, q_dot, k, t):
+            tau = -4.0 * q - q_dot
+            if k == 3:
+                tau[nan_lane] = math.nan  # the lane's row, or the one joint of one lane
+            return tau, q
+
+        return fn
+
+    def test_one_lane_reports_the_step_the_nan_entered(self):
+        with pytest.raises(dynamics.SimulationDivergedError) as err:
+            dynamics.simulate(point_mass(1.0), [0.5], [0.0], self.torque_fn(0), 0.01, 10)
+        assert err.value.step_index == 3
+
+    def test_only_the_nan_lane_diverges_in_a_stack(self):
+        q0 = np.array([[0.5], [0.2], [-0.3]])
+        got = dynamics.simulate(point_mass(1.0), q0, np.zeros((3, 1)), self.torque_fn(1),
+                                0.01, 10)
+        assert isinstance(got[1], dynamics.SimulationDivergedError)
+        assert got[1].step_index == 3
+        for i in (0, 2):
+            alone = dynamics.simulate(point_mass(1.0), q0[i], [0.0],
+                                      lambda q, q_dot, k, t: (-4.0 * q - q_dot, q), 0.01, 10)
+            assert np.array_equal(got[i].q, alone.q) and np.array_equal(got[i].tau, alone.tau)
+
+
 class TestRunLanes:
     def test_a_parked_lane_diverging_again_costs_one_step_call(self):
         # lane 1 grows by 1e300 a step: it overflows at step 1 and, parked

@@ -1,8 +1,11 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gainlab import dynamics, shaping
@@ -369,6 +372,63 @@ class TestToyShapingProblemMatchesPerEpisodeOracle:
                                     episodes=0)
         with pytest.raises(ValueError):
             problem.evaluate(ActionMapping(alpha=1.0))
+
+
+class TestRolloutOfMixedBatches:
+    """Batches that mix mappings that finish with mappings that diverge, so
+    that steps are retried, while the limit counts come from the recorded
+    rows after the loop: every finished mapping still equals the
+    one-episode-at-a-time oracle bitwise, and every diverged one reports
+    the step its one-mapping rollout does. Without a torque limit, alphas
+    above about 10 (point mass) or 30 (chain) overflow; with a limit of 60
+    every mapping finishes, and the torque counter is exercised. On the
+    unstable point mass (Kd*dt/m = 6.4 > 2) every mapping diverges without
+    a limit, some by overflowing the torque change alone."""
+
+    PROBLEMS = {
+        "point_mass": (point_mass(0.5, torque_rate_limit=200.0), GainConfig(kp=4096, kd=8)),
+        "unstable": (point_mass(0.1, torque_rate_limit=200.0), GainConfig(kp=1024, kd=128)),
+        "chain": (chain([1.0, 0.4], gravity_enabled=True, torque_rate_limit=200.0),
+                  GainConfig(kp=[2048, 1024], kd=[8, 4], gravity_comp=True,
+                             gravity_comp_scale=0.9)),
+    }
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(PROBLEMS)),
+           torque_limit=st.sampled_from([math.inf, 60.0]), seed=st.integers(0, 99))
+    def test_batch_equals_oracle_and_lone_mappings(self, data, name, torque_limit, seed):
+        plant, gains = self.PROBLEMS[name]
+        problem = ToyShapingProblem(replace(plant, torque_limit=torque_limit), gains,
+                                    episodes=2, seed=seed, pos_limit=1.2, vel_limit=3.0)
+
+        def mappings(lo, hi):  # log10(alpha) in [lo, hi], per joint or shared
+            n_alpha = st.sampled_from(sorted({1, plant.n_joints}))
+            one = st.builds(
+                lambda log_alpha, beta, gamma: ActionMapping(
+                    alpha=10.0 ** np.array(log_alpha), beta=beta, gamma=gamma),
+                n_alpha.flatmap(lambda k: st.lists(st.floats(lo, hi), min_size=k,
+                                                   max_size=k)),
+                st.sampled_from([0, 1]), st.sampled_from([0, 1]))
+            return st.lists(one, min_size=1, max_size=2)
+
+        batch = data.draw(st.permutations(data.draw(mappings(-3.0, 0.5), label="tame")
+                                          + data.draw(mappings(1.75, 3.0), label="wild")))
+        for m, got in zip(batch, shaping.rollout(problem, batch), strict=True):
+            if isinstance(got, dynamics.SimulationDivergedError):
+                with pytest.raises(dynamics.SimulationDivergedError) as alone:
+                    problem.evaluate(m)
+                assert got.step_index == alone.value.step_index
+            else:
+                assert got == per_episode_evaluate(problem, m)
+
+    def test_torque_change_overflow_is_the_divergence_step(self):
+        # this lane's change of requested torque overflows at step 390, one
+        # step before anything else does (and RuntimeWarnings are errors)
+        problem = ToyShapingProblem(point_mass(0.1), GainConfig(kp=1024, kd=128),
+                                    episodes=2, seed=0)
+        with pytest.raises(dynamics.SimulationDivergedError) as err:
+            problem.evaluate(ActionMapping(alpha=10.0, beta=0, gamma=0))
+        assert err.value.step_index == 390
 
 
 class TestToyShapingProblemDivergence:
