@@ -22,6 +22,7 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -72,15 +73,16 @@ def _read_ini(path) -> configparser.ConfigParser:
 
 def _parse_grid(cp: configparser.ConfigParser) -> GainGrid | None:
     """The [grid] kp/kd lists, or the default grid without a [grid] section;
-    None unless both lists are non-empty, numeric and strictly increasing."""
+    None unless both lists are non-empty, positive, numeric and strictly increasing."""
     if not cp.has_section("grid"):
         return default_grid()
     try:
         kp, kd = ([float(v) for v in cp["grid"].get(axis, "").split(",") if v.strip()]
                   for axis in ("kp", "kd"))
-        return GainGrid(kp_values=np.array(kp), kd_values=np.array(kd))
+        grid = GainGrid(kp_values=np.array(kp), kd_values=np.array(kd))
     except ValueError:
         return None
+    return grid if np.all(grid.kp_values > 0) and np.all(grid.kd_values > 0) else None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -112,7 +114,7 @@ def validate(config: ExperimentConfig) -> list[str]:
         findings.append(f"experiment.kind: unknown kind {config.kind!r}; "
                         f"expected one of {', '.join(KINDS)}")
     if config.grid is None:
-        findings.append("grid: must be non-empty with strictly increasing axes")
+        findings.append("grid: must be non-empty with positive, strictly increasing axes")
     choices = RUNNERS[config.kind].choices if config.kind in KINDS else {}
     for key, allowed in choices.items():
         if key in p and p[key] not in allowed:
@@ -133,23 +135,26 @@ def validate(config: ExperimentConfig) -> list[str]:
             findings.append(f"params.{key}: must be a number > 0, not {p[key]!r}")
     if config.kind == "variance-check":
         try:
-            m_min = min(_masses(config))
-        except (TypeError, ValueError):  # not numbers, or an empty list
-            m_min = math.nan
-        dt = p.get("dt", 0.0)
-        if not m_min > 0:
+            masses = _masses(config)
+        except (TypeError, ValueError):  # not numbers
+            masses = []
+        dt, horizon, rate = (p.get(key, 0.0) for key in ("dt", "horizon", "rate"))
+        held = p.get("mode") == "held"
+        if not (masses and all(_finite(m) and m > 0 for m in masses)):
             findings.append(f"params.masses: must be numbers > 0, not {p.get('masses')!r}")
         elif not (_finite(dt) and dt >= 0):
             findings.append(f"params.dt: must be a number >= 0, not {dt!r}")
-        elif dt and config.grid is not None:
-            kp_max = config.grid.kp_values[-1]
-            wn_dt = math.sqrt(kp_max / m_min) * dt
-            if wn_dt >= 0.1:
-                findings.append(f"params.dt: dt too coarse for Kp={kp_max:g}, "
-                                f"m={m_min:g} (omega_n*dt = {wn_dt:.3f} >= 0.1)")
-        rate = p.get("rate")
-        if p.get("mode") == noise.HELD and not (_finite(rate) and rate > 0):
+        elif not _finite(horizon):
+            findings.append(f"params.horizon: must be a number, not {horizon!r}")
+        elif held and not (_finite(rate) and rate > 0):
             findings.append("params.rate: mode = held needs a rate > 0")
+        elif config.grid is not None:
+            try:  # the run's own discretization, for every (cell, mass)
+                for (kp, kd), mass in itertools.product(config.grid.cells(), masses):
+                    noise.discretize(GainConfig(kp=kp, kd=kd), mass, rate if held else None,
+                                     dt or None, horizon or None)
+            except ValueError as exc:  # its message starts with the argument at fault
+                findings.append(f"params.{str(exc).split()[0]}: {exc}")
     return findings
 
 
@@ -221,34 +226,18 @@ def _demos(cfg: ExperimentConfig, n: int,
     return demos
 
 
-def _default_dt(wn: float, rate: float | None) -> float:
-    """0.02/omega_n; with a hold rate, the largest dt <= that dividing 1/rate."""
-    dt = 0.02 / wn
-    if rate is None:
-        return dt
-    delta = 1.0 / rate
-    if abs(round(delta / dt) * dt - delta) <= 1e-9 * delta:  # simulate_perturbation's test
-        return dt
-    return delta / math.ceil(delta / dt)
-
-
 def _variance_cell(job):
     cfg, kp, kd, masses, index = job
     mass = masses[index % len(masses)]
     p = cfg.params
     sigma = float(p.get("sigma", 0.1))
-    trials = int(p.get("trials", 100))
-    mode = str(p.get("mode", noise.CONTINUOUS))
-    wn = math.sqrt(kp / mass)
-    rate = float(p["rate"]) if mode == noise.HELD else None
-    dt = float(p.get("dt", 0.0)) or _default_dt(wn, rate)
-    zeta = kd / (2.0 * math.sqrt(mass * kp))
-    tc = noise.time_constant(wn, zeta)
-    horizon = float(p.get("horizon", 0.0)) or 60.0 * tc
-    spec = noise.NoiseSpec(sigma=sigma, mode=mode, rate=rate,
+    mode = str(p.get("mode", "continuous-limit"))
+    spec = noise.NoiseSpec(sigma=sigma, rate=float(p["rate"]) if mode == "held" else None,
                            seed=_cell_seed(cfg.seed, index))
     est = noise.simulate_perturbation(GainConfig(kp=kp, kd=kd), mass, spec,
-                                      dt=dt, horizon=horizon, n_trials=trials)
+                                      int(p.get("trials", 100)),
+                                      dt=float(p.get("dt", 0.0)) or None,
+                                      horizon=float(p.get("horizon", 0.0)) or None)
     rel_err = abs(est.value - est.analytic) / est.analytic if est.analytic else 0.0
     return [{"kp": kp, "kd": kd, "mass": mass, "sigma": sigma, "mode": mode,
              "empirical_var": est.value, "stderr": est.stderr,
@@ -307,7 +296,7 @@ def _sysid_cell(job):
         else sysid.SysidBounds.default()
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
     hidden = {n: rng.uniform(lo, hi) for n, lo, hi in bounds.params}
-    reference = sysid.excite(sysid._apply_params(cfg.plant, hidden), gains)
+    reference = sysid.excite(dataclasses.replace(cfg.plant, **hidden), gains)
     cmaes_cfg = sysid.CmaesConfig(sigma0=float(p.get("sigma0", 3.0)),
                                   max_iter=int(p.get("iters", 200)),
                                   seed=_cell_seed(cfg.seed, index))
@@ -499,7 +488,7 @@ RUNNERS = {
                          "stderr", "analytic_var"),
         heatmaps=lambda cfg: ["rel_err"],  # worst over the masses
         cells=lambda cfg: [c for c in cfg.grid.cells() for _ in _masses(cfg)],
-        shared=_masses, choices={"mode": (noise.CONTINUOUS, noise.HELD)}),
+        shared=_masses, choices={"mode": ("continuous-limit", "held")}),
     "noisy-replay": _Kind(
         _noisy_cell, ("kp", "kd", "goal_rate", "rms_deviation"),
         heatmaps=lambda cfg: ["goal_rate", "rms_deviation"],

@@ -338,12 +338,6 @@ def _start_state(plant: PlantParams, q0, q_dot0):
     return q, q_dot
 
 
-def _step_times(dt: float, n_steps: int) -> np.ndarray:
-    """The n_steps+1 sample times of a rollout: dt accumulated step by
-    step from 0, not k*dt."""
-    return np.concatenate(([0.0], np.cumsum(np.full(n_steps, dt))))
-
-
 def _park(state, mask):
     """``state`` with the lanes in ``mask`` set to zero."""
     return tuple(np.where(mask.reshape((-1,) + (1,) * (s.ndim - 1)), 0, s) for s in state)
@@ -412,12 +406,13 @@ def simulate(plant: PlantParams, q0, q_dot0, torque_fn, dt: float, n_steps: int)
     ``q0`` and ``q_dot0`` are (n,) start states or (B, n) stacks of B
     lanes; a lane-stacked plant (``plant.lanes == (B,)``) also makes B
     lanes. ``torque_fn(q, q_dot, k, t)`` gets the state entering step k
-    ((n,) arrays for one lane, (B, n) stacks for B) and its time t (see
-    :func:`_step_times`) and returns (tau, q_des): the applied torque and
-    the logged position target. The trajectory holds n_steps+1 samples
-    including the start state; the final state is its last row, logged
-    with the last applied torque and target (the start state and zero
-    torque at n_steps = 0). B lanes give a list with one entry per lane.
+    ((n,) arrays for one lane, (B, n) stacks for B) and its time t (dt
+    accumulated step by step from 0, not k*dt) and returns (tau, q_des):
+    the applied torque and the logged position target. The trajectory
+    holds n_steps+1 samples including the start state; the final state is
+    its last row, logged with the last applied torque and target (the
+    start state and zero torque at n_steps = 0). B lanes give a list with
+    one entry per lane.
     Each lane runs on its own (see :func:`_run_lanes`): a lane that
     diverges (a floating-point overflow or invalid operation at step k, or
     a non-finite torque or new state at step k with no such error) gets the
@@ -435,7 +430,7 @@ def simulate(plant: PlantParams, q0, q_dot0, torque_fn, dt: float, n_steps: int)
                                         for _ in range(4))
     step_q, step_qd, step_qdes, step_tau = (np.moveaxis(r, -2, 0)
                                             for r in (rec_q, rec_qd, rec_qdes, rec_tau))
-    t = _step_times(dt, n_steps)
+    t = np.concatenate(([0.0], np.cumsum(np.full(n_steps, dt))))  # accumulated, not k*dt
     times = t.tolist()
 
     def advance(k, state):

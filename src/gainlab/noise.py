@@ -26,12 +26,8 @@ from .control import GainConfig
 from .dynamics import PlantParams, SimulationDivergedError
 from .retarget import RetargetedDemo, replay
 
-CONTINUOUS = "continuous-limit"
-HELD = "held"
-
-
 class PerturbationDivergedError(RuntimeError):
-    """Perturbation state diverged across the burn-in (unstable setup)."""
+    """Perturbation dynamics unstable at their step, or diverged on the run."""
 
 
 @dataclass(frozen=True)
@@ -39,22 +35,19 @@ class NoiseSpec:
     """Action noise of :func:`simulate_perturbation`.
 
     ``sigma`` is the noise intensity in rad*s^(1/2): per-step draws have
-    variance sigma^2/delta for hold interval delta. ``rate`` is the hold
-    rate f (Hz) in held mode.
+    variance sigma^2/delta for hold interval delta. A ``rate`` (Hz) holds
+    each draw for 1/rate s; None is the continuous limit, a draw per step.
     """
 
     sigma: float
-    mode: str = CONTINUOUS
     rate: float | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
-        if self.mode not in (CONTINUOUS, HELD):
-            raise ValueError(f"unknown noise mode {self.mode!r}")
-        if self.mode == HELD and not (self.rate and self.rate > 0):
-            raise ValueError("held mode needs a positive rate")
+        if self.rate is not None and not self.rate > 0:
+            raise ValueError("a hold rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -91,8 +84,8 @@ def time_constant(omega_n: float, zeta: float) -> float:
     """Slowest decay time: 1/(zeta wn) when zeta <= 1, else slow-pole based."""
     if zeta <= 1.0:
         return 1.0 / (zeta * omega_n)
-    slow = omega_n * (zeta - math.sqrt(zeta * zeta - 1.0))
-    return 1.0 / slow
+    # slow pole omega_n*(zeta - sqrt(zeta^2 - 1)), without the cancellation
+    return (zeta + math.sqrt(zeta * zeta - 1.0)) / omega_n
 
 
 def trial_rng(root_seed: int, trial: int) -> np.random.Generator:
@@ -110,51 +103,70 @@ class VarianceEstimate:
     analytic: float
 
 
-def simulate_perturbation(gains: GainConfig, m: float, noise: NoiseSpec,
-                          dt: float, horizon: float, n_trials: int) -> VarianceEstimate:
+def discretize(gains: GainConfig, m: float, rate: float | None = None,
+               dt: float | None = None, horizon: float | None = None):
+    """(dt, hold, n_steps, burn) of a :func:`simulate_perturbation` run: dt
+    (0.02/omega_n, cut to divide 1/rate), the steps per draw, the steps in
+    the horizon (60 time constants) and in the 10-time-constant burn-in.
+    ValueError, its message starting with the argument at fault, unless 0 <
+    omega_n*dt < 0.1, dt divides 1/rate and a step follows the burn-in."""
+    kp, kd = (float(np.atleast_1d(g)[0]) for g in (gains.kp, gains.kd))
+    if not m > 0:
+        raise ValueError("m must be positive")
+    omega_n = math.sqrt(kp / m)
+    tau_c = time_constant(omega_n, kd / (2.0 * math.sqrt(m * kp)))
+    explicit = dt is not None
+    dt = dt if explicit else 0.02 / omega_n
+    if not 0 < omega_n * dt < 0.1:
+        raise ValueError(f"dt too coarse for Kp={kp:g}, m={m:g} (omega_n*dt = "
+                         f"{omega_n * dt:.3f}, not in (0, 0.1))")
+    delta = dt if rate is None else 1.0 / rate
+    hold = int(round(delta / dt))
+    if abs(hold * dt - delta) > 1e-9 * delta:
+        if explicit:
+            raise ValueError(f"dt = {dt:g} s does not divide the hold 1/rate = {delta:g} s")
+        hold = math.ceil(delta / dt)
+        dt = delta / hold
+    n_steps = int(round((60.0 * tau_c if horizon is None else horizon) / dt))
+    burn = int(round(10.0 * tau_c / dt))
+    if n_steps <= burn:
+        raise ValueError(f"horizon {horizon:g} s leaves no step after the {10.0 * tau_c:.4g} "
+                         f"s burn-in at Kp={kp:g}, Kd={kd:g}, m={m:g}")
+    return dt, hold, n_steps, burn
+
+
+def simulate_perturbation(gains: GainConfig, m: float, noise: NoiseSpec, n_trials: int, *,
+                          dt=None, horizon=None) -> VarianceEstimate:
     """Monte Carlo steady-state variance of the perturbation dynamics.
 
     Integrates m dq_dd + Kd dq_d + Kp dq = Kp delta_a with semi-implicit
-    Euler; delta_a is redrawn every hold interval delta (= dt in
-    continuous-limit mode, 1/rate in held mode) with per-draw variance
-    sigma^2/delta. The first 10 time constants are discarded, and the
-    remaining per-trial time averages of dq^2 give the estimate; the
-    standard error comes from batch means across trials.
+    Euler on the :func:`discretize` step (``dt`` and ``horizon`` default
+    there), or raises ``PerturbationDivergedError`` if that step is not
+    stable; delta_a is redrawn every 1/rate (else dt) = delta with variance
+    sigma^2/delta. The per-trial time averages of dq^2 after the burn-in
+    give the estimate, its standard error from batch means across trials.
     """
-    kp = float(np.atleast_1d(gains.kp)[0])
-    kd = float(np.atleast_1d(gains.kd)[0])
-    if m <= 0 or dt <= 0 or n_trials < 1:
-        raise ValueError("m, dt must be positive and n_trials >= 1")
-    omega_n = math.sqrt(kp / m)
-    zeta = kd / (2.0 * math.sqrt(m * kp))
-    if omega_n * dt >= 0.1:
-        raise ValueError(f"dt too coarse: omega_n*dt = {omega_n * dt:.3f} >= 0.1")
-    tau_c = time_constant(omega_n, zeta)
-    if horizon < 20.0 * tau_c:
-        warnings.warn(f"horizon {horizon:.1f} s covers < 20 time constants "
-                      f"({tau_c:.2f} s each)", stacklevel=2)
-    if noise.mode == HELD:
-        delta = 1.0 / noise.rate
-        hold = int(round(delta / dt))
-        if abs(hold * dt - delta) > 1e-9 * delta:
-            raise ValueError("hold interval must be an integer multiple of dt")
-    else:
-        delta = dt
-        hold = 1
-    n_steps = int(round(horizon / dt))
-    burn = min(n_steps - 1, int(round(10.0 * tau_c / dt)))
-    kept = n_steps - burn
-    if kept <= 0:
-        raise ValueError("horizon shorter than the burn-in window")
-    step_sigma = noise.sigma / math.sqrt(delta)
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    dt, hold, n_steps, burn = discretize(gains, m, noise.rate, dt, horizon)
+    kp, kd = (float(np.atleast_1d(g)[0]) for g in (gains.kp, gains.kd))
+    c_kp = dt * kp / m
+    c_kd = dt * kd / m
+    # a = c_kp*dt, b = c_kd: the step matrix has trace 2 - a - b and determinant
+    # 1 - b, so by the Jury criterion it is stable iff 0 < b < 2 and 0 < a < 4 - 2b
+    if not (0 < c_kd < 2 and 0 < c_kp * dt < 4 - 2 * c_kd):
+        raise PerturbationDivergedError(f"perturbation step unstable: a = Kp*dt^2/m = "
+                                        f"{c_kp * dt:.4g}, b = Kd*dt/m = {c_kd:.4g}")
+    if n_steps < 2 * burn:
+        warnings.warn(f"horizon {n_steps * dt:.1f} s covers < 20 time constants "
+                      f"(burn-in {burn * dt:.1f} s)", stacklevel=2)
+    step_sigma = noise.sigma / math.sqrt(dt if noise.rate is None else 1.0 / noise.rate)
     analytic = noise.sigma**2 * kp / (2.0 * kd)
 
     rngs = [trial_rng(noise.seed, i) for i in range(n_trials)]
     q = np.zeros(n_trials)
     v = np.zeros(n_trials)
     acc = np.zeros(n_trials)
-    c_kp = dt * kp / m
-    c_kd = dt * kd / m
     guard = 1e6 * (1.0 + analytic + noise.sigma**2)
     n_draws = -(-n_steps // hold)
     chunk_draws = 4096
@@ -164,9 +176,9 @@ def simulate_perturbation(gains: GainConfig, m: float, noise: NoiseSpec,
         block = np.stack([r.normal(0.0, step_sigma, size=m_draws) for r in rngs],
                          axis=1)
         for i in range(m_draws):
-            a = block[i]
+            draw = block[i]
             for _ in range(min(hold, n_steps - step_idx)):
-                v += c_kp * (a - q) - c_kd * v
+                v += c_kp * (draw - q) - c_kd * v
                 q += dt * v
                 if step_idx >= burn:
                     acc += q * q
@@ -174,7 +186,7 @@ def simulate_perturbation(gains: GainConfig, m: float, noise: NoiseSpec,
         if not np.all(np.isfinite(q)) or np.max(np.abs(q)) > guard:
             raise PerturbationDivergedError(
                 f"perturbation diverged by step {step_idx} (|dq| > {guard:.1e})")
-    trial_means = acc / kept
+    trial_means = acc / (n_steps - burn)
     value = float(np.mean(trial_means))
     stderr = float(np.std(trial_means, ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else float("inf")
     return VarianceEstimate(value=value, stderr=stderr, n_trials=n_trials,

@@ -76,7 +76,6 @@ class FidelityReport:
 
     mse: float
     goal_reached: bool
-    final_error: float
 
 
 def tpr_joint(demo: TorqueDemo, gains: GainConfig, plant: PlantParams | None = None) -> RetargetedDemo:
@@ -171,9 +170,8 @@ def replay(retargeted: RetargetedDemo, decimation: int, plant: PlantParams,
         if source is not None:
             m = min(traj.n_samples, source.traj.n_samples)
             mse = float(np.mean((traj.q[:m] - source.traj.q[:m]) ** 2))
-        final_err = float(np.linalg.norm(traj.q[-1] - retargeted.goal.q_goal))
         reached = retargeted.goal.reached(traj.q[-1])
-        out.append((traj, FidelityReport(mse=mse, goal_reached=reached, final_error=final_err)))
+        out.append((traj, FidelityReport(mse=mse, goal_reached=reached)))
     return out if many else out[0]
 
 

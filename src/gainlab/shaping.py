@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from . import control, dynamics
 from .sysid import CmaesAbortedError, CmaesConfig, SysidBounds, cmaes_minimize
 
 CONSTRAINTS = ("position", "velocity", "torque", "torque_rate")
+# allowed violation rate per constraint; the torque rate tolerates 0.2
+ALLOWED_RATES = MappingProxyType(dict(zip(CONSTRAINTS, (0.0, 0.0, 0.0, 0.2))))
 
 
 @dataclass(frozen=True)
@@ -93,30 +96,11 @@ def reward_soft(q, g, lam_large: float, delta_a, alpha_pen: float) -> float:
     return reward_sharp(q, g, lam_large) - alpha_pen * da2
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
-    """Allowed violation rate per constraint; torque rate tolerates 0.2."""
-
-    position: float = 0.0
-    velocity: float = 0.0
-    torque: float = 0.0
-    torque_rate: float = 0.2
-
-    def __post_init__(self):
-        for name in CONSTRAINTS:
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"allowed rate for {name} must lie in [0, 1]")
-
-    def allowed(self, name: str) -> float:
-        return getattr(self, name)
-
-
-def constrained_objective(success_rate: float, violations: dict,
-                          spec: ConstraintSpec = ConstraintSpec()) -> float:
+def constrained_objective(success_rate: float, violations: dict) -> float:
     """Two-stage objective that always prefers feasible configurations.
 
-    Feasible (every measured rate within its allowance): J = 1 + success.
+    Feasible (every measured rate within its ``ALLOWED_RATES`` entry):
+    J = 1 + success.
     Infeasible: J = success * prod(phi_c) with phi_c = 1 when satisfied,
     else max(0, 1 - (v_c - v_bar_c)); the feasible image [1, 2] and the
     infeasible image [0, 1) are disjoint.
@@ -127,12 +111,12 @@ def constrained_objective(success_rate: float, violations: dict,
     for name, v in rates.items():
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"violation rate for {name} must lie in [0, 1]")
-    feasible = all(rates[name] <= spec.allowed(name) for name in CONSTRAINTS)
+    feasible = all(rates[name] <= ALLOWED_RATES[name] for name in CONSTRAINTS)
     if feasible:
         return 1.0 + success_rate
     penalty = 1.0
     for name in CONSTRAINTS:
-        v, v_bar = rates[name], spec.allowed(name)
+        v, v_bar = rates[name], ALLOWED_RATES[name]
         if v > v_bar:
             penalty *= max(0.0, 1.0 - (v - v_bar))
     return success_rate * penalty
@@ -265,7 +249,6 @@ class ToyShapingProblem:
         self.gains = gains.expand(plant.n_joints)
         self.pos_limit = pos_limit
         self.vel_limit = vel_limit
-        self.spec = ConstraintSpec()
         rng = np.random.default_rng(seed)
         n = plant.n_joints
         self.episodes = [(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
@@ -369,6 +352,6 @@ def rollout(problem: ToyShapingProblem, mappings: list[ActionMapping], episodes=
             for name, count in zip(CONSTRAINTS, counts[:, lane]):
                 rates[name] += float(count) / n_steps / n_ep
         success_rate = succ / n_ep
-        results.append((constrained_objective(success_rate, rates, problem.spec),
+        results.append((constrained_objective(success_rate, rates),
                         success_rate, rates))
     return results

@@ -295,12 +295,6 @@ FREE_PARAMS = ("armature", "static_friction", "dynamic_friction_ratio",
                "viscous_friction")
 
 
-def _apply_params(base: PlantParams, params: dict) -> PlantParams:
-    """``base`` with the named actuator parameters, each a scalar on every
-    joint or a (B, 1) column of per-lane values."""
-    return replace(base, **params)
-
-
 def _spectral_loss(reference: Trajectory, sim: Trajectory) -> float:
     """Spectral MSE on positions plus velocities; +inf if either overflows."""
     try:
@@ -335,7 +329,7 @@ def identify(reference: Trajectory, gains: GainConfig, bounds: SysidBounds,
 
     def objective(X: np.ndarray) -> list[float]:
         # parameter columns as (lambda, 1) per-lane fields
-        plants = _apply_params(base_plant, dict(zip(box.names, X.T[:, :, None])))
+        plants = replace(base_plant, **dict(zip(box.names, X.T[:, :, None])))
         sims = excite(plants, gains, protocol, q0=reference.q[0])
         return [math.inf if isinstance(sim, dynamics.SimulationDivergedError)
                 else _spectral_loss(reference, sim) for sim in sims]
@@ -347,7 +341,7 @@ def resimulate(fit: FitResult, gains: GainConfig, base_plant: PlantParams,
                protocol: ExcitationProtocol = ExcitationProtocol(),
                q0=None) -> Trajectory:
     """Run the excitation under a fitted parameter set and the given gains."""
-    return excite(_apply_params(base_plant, fit.params), gains, protocol, q0=q0)
+    return excite(replace(base_plant, **fit.params), gains, protocol, q0=q0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Independent brute-force oracles shared by the unit and acceptance suites."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -203,7 +203,7 @@ def per_episode_evaluate(problem, mapping, episodes=None):
         for k in shaping.CONSTRAINTS:
             rates[k] += (float(counts[k]) / n_steps) / len(episodes)
     success_rate = succ / len(episodes)
-    j = shaping.constrained_objective(success_rate, rates, problem.spec)
+    j = shaping.constrained_objective(success_rate, rates)
     return j, success_rate, rates
 
 
@@ -349,6 +349,19 @@ def per_trial_noisy_replay(retargeted, plant, sigma, seed, n_trials, decimation=
         reached += goal.reached(final.q)
     return (reached / n_trials, float(np.mean(rms)), rms,
             goal.reached(clean_final.q))
+
+
+def default_dt(wn: float, rate: float | None) -> float:
+    """The variance check's default Monte Carlo step as the runner once
+    derived it: 0.02/omega_n; with a hold rate, the largest dt <= that
+    dividing 1/rate."""
+    dt = 0.02 / wn
+    if rate is None:
+        return dt
+    delta = 1.0 / rate
+    if abs(round(delta / dt) * dt - delta) <= 1e-9 * delta:  # simulate_perturbation's test
+        return dt
+    return delta / math.ceil(delta / dt)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +632,7 @@ def loop_identify(reference, gains, bounds, config, base_plant,
     box = bounds.subset(sysid.FREE_PARAMS)
 
     def objective(x):
-        plant = sysid._apply_params(base_plant, dict(zip(box.names, x)))
+        plant = replace(base_plant, **dict(zip(box.names, x)))
         return sysid.identification_loss(reference, plant, gains, protocol)
 
     return loop_cmaes_minimize(objective, box, config)

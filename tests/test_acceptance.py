@@ -7,6 +7,7 @@ lines; every tolerance is pinned here, nothing is deferred.
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ def test_criterion_5_sysid_self_identification():
             "dynamic_friction_ratio": rng.uniform(0.0, 1.0),
             "viscous_friction": rng.uniform(0.0, 1.0),
         }
-        hidden = sysid._apply_params(base, hidden_params)
+        hidden = replace(base, **hidden_params)
         ref = sysid.excite(hidden, gains)
         fit = sysid.identify(ref, gains, bounds,
                              sysid.CmaesConfig(sigma0=3.0, max_iter=200,
@@ -256,14 +257,13 @@ def test_criterion_6_statistics_oracles():
 def test_criterion_7_constrained_objective_ranking():
     """Feasible J in [1,2], infeasible in [0,1), total dominance, over an
     exhaustive lattice of success and violation rates."""
-    spec = shaping.ConstraintSpec()
     feas, infeas = [], []
     grid = np.linspace(0.0, 1.0, 11)
     for s in grid:
         for combo in itertools.product((0.0, 0.1, 0.2, 0.5, 1.0), repeat=4):
             viol = dict(zip(shaping.CONSTRAINTS, combo))
-            j = shaping.constrained_objective(float(s), viol, spec)
-            feasible = all(v <= spec.allowed(c) for c, v in viol.items())
+            j = shaping.constrained_objective(float(s), viol)
+            feasible = all(v <= shaping.ALLOWED_RATES[c] for c, v in viol.items())
             (feas if feasible else infeas).append(j)
     ok = (min(feas) >= 1.0 and max(feas) <= 2.0
           and min(infeas) >= 0.0 and max(infeas) < 1.0

@@ -1,12 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from gainlab.cli import KINDS, _cell_seed, _default_dt, _fmt, load_config, main, validate
+from gainlab.cli import KINDS, _cell_seed, _fmt, load_config, main, validate
 from gainlab.control import GainConfig
 from gainlab.dynamics import point_mass
+from gainlab.noise import discretize
 from gainlab.shaping import SearchSpace, ToyShapingProblem
 from oracles import loop_shape_search, per_candidate_objective
 
@@ -168,6 +170,12 @@ class TestValidateFindings:
         ("mode = sampled\n", "params.mode"),
         ("mode = held\n", "params.rate"),
         ("mode = held\nrate = -5\n", "params.rate"),
+        # an explicit dt must divide the 1/rate hold, as the run requires
+        ("mode = held\nrate = 50\ndt = 0.003\n", "params.dt"),
+        # the kd = 1 cells discard their first 10 time constants, 20 s
+        ("horizon = -1\n", "params.horizon"),
+        ("horizon = 15\n", "params.horizon"),
+        ("horizon = long\n", "params.horizon"),
     ])
     def test_variance_check_params(self, tmp_path, params, key):
         text = VARIANCE_INI.replace("trials = 10\n", "").replace("masses = 1\n", "")
@@ -209,6 +217,15 @@ class TestValidateFindings:
                        if not ln.startswith(f"{name} ="))
         text = f"[experiment]\nkind = {kind}\nseed = 7\nout = {{out}}\n\n{body}{line}\n"
         self.assert_reported(tmp_path, text, key)
+
+    def test_variance_check_short_horizon_validates_without_warning(self, tmp_path):
+        # 30 s is under 20 time constants of the kd = 1 cells, which only the
+        # run warns about, and over their 20 s burn-in
+        cfg = load_config(write(tmp_path, "c.ini", VARIANCE_INI.format(out=tmp_path / "o")
+                                + "horizon = 30\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate(cfg) == []
 
     def test_variance_check_dt_fits_the_lightest_listed_mass(self, tmp_path):
         text = VARIANCE_INI.replace("masses = 1\n", "masses = 1, 4\ndt = 0.01\n")
@@ -252,11 +269,25 @@ class TestRunExperiments:
         path = write(tmp_path, "c.ini", text.format(out=out))
         assert main(["run", "--config", path]) == 0
         assert len((out / "results.csv").read_text().strip().splitlines()) == 1 + 12
-        assert _default_dt(1.0, 50.0) == 0.02
-        assert _default_dt(2.0, 50.0) == 0.01
-        assert _default_dt(math.sqrt(2.0), 50.0) == 0.02 / 2
-        assert _default_dt(math.sqrt(0.5), 50.0) == 0.02
-        assert _default_dt(math.sqrt(2.0), None) == 0.02 / math.sqrt(2.0)
+        # omega_n = sqrt(kp / 1.0)
+        assert discretize(GainConfig(kp=1.0, kd=1.0), 1.0, 50.0)[0] == 0.02
+        assert discretize(GainConfig(kp=4.0, kd=1.0), 1.0, 50.0)[0] == 0.01
+        assert discretize(GainConfig(kp=2.0, kd=1.0), 1.0, 50.0)[0] == 0.02 / 2
+        assert discretize(GainConfig(kp=0.5, kd=1.0), 1.0, 50.0)[0] == 0.02
+        assert discretize(GainConfig(kp=2.0, kd=1.0), 1.0, None)[0] == 0.02 / math.sqrt(2.0)
+
+    def test_variance_check_unstable_cell_fails_typed(self, tmp_path):
+        # Kd*dt/m = 2.86 at the default dt: the step is unstable, and the cell
+        # fails before any step instead of overflowing
+        out = tmp_path / "unstable"
+        text = VARIANCE_INI.replace("kp = 2, 8\nkd = 1, 4", "kp = 16\nkd = 128").replace(
+            "masses = 1\n", "masses = 0.05\n")
+        path = write(tmp_path, "c.ini", text.format(out=out))
+        assert main(["validate", "--config", path]) == 0
+        assert main(["run", "--config", path]) == 2
+        failures = (out / "failures.csv").read_text().splitlines()
+        assert failures[1].startswith("0,PerturbationDivergedError('perturbation step unstable")
+        assert "b = Kd*dt/m = 2.862" in failures[1]
 
     def test_tpr_sweep_protocol_decimations(self, tmp_path):
         out = tmp_path / "tpr"

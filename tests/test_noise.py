@@ -1,16 +1,20 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gainlab import dynamics, noise, retarget
 from gainlab.control import GainConfig, default_grid
 from gainlab.dynamics import SimulationDivergedError, Trajectory, point_mass
-from gainlab.noise import (NoiseSpec, crandall_oracle, effective_error,
-                           noisy_openloop_replay, predict_variance,
-                           simulate_perturbation)
-from oracles import per_trial_noisy_replay, simulate_replay
+from gainlab.noise import (NoiseSpec, PerturbationDivergedError, crandall_oracle,
+                           discretize, effective_error, noisy_openloop_replay,
+                           predict_variance, simulate_perturbation)
+from oracles import default_dt, per_trial_noisy_replay, simulate_replay
 
 
 class TestPredictVariance:
@@ -129,7 +133,7 @@ class TestSimulatePerturbation:
         wn = 2.0
         f = 10.0 * wn / (2.0 * math.pi)
         dt = (1.0 / f) / 24
-        est = simulate_perturbation(g, 1.0, NoiseSpec(sigma=0.5, mode=noise.HELD,
+        est = simulate_perturbation(g, 1.0, NoiseSpec(sigma=0.5,
                                                       rate=f, seed=5),
                                     dt=dt, horizon=300.0, n_trials=100)
         assert abs(est.value - est.analytic) / est.analytic < 0.10
@@ -158,6 +162,103 @@ class TestSimulatePerturbation:
         # which is where the unbounded-variance case surfaces
         with pytest.raises(ValueError):
             predict_variance(GainConfig(kp=1.0, kd=0.0), 1.0)
+
+
+class TestDiscretize:
+    @settings(max_examples=300, deadline=None)
+    @given(log_kp=st.floats(-2, 4), log_kd=st.floats(-2, 3), log_m=st.floats(-2, 2),
+           rate=st.none() | st.floats(0.1, 1000.0))
+    def test_defaults_match_the_reference(self, log_kp, log_kd, log_m, rate):
+        kp, kd, m = 10.0**log_kp, 10.0**log_kd, 10.0**log_m
+        gains = GainConfig(kp=kp, kd=kd)
+        wn = math.sqrt(kp / m)
+        horizon = 60.0 * noise.time_constant(wn, kd / (2.0 * math.sqrt(m * kp)))
+        dt, hold, n_steps, burn = discretize(gains, m, rate)
+        assert dt == default_dt(wn, rate)
+        assert n_steps == int(round(horizon / dt))
+        assert discretize(gains, m, rate, horizon=horizon) == (dt, hold, n_steps, burn)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_kp=st.floats(-2, 4), log_kd=st.floats(-2, 3), log_m=st.floats(-2, 2),
+           rate=st.none() | st.floats(0.1, 1000.0),
+           dt=st.none() | st.floats(1e-6, 1.0) | st.integers(1, 500),
+           horizon=st.none() | st.floats(-10.0, 1e4))
+    def test_a_returned_discretization_holds_its_contract(self, log_kp, log_kd, log_m,
+                                                           rate, dt, horizon):
+        kp, kd, m = 10.0**log_kp, 10.0**log_kd, 10.0**log_m
+        if isinstance(dt, int):  # a step dividing the hold (1 ms without one)
+            dt = (1e-3 if rate is None else 1.0 / rate) / dt
+        try:
+            dt, hold, n_steps, burn = discretize(GainConfig(kp=kp, kd=kd), m, rate, dt,
+                                                 horizon)
+        except ValueError as exc:
+            event(str(exc).split()[0])  # which rule refused
+            return
+        event("returned")
+        assert math.sqrt(kp / m) * dt < 0.1
+        if rate is None:
+            assert hold == 1
+        else:
+            assert abs(hold * dt - 1.0 / rate) <= 1e-9 / rate
+        assert n_steps > burn
+
+    def test_each_rule_raises(self):
+        g = GainConfig(kp=2.0, kd=1.0)  # omega_n = sqrt(2), 10 time constants = 20 s
+        with pytest.raises(ValueError, match="dt too coarse"):
+            discretize(g, 1.0, dt=0.08)
+        with pytest.raises(ValueError, match="does not divide"):
+            discretize(g, 1.0, 50.0, dt=0.003)
+        burn_in = 10.0 * noise.time_constant(math.sqrt(2.0), 1.0 / (2.0 * math.sqrt(2.0)))
+        for horizon in (-1.0, 0.0, 15.0, burn_in):
+            with pytest.raises(ValueError, match="^horizon"):
+                discretize(g, 1.0, horizon=horizon)
+        assert discretize(g, 1.0, 50.0, dt=0.004, horizon=30.0) == (0.004, 5, 7500, 5000)
+
+
+class _Stepped(Exception):
+    """Raised in place of the trial streams: the run passed its checks."""
+
+
+class TestPerturbationStability:
+    def test_unstable_step_fails_typed_before_any_step(self):
+        # Kd*dt/m = 2.86 at the default dt = 0.02/omega_n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PerturbationDivergedError, match=r"b = Kd\*dt/m = 2\.862"):
+                simulate_perturbation(GainConfig(kp=16.0, kd=128.0), 0.05,
+                                      NoiseSpec(sigma=1.0), n_trials=4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_kp=st.floats(-1, 4), log_b=st.floats(-3, 3) | st.floats(0.25, 0.35),
+           log_m=st.floats(-2, 2), log_dt=st.floats(-5, -1))
+    @example(log_kp=2.0, log_b=math.log10(1.94), log_m=0.0, log_dt=-3.0)
+    @example(log_kp=2.0, log_b=math.log10(2.06), log_m=0.0, log_dt=-3.0)
+    def test_jury_criterion_matches_a_noise_free_run(self, log_kp, log_b, log_m, log_dt):
+        # Kd is drawn through b = Kd*dt/m: decades either side of the b = 2
+        # edge, and half the draws within 1.78 < b < 2.24
+        kp, m, dt = 10.0**log_kp, 10.0**log_m, 10.0**log_dt
+        kd = 10.0**log_b * m / dt
+        a, b = kp * dt * dt / m, kd * dt / m
+        assume(math.sqrt(kp / m) * dt < 0.1)  # a step discretize accepts
+        assume(abs(2.0 - b) >= 0.05 and abs(4.0 - 2.0 * b - a) >= 0.05)
+        with mock.patch.object(noise, "trial_rng", side_effect=_Stepped):
+            try:
+                simulate_perturbation(GainConfig(kp=kp, kd=kd), m, NoiseSpec(sigma=0.0), 1,
+                                      dt=dt)
+            except _Stepped:
+                stable = True
+            except PerturbationDivergedError:
+                stable = False
+        event("stable" if stable else "unstable")
+        # the same recursion, noise-free from (q, v) = (1, 0)
+        c_kp, c_kd = dt * kp / m, dt * kd / m
+        q, v = 1.0, 0.0
+        for _ in range(5000):
+            v += c_kp * (0.0 - q) - c_kd * v
+            q += dt * v
+            if not abs(q) <= 1e6:
+                break
+        assert (abs(q) <= 1e6) == stable, (a, b)
 
 
 def _demo_1dof():

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from gainlab import dynamics, shaping
 from gainlab.control import GainConfig, default_grid
 from gainlab.dynamics import chain, point_mass
-from gainlab.shaping import (ActionMapping, ConstraintSpec, SearchSpace,
+from gainlab.shaping import (ALLOWED_RATES, ActionMapping, SearchSpace,
                              ToyShapingProblem, constrained_objective, expand_alpha,
                              map_action, reward_sharp, reward_soft, shape_search)
 from oracles import loop_shape_search, per_candidate_objective, per_episode_evaluate
@@ -147,13 +147,12 @@ class TestConstrainedObjective:
         assert best_infeasible < 1.0
 
     def test_images_disjoint_on_lattice(self):
-        spec = ConstraintSpec()
         feas, infeas = [], []
         for s in np.linspace(0, 1, 6):
             for v in np.linspace(0, 1, 6):
                 for c in shaping.CONSTRAINTS:
-                    j = constrained_objective(float(s), {c: float(v)}, spec)
-                    if v <= spec.allowed(c):
+                    j = constrained_objective(float(s), {c: float(v)})
+                    if v <= ALLOWED_RATES[c]:
                         feas.append(j)
                     else:
                         infeas.append(j)

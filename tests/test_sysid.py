@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,10 +63,10 @@ class TestExcite:
                 "dynamic_friction_ratio": [[0.5], [1.0], [0.1]],
                 "viscous_friction": [[0.0], [0.7], [0.3]]}
         gains = GainConfig(kp=200.0, kd=20.0, gravity_comp=True, gravity_comp_scale=0.9)
-        stacked = excite(sysid._apply_params(plant, rows), gains, q0=[0.1] * plant.n_joints)
+        stacked = excite(replace(plant, **rows), gains, q0=[0.1] * plant.n_joints)
         assert len(stacked) == 3
         for i, lane in enumerate(stacked):
-            one = sysid._apply_params(plant, {k: v[i][0] for k, v in rows.items()})
+            one = replace(plant, **{k: v[i][0] for k, v in rows.items()})
             alone = excite(one, gains, q0=[0.1] * plant.n_joints)
             for name in ("t", "q", "q_dot", "q_des", "tau"):
                 assert np.array_equal(getattr(lane, name), getattr(alone, name)), (i, name)
