@@ -32,6 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from . import control, dynamics, noise, retarget, shaping, stats, sysid
 from .control import GainConfig, GainGrid, default_grid
@@ -159,7 +160,7 @@ def validate(config: ExperimentConfig) -> list[str]:
 
 
 def _cell_seed(root: int, index: int) -> int:
-    return int(np.random.SeedSequence(root, spawn_key=(index,)).generate_state(1)[0])
+    return int(SeedSequence(root, spawn_key=(index,)).generate_state(1)[0])
 
 
 def _fmt(v) -> str:
@@ -213,7 +214,7 @@ def _demos(cfg: ExperimentConfig, n: int,
     p = cfg.params
     duration = float(p.get("duration", default_duration))
     base_rate = float(p.get("base_rate", 500.0))
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    rng = default_rng(SeedSequence(cfg.seed, spawn_key=(0,)))
     demos = []
     for _ in range(n):
         q0 = rng.uniform(-0.8, 0.8, size=cfg.plant.n_joints)
@@ -294,7 +295,7 @@ def _sysid_cell(job):
     gains = GainConfig(kp=kp, kd=kd)
     bounds = _load_bounds(p["bounds"]) if p.get("bounds") \
         else sysid.SysidBounds.default()
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
+    rng = default_rng(SeedSequence(cfg.seed, spawn_key=(index,)))
     hidden = {n: rng.uniform(lo, hi) for n, lo, hi in bounds.params}
     reference = sysid.excite(dataclasses.replace(cfg.plant, **hidden), gains)
     cmaes_cfg = sysid.CmaesConfig(sigma0=float(p.get("sigma0", 3.0)),
@@ -318,11 +319,19 @@ def _shape_cell(job):
                                 episodes=int(p.get("episodes", 8)),
                                 seed=_cell_seed(cfg.seed, index))
     space = shaping.SearchSpace(n_groups=1, alpha_low=1e-3, alpha_high=30.0)
-    result = shaping.shape_search(problem, space, budget,
+    scored = []  # mappings in call order, as problem.details lists their rows
+
+    def objective(mappings):
+        scored.extend(mappings)
+        return problem(mappings)
+
+    result = shaping.shape_search(objective, space, budget,
                                   seed=_cell_seed(cfg.seed, index))
+    # the branches share their objective calls: pair each ledger entry with its row
+    details = {id(m): d for m, d in zip(scored, problem.details, strict=True)}
     ledger_rows = []
-    for trial, ((mapping, j), detail) in enumerate(
-            zip(result.ledger, problem.details, strict=True)):
+    for trial, (mapping, j) in enumerate(result.ledger):
+        detail = details[id(mapping)]
         alphas = list(mapping.alpha) + [mapping.alpha[-1]] * (2 - mapping.alpha.size)
         ledger_rows.append({
             "trial": trial, "alpha1": alphas[0], "alpha2": alphas[1],

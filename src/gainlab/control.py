@@ -100,7 +100,7 @@ def track(plant: PlantParams, gains: GainConfig, commands, hold: int, dt: float,
         cmd = commands[min(k // hold, last)]
         grav = dynamics.gravity_torque(plant, q) if g.gravity_comp else None
         tau = pd_torque(g, q, q_dot, cmd, gravity_term=grav)
-        return np.clip(tau, -plant.torque_limit, plant.torque_limit), cmd
+        return np.minimum(np.maximum(tau, -plant.torque_limit), plant.torque_limit), cmd
 
     shape = commands.shape[1:-1] + (plant.n_joints,)  # command lanes share one start
     return dynamics.simulate(plant, np.broadcast_to(q0, shape), np.broadcast_to(q_dot0, shape),

@@ -73,13 +73,6 @@ def crandall_oracle(omega_n: float, zeta: float, sigma_n: float) -> float:
     return sigma_n**2 / (4.0 * zeta * omega_n**3)
 
 
-def effective_error(gains: GainConfig, eps_pi: float) -> np.ndarray:
-    """RMS state deviation sqrt(Kp/(2 Kd)) * eps_pi induced by action RMS error."""
-    if eps_pi < 0:
-        raise ValueError("eps_pi must be non-negative")
-    return np.sqrt(gains.kp / (2.0 * gains.kd)) * eps_pi
-
-
 def time_constant(omega_n: float, zeta: float) -> float:
     """Slowest decay time: 1/(zeta wn) when zeta <= 1, else slow-pole based."""
     if zeta <= 1.0:

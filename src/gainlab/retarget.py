@@ -251,7 +251,7 @@ def make_demo(plant: PlantParams, controller, duration: float, base_rate: float,
     def torque_fn(q, q_dot, k, t):
         nonlocal saturated
         tau = _as_vector(controller(q, q_dot, t), plant.n_joints)
-        clipped = np.clip(tau, -plant.torque_limit, plant.torque_limit)
+        clipped = np.minimum(np.maximum(tau, -plant.torque_limit), plant.torque_limit)
         if np.any(clipped != tau):
             saturated = True
         return clipped, q if reference is None else reference(t)

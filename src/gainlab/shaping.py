@@ -12,6 +12,7 @@ which rolls out every (mapping, episode) pair as one lane of one loop.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -19,7 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import control, dynamics
-from .sysid import CmaesAbortedError, CmaesConfig, SysidBounds, cmaes_minimize
+from .sysid import CmaesConfig, SysidBounds, cmaes_minimize
 
 CONSTRAINTS = ("position", "velocity", "torque", "torque_rate")
 # allowed violation rate per constraint; the torque rate tolerates 0.2
@@ -161,19 +162,20 @@ def shape_search(objective, space: SearchSpace, budget: int,
     a NaN J records -inf, and a raise propagates. The random strategy
     draws log-uniform alphas with random switches, all in one batch; the
     branched strategy enumerates the four (beta, gamma) combinations and
-    runs CMA-ES over log10(alpha) within each, one batch per generation,
-    splitting the budget evenly. A branch whose generation has no finite
-    J stops there. Random draws spend what the branches leave. Ties break
-    toward the earliest candidate. Deterministic given the seed.
+    runs CMA-ES over log10(alpha) within each, splitting the budget
+    evenly. The branch searches run in lockstep: one batch per generation
+    holds every live branch's candidates, branch by branch. A branch whose
+    generation has no finite J stops there while the others go on. Random
+    draws spend what the branches leave. The ledger lists each branch's
+    candidates in turn, then the random draws; ties break toward the
+    earliest candidate. Deterministic given the seed.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    ledger: list[tuple[ActionMapping, float]] = []
 
-    def evaluate(mappings: list[ActionMapping]) -> list[float]:
+    def evaluate(mappings: list[ActionMapping]) -> list[tuple[ActionMapping, float]]:
         js = [-math.inf if math.isnan(j) else j for j in map(float, objective(mappings))]
-        ledger.extend(zip(mappings, js, strict=True))
-        return js
+        return list(zip(mappings, js, strict=True))
 
     lo, hi = math.log(space.alpha_low), math.log(space.alpha_high)
 
@@ -183,7 +185,7 @@ def shape_search(objective, space: SearchSpace, budget: int,
                 for _ in range(k)]
 
     if strategy == RANDOM:
-        evaluate(draw(np.random.default_rng(seed), budget))
+        ledger = evaluate(draw(np.random.default_rng(seed), budget))
     elif strategy == CMAES_BRANCHED:
         branches = [(b, g) for g in (0, 1) for b in (0, 1)]
         per_branch = budget // len(branches)
@@ -192,26 +194,34 @@ def shape_search(objective, space: SearchSpace, budget: int,
         box = SysidBounds(params=tuple(
             (f"log10_alpha{i}", log_lo, log_hi) for i in range(space.n_groups)))
         lam = 4 + int(3 * math.log(space.n_groups))
-        for idx, (beta, gamma) in enumerate(branches):
+        searched, configs = [], []
+        for idx, switches in enumerate(branches):
             n_evals = per_branch + (1 if idx < extra else 0)
-            if n_evals < lam:
-                continue  # too few evaluations for a generation; filler below
+            if n_evals >= lam:  # else too few evaluations for a generation; filler below
+                searched.append(switches)
+                configs.append(CmaesConfig(popsize=lam, sigma0=0.6, max_iter=n_evals // lam,
+                                           seed=seed + idx, penalty_weight=10.0))
+        trials = [[] for _ in searched]  # each branch's (mapping, J) entries
 
-            def branch_obj(X, beta=beta, gamma=gamma):
-                mappings = [ActionMapping(alpha=10.0 ** np.asarray(x), beta=beta,
-                                          gamma=gamma) for x in X]
-                return [-j for j in evaluate(mappings)]
+        def branch_losses(Xs):
+            live = [i for i, X in enumerate(Xs) if X is not None]
+            scored = iter(evaluate([
+                ActionMapping(alpha=10.0 ** np.asarray(x), beta=searched[i][0],
+                              gamma=searched[i][1]) for i in live for x in Xs[i]]))
+            losses = []
+            for i in live:
+                entries = list(itertools.islice(scored, len(Xs[i])))
+                trials[i] += entries
+                losses.append([-j for _, j in entries])
+            return losses
 
-            cfg = CmaesConfig(popsize=lam, sigma0=0.6, max_iter=n_evals // lam,
-                              seed=seed + idx, penalty_weight=10.0)
-            try:
-                cmaes_minimize(branch_obj, box, cfg)
-            except CmaesAbortedError:
-                pass  # its candidates are ledgered; the filler spends the rest
+        # an aborted branch keeps its ledgered candidates; the filler spends the rest
+        cmaes_minimize(branch_losses, box, tuple(configs))
+        ledger = [entry for branch in trials for entry in branch]
         # branch budgets round down to whole generations; spend the rest
         rest = budget - len(ledger)
         if rest:
-            evaluate(draw(np.random.default_rng(seed + len(branches)), rest))
+            ledger += evaluate(draw(np.random.default_rng(seed + len(branches)), rest))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -324,16 +334,18 @@ def rollout(problem: ToyShapingProblem, mappings: list[ActionMapping], episodes=
         if gains.gravity_comp:
             tau_req = tau_req + gains.gravity_comp_scale * dynamics.gravity_torque(plant, q)
         d_tau = tau_req - (rec[2, k - 1] if k else 0.0)
-        q, qd = advance(q, qd, np.clip(tau_req, -plant.torque_limit, plant.torque_limit), dt)
+        tau = np.minimum(np.maximum(tau_req, -plant.torque_limit), plant.torque_limit)
+        q, qd = advance(q, qd, tau, dt)
         rec[:, k] = q, qd, tau_req, d_tau
         return q, qd, x_des
 
     (q, _, _), diverged = dynamics._run_lanes(step, (q, np.zeros_like(q), q.copy()),
                                               n_steps)
-    # per lane, the steps in which any joint breaks each limit (CONSTRAINTS order)
+    # per lane, the steps in which any joint breaks each limit (CONSTRAINTS
+    # order); the record is not read again, so |rec| overwrites it
     limits = (problem.pos_limit, problem.vel_limit, plant.torque_limit,
               dt * plant.torque_rate_limit)
-    counts = (np.abs(rec) > np.reshape(limits, (4, 1, 1, 1))).any(axis=3).sum(axis=1)
+    counts = (np.abs(rec, out=rec) > np.reshape(limits, (4, 1, 1, 1))).any(axis=3).sum(axis=1)
     results = []
     for c in range(len(mappings)):
         errors = [diverged[lane] for lane in range(c * n_ep, (c + 1) * n_ep)

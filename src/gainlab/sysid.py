@@ -104,7 +104,8 @@ class FitResult:
     n_evals: int
 
 
-def cmaes_minimize(objective, bounds: SysidBounds, config: CmaesConfig = CmaesConfig()) -> FitResult:
+def cmaes_minimize(objective, bounds: SysidBounds,
+                   config: CmaesConfig | tuple[CmaesConfig, ...] = CmaesConfig()):
     """Minimize a black-box objective over the bounds box with CMA-ES.
 
     Standard (mu/mu_w, lambda) covariance matrix adaptation with the
@@ -113,88 +114,124 @@ def cmaes_minimize(objective, bounds: SysidBounds, config: CmaesConfig = CmaesCo
     scores a whole generation at once, X holding its lambda in-box points
     as rows. Samples falling outside the box are evaluated at the clamped
     point with a quadratic distance penalty added. NaN (or None) losses
-    rank last as +inf; a generation with no finite loss aborts.
-    Deterministic given the seed.
+    rank last as +inf; a generation with no finite loss aborts with
+    ``CmaesAbortedError``. Returns the ``FitResult``. Deterministic given
+    the seed.
+
+    Given a tuple of k configs, runs k searches over the box in lockstep
+    and returns their k outcomes in config order: a ``FitResult``, or the
+    ``CmaesAbortedError`` of a search that aborted while the others went
+    on. ``objective(Xs) -> loss lists`` then scores one generation of
+    every search at once: ``Xs`` holds a point array per search (None once
+    it has stopped), and the objective returns a loss list per live
+    search, in order. Each search draws from its own seed's generator, so
+    its outcome equals its one-config run bitwise.
     """
+    lone = isinstance(config, CmaesConfig)
+    configs = (config,) if lone else config
     n = bounds.dim
     lo, hi = bounds.lower, bounds.upper
     span = hi - lo
-    lam = config.popsize or 4 + int(3 * math.log(n))
-    mu = lam // 2
-    w = math.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
-    w = w / w.sum()
-    mu_eff = 1.0 / np.sum(w**2)
-    c_sigma = (mu_eff + 2.0) / (n + mu_eff + 5.0)
-    d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (n + 1.0)) - 1.0) + c_sigma
-    c_c = (4.0 + mu_eff / n) / (n + 4.0 + 2.0 * mu_eff / n)
-    c_1 = 2.0 / ((n + 1.3) ** 2 + mu_eff)
-    c_mu = min(1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff))
-    chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2))
 
-    rng = np.random.default_rng(config.seed)
-    mean = np.full(n, 0.5)
-    sigma = config.sigma0
-    C = np.eye(n)
-    p_sigma = np.zeros(n)
-    p_c = np.zeros(n)
+    def search(config):
+        # one run: yields each generation's points, is sent their losses
+        lam = config.popsize or 4 + int(3 * math.log(n))
+        mu = lam // 2
+        w = math.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
+        w = w / w.sum()
+        mu_eff = 1.0 / np.sum(w**2)
+        c_sigma = (mu_eff + 2.0) / (n + mu_eff + 5.0)
+        d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (n + 1.0)) - 1.0) + c_sigma
+        c_c = (4.0 + mu_eff / n) / (n + 4.0 + 2.0 * mu_eff / n)
+        c_1 = 2.0 / ((n + 1.3) ** 2 + mu_eff)
+        c_mu = min(1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff))
+        chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2))
 
-    best_loss = math.inf
-    best_x = lo + mean * span
-    history = []
-    n_evals = 0
+        rng = np.random.default_rng(config.seed)
+        mean = np.full(n, 0.5)
+        sigma = config.sigma0
+        C = np.eye(n)
+        p_sigma = np.zeros(n)
+        p_c = np.zeros(n)
 
-    for gen in range(config.max_iter):
-        C = (C + C.T) / 2.0
-        eigvals, B = np.linalg.eigh(C)
-        eigvals = np.maximum(eigvals, 1e-20)
-        D = np.sqrt(eigvals)
-        z = rng.standard_normal((lam, n))
-        y = z @ (B * D).T
-        xs = mean + sigma * y
-        clamped = np.clip(xs, 0.0, 1.0)
-        points = lo + clamped * span
-        values = objective(points)
-        if len(values) != lam:
-            raise ValueError(f"objective returned {len(values)} losses for {lam} points")
-        losses = np.empty(lam)
-        for i, val in enumerate(values):
-            dist2 = float(np.sum((xs[i] - clamped[i]) ** 2))
-            n_evals += 1
-            val = math.inf if (val is None or math.isnan(val)) else float(val)
-            # penalty shapes the ranking; the reported best is the raw
-            # objective at the in-box point actually evaluated
-            losses[i] = val + config.penalty_weight * dist2
-            if val < best_loss:
-                best_loss = val
-                best_x = points[i]
-        if not np.any(np.isfinite(losses)):
-            result = FitResult(x=best_x, params=dict(zip(bounds.names, best_x)),
-                               loss=best_loss, history=np.array(history),
-                               n_evals=n_evals)
-            raise CmaesAbortedError(result)
-        order = np.argsort(losses, kind="stable")
-        y_sel = y[order[:mu]]
-        y_w = w @ y_sel
-        mean = mean + sigma * y_w
+        best_loss = math.inf
+        best_x = lo + mean * span
+        history = []
+        n_evals = 0
 
-        inv_sqrt = (B / D) @ B.T
-        p_sigma = (1.0 - c_sigma) * p_sigma \
-            + math.sqrt(c_sigma * (2.0 - c_sigma) * mu_eff) * (inv_sqrt @ y_w)
-        norm_ps = np.linalg.norm(p_sigma)
-        h_sigma = norm_ps / math.sqrt(1.0 - (1.0 - c_sigma) ** (2 * (gen + 1))) \
-            < (1.4 + 2.0 / (n + 1.0)) * chi_n
-        p_c = (1.0 - c_c) * p_c \
-            + h_sigma * math.sqrt(c_c * (2.0 - c_c) * mu_eff) * y_w
-        rank_mu = (y_sel * w[:, None]).T @ y_sel
-        C = ((1.0 - c_1 - c_mu) * C
-             + c_1 * (np.outer(p_c, p_c) + (1.0 - h_sigma) * c_c * (2.0 - c_c) * C)
-             + c_mu * rank_mu)
-        sigma = sigma * math.exp(c_sigma / d_sigma * (norm_ps / chi_n - 1.0))
-        sigma = min(max(sigma, 1e-20), 1e8)
-        history.append(best_loss)
+        for gen in range(config.max_iter):
+            C = (C + C.T) / 2.0
+            eigvals, B = np.linalg.eigh(C)
+            eigvals = np.maximum(eigvals, 1e-20)
+            D = np.sqrt(eigvals)
+            z = rng.standard_normal((lam, n))
+            y = z @ (B * D).T
+            xs = mean + sigma * y
+            clamped = np.clip(xs, 0.0, 1.0)
+            points = lo + clamped * span
+            values = yield points
+            if len(values) != lam:
+                raise ValueError(f"objective returned {len(values)} losses for {lam} points")
+            losses = np.empty(lam)
+            for i, val in enumerate(values):
+                dist2 = float(np.sum((xs[i] - clamped[i]) ** 2))
+                n_evals += 1
+                val = math.inf if (val is None or math.isnan(val)) else float(val)
+                # penalty shapes the ranking; the reported best is the raw
+                # objective at the in-box point actually evaluated
+                losses[i] = val + config.penalty_weight * dist2
+                if val < best_loss:
+                    best_loss = val
+                    best_x = points[i]
+            if not np.any(np.isfinite(losses)):
+                result = FitResult(x=best_x, params=dict(zip(bounds.names, best_x)),
+                                   loss=best_loss, history=np.array(history),
+                                   n_evals=n_evals)
+                raise CmaesAbortedError(result)
+            order = np.argsort(losses, kind="stable")
+            y_sel = y[order[:mu]]
+            y_w = w @ y_sel
+            mean = mean + sigma * y_w
 
-    return FitResult(x=best_x, params=dict(zip(bounds.names, best_x)),
-                     loss=best_loss, history=np.array(history), n_evals=n_evals)
+            inv_sqrt = (B / D) @ B.T
+            p_sigma = (1.0 - c_sigma) * p_sigma \
+                + math.sqrt(c_sigma * (2.0 - c_sigma) * mu_eff) * (inv_sqrt @ y_w)
+            norm_ps = np.linalg.norm(p_sigma)
+            h_sigma = norm_ps / math.sqrt(1.0 - (1.0 - c_sigma) ** (2 * (gen + 1))) \
+                < (1.4 + 2.0 / (n + 1.0)) * chi_n
+            p_c = (1.0 - c_c) * p_c \
+                + h_sigma * math.sqrt(c_c * (2.0 - c_c) * mu_eff) * y_w
+            rank_mu = (y_sel * w[:, None]).T @ y_sel
+            C = ((1.0 - c_1 - c_mu) * C
+                 + c_1 * (np.outer(p_c, p_c) + (1.0 - h_sigma) * c_c * (2.0 - c_c) * C)
+                 + c_mu * rank_mu)
+            sigma = sigma * math.exp(c_sigma / d_sigma * (norm_ps / chi_n - 1.0))
+            sigma = min(max(sigma, 1e-20), 1e8)
+            history.append(best_loss)
+
+        return FitResult(x=best_x, params=dict(zip(bounds.names, best_x)),
+                         loss=best_loss, history=np.array(history), n_evals=n_evals)
+
+    searches = [search(c) for c in configs]
+    points = [next(s) for s in searches]
+    outcomes = [None] * len(searches)
+    while live := [i for i, X in enumerate(points) if X is not None]:
+        losses = [objective(points[0])] if lone else objective(points)
+        if len(losses) != len(live):
+            raise ValueError(f"objective returned {len(losses)} loss lists "
+                             f"for {len(live)} live searches")
+        for i, values in zip(live, losses):
+            try:
+                points[i] = searches[i].send(values)
+            except StopIteration as done:
+                outcomes[i], points[i] = done.value, None
+            except CmaesAbortedError as aborted:
+                outcomes[i], points[i] = aborted, None
+    if not lone:
+        return outcomes
+    if isinstance(outcomes[0], CmaesAbortedError):
+        raise outcomes[0]
+    return outcomes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +339,6 @@ def _spectral_loss(reference: Trajectory, sim: Trajectory) -> float:
             return spectral_mse(reference.q, sim.q) + spectral_mse(reference.q_dot, sim.q_dot)
     except FloatingPointError:
         return math.inf
-
-
-def identification_loss(reference: Trajectory, plant: PlantParams,
-                        gains: GainConfig, protocol: ExcitationProtocol) -> float:
-    """Sum of spectral MSE on positions and velocities vs the reference;
-    +inf if the excitation diverges or its spectra overflow."""
-    try:
-        sim = excite(plant, gains, protocol, q0=reference.q[0])
-    except dynamics.SimulationDivergedError:
-        return math.inf
-    return _spectral_loss(reference, sim)
 
 
 def identify(reference: Trajectory, gains: GainConfig, bounds: SysidBounds,

@@ -351,6 +351,13 @@ def per_trial_noisy_replay(retargeted, plant, sigma, seed, n_trials, decimation=
             goal.reached(clean_final.q))
 
 
+def effective_error(gains, eps_pi: float) -> np.ndarray:
+    """RMS state deviation sqrt(Kp/(2 Kd)) * eps_pi induced by action RMS error."""
+    if eps_pi < 0:
+        raise ValueError("eps_pi must be non-negative")
+    return np.sqrt(gains.kp / (2.0 * gains.kd)) * eps_pi
+
+
 def default_dt(wn: float, rate: float | None) -> float:
     """The variance check's default Monte Carlo step as the runner once
     derived it: 0.02/omega_n; with a hold rate, the largest dt <= that
@@ -626,6 +633,16 @@ def loop_cmaes_minimize(objective, bounds, config=sysid.CmaesConfig()):
                            loss=best_loss, history=np.array(history), n_evals=n_evals)
 
 
+def identification_loss(reference, plant, gains, protocol):
+    """Sum of spectral MSE on positions and velocities vs the reference;
+    +inf if the excitation diverges or its spectra overflow."""
+    try:
+        sim = sysid.excite(plant, gains, protocol, q0=reference.q[0])
+    except SimulationDivergedError:
+        return math.inf
+    return sysid._spectral_loss(reference, sim)
+
+
 def loop_identify(reference, gains, bounds, config, base_plant,
                   protocol=sysid.ExcitationProtocol()):
     """sysid.identify with one excitation per candidate."""
@@ -633,7 +650,7 @@ def loop_identify(reference, gains, bounds, config, base_plant,
 
     def objective(x):
         plant = replace(base_plant, **dict(zip(box.names, x)))
-        return sysid.identification_loss(reference, plant, gains, protocol)
+        return identification_loss(reference, plant, gains, protocol)
 
     return loop_cmaes_minimize(objective, box, config)
 

@@ -639,3 +639,22 @@ def test_every_kind_has_pinned_manifest_files(kind, workers, tmp_path, monkeypat
     assert main(["run", "--config", "c.ini", "--workers", str(workers)]) == rc
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["files"] == files
+
+
+# Budget 40 gives each shape-search branch two CMA-ES generations, which the
+# branches run in lockstep; the ledgers keep their branch-major rows.
+MULTI_GENERATION_SHAPE = PINNED["shape-search"][0].replace(
+    "kp = 16, 1024\nkd = 2, 128", "kp = 16, 1024\nkd = 8").replace("budget = 4", "budget = 40")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_multi_generation_shape_ledgers_pinned(workers, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(
+        f"[experiment]\nkind = shape-search\nseed = 7\nout = out\n\n{MULTI_GENERATION_SHAPE}")
+    assert main(["run", "--config", "c.ini", "--workers", str(workers)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["files"] == {
+        "ledger_kp1024_kd8.csv": "186849f9c5447b4ecbf6aba437d9967201c6090c3c8db566de09c5b8c3cc21fe",
+        "ledger_kp16_kd8.csv": "54ae33c496141d05db64d4641550f61d969e575984ad1b7c7179a655cd429f37",
+        "results.csv": "aa5ce48451b27cef7daf77db1b35a12fbf63d0b787e6497c99d66059761d0400"}

@@ -87,6 +87,38 @@ class TestLimitTorque:
         assert_allclose(np.array(relimited), np.array(limited))
 
 
+# rollouts clamp torque as np.minimum(np.maximum(tau, -lim), lim), which
+# dispatches faster than np.clip and must stay bitwise equal to it
+CLAMP_SPECIALS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, 5e-324,
+                  -5e-324, 300.0, -300.0, 1e-300, -1e-300]
+
+
+def _clamp_outcome(clamp):
+    with np.errstate(over="raise", invalid="raise", under="raise", divide="raise"):
+        try:
+            return clamp().tobytes()
+        except FloatingPointError as exc:
+            return repr(exc)
+
+
+class TestMinMaxClampIsClip:
+    @settings(max_examples=300, deadline=None)
+    @given(tau=st.lists(st.sampled_from(CLAMP_SPECIALS) | st.floats(), min_size=1, max_size=6),
+           lim=st.sampled_from([math.inf, 300.0, 1e-300])
+           | st.floats(min_value=5e-324, allow_infinity=True))
+    def test_same_bits_and_errors(self, tau, lim):
+        tau = np.array(tau)
+        assert _clamp_outcome(lambda: np.minimum(np.maximum(tau, -lim), lim)) \
+            == _clamp_outcome(lambda: np.clip(tau, -lim, lim))
+
+    @pytest.mark.parametrize("lim", [math.inf, 300.0, 1e-300])
+    def test_every_special_value(self, lim):
+        tau = np.array(CLAMP_SPECIALS)
+        got = _clamp_outcome(lambda: np.minimum(np.maximum(tau, -lim), lim))
+        assert got == _clamp_outcome(lambda: np.clip(tau, -lim, lim))
+        assert isinstance(got, bytes)  # neither form raises
+
+
 class TestRegime:
     def test_critical_damping_formula(self):
         r = classify_regime(GainConfig(kp=4.0, kd=4.0), 1.0, 8.0)

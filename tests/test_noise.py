@@ -12,9 +12,9 @@ from gainlab import dynamics, noise, retarget
 from gainlab.control import GainConfig, default_grid
 from gainlab.dynamics import SimulationDivergedError, Trajectory, point_mass
 from gainlab.noise import (NoiseSpec, PerturbationDivergedError, crandall_oracle,
-                           discretize, effective_error, noisy_openloop_replay,
+                           discretize, noisy_openloop_replay,
                            predict_variance, simulate_perturbation)
-from oracles import default_dt, per_trial_noisy_replay, simulate_replay
+from oracles import default_dt, effective_error, per_trial_noisy_replay, simulate_replay
 
 
 class TestPredictVariance:

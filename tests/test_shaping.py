@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -286,6 +287,47 @@ class TestShapeSearchMatchesLoopOracle:
             assert -math.inf in [j for _, j in got.ledger]
 
 
+class TestLockstepShapeSearchMatchesLoopOracle:
+    """Several generations per branch, the branches in lockstep. At seed 233
+    both gamma = 0 branches draw only overflowing alphas in their first
+    generation and abort, while the other two go on: the objective sees
+    all four branches once, then the two live ones. The ledger, the best
+    candidate and the details rows, paired with the ledger by call order
+    as the shape-search runner pairs them, equal the one-candidate-at-a-
+    time search's."""
+
+    @pytest.mark.parametrize("budget", [40, 160])
+    def test_ledger_best_and_details(self, budget, monkeypatch):
+        space = SearchSpace(alpha_low=1e-3, alpha_high=300.0)
+        batched, alone = (ToyShapingProblem(point_mass(0.5), GainConfig(kp=4096, kd=8),
+                                            episodes=2, seed=3) for _ in range(2))
+        outcomes = []
+        minimize = shaping.cmaes_minimize
+        monkeypatch.setattr(shaping, "cmaes_minimize",
+                            lambda *args: outcomes.extend(minimize(*args)) or outcomes)
+        calls = []
+
+        def objective(mappings):
+            calls.append(list(mappings))
+            return batched(mappings)
+
+        got = shape_search(objective, space, budget, seed=233)
+        want = loop_shape_search(per_candidate_objective(alone), space, budget, seed=233)
+        scored = [m for call in calls for m in call]
+        details = {id(m): d for m, d in zip(scored, batched.details, strict=True)}
+        assert _ledgers_equal(got.ledger, want.ledger)
+        assert _details_equal([details[id(m)] for m, _ in got.ledger], alone.details)
+        assert got.objective == want.objective
+        best = next(i for i, (m, _) in enumerate(got.ledger) if m is got.best)
+        assert want.ledger[best][0] is want.best
+        assert [type(o).__name__ for o in outcomes] == \
+            ["CmaesAbortedError"] * 2 + ["FitResult"] * 2
+        generations = budget // 16
+        filler = budget - 8 - 8 * generations
+        assert [len(c) for c in calls] == [16] + [8] * (generations - 1) + [filler]
+        assert [(m.beta, m.gamma) for m in calls[1]] == [(0, 1)] * 4 + [(1, 1)] * 4
+
+
 def _random_mapping(rng, beta, gamma, n_alpha=1):
     return ActionMapping(alpha=10.0 ** rng.uniform(-3, 1.5, n_alpha),
                          beta=beta, gamma=gamma)
@@ -428,6 +470,26 @@ class TestRolloutOfMixedBatches:
         with pytest.raises(dynamics.SimulationDivergedError) as err:
             problem.evaluate(ActionMapping(alpha=10.0, beta=0, gamma=0))
         assert err.value.step_index == 390
+
+
+
+class TestRolloutMemory:
+    def test_peak_of_a_bench_sized_rollout(self):
+        # 16 mappings x 6 episodes, as one generation of the four branches
+        # on the bench: the violation count reuses the record in place
+        problem = ToyShapingProblem(point_mass(1.0, torque_limit=300.0, torque_rate_limit=2e4),
+                                    GainConfig(kp=16, kd=2), episodes=6, seed=42)
+        rng = np.random.default_rng(3)
+        mappings = [_random_mapping(rng, b, g) for b in (0, 1) for g in (0, 1) for _ in range(4)]
+        n_steps = round(problem.horizon * problem.physics_rate)
+        record_nbytes = 4 * n_steps * len(mappings) * 6 * 8
+        tracemalloc.start()
+        try:
+            shaping.rollout(problem, mappings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * record_nbytes
 
 
 class TestToyShapingProblemDivergence:

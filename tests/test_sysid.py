@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -14,7 +15,7 @@ from gainlab.dynamics import Trajectory, chain, point_mass, two_link
 from gainlab.sysid import (CmaesConfig, ExcitationProtocol, SysidBounds,
                            cmaes_minimize, excite, identify, jitter_detect,
                            nn_error, spectral_mse, trajectory_error)
-from oracles import loop_cmaes_minimize, loop_identify
+from oracles import identification_loss, loop_cmaes_minimize, loop_identify
 
 # the light 2R arm diverges at Kp=512, Kd=24 unless its armature is >~0.1
 LIGHT_ARM = dict(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4))
@@ -83,8 +84,8 @@ class TestExcite:
             warnings.simplefilter("error")
             with pytest.raises(dynamics.SimulationDivergedError) as err:
                 excite(plant, gains)
-            assert sysid.identification_loss(excite(plant, GainConfig(kp=64.0, kd=8.0)),
-                                             plant, gains, ExcitationProtocol()) == math.inf
+            assert identification_loss(excite(plant, GainConfig(kp=64.0, kd=8.0)),
+                                       plant, gains, ExcitationProtocol()) == math.inf
         assert 0 <= err.value.step_index < 400
 
 
@@ -302,6 +303,69 @@ def _fits_equal(a, b):
             and np.array_equal(a.history, b.history) and a.n_evals == b.n_evals)
 
 
+class TestLockstepCmaesMatchesLoneRuns:
+    """k searches in lockstep: each outcome equals the search's lone
+    per-candidate run bitwise, a chosen search aborting at a chosen
+    generation while the others go on, and each objective call sees a
+    point array for exactly the searches still running."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 4), dim=st.integers(2, 3))
+    def test_outcomes_equal_lone_runs(self, data, k, dim):
+        bounds = SysidBounds(params=tuple((f"x{i}", -2.0, 2.0) for i in range(dim)))
+        configs = tuple(CmaesConfig(
+            seed=data.draw(st.integers(0, 2**32 - 1)),
+            popsize=data.draw(st.sampled_from([None, 4, 5, 9])),
+            max_iter=data.draw(st.integers(1, 6)),
+            sigma0=data.draw(st.floats(0.05, 4.0))) for _ in range(k))
+        # per search: its function and the generation (if any) that scores all NaN
+        fs = [data.draw(st.sampled_from([_sphere, _rosen, _holes, _plateau])) for _ in configs]
+        aborts = [data.draw(st.none() | st.integers(0, c.max_iter - 1)) for c in configs]
+        lams = [c.popsize or 4 + int(3 * math.log(dim)) for c in configs]
+
+        def lone(i):
+            calls = itertools.count()
+
+            def f(x):
+                return math.nan if next(calls) // lams[i] == aborts[i] else fs[i](x)
+
+            try:
+                return loop_cmaes_minimize(f, bounds, configs[i])
+            except sysid.CmaesAbortedError as exc:
+                return exc
+
+        want = [lone(i) for i in range(k)]
+        n_gens = [len(w.result.history) + 1 if isinstance(w, sysid.CmaesAbortedError)
+                  else c.max_iter for w, c in zip(want, configs)]
+        gens = [0] * k
+
+        def lockstep(Xs):
+            assert len(Xs) == k
+            losses = []
+            for i, X in enumerate(Xs):
+                assert (X is not None) == (gens[i] < n_gens[i])
+                if X is not None:
+                    assert X.shape == (lams[i], dim)
+                    losses.append([math.nan if gens[i] == aborts[i] else fs[i](x) for x in X])
+                    gens[i] += 1
+            return losses
+
+        got = cmaes_minimize(lockstep, bounds, configs)
+        assert gens == n_gens
+        assert len(got) == k
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            if isinstance(w, sysid.CmaesAbortedError):
+                g, w = g.result, w.result
+            assert _fits_equal(g, w)
+
+    def test_loss_list_count_must_match_live_searches(self):
+        bounds = SysidBounds(params=(("x", 0.0, 1.0),))
+        configs = (CmaesConfig(seed=1), CmaesConfig(seed=2))
+        with pytest.raises(ValueError, match="1 loss lists for 2 live searches"):
+            cmaes_minimize(lambda Xs: [[0.0] * len(Xs[0])], bounds, configs)
+
+
 class TestIdentifyMatchesLoopOracle:
     """A generation as lanes of one excitation gives the per-candidate
     loop's FitResult exactly, diverging candidates included."""
@@ -345,7 +409,7 @@ class TestIdentify:
         hidden = point_mass(1.5, armature=0.1, viscous_friction=0.2)
         gains = GainConfig(kp=512.0, kd=24.0)
         ref = excite(hidden, gains)
-        loss = sysid.identification_loss(ref, hidden, gains, ExcitationProtocol())
+        loss = identification_loss(ref, hidden, gains, ExcitationProtocol())
         assert loss < 1e-12
 
     def test_self_identification_known_plant(self):
@@ -391,14 +455,14 @@ class TestOverflowingSpectra:
 
     @pytest.mark.parametrize("armature", [0.05, 0.07])
     def test_identification_loss_is_inf(self, armature):
-        loss = sysid.identification_loss(self._reference(),
-                                         point_mass(0.01, armature=armature),
-                                         self.GAINS, ExcitationProtocol())
+        loss = identification_loss(self._reference(),
+                                   point_mass(0.01, armature=armature),
+                                   self.GAINS, ExcitationProtocol())
         assert loss == math.inf
 
     def test_growing_but_representable_loss_stays_finite(self):
-        loss = sysid.identification_loss(self._reference(), point_mass(0.01, armature=0.1),
-                                         self.GAINS, ExcitationProtocol())
+        loss = identification_loss(self._reference(), point_mass(0.01, armature=0.1),
+                                   self.GAINS, ExcitationProtocol())
         assert loss == pytest.approx(3.53e128, rel=1e-3)
 
     @pytest.mark.parametrize("seed", [0, 1])
