@@ -86,9 +86,19 @@ def _parse_grid(cp: configparser.ConfigParser) -> GainGrid | None:
     return grid if np.all(grid.kp_values > 0) and np.all(grid.kd_values > 0) else None
 
 
+_SECTIONS = {"experiment": {"kind", "seed", "out"}, "plant": None, "grid": {"kp", "kd"},
+             "params": None}  # None: dynamics.load_plant or validate checks the keys
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse the experiment config file at ``path``."""
     cp = _read_ini(path)
+    for name in cp.sections():
+        if name not in _SECTIONS:
+            raise ValueError(f"unknown section [{name}]")
+        unknown = set(cp[name]) - _SECTIONS[name] if _SECTIONS[name] else set()
+        if unknown:
+            raise ValueError(f"[{name}]: unknown key {min(unknown)!r}")
     exp = cp["experiment"] if cp.has_section("experiment") else {}
     kind = exp.get("kind", "")
     seed = int(exp.get("seed", 0))
@@ -103,58 +113,38 @@ def load_config(path) -> ExperimentConfig:
                             grid=grid, params=params)
 
 
-def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+def _params(config: ExperimentConfig) -> tuple[dict, list[str]]:
+    """The kind's params, each checked and cast, a default for each one not
+    given, and one finding per unknown key or failed check."""
+    table = RUNNERS[config.kind].params
+    findings = [f"params.{key}: unknown param; expected one of {', '.join(table)}"
+                for key in config.params if key not in table]
+    params = {}
+    for key, (default, check) in table.items():
+        value = config.params[key] if key in config.params \
+            else default(config) if callable(default) else default
+        try:
+            params[key] = check(value)
+        except ValueError as exc:
+            findings.append(f"params.{key}: {exc}")
+    return params, findings
 
 
 def validate(config: ExperimentConfig) -> list[str]:
     """Schema and cross-field checks; findings are the output, not errors."""
     findings = []
-    p = config.params
     if config.kind not in KINDS:
         findings.append(f"experiment.kind: unknown kind {config.kind!r}; "
                         f"expected one of {', '.join(KINDS)}")
     if config.grid is None:
         findings.append("grid: must be non-empty with positive, strictly increasing axes")
-    choices = RUNNERS[config.kind].choices if config.kind in KINDS else {}
-    for key, allowed in choices.items():
-        if key in p and p[key] not in allowed:
-            findings.append(f"params.{key}: unknown value {p[key]!r}; "
-                            f"expected one of {', '.join(allowed)}")
-    for key in ("trials", "budget", "n_demos", "iters", "m", "episodes", "eval_episodes",
-                "decimation"):
-        if key in p and not (_finite(p[key]) and p[key] >= 1):
-            findings.append(f"params.{key}: must be a number >= 1, not {p[key]!r}")
-    decimations = p.get("decimations", [])
-    if not all(_finite(d) and d >= 1
-               for d in (decimations if isinstance(decimations, list) else [decimations])):
-        findings.append(f"params.decimations: must be numbers >= 1, not {decimations!r}")
-    if "sigma" in p and not (_finite(p["sigma"]) and p["sigma"] >= 0):
-        findings.append(f"params.sigma: must be a number >= 0, not {p['sigma']!r}")
-    for key in ("base_rate", "duration"):  # the demos' sample rate and length
-        if key in p and not (_finite(p[key]) and p[key] > 0):
-            findings.append(f"params.{key}: must be a number > 0, not {p[key]!r}")
-    if config.kind == "variance-check":
-        try:
-            masses = _masses(config)
-        except (TypeError, ValueError):  # not numbers
-            masses = []
-        dt, horizon, rate = (p.get(key, 0.0) for key in ("dt", "horizon", "rate"))
-        held = p.get("mode") == "held"
-        if not (masses and all(_finite(m) and m > 0 for m in masses)):
-            findings.append(f"params.masses: must be numbers > 0, not {p.get('masses')!r}")
-        elif not (_finite(dt) and dt >= 0):
-            findings.append(f"params.dt: must be a number >= 0, not {dt!r}")
-        elif not _finite(horizon):
-            findings.append(f"params.horizon: must be a number, not {horizon!r}")
-        elif held and not (_finite(rate) and rate > 0):
-            findings.append("params.rate: mode = held needs a rate > 0")
-        elif config.grid is not None:
-            try:  # the run's own discretization, for every (cell, mass)
-                for (kp, kd), mass in itertools.product(config.grid.cells(), masses):
-                    noise.discretize(GainConfig(kp=kp, kd=kd), mass, rate if held else None,
-                                     dt or None, horizon or None)
-            except ValueError as exc:  # its message starts with the argument at fault
+    if config.kind in KINDS:
+        params, param_findings = _params(config)
+        findings += param_findings
+        if not findings:  # the cross-field rules assume each param passed its check
+            try:
+                RUNNERS[config.kind].rules(dataclasses.replace(config, params=params))
+            except ValueError as exc:  # its message starts with the param at fault
                 findings.append(f"params.{str(exc).split()[0]}: {exc}")
     return findings
 
@@ -197,23 +187,10 @@ def _heatmap(rows: list[dict], value_key: str, grid: GainGrid) -> str:
 # Experiment kinds: cell functions and the table that runs them
 
 
-def _masses(cfg: ExperimentConfig) -> list[float]:
-    """variance-check's masses: params.masses, else the plant's lightest."""
-    m = cfg.params.get("masses", float(np.min(cfg.plant.mass)))
-    return [float(v) for v in (m if isinstance(m, list) else [m])]
-
-
-def _decimations(cfg: ExperimentConfig) -> list[int]:
-    d = cfg.params.get("decimations", [1, 10, 25, 50])
-    return [int(v) for v in (d if isinstance(d, list) else [d])]
-
-
-def _demos(cfg: ExperimentConfig, n: int,
-           default_duration: float) -> list[retarget.TorqueDemo]:
+def _demos(cfg: ExperimentConfig, n: int) -> list[retarget.TorqueDemo]:
     """n random point-to-point demos, all seeded from the config seed."""
     p = cfg.params
-    duration = float(p.get("duration", default_duration))
-    base_rate = float(p.get("base_rate", 500.0))
+    duration, base_rate = p["duration"], p["base_rate"]
     rng = default_rng(SeedSequence(cfg.seed, spawn_key=(0,)))
     demos = []
     for _ in range(n):
@@ -221,24 +198,20 @@ def _demos(cfg: ExperimentConfig, n: int,
         qf = rng.uniform(-0.8, 0.8, size=cfg.plant.n_joints)
         pos, vel, acc = retarget.quintic_reference(q0, qf, 0.75 * duration)
         ctrl = retarget.computed_torque_tracker(cfg.plant, pos, vel, acc)
-        goal = retarget.TaskGoal(q_goal=qf, tol=float(p.get("goal_tol", 0.05)))
+        goal = retarget.TaskGoal(q_goal=qf, tol=p["goal_tol"])
         demos.append(retarget.make_demo(cfg.plant, ctrl, duration, base_rate,
                                         q0=q0, goal=goal, reference=pos))
     return demos
 
 
 def _variance_cell(job):
-    cfg, kp, kd, masses, index = job
-    mass = masses[index % len(masses)]
+    cfg, kp, kd, _, index = job
     p = cfg.params
-    sigma = float(p.get("sigma", 0.1))
-    mode = str(p.get("mode", "continuous-limit"))
-    spec = noise.NoiseSpec(sigma=sigma, rate=float(p["rate"]) if mode == "held" else None,
+    mass, sigma, mode = p["masses"][index % len(p["masses"])], p["sigma"], p["mode"]
+    spec = noise.NoiseSpec(sigma=sigma, rate=p["rate"] if mode == "held" else None,
                            seed=_cell_seed(cfg.seed, index))
-    est = noise.simulate_perturbation(GainConfig(kp=kp, kd=kd), mass, spec,
-                                      int(p.get("trials", 100)),
-                                      dt=float(p.get("dt", 0.0)) or None,
-                                      horizon=float(p.get("horizon", 0.0)) or None)
+    est = noise.simulate_perturbation(GainConfig(kp=kp, kd=kd), mass, spec, p["trials"],
+                                      dt=p["dt"] or None, horizon=p["horizon"] or None)
     rel_err = abs(est.value - est.analytic) / est.analytic if est.analytic else 0.0
     return [{"kp": kp, "kd": kd, "mass": mass, "sigma": sigma, "mode": mode,
              "empirical_var": est.value, "stderr": est.stderr,
@@ -249,7 +222,7 @@ def _tpr_cell(job):
     cfg, kp, kd, demos, _ = job
     gains = GainConfig(kp=kp, kd=kd, gravity_comp=cfg.plant.gravity_enabled)
     rows = []
-    for dec in _decimations(cfg):
+    for dec in cfg.params["decimations"]:
         mses, reached = [], []
         for demo in demos:
             rd = retarget.tpr_joint(demo, gains, plant=cfg.plant)
@@ -265,13 +238,10 @@ def _tpr_cell(job):
 def _noisy_cell(job):
     cfg, kp, kd, (demo,), index = job
     p = cfg.params
-    decimation = int(p.get("decimation", 10))
-    sigma = float(p.get("sigma", 0.05))
-    trials = int(p.get("trials", 20))
     gains = GainConfig(kp=kp, kd=kd, gravity_comp=cfg.plant.gravity_enabled)
     rd = retarget.tpr_joint(demo, gains, plant=cfg.plant)
-    res = noise.noisy_openloop_replay(rd, cfg.plant, sigma, _cell_seed(cfg.seed, index),
-                                      trials, decimation=decimation)
+    res = noise.noisy_openloop_replay(rd, cfg.plant, p["sigma"], _cell_seed(cfg.seed, index),
+                                      p["trials"], decimation=p["decimation"])
     return [{"kp": kp, "kd": kd, "goal_rate": res.goal_rate,
              "rms_deviation": res.rms_deviation}], {}
 
@@ -293,13 +263,11 @@ def _sysid_cell(job):
     cfg, kp, kd, _, index = job
     p = cfg.params
     gains = GainConfig(kp=kp, kd=kd)
-    bounds = _load_bounds(p["bounds"]) if p.get("bounds") \
-        else sysid.SysidBounds.default()
+    bounds = _load_bounds(p["bounds"]) if p["bounds"] else sysid.SysidBounds.default()
     rng = default_rng(SeedSequence(cfg.seed, spawn_key=(index,)))
     hidden = {n: rng.uniform(lo, hi) for n, lo, hi in bounds.params}
     reference = sysid.excite(dataclasses.replace(cfg.plant, **hidden), gains)
-    cmaes_cfg = sysid.CmaesConfig(sigma0=float(p.get("sigma0", 3.0)),
-                                  max_iter=int(p.get("iters", 200)),
+    cmaes_cfg = sysid.CmaesConfig(sigma0=p["sigma0"], max_iter=p["iters"],
                                   seed=_cell_seed(cfg.seed, index))
     fit = sysid.identify(reference, gains, bounds, cmaes_cfg, cfg.plant)
     # the gains are not fitted: stiffness and damping are the cell's kp and kd
@@ -313,10 +281,8 @@ def _sysid_cell(job):
 def _shape_cell(job):
     cfg, kp, kd, _, index = job
     p = cfg.params
-    budget = int(p.get("budget", 200))
     gains = GainConfig(kp=kp, kd=kd)
-    problem = ToyShapingProblem(plant=cfg.plant, gains=gains,
-                                episodes=int(p.get("episodes", 8)),
+    problem = ToyShapingProblem(plant=cfg.plant, gains=gains, episodes=p["episodes"],
                                 seed=_cell_seed(cfg.seed, index))
     space = shaping.SearchSpace(n_groups=1, alpha_low=1e-3, alpha_high=30.0)
     scored = []  # mappings in call order, as problem.details lists their rows
@@ -325,7 +291,7 @@ def _shape_cell(job):
         scored.extend(mappings)
         return problem(mappings)
 
-    result = shaping.shape_search(objective, space, budget,
+    result = shaping.shape_search(objective, space, p["budget"],
                                   seed=_cell_seed(cfg.seed, index))
     # the branches share their objective calls: pair each ledger entry with its row
     details = {id(m): d for m, d in zip(scored, problem.details, strict=True)}
@@ -340,7 +306,7 @@ def _shape_cell(job):
             "success": detail["success"], "viol_pos": detail["position"],
             "viol_vel": detail["velocity"], "viol_tau": detail["torque"],
             "viol_taurate": detail["torque_rate"]})
-    final_rate = problem.goal_rate(result.best, n_episodes=int(p.get("eval_episodes", 100)))
+    final_rate = problem.goal_rate(result.best, n_episodes=p["eval_episodes"])
     summary = {"kp": kp, "kd": kd, "best_J": result.objective,
                "goal_rate": final_rate, "alpha": float(result.best.alpha[0]),
                "beta": result.best.beta, "gamma": result.best.gamma}
@@ -354,26 +320,21 @@ def _compliance_cell(job):
     cfg, kp, kd, _, _ = job
     p = cfg.params
     gains = GainConfig(kp=kp, kd=kd, gravity_comp=cfg.plant.gravity_enabled)
-    n = cfg.plant.n_joints
-    probe = np.full(n, float(p.get("probe_force", 1.0)))
-    k_eff = control.effective_stiffness(cfg.plant, gains, probe,
-                                        settle_time=float(p.get("settle_time", 8.0)))
+    probe = np.full(cfg.plant.n_joints, p["probe_force"])
+    k_eff = control.effective_stiffness(cfg.plant, gains, probe, settle_time=p["settle_time"])
     return [{"kp": kp, "kd": kd, "k_eff": k_eff}], {}
 
 
 def _jitter_cell(job):
     cfg, kp, kd, (demo,), index = job
     p = cfg.params
-    decimation = int(p.get("decimation", 10))
-    sigma = float(p.get("sigma", 0.02))
     gains = GainConfig(kp=kp, kd=kd, gravity_comp=cfg.plant.gravity_enabled)
     rd = retarget.tpr_joint(demo, gains, plant=cfg.plant)
-    commands = rd.q_des[::decimation]
+    commands = rd.q_des[::p["decimation"]]
     rng = noise.trial_rng(_cell_seed(cfg.seed, index), 0)
-    pert = rng.normal(0.0, sigma, size=commands.shape)
-    traj, _ = retarget.replay(rd, decimation, cfg.plant, command_noise=pert)
-    report = sysid.jitter_detect(traj, window=float(p.get("window", 2.0)),
-                                 threshold=float(p.get("threshold", 0.04)))
+    pert = rng.normal(0.0, p["sigma"], size=commands.shape)
+    traj, _ = retarget.replay(rd, p["decimation"], cfg.plant, command_noise=pert)
+    report = sysid.jitter_detect(traj, window=p["window"], threshold=p["threshold"])
     return [{"kp": kp, "kd": kd, "max_std": report.max_std,
              "flagged": report.flagged}], {}
 
@@ -402,11 +363,8 @@ def run_stats_report(cfg: ExperimentConfig):
     if outcomes and outcomes[0].region is None:
         m_eff = float(np.min(cfg.plant.mass))
         outcomes = stats.label_outcomes(outcomes, m_eff, cfg.grid.stiffness_split)
-    region = str(p.get("region", "CO"))
-    metric = str(p.get("metric", "success"))
-    alternative = str(p.get("alternative", "greater"))
-    alpha = float(p.get("alpha", 0.05))
-    m = int(p.get("m", 1))
+    region, metric, alternative, alpha, m = (
+        p[key] for key in ("region", "metric", "alternative", "alpha", "m"))
     report = stats.region_test(outcomes, region, metric, alternative=alternative,
                                alpha=alpha, m=m)
     rows = [{"test": report.test, "region": report.region,
@@ -468,14 +426,66 @@ def _run_grid(kind: str, cfg: ExperimentConfig, workers: int):
     return files, failures
 
 
+def _check(test: Callable, desc: str, cast: Callable = float) -> Callable:
+    """A param check: ``cast(value)`` if ``test(value)``, else ValueError."""
+    def check(value):
+        if not test(value):
+            raise ValueError(f"must be {desc}, not {value!r}")
+        return cast(value)
+    return check
+
+
+def _number(test: Callable, desc: str, cast: Callable = float) -> Callable:
+    """A param check: a finite number, not a bool, that passes ``test``."""
+    return _check(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+                  and math.isfinite(v) and test(v), desc, cast)
+
+
+_COUNT = _number(lambda v: v >= 1 and v == int(v), "an integer >= 1", int)
+_POSITIVE = _number(lambda v: v > 0, "a number > 0")
+_NONNEGATIVE = _number(lambda v: v >= 0, "a number >= 0")
+_TEXT = _check(lambda v: isinstance(v, (str, int, float)) and not isinstance(v, bool), "text", str)
+
+
+def _choice(*allowed: str) -> Callable:
+    return _check(lambda v: v in allowed, f"one of {', '.join(allowed)}", str)
+
+
+def _listed(check: Callable) -> Callable:
+    """A param check: one value or a non-empty list, each passing ``check``."""
+    return _check(lambda v: v != [], "a value or a non-empty list",
+                  lambda v: [check(x) for x in (v if isinstance(v, list) else [v])])
+
+
+def _demo_params(duration: float) -> dict:
+    """The params ``_demos`` reads, for demos of ``duration`` seconds by default."""
+    return {"duration": (duration, _POSITIVE), "base_rate": (500.0, _POSITIVE),
+            "goal_tol": (0.05, _POSITIVE)}
+
+
+def _variance_rules(cfg: ExperimentConfig):
+    """Raise unless the run can discretize every (cell, mass) as given."""
+    p = cfg.params
+    held = p["mode"] == "held"
+    if held and p["rate"] is None:
+        raise ValueError("rate must be > 0 when mode = held")
+    for (kp, kd), mass in itertools.product(cfg.grid.cells(), p["masses"]):
+        noise.discretize(GainConfig(kp=kp, kd=kd), mass, p["rate"] if held else None,
+                         p["dt"] or None, p["horizon"] or None)
+
+
 @dataclass(frozen=True)
 class _Kind:
     """One kind; ``runner(kind, cfg, workers)`` returns ({name: text}, failures).
 
-    A grid kind's ``cell`` gets a job ``(cfg, kp, kd, shared(cfg), index)``
-    per ``cells(cfg)`` entry and returns (rows, {sidecar name: text}). The
-    rows' ``columns`` go to results.csv and each row key in ``heatmaps(cfg)``
-    to heatmap_<key>.csv. ``choices`` maps a param to its allowed values.
+    ``params`` maps each param to (default, check): a default may be a
+    function of the config, and a check returns the value the run reads or
+    raises ValueError. The runner's cfg holds the resolved params, and
+    ``rules(cfg)`` raises ValueError, naming the param first, on a
+    combination of them the run cannot take. A grid kind's ``cell``
+    gets a job ``(cfg, kp, kd, shared(cfg), index)`` per ``cells(cfg)``
+    entry and returns (rows, {sidecar name: text}). The rows' ``columns``
+    go to results.csv and each row key in ``heatmaps(cfg)`` to heatmap_<key>.csv.
     """
 
     cell: Callable | None = None
@@ -483,43 +493,68 @@ class _Kind:
     heatmaps: Callable = lambda cfg: ()
     cells: Callable = lambda cfg: list(cfg.grid.cells())
     shared: Callable = lambda cfg: None
-    choices: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)
+    rules: Callable = lambda cfg: None
     runner: Callable = _run_grid
 
 
 RUNNERS = {
     "tpr-sweep": _Kind(
         _tpr_cell, ("kp", "kd", "decimation", "mse", "goal_reached"),
-        heatmaps=lambda cfg: [f"mse_dec{d}" for d in _decimations(cfg)],
-        shared=lambda cfg: _demos(cfg, int(cfg.params.get("n_demos", 5)), 2.0)),
+        heatmaps=lambda cfg: [f"mse_dec{d}" for d in cfg.params["decimations"]],
+        shared=lambda cfg: _demos(cfg, cfg.params["n_demos"]),
+        params={"n_demos": (5, _COUNT), "decimations": ([1, 10, 25, 50], _listed(_COUNT)),
+                **_demo_params(2.0)}),
     "variance-check": _Kind(
         _variance_cell, ("kp", "kd", "mass", "sigma", "mode", "empirical_var",
                          "stderr", "analytic_var"),
         heatmaps=lambda cfg: ["rel_err"],  # worst over the masses
-        cells=lambda cfg: [c for c in cfg.grid.cells() for _ in _masses(cfg)],
-        shared=_masses, choices={"mode": ("continuous-limit", "held")}),
+        cells=lambda cfg: [c for c in cfg.grid.cells() for _ in cfg.params["masses"]],
+        params={"masses": (lambda cfg: float(np.min(cfg.plant.mass)), _listed(_POSITIVE)),
+                "sigma": (0.1, _NONNEGATIVE), "trials": (100, _COUNT),
+                "mode": ("continuous-limit", _choice("continuous-limit", "held")),
+                "rate": (None, lambda v: v if v is None else _POSITIVE(v)),
+                "dt": (0.0, _NONNEGATIVE), "horizon": (0.0, _number(lambda v: True, "a number"))},
+        rules=_variance_rules),
     "noisy-replay": _Kind(
         _noisy_cell, ("kp", "kd", "goal_rate", "rms_deviation"),
         heatmaps=lambda cfg: ["goal_rate", "rms_deviation"],
-        shared=lambda cfg: _demos(cfg, 1, 2.0)),
+        shared=lambda cfg: _demos(cfg, 1),
+        params={"decimation": (10, _COUNT), "sigma": (0.05, _NONNEGATIVE),
+                "trials": (20, _COUNT), **_demo_params(2.0)}),
     "sysid-sweep": _Kind(
         _sysid_cell, ("kp", "kd", "final_loss", "evals", "stiffness", "damping",
                       *sysid.FREE_PARAMS),
-        heatmaps=lambda cfg: ["final_loss"]),
+        heatmaps=lambda cfg: ["final_loss"],
+        params={"bounds": ("", _TEXT), "sigma0": (3.0, _POSITIVE), "iters": (200, _COUNT)}),
     "shape-search": _Kind(
         _shape_cell, ("kp", "kd", "best_J", "goal_rate", "alpha", "beta", "gamma"),
         # every grid cell, or the regime corners once each (CO, SO, CU, SU)
-        cells=lambda cfg: list(cfg.grid.cells() if cfg.params.get("cells") == "all"
+        cells=lambda cfg: list(cfg.grid.cells() if cfg.params["cells"] == "all"
                                else dict.fromkeys(cfg.grid.corners().values())),
-        choices={"cells": ("corners", "all")}),
+        params={"budget": (200, _COUNT), "episodes": (8, _COUNT),
+                "eval_episodes": (100, _COUNT), "cells": ("corners", _choice("corners", "all"))}),
     "stats-report": _Kind(
         runner=lambda kind, cfg, workers: run_stats_report(cfg),
-        choices={"metric": ("success", "error"), "alternative": ("greater", "less")}),
-    "compliance-probe": _Kind(_compliance_cell, ("kp", "kd", "k_eff"),
-                              heatmaps=lambda cfg: ["k_eff"]),
+        params={"input": (None, _TEXT), "region": ("CO", _TEXT),
+                "metric": ("success", _choice("success", "error")),
+                "alternative": ("greater", _choice("greater", "less")),
+                "alpha": (0.05, _number(lambda v: 0 < v < 1, "a number in (0, 1)")),
+                "m": (1, _COUNT)}),
+    "compliance-probe": _Kind(
+        _compliance_cell, ("kp", "kd", "k_eff"), heatmaps=lambda cfg: ["k_eff"],
+        params={"probe_force": (1.0, _number(lambda v: v != 0, "a number != 0")),
+                "settle_time": (8.0, _POSITIVE)}),
     "jitter-scan": _Kind(
         _jitter_cell, ("kp", "kd", "max_std", "flagged"),
-        heatmaps=lambda cfg: ["max_std"], shared=lambda cfg: _demos(cfg, 1, 6.0)),
+        heatmaps=lambda cfg: ["max_std"], shared=lambda cfg: _demos(cfg, 1),
+        params={"decimation": (10, _COUNT), "sigma": (0.02, _NONNEGATIVE),
+                "window": (2.0, _POSITIVE), "threshold": (0.04, _NONNEGATIVE),
+                **_demo_params(6.0)},
+        # the replay holds as many samples as its demo, round(duration * base_rate)
+        rules=lambda cfg: sysid.jitter_window(
+            round(cfg.params["duration"] * cfg.params["base_rate"]), cfg.params["base_rate"],
+            cfg.params["window"])),
 }
 KINDS = tuple(RUNNERS)
 
@@ -534,10 +569,10 @@ def run(config: ExperimentConfig, workers: int = 1) -> int:
         for f in findings:
             print(f"validation: {f}", file=sys.stderr)
         return 1
+    resolved = dataclasses.replace(config, params=_params(config)[0])
     os.makedirs(config.out, exist_ok=True)
     try:
-        files, failures = RUNNERS[config.kind].runner(config.kind, config,
-                                                      max(1, workers))
+        files, failures = RUNNERS[config.kind].runner(config.kind, resolved, max(1, workers))
     except Exception as exc:
         with open(os.path.join(config.out, "failures.csv"), "w") as fh:
             fh.write("cell,error\n-1," + repr(exc).replace(",", ";") + "\n")

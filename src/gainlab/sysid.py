@@ -409,18 +409,26 @@ class JitterReport:
     per_joint_std: np.ndarray
 
 
+def jitter_window(n_samples: int, sample_rate: float, window: float) -> int:
+    """Samples in the final ``window`` seconds of an ``n_samples`` rollout
+    at ``sample_rate``; ValueError unless at least one and fewer than
+    ``n_samples``."""
+    n_win = int(round(window * sample_rate))
+    if not 1 <= n_win < n_samples:
+        raise ValueError(f"window {window} s ({n_win} samples) must hold a sample and "
+                         f"be shorter than the trajectory ({n_samples} samples)")
+    return n_win
+
+
 def jitter_detect(traj: Trajectory, window: float = 2.0,
                   threshold: float = 0.04) -> JitterReport:
     """Flag sustained oscillation in the rollout tail.
 
     Computes the per-joint standard deviation of joint velocity over the
-    final ``window`` seconds and flags when the maximum strictly exceeds
-    ``threshold`` (default 0.04 rad/s).
+    final ``window`` seconds (see :func:`jitter_window`) and flags when
+    the maximum strictly exceeds ``threshold`` (default 0.04 rad/s).
     """
-    n_win = int(round(window * traj.sample_rate))
-    if traj.n_samples <= n_win:
-        raise ValueError(f"trajectory ({traj.n_samples} samples) not longer "
-                         f"than the {window} s window ({n_win} samples)")
+    n_win = jitter_window(traj.n_samples, traj.sample_rate, window)
     tail = traj.q_dot[-n_win:]
     per_joint = np.std(tail, axis=0)
     max_std = float(np.max(per_joint))

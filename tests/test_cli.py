@@ -1,11 +1,16 @@
 import json
 import math
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gainlab.cli import KINDS, _cell_seed, _fmt, load_config, main, validate
+from gainlab.cli import KINDS, RUNNERS, _cell_seed, _fmt, load_config, main, validate
 from gainlab.control import GainConfig
 from gainlab.dynamics import point_mass
 from gainlab.noise import discretize
@@ -164,6 +169,7 @@ class TestValidateFindings:
         ("trials = inf\n", "params.trials"),
         ("masses = heavy\n", "params.masses"),
         ("masses = 1, 0\n", "params.masses"),
+        ("masses = ,\n", "params.masses"),
         # the run uses params.masses, not the plant mass, for omega_n
         ("masses = 0.001\ndt = 0.02\n", "params.dt"),
         ("dt = fine\n", "params.dt"),
@@ -209,6 +215,33 @@ class TestValidateFindings:
         # the demos these kinds replay are sampled at base_rate for duration
         # seconds; a bad value used to fail every cell at run time instead
         self.assert_pinned_reported(tmp_path, kind, line, key)
+
+    @pytest.mark.parametrize("kind,line,key", [
+        # each of these used to pass validate and then run with a default, a
+        # truncated or cast value, or fail every cell
+        ("noisy-replay", "trails = 5", "params.trails"),
+        ("noisy-replay", "sigam = 0.3", "params.sigam"),
+        ("noisy-replay", "trials = 2.5", "params.trials"),
+        ("noisy-replay", "trials = true", "params.trials"),
+        ("noisy-replay", "goal_tol = -1", "params.goal_tol"),
+        ("tpr-sweep", "decimations = ,", "params.decimations"),
+        ("variance-check", "rate = 0", "params.rate"),
+        ("jitter-scan", "threshold = nan", "params.threshold"),
+        ("jitter-scan", "window = 2.0", "params.window"),  # the demo lasts 1 s
+        ("jitter-scan", "window = 0.001", "params.window"),  # under one sample
+        ("stats-report", "alpha = 2", "params.alpha"),
+        ("stats-report", "region = true", "params.region"),
+        ("compliance-probe", "probe_force = 0", "params.probe_force"),
+        ("compliance-probe", "settle_time = 0", "params.settle_time"),
+        ("sysid-sweep", "sigma0 = 0", "params.sigma0"),
+        ("shape-search", "budget = 1.5", "params.budget"),
+    ])
+    def test_reproduced_holes(self, tmp_path, kind, line, key):
+        self.assert_pinned_reported(tmp_path, kind, line, key)
+
+    def test_stats_report_without_input(self, tmp_path):
+        text = STATS_INI.format(out="{out}", input="").replace("input = \n", "region = CO\n")
+        self.assert_reported(tmp_path, text, "params.input")
 
     def assert_pinned_reported(self, tmp_path, kind, line, key):
         # the kind's pinned config, with the line's key set to a bad value
@@ -323,11 +356,11 @@ class TestRunExperiments:
         assert len(list(out.glob("ledger_*.csv"))) == len(cells)
 
     def test_per_cell_failures_land_in_ledger(self, tmp_path):
-        # jitter window longer than the rollout: every cell raises, the
+        # neither cell settles within 0.5 s: every cell raises, the
         # completed (empty) tables still get written, exit code 2
         text = """
 [experiment]
-kind = jitter-scan
+kind = compliance-probe
 seed = 3
 out = {out}
 
@@ -340,15 +373,15 @@ kp = 16, 64
 kd = 8
 
 [params]
-duration = 1.0
-window = 2.0
+settle_time = 0.5
 """
-        out = tmp_path / "jit"
-        path = write(tmp_path, "j.ini", text.format(out=out))
+        out = tmp_path / "probe"
+        path = write(tmp_path, "p.ini", text.format(out=out))
         assert main(["run", "--config", path]) == 2
         failures = (out / "failures.csv").read_text().strip().splitlines()
         assert failures[0] == "cell,error"
         assert len(failures) == 3  # both cells failed
+        assert all("NotSettledError" in f for f in failures[1:])
         assert (out / "results.csv").exists()
 
     def test_missing_input_is_runtime_failure(self, tmp_path):
@@ -512,6 +545,15 @@ class TestUnparseableConfig:
         assert main(["run", "--config", path]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("old,new", [("[params]", "[parms]"), ("seed = 11", "seeed = 3"),
+                                         ("kd = 1, 4", "kd = 1, 4\nkpp = 2")])
+    def test_unknown_section_or_key_exit_1(self, tmp_path, old, new):
+        out = tmp_path / "o"
+        path = write(tmp_path, "c.ini", VARIANCE_INI.replace(old, new).format(out=out))
+        assert main(["validate", "--config", path]) == 1
+        assert main(["run", "--config", path]) == 1
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 1
 
@@ -658,3 +700,99 @@ def test_multi_generation_shape_ledgers_pinned(workers, tmp_path, monkeypatch):
         "ledger_kp1024_kd8.csv": "186849f9c5447b4ecbf6aba437d9967201c6090c3c8db566de09c5b8c3cc21fe",
         "ledger_kp16_kd8.csv": "54ae33c496141d05db64d4641550f61d969e575984ad1b7c7179a655cd429f37",
         "results.csv": "aa5ce48451b27cef7daf77db1b35a12fbf63d0b787e6497c99d66059761d0400"}
+
+
+# Valid values small enough for a run to take milliseconds, per param key.
+# Every key of every kind's params table needs an entry here.
+TINY = {
+    "n_demos": ["1", "2"], "decimations": ["1", "1, 5"], "decimation": ["1", "5"],
+    "duration": ["0.2", "0.5"], "base_rate": ["100", "200"], "goal_tol": ["0.05", "1"],
+    "masses": ["1", "0.05, 2"], "sigma": ["0", "0.3"], "trials": ["1", "3"],
+    "mode": ["continuous-limit", "held"], "rate": ["10", "50"], "dt": ["0", "0.01"],
+    "horizon": ["0", "30"], "bounds": ["", "{dir}/bounds.ini"], "sigma0": ["0.5", "3"],
+    "iters": ["1", "2"], "budget": ["1", "4"], "episodes": ["1", "2"],
+    "eval_episodes": ["1", "2"], "cells": ["corners", "all"], "input": ["{dir}/sweep.csv"],
+    # XX labels no row of the input, which only the run can see
+    "region": ["CO", "SU", "XX"], "metric": ["success", "error"],
+    "alternative": ["greater", "less"], "alpha": ["0.05", "0.5"], "m": ["1", "3"],
+    "probe_force": ["1", "-2"], "settle_time": ["0.5", "2"],
+    "window": ["0.1", "0.3"], "threshold": ["0", "0.04"],
+}
+EDGE = ["0", "-1", "inf", "-inf", "nan", "text", "true", "2.5", ","]
+# Params whose default makes a run slow: always written, tiny or edge.
+COSTLY = {"trials", "iters", "budget", "episodes", "eval_episodes", "n_demos", "duration",
+          "settle_time"}
+# The failures a run may end in after a clean validate: the typed physical
+# ones (a search aborts when every candidate's rollout diverges; validate
+# has no stability margin yet), and a path param naming no file, which only
+# the run opens (see test_missing_input_is_runtime_failure).
+RUN_TIME = ("PerturbationDivergedError(", "SimulationDivergedError(", "NotSettledError(",
+            "CmaesAbortedError('no candidate in a generation had a finite loss')",
+            "FileNotFoundError(")
+SWEEP_WITH_REGIONS = ("kp,kd,successes,trials,error,region\n16,2,3,10,0.011,CU\n"
+                      "1024,2,4,10,0.012,SU\n16,128,9,10,0.009,CO\n1024,128,5,10,0.04,SO\n"
+                      "16,32,3,10,0.013,CU\n1024,32,4,10,0.05,SO\n")
+
+
+@st.composite
+def tiny_configs(draw):
+    """A one-cell config of any kind: each table param absent (when cheap),
+    tiny or an edge value, maybe one misspelled key."""
+    kind = draw(st.sampled_from(KINDS))
+    lines = []
+    for key in RUNNERS[kind].params:
+        how = draw(st.sampled_from(["tiny"] * 6 + ["edge"] + ["absent"] * (key not in COSTLY)))
+        if how != "absent":
+            lines.append(f"{key} = {draw(st.sampled_from(TINY[key] if how == 'tiny' else EDGE))}")
+    if draw(st.integers(0, 7)) == 0:
+        key = draw(st.sampled_from(sorted(RUNNERS[kind].params)))
+        lines.append(f"{key}{key[-1]} = 1")
+    plant = f"[plant]\nkind = point_mass\nmass = {draw(st.sampled_from(['0.05', '1']))}\n"
+    grid = (f"[grid]\nkp = {draw(st.sampled_from(['2', '16', '256']))}\n"
+            f"kd = {draw(st.sampled_from(['1', '8', '128']))}\n")
+    return kind, f"{plant}\n{grid}\n[params]\n" + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tiny_configs())
+def test_validate_agrees_with_run(case):
+    """validate neither raises nor warns. A finding means run exits 1 and
+    writes nothing; otherwise run exits 0, or 2 only on a RUN_TIME failure
+    or a stats region that labels no input row, and two runs write equal
+    manifests."""
+    kind, body = case
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "sweep.csv").write_text(SWEEP_WITH_REGIONS)
+        (Path(tmp) / "bounds.ini").write_text(PINNED_INPUTS["bounds.ini"])
+        text = f"[experiment]\nkind = {kind}\nseed = 3\nout = {tmp}/o1\n\n{body}"
+        path = write(Path(tmp), "c.ini", text.replace("{dir}", tmp))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            findings = validate(load_config(path))
+        rc = main(["run", "--config", path])
+        if findings:
+            assert rc == 1 and not (Path(tmp) / "o1").exists(), findings
+            return
+        assert rc in (0, 2)
+        if rc == 2:
+            _, *failed = (Path(tmp) / "o1" / "failures.csv").read_text().splitlines()
+            # the stats region may label no row, as only the input file shows
+            absent = re.search(r"region '(.*)' must be a non-empty proper subset", failed[0])
+            absent = absent is not None and absent[1] not in ("CO", "SO", "CU", "SU")
+            assert absent or all(f.split(",", 1)[1].startswith(RUN_TIME) for f in failed), failed
+        assert main(["run", "--config", path, "--out", f"{tmp}/o2"]) == rc
+        # a run that fails before its cells (exit 2) writes no manifest
+        first, second = (Path(tmp) / o / "manifest.json" for o in ("o1", "o2"))
+        assert first.exists() == second.exists() and (first.exists() or rc == 2)
+        if first.exists():
+            assert first.read_text() == second.read_text()
+
+
+def test_readme_params_table_lists_each_kinds_params():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = readme.split("| kind | key | default | check |\n", 1)[1].split("\n\n", 1)[0]
+    keys = {}
+    for row in rows.splitlines()[1:]:  # past the | --- | line
+        kind, key = (cell.strip().strip("`") for cell in row.split("|")[1:3])
+        keys.setdefault(kind, set()).add(key)
+    assert keys == {kind: set(spec.params) for kind, spec in RUNNERS.items()}

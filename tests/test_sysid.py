@@ -612,3 +612,9 @@ class TestJitterDetect:
         traj = self._traj_with_tail(np.zeros(10), lead=0.0)
         with pytest.raises(ValueError):
             jitter_detect(traj, window=2.0)
+
+    def test_window_under_one_sample_rejected(self):
+        # round(0.005 s * 50 Hz) = 0 samples: no tail to take the std of
+        traj = self._traj_with_tail(np.zeros(100))
+        with pytest.raises(ValueError, match="must hold a sample"):
+            jitter_detect(traj, window=0.005)
