@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -187,6 +188,21 @@ def _heatmap(rows: list[dict], value_key: str, grid: GainGrid) -> str:
 # Experiment kinds: cell functions and the table that runs them
 
 
+def _each(cell: Callable) -> Callable:
+    """The list-of-jobs form of a one-job cell: its outcome per job, the
+    exception that failed a job in that job's slot."""
+    @functools.wraps(cell)  # pickled by name, as a pool task
+    def cells(jobs: list) -> list:
+        out = []
+        for job in jobs:
+            try:
+                out.append(cell(job))
+            except Exception as exc:
+                out.append(exc)
+        return out
+    return cells
+
+
 def _demos(cfg: ExperimentConfig, n: int) -> list[retarget.TorqueDemo]:
     """n random point-to-point demos, all seeded from the config seed."""
     p = cfg.params
@@ -204,6 +220,7 @@ def _demos(cfg: ExperimentConfig, n: int) -> list[retarget.TorqueDemo]:
     return demos
 
 
+@_each
 def _variance_cell(job):
     cfg, kp, kd, _, index = job
     p = cfg.params
@@ -218,6 +235,7 @@ def _variance_cell(job):
              "analytic_var": est.analytic, "rel_err": rel_err}], {}
 
 
+@_each
 def _tpr_cell(job):
     cfg, kp, kd, demos, _ = job
     gains = GainConfig(kp=kp, kd=kd, gravity_comp=cfg.plant.gravity_enabled)
@@ -235,15 +253,21 @@ def _tpr_cell(job):
     return rows, {}
 
 
-def _noisy_cell(job):
-    cfg, kp, kd, (demo,), index = job
+def _noisy_cells(jobs):
+    """Every job's cell as one lane of one gain stack (see noise.noisy_openloop_replay)."""
+    cfg, _, _, (demo,), _ = jobs[0]
     p = cfg.params
-    gains = GainConfig(kp=kp, kd=kd, gravity_comp=cfg.plant.gravity_enabled)
+    _, kps, kds, _, indices = zip(*jobs)
+    gains = GainConfig(kp=np.array(kps)[:, None], kd=np.array(kds)[:, None],
+                       gravity_comp=cfg.plant.gravity_enabled)
     rd = retarget.tpr_joint(demo, gains, plant=cfg.plant)
-    res = noise.noisy_openloop_replay(rd, cfg.plant, p["sigma"], _cell_seed(cfg.seed, index),
-                                      p["trials"], decimation=p["decimation"])
-    return [{"kp": kp, "kd": kd, "goal_rate": res.goal_rate,
-             "rms_deviation": res.rms_deviation}], {}
+    outcomes = noise.noisy_openloop_replay(rd, cfg.plant, p["sigma"],
+                                           [_cell_seed(cfg.seed, i) for i in indices],
+                                           p["trials"], decimation=p["decimation"])
+    return [res if isinstance(res, Exception) else
+            ([{"kp": kp, "kd": kd, "goal_rate": res.goal_rate,
+               "rms_deviation": res.rms_deviation}], {})
+            for kp, kd, res in zip(kps, kds, outcomes, strict=True)]
 
 
 def _load_bounds(path) -> sysid.SysidBounds:
@@ -259,6 +283,7 @@ def _load_bounds(path) -> sysid.SysidBounds:
                                           for n, (lo, hi) in defaults.items()))
 
 
+@_each
 def _sysid_cell(job):
     cfg, kp, kd, _, index = job
     p = cfg.params
@@ -278,6 +303,7 @@ def _sysid_cell(job):
     return [row], {f"history_kp{kp:g}_kd{kd:g}.csv": history}
 
 
+@_each
 def _shape_cell(job):
     cfg, kp, kd, _, index = job
     p = cfg.params
@@ -316,6 +342,7 @@ def _shape_cell(job):
     return [summary], {f"ledger_kp{kp:g}_kd{kd:g}.csv": ledger_csv}
 
 
+@_each
 def _compliance_cell(job):
     cfg, kp, kd, _, _ = job
     p = cfg.params
@@ -325,6 +352,7 @@ def _compliance_cell(job):
     return [{"kp": kp, "kd": kd, "k_eff": k_eff}], {}
 
 
+@_each
 def _jitter_cell(job):
     cfg, kp, kd, (demo,), index = job
     p = cfg.params
@@ -397,26 +425,27 @@ def _run_grid(kind: str, cfg: ExperimentConfig, workers: int):
 
     A failed cell adds (job index, error) to the failures and no rows.
     Results are gathered in job order, so the files are identical
-    regardless of the worker count.
+    regardless of the worker count. One process hands the cell every job
+    in one list; a pool gets one job per task.
     """
     spec = RUNNERS[kind]
     shared = spec.shared(cfg)
     jobs = [(cfg, kp, kd, shared, i) for i, (kp, kd) in enumerate(spec.cells(cfg))]
-    results, failures = [], []
 
-    def collect(i, call):
+    def outcomes(call, n):
         try:
-            results.append(call())
-        except Exception as exc:
-            failures.append((i, repr(exc)))
+            return call()
+        except Exception as exc:  # an error outside any one cell fails the n jobs
+            return [exc] * n
 
     if workers <= 1 or len(jobs) <= 1:
-        for i, job in enumerate(jobs):
-            collect(i, lambda: spec.cell(job))
+        done = outcomes(lambda: spec.cell(jobs), len(jobs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, future in enumerate([pool.submit(spec.cell, job) for job in jobs]):
-                collect(i, future.result)
+            futures = [pool.submit(spec.cell, [job]) for job in jobs]
+            done = [o for f in futures for o in outcomes(f.result, 1)]
+    results = [o for o in done if not isinstance(o, Exception)]
+    failures = [(i, repr(o)) for i, o in enumerate(done) if isinstance(o, Exception)]
     rows = [row for cell_rows, _ in results for row in cell_rows]
     files = {"results.csv": _csv(rows, spec.columns)}
     for key in spec.heatmaps(cfg):
@@ -482,10 +511,12 @@ class _Kind:
     function of the config, and a check returns the value the run reads or
     raises ValueError. The runner's cfg holds the resolved params, and
     ``rules(cfg)`` raises ValueError, naming the param first, on a
-    combination of them the run cannot take. A grid kind's ``cell``
-    gets a job ``(cfg, kp, kd, shared(cfg), index)`` per ``cells(cfg)``
-    entry and returns (rows, {sidecar name: text}). The rows' ``columns``
-    go to results.csv and each row key in ``heatmaps(cfg)`` to heatmap_<key>.csv.
+    combination of them the run cannot take. A grid kind's ``cell`` gets
+    a list of jobs ``(cfg, kp, kd, shared(cfg), index)``, one per
+    ``cells(cfg)`` entry, and returns one outcome per job: (rows, {sidecar
+    name: text}), or the exception that failed that job's cell (``@_each``
+    gives a one-job function this form). The rows' ``columns`` go to
+    results.csv and each row key in ``heatmaps(cfg)`` to heatmap_<key>.csv.
     """
 
     cell: Callable | None = None
@@ -517,7 +548,7 @@ RUNNERS = {
                 "dt": (0.0, _NONNEGATIVE), "horizon": (0.0, _number(lambda v: True, "a number"))},
         rules=_variance_rules),
     "noisy-replay": _Kind(
-        _noisy_cell, ("kp", "kd", "goal_rate", "rms_deviation"),
+        _noisy_cells, ("kp", "kd", "goal_rate", "rms_deviation"),
         heatmaps=lambda cfg: ["goal_rate", "rms_deviation"],
         shared=lambda cfg: _demos(cfg, 1),
         params={"decimation": (10, _COUNT), "sigma": (0.05, _NONNEGATIVE),

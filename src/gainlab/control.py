@@ -9,6 +9,7 @@ gain cell into the compliant/stiff x overdamped/underdamped quadrants.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,11 @@ class NotSettledError(RuntimeError):
 class GainConfig:
     """Diagonal joint stiffness/damping gains.
 
-    ``gravity_comp_scale`` scales the compensation term; 1.0 is perfect
-    compensation, 0.0 reproduces an uncompensated controller even when
-    ``gravity_comp`` is set.
+    ``kp`` and ``kd`` are (n,) per-joint gains (a scalar is one joint), or
+    (B, n) or (B, 1) rows for a stack of B gain settings, one per lane (see
+    ``lanes``); either broadcasts against the other. ``gravity_comp_scale``
+    scales the compensation term; 1.0 is perfect compensation, 0.0
+    reproduces an uncompensated controller even when ``gravity_comp`` is set.
     """
 
     kp: np.ndarray
@@ -38,38 +41,42 @@ class GainConfig:
     gravity_comp_scale: float = 1.0
 
     def __post_init__(self):
-        kp = np.atleast_1d(np.asarray(self.kp, dtype=float))
-        kd = np.atleast_1d(np.asarray(self.kd, dtype=float))
-        if kd.size == 1 and kp.size > 1:
-            kd = np.full(kp.size, kd[0])
-        if kp.size == 1 and kd.size > 1:
-            kp = np.full(kd.size, kp[0])
-        if kp.shape != kd.shape:
-            raise ValueError("kp and kd must have matching shapes")
+        kp, kd = (np.atleast_1d(np.asarray(g, dtype=float)) for g in (self.kp, self.kd))
+        if kp.ndim > 2 or kd.ndim > 2:
+            raise ValueError("gains must be (n,) or (B, n) arrays")
+        try:
+            kp, kd = (np.array(g) for g in np.broadcast_arrays(kp, kd))
+        except ValueError:
+            raise ValueError("kp and kd must have matching shapes") from None
         if np.any(kp <= 0) or np.any(kd <= 0):
             raise ValueError("gains must be positive elementwise")
         object.__setattr__(self, "kp", kp)
         object.__setattr__(self, "kd", kd)
 
     @property
+    def lanes(self) -> tuple[int, ...]:
+        """() for one gain setting, (B,) for a stack of B."""
+        return self.kp.shape[:-1]
+
+    @property
     def n_joints(self) -> int:
-        return self.kp.size
+        return self.kp.shape[-1]
 
     def expand(self, n: int) -> "GainConfig":
-        """Broadcast scalar gains to n joints."""
+        """Broadcast one-joint gains to n joints, lane by lane."""
         if self.n_joints == n:
             return self
         if self.n_joints != 1:
             raise ValueError(f"cannot expand {self.n_joints}-joint gains to {n}")
-        return GainConfig(kp=np.full(n, self.kp[0]), kd=np.full(n, self.kd[0]),
-                          gravity_comp=self.gravity_comp,
-                          gravity_comp_scale=self.gravity_comp_scale)
+        return dataclasses.replace(self, kp=np.repeat(self.kp, n, axis=-1),
+                                   kd=np.repeat(self.kd, n, axis=-1))
 
 
 def pd_torque(gains: GainConfig, q, q_dot, q_des, gravity_term=None) -> np.ndarray:
     """PD control torque toward a zero velocity target (deploy-style -Kd*q_dot).
 
-    Arrays are (n,) or (B, n) lane stacks; the gains broadcast over lanes.
+    Arrays are (n,) or (B, n) lane stacks; one gain setting broadcasts over
+    the lanes, and lane-stacked gains act lane by lane.
     """
     # 0.0 - q_dot, not -q_dot: a resting joint gives +0.0, as a zero target does
     tau = gains.kp * (q_des - q) + gains.kd * (0.0 - q_dot)
@@ -83,17 +90,22 @@ def track(plant: PlantParams, gains: GainConfig, commands, hold: int, dt: float,
     """Track zero-order-held position commands with the PD law.
 
     ``commands`` is (C, n), or (C, B, n) for B lanes from one start state;
-    a lane-stacked plant (``plant.lanes == (B,)``) also makes B lanes, and
-    (C, n) commands then drive every lane. Command c is held over physics
-    steps [c*hold, (c+1)*hold), the last one to the end; the torque is
-    :func:`pd_torque` toward it (plus gravity compensation when
-    ``gains.gravity_comp``), clamped to the torque limit. This is the
-    ``torque_fn`` of one :func:`dynamics.simulate` call, which returns the
-    trajectory (the command logged as q_des), or a list with one entry per
-    lane, a diverged lane's ``SimulationDivergedError`` in its slot.
+    a lane-stacked plant (``plant.lanes == (B,)``) or lane-stacked gains
+    (``gains.lanes == (B,)``) also make B lanes, and (C, n) commands then
+    drive every lane. The command, plant and gain lane counts must agree.
+    Command c is held over physics steps [c*hold, (c+1)*hold), the last
+    one to the end; the torque is :func:`pd_torque` toward it (plus gravity
+    compensation when ``gains.gravity_comp``), clamped to the torque limit.
+    This is the ``torque_fn`` of one :func:`dynamics.simulate` call, which
+    returns the trajectory (the command logged as q_des), or a list with one
+    entry per lane, a diverged lane's ``SimulationDivergedError`` in its slot.
     """
     commands = np.asarray(commands, dtype=float)
     g = gains.expand(plant.n_joints)
+    lanes = {commands.shape[1:-1], g.lanes, plant.lanes} - {()}
+    if len(lanes) > 1:
+        raise ValueError(f"command, gain and plant lane counts differ: {commands.shape[1:-1]}, "
+                         f"{g.lanes}, {plant.lanes}")
     last = len(commands) - 1
 
     def torque_fn(q, q_dot, k, t):
@@ -102,7 +114,7 @@ def track(plant: PlantParams, gains: GainConfig, commands, hold: int, dt: float,
         tau = pd_torque(g, q, q_dot, cmd, gravity_term=grav)
         return np.minimum(np.maximum(tau, -plant.torque_limit), plant.torque_limit), cmd
 
-    shape = commands.shape[1:-1] + (plant.n_joints,)  # command lanes share one start
+    shape = next(iter(lanes), ()) + (plant.n_joints,)  # every lane starts at one state
     return dynamics.simulate(plant, np.broadcast_to(q0, shape), np.broadcast_to(q_dot0, shape),
                              torque_fn, dt, n_steps)
 

@@ -42,6 +42,9 @@ class SimulationDivergedError(RuntimeError):
         super().__init__(f"non-finite state at step {step_index}")
         self.step_index = step_index
 
+    def __reduce__(self):  # rebuilt from the index, not from the message
+        return type(self), (self.step_index,)
+
 
 class NonPositiveInertiaError(ValueError):
     """Effective inertia lost positive-definiteness (invalid parameters)."""

@@ -16,6 +16,7 @@ by trial index, so results are reproducible regardless of scheduling.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +28,8 @@ from .dynamics import PlantParams, SimulationDivergedError
 from .retarget import RetargetedDemo, replay
 
 class PerturbationDivergedError(RuntimeError):
-    """Perturbation dynamics unstable at their step, or diverged on the run."""
+    """Perturbation dynamics unstable at their step, or diverged on the run;
+    or a noisy replay trial whose deviation from the clean replay overflows."""
 
 
 @dataclass(frozen=True)
@@ -197,36 +199,66 @@ class NoisyReplayResult:
 
 
 def noisy_openloop_replay(retargeted: RetargetedDemo, plant: PlantParams,
-                          sigma: float, seed: int, n_trials: int,
-                          decimation: int = 1) -> NoisyReplayResult:
+                          sigma: float, seed, n_trials: int, decimation: int = 1):
     """Replay held commands with i.i.d. per-command noise, per trial.
 
     Each kept command of trial i is offset by a draw of std ``sigma`` (rad)
-    from ``trial_rng(seed, i)``. The clean replay and the trials run as
-    lanes of one :func:`replay`; the first diverged lane, in that order,
-    raises its ``SimulationDivergedError``. Reports
-    the goal-reach rate and the mean (over trials) RMS joint-position
-    deviation from the clean replay.
+    from ``trial_rng(seed, i)``. Reports the goal-reach rate and the mean
+    (over trials) RMS joint-position deviation from the clean replay.
+
+    Lane-stacked gains (``retargeted.gains.lanes == (B,)``, say one lane per
+    cell of a gain grid) take a sequence of B seeds, one per lane, and give
+    a list of B outcomes. The clean replays and the trials of every lane
+    run as lanes of one :func:`replay`. An outcome is the lane's
+    ``NoisyReplayResult``, or the ``SimulationDivergedError`` of its first
+    diverged run in clean-then-trial order, or else a
+    ``PerturbationDivergedError`` naming the first trial whose deviation
+    overflows. One gain setting takes one seed and raises that error.
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    shape = retargeted.q_des[::decimation].shape
-    lanes = [None] + [trial_rng(seed, trial).normal(0.0, sigma, size=shape)
-                      for trial in range(n_trials)]
-    runs = replay(retargeted, decimation, plant, command_noise=lanes)
+    gains = retargeted.gains
+    seeds = list(seed) if gains.lanes else [seed]
+    if len(seeds) != (gains.lanes[0] if gains.lanes else 1):
+        raise ValueError(f"expected one seed per gain lane, got {len(seeds)} for {gains.lanes}")
+    # one run per (lane, clean or trial), lane-major: a lane's clean replay, then its trials
+    runs = 1 + n_trials
+    q_des = retargeted.q_des if gains.lanes else retargeted.q_des[:, None]  # (T, lanes, n)
+    shape = q_des[::decimation, 0].shape
+    command_noise = [e for s in seeds for e in [None] + [
+        trial_rng(s, trial).normal(0.0, sigma, size=shape) for trial in range(n_trials)]]
+    kp, kd = (np.repeat(np.atleast_2d(g), runs, axis=0) for g in (gains.kp, gains.kd))
+    stacked = dataclasses.replace(retargeted, gains=dataclasses.replace(gains, kp=kp, kd=kd),
+                                  q_des=np.repeat(q_des, runs, axis=1))
+    out = replay(stacked, decimation, plant, command_noise=command_noise)
+    results = [_noisy_result(out[i:i + runs]) for i in range(0, len(out), runs)]
+    if gains.lanes:
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
+
+
+def _noisy_result(runs: list):
+    """One lane's result from its clean replay and trials, or the error of
+    its first failed run."""
     for run in runs:
         if isinstance(run, SimulationDivergedError):
-            raise run
+            return run
     (clean_traj, clean_rep), *trials = runs
-    rms = np.empty(n_trials)
-    reached = 0
-    for trial, (traj, rep) in enumerate(trials):
+    rms = np.empty(len(trials))
+    for trial, (traj, _) in enumerate(trials):
         m = min(traj.n_samples, clean_traj.n_samples)
-        rms[trial] = math.sqrt(float(np.mean((traj.q[:m] - clean_traj.q[:m]) ** 2)))
-        reached += rep.goal_reached
-    return NoisyReplayResult(goal_rate=reached / n_trials,
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                rms[trial] = math.sqrt(float(np.mean((traj.q[:m] - clean_traj.q[:m]) ** 2)))
+        except FloatingPointError as exc:
+            return PerturbationDivergedError(
+                f"trial {trial}: deviation from the clean replay overflows ({exc})")
+    reached = sum(rep.goal_reached for _, rep in trials)
+    return NoisyReplayResult(goal_rate=reached / len(trials),
                              rms_deviation=float(np.mean(rms)),
                              per_trial_rms=rms,
                              clean_goal_reached=clean_rep.goal_reached)

@@ -33,8 +33,10 @@ class TaskGoal:
         object.__setattr__(self, "q_goal", _as_vector(self.q_goal))
 
     def reached(self, q) -> bool:
-        return bool(np.linalg.norm(_as_vector(q, self.q_goal.size) - self.q_goal)
-                    <= self.tol)
+        # a norm that overflows to inf exceeds every tol, as the exact one does
+        with np.errstate(over="ignore"):
+            return bool(np.linalg.norm(_as_vector(q, self.q_goal.size) - self.q_goal)
+                        <= self.tol)
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,9 @@ class TorqueDemo:
 
 @dataclass(frozen=True)
 class RetargetedDemo:
-    """Position-target commands produced by TPR for one gain setting, one
-    per demo sample at ``base_rate``."""
+    """Position-target commands produced by TPR, one per demo sample at
+    ``base_rate``: ``q_des`` is (T, n) for one gain setting, or (T, B, n)
+    with a column per lane for lane-stacked gains (``gains.lanes == (B,)``)."""
 
     gains: GainConfig
     base_rate: float
@@ -83,7 +86,8 @@ def tpr_joint(demo: TorqueDemo, gains: GainConfig, plant: PlantParams | None = N
 
     When the replay controller compensates gravity, the gravity torque at
     the recorded states is excluded from tau on both sides of the
-    identity (requires ``plant``).
+    identity (requires ``plant``). Lane-stacked gains give one target
+    column per lane, each equal to its one-gain call.
     """
     traj = demo.traj
     n = traj.n_joints
@@ -93,7 +97,9 @@ def tpr_joint(demo: TorqueDemo, gains: GainConfig, plant: PlantParams | None = N
         if plant is None:
             raise ValueError("gravity-compensating gains need the plant for g(q)")
         tau = tau - g.gravity_comp_scale * dynamics.gravity_torque(plant, traj.q)
-    q_des = traj.q + (tau + g.kd * traj.q_dot) / g.kp
+    # (T, 1, n) samples against (B, n) gain rows: one (T, n) column per lane
+    q, q_dot, tau = (a[:, None] if g.lanes else a for a in (traj.q, traj.q_dot, tau))
+    q_des = q + (tau + g.kd * q_dot) / g.kp
     return RetargetedDemo(
         gains=g, base_rate=demo.base_rate, q_des=q_des, goal=demo.goal,
         q0=traj.q[0].copy(), q_dot0=traj.q_dot[0].copy())
@@ -142,10 +148,12 @@ def replay(retargeted: RetargetedDemo, decimation: int, plant: PlantParams,
 
     Physics steps run at the demo base rate; each kept command is held for
     ``decimation`` steps and tracked by :func:`control.track` (torques
-    clamped to the plant limit, no rate limit). ``command_noise`` (same
-    shape as the kept command array) perturbs each held command; a list of
-    such entries (``None`` for a clean lane) replays as lanes of one
-    ``track`` call and returns a list of (trajectory, report) pairs, with a
+    clamped to the plant limit, no rate limit). ``command_noise`` (the shape
+    of the kept command array) perturbs each held command; a list of
+    entries (``None`` for a clean lane) replays as lanes of one ``track``
+    call. Lane-stacked gains replay each lane's own command column, and a
+    list then holds one (C, n) entry per gain lane. When ``track`` makes
+    lanes the result is a list of (trajectory, report) pairs, with a
     diverged lane's ``SimulationDivergedError`` in its slot. The fidelity
     MSE is computed against ``source`` when given.
     """
@@ -155,14 +163,18 @@ def replay(retargeted: RetargetedDemo, decimation: int, plant: PlantParams,
     commands = retargeted.q_des[::decimation]
     many = isinstance(command_noise, list)
     lanes = command_noise if many else [command_noise]
-    if any(e is not None and e.shape != commands.shape for e in lanes):
+    # a list's entries pair with the gain lanes' command columns, if any
+    columns = list(np.moveaxis(commands, 1, 0)) if many and retargeted.gains.lanes \
+        else [commands] * len(lanes)
+    if len(columns) != len(lanes) or any(e is not None and e.shape != c.shape
+                                         for c, e in zip(columns, lanes)):
         raise ValueError("command_noise must match the kept command array")
-    stacked = np.stack([commands if e is None else commands + e for e in lanes], axis=1)
+    stacked = np.stack([c if e is None else c + e for c, e in zip(columns, lanes)], axis=1)
     runs = control.track(plant, retargeted.gains, stacked if many else stacked[:, 0],
                          decimation, 1.0 / retargeted.base_rate, retargeted.q0,
                          retargeted.q_dot0, retargeted.n_commands - 1)
     out = []
-    for traj in runs if many else [runs]:
+    for traj in runs if isinstance(runs, list) else [runs]:
         if isinstance(traj, dynamics.SimulationDivergedError):
             out.append(traj)
             continue
@@ -172,7 +184,7 @@ def replay(retargeted: RetargetedDemo, decimation: int, plant: PlantParams,
             mse = float(np.mean((traj.q[:m] - source.traj.q[:m]) ** 2))
         reached = retargeted.goal.reached(traj.q[-1])
         out.append((traj, FidelityReport(mse=mse, goal_reached=reached)))
-    return out if many else out[0]
+    return out if isinstance(runs, list) else out[0]
 
 
 # ---------------------------------------------------------------------------

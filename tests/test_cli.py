@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 import tempfile
 import warnings
@@ -11,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gainlab.cli import KINDS, RUNNERS, _cell_seed, _fmt, load_config, main, validate
-from gainlab.control import GainConfig
-from gainlab.dynamics import point_mass
-from gainlab.noise import discretize
+from gainlab.control import GainConfig, NotSettledError
+from gainlab.dynamics import NonPositiveInertiaError, SimulationDivergedError, point_mass
+from gainlab.noise import PerturbationDivergedError, discretize
 from gainlab.shaping import SearchSpace, ToyShapingProblem
+from gainlab.sysid import CmaesAbortedError, FitResult
 from oracles import loop_shape_search, per_candidate_objective
 
 VARIANCE_INI = """
@@ -700,6 +702,84 @@ def test_multi_generation_shape_ledgers_pinned(workers, tmp_path, monkeypatch):
         "ledger_kp1024_kd8.csv": "186849f9c5447b4ecbf6aba437d9967201c6090c3c8db566de09c5b8c3cc21fe",
         "ledger_kp16_kd8.csv": "54ae33c496141d05db64d4641550f61d969e575984ad1b7c7179a655cd429f37",
         "results.csv": "aa5ce48451b27cef7daf77db1b35a12fbf63d0b787e6497c99d66059761d0400"}
+
+
+EXCEPTIONS = [SimulationDivergedError(212), NonPositiveInertiaError("M(q) not positive"),
+              NotSettledError("velocity norm 1e-3"), PerturbationDivergedError("trial 0"),
+              CmaesAbortedError(FitResult(x=np.array([0.5]), params={"armature": 0.5},
+                                          loss=math.inf, history=np.array([math.inf]),
+                                          n_evals=4))]
+
+
+@pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: type(e).__name__)
+def test_exceptions_survive_pickling(exc):
+    # a pool worker's failed cell reaches failures.csv through pickle
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc) and repr(back) == repr(exc) and back.args == exc.args
+    assert back.__dict__.keys() == exc.__dict__.keys()
+    for key, value in exc.__dict__.items():
+        got = getattr(back, key)
+        if key == "result":
+            assert (got.params, got.loss, got.n_evals) == (value.params, value.loss, value.n_evals)
+            assert np.array_equal(got.x, value.x) and np.array_equal(got.history, value.history)
+        else:
+            assert got == value
+
+
+# A noisy-replay grid with one diverging cell: the stiff loop (Kp dt^2 / m =
+# 200) is held by stiction until a noisy command exceeds it. The hashes were
+# recorded with one gain setting per rollout; the batched gain stack must fail
+# only cell 1, with the same error text, at any worker count.
+DIVERGING_REPLAY = """[plant]
+kind = point_mass
+mass = 1.0
+static_friction = 320
+dynamic_friction_ratio = 0.5
+
+[grid]
+kp = 16, 50000000
+kd = 1
+
+[params]
+duration = 0.5
+trials = 5
+sigma = 0.001
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_noisy_replay_diverging_cell_pinned(workers, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(
+        f"[experiment]\nkind = noisy-replay\nseed = 7\nout = out\n\n{DIVERGING_REPLAY}")
+    assert main(["run", "--config", "c.ini", "--workers", str(workers)]) == 2
+    assert (tmp_path / "out" / "failures.csv").read_text() == \
+        "cell,error\n1,SimulationDivergedError('non-finite state at step 172')\n"
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["files"] == {
+        "failures.csv": "8c2a97cb2dfcb167e28b2a7af78c3ac8fdd73f592c2ebd88b0b8b6ce7a41c4b2",
+        "heatmap_goal_rate.csv": "d6e048a14b33979d349b93e8525cd3ef4893050f4e065bbdcdb01ddb4eadf262",
+        "heatmap_rms_deviation.csv":
+            "d6e048a14b33979d349b93e8525cd3ef4893050f4e065bbdcdb01ddb4eadf262",
+        "results.csv": "bcb5fd5b66dfca86b33eac7de78e72729f6372bfd144637e08319a15605b7c8b"}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_noisy_replay_overflowing_deviation_fails_its_cell(workers, tmp_path, monkeypatch):
+    # at Kp = 2e6 the trials grow huge but stay finite: the deviation from the
+    # clean replay overflows, which fails the cell typed, naming the trial
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(
+        "[experiment]\nkind = noisy-replay\nseed = 7\nout = out\n\n"
+        + DIVERGING_REPLAY.replace("50000000", "2000000"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", "c.ini", "--workers", str(workers)]) == 2
+    _, failure = (tmp_path / "out" / "failures.csv").read_text().splitlines()
+    assert failure.startswith("1,PerturbationDivergedError('trial 0: deviation from the clean "
+                              "replay overflows")
+    assert (tmp_path / "out" / "results.csv").read_text() == \
+        "kp,kd,goal_rate,rms_deviation\n16,1,0,0\n"
 
 
 # Valid values small enough for a run to take milliseconds, per param key.

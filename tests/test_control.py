@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -382,3 +383,86 @@ class TestTrackLanesDivergeAlone:
             assert _same_outcome(lane, control.track(one, gains, [[0.7]], 1, 0.01, 0.1, 0.2, 0))
             assert (lane.t.tolist(), lane.q.tolist(), lane.q_dot.tolist(), lane.q_des.tolist(),
                     lane.tau.tolist()) == ([0.0], [[0.1]], [[0.2]], [[0.1]], [[0.0]])
+
+
+def _lane_gains(data, n_lanes: int, n: int):
+    """(kp, kd) rows for n_lanes lanes, (B, n) or (B, 1), log-uniform over
+    ranges whose top ends make a 500 Hz step unstable."""
+    width = data.draw(st.sampled_from([1, n]), label="gain columns")
+    size = n_lanes * width
+    kp, kd = (10.0 ** np.reshape(data.draw(st.lists(st.floats(lo, hi), min_size=size,
+                                                    max_size=size), label=f"log10 {name}"),
+                                 (n_lanes, width))
+              for name, lo, hi in (("kp", 0.0, 9.0), ("kd", -1.0, 4.0)))
+    return kp, kd
+
+
+class TestGainLanes:
+    def test_lanes_and_expand(self):
+        g = GainConfig(kp=[[4.0], [8.0]], kd=2.0, gravity_comp=True)
+        assert g.lanes == (2,) and g.n_joints == 1
+        wide = g.expand(3)
+        assert wide.lanes == (2,) and wide.n_joints == 3 and wide.gravity_comp
+        assert wide.kp.tolist() == [[4.0] * 3, [8.0] * 3] and wide.kd.tolist() == [[2.0] * 3] * 2
+        assert GainConfig(kp=[4.0, 8.0], kd=1.0).lanes == ()
+        assert GainConfig(kp=[[4.0, 8.0]], kd=[[1.0], [2.0]]).kp.shape == (2, 2)
+
+    @pytest.mark.parametrize("kp, kd", [([[1.0, 2.0]] * 2, [[1.0, 2.0]] * 3),
+                                        ([1.0, 2.0], [1.0, 2.0, 3.0]),
+                                        ([[[1.0]]], 1.0)])
+    def test_shapes_that_do_not_broadcast(self, kp, kd):
+        with pytest.raises(ValueError):
+            GainConfig(kp=kp, kd=kd)
+
+    def test_two_lane_gains_expand_lane_by_lane_only(self):
+        with pytest.raises(ValueError, match="cannot expand"):
+            GainConfig(kp=[[1.0, 2.0]], kd=1.0).expand(3)
+
+    @pytest.mark.parametrize("gain_lanes, command_lanes, plant_lanes", [
+        (2, 3, None), (2, None, 3), (None, 2, 3), (2, 2, 3)])
+    def test_mismatched_lane_counts_raise(self, gain_lanes, command_lanes, plant_lanes):
+        gains = GainConfig(kp=4.0 if gain_lanes is None else np.full((gain_lanes, 1), 4.0),
+                           kd=1.0)
+        commands = np.zeros((5, 1) if command_lanes is None else (5, command_lanes, 1))
+        plant = point_mass(1.0, armature=0.0 if plant_lanes is None
+                           else np.zeros((plant_lanes, 1)))
+        with pytest.raises(ValueError, match="lane counts differ"):
+            control.track(plant, gains, commands, 1, 0.01, 0.0, 0.0, 4)
+
+    def test_a_diverging_gain_lane_fails_alone(self):
+        # Kp dt^2 / m = 400 diverges; the compliant lane is its one-gain run
+        plant, kp = point_mass(1.0), np.array([[64.0], [1e8]])
+        commands = np.full((200, 1), 0.3)
+        got = control.track(plant, GainConfig(kp=kp, kd=8.0), commands, 1, 2e-3, 0.0, 0.0, 199)
+        alone = [_track_alone(plant, GainConfig(kp=k, kd=8.0), commands, 1, 2e-3, 0.0, 0.0, 199)
+                 for k in kp]
+        assert isinstance(alone[0], dynamics.Trajectory)
+        assert isinstance(alone[1], dynamics.SimulationDivergedError)
+        assert all(_same_outcome(g, a) for g, a in zip(got, alone, strict=True))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_every_lane_equals_its_one_gain_call(self, data):
+        name = data.draw(st.sampled_from(sorted(TRACK_PLANTS)), label="plant")
+        plant, q0, _ = TRACK_PLANTS[name]
+        if data.draw(st.booleans(), label="no torque limit"):  # lets the stiff lanes diverge
+            plant = dataclasses.replace(plant, torque_limit=math.inf)
+        n = plant.n_joints
+        n_lanes = data.draw(st.integers(1, 4), label="lanes")
+        kp, kd = _lane_gains(data, n_lanes, n)
+        comp = dict(gravity_comp=data.draw(st.booleans(), label="gravity comp"),
+                    gravity_comp_scale=data.draw(st.sampled_from([1.0, 0.9]), label="scale"))
+        hold = data.draw(st.integers(1, 4), label="hold")
+        n_steps = data.draw(st.integers(0, 120), label="n_steps")
+        n_cmd = max(1, -(-n_steps // hold))
+        per_lane = data.draw(st.booleans(), label="a command column per lane")
+        commands = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed")).uniform(
+            -1.0, 1.0, (n_cmd, n_lanes, n) if per_lane else (n_cmd, n))
+        got = control.track(plant, GainConfig(kp=kp, kd=kd, **comp), commands, hold, 2e-3, q0,
+                            0.0, n_steps)
+        assert len(got) == n_lanes
+        for i, lane in enumerate(got):
+            alone = _track_alone(plant, GainConfig(kp=kp[i], kd=kd[i], **comp),
+                                 commands[:, i] if per_lane else commands, hold, 2e-3, q0,
+                                 0.0, n_steps)
+            assert _same_outcome(lane, alone), (i, lane, alone)

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import warnings
 from unittest import mock
@@ -385,3 +387,89 @@ class TestNoisyReplayMatchesPerTrialOracle:
             noisy_openloop_replay(rd, self.PLANT, 1e-3, seed, 5, decimation=10)
         first_in_trial_order = next(s for s in steps if s is not None)
         assert got.value.step_index == want.value.step_index == first_in_trial_order
+
+
+@functools.cache
+def _short_demo(name):
+    """A 0.3 s demo at 500 Hz on LANE_PLANTS[name]."""
+    plant, q0, qf = LANE_PLANTS[name]
+    pos, vel, acc = retarget.quintic_reference(q0, qf, 0.2)
+    ctrl = retarget.computed_torque_tracker(plant, pos, vel, acc)
+    return retarget.make_demo(plant, ctrl, 0.3, 500.0, q0=q0, reference=pos,
+                              goal=retarget.TaskGoal(qf, 0.05))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (SimulationDivergedError, PerturbationDivergedError) as exc:
+        return exc
+
+
+def _same_replay_outcome(got, alone) -> bool:
+    if isinstance(alone, Exception):
+        return type(got) is type(alone) and repr(got) == repr(alone)
+    return (isinstance(got, noise.NoisyReplayResult) and got.goal_rate == alone.goal_rate
+            and got.rms_deviation == alone.rms_deviation
+            and np.array_equal(got.per_trial_rms, alone.per_trial_rms)
+            and got.clean_goal_reached == alone.clean_goal_reached)
+
+
+class TestNoisyReplayGainLanes:
+    """A lane-stacked GainConfig retargets and replays each lane as its
+    one-gain call does, bit for bit, in results or in the error raised."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_every_lane_equals_its_one_gain_call(self, data):
+        name = data.draw(st.sampled_from(sorted(LANE_PLANTS)), label="plant")
+        plant = LANE_PLANTS[name][0]
+        demo = _short_demo(name)
+        if data.draw(st.booleans(), label="no torque limit"):  # lets the stiff lanes diverge
+            plant = dataclasses.replace(plant, torque_limit=math.inf)
+        n_lanes = data.draw(st.integers(1, 3), label="lanes")
+        width = data.draw(st.sampled_from([1, plant.n_joints]), label="gain columns")
+        kp, kd = (10.0 ** np.reshape(data.draw(st.lists(
+            st.floats(lo, hi), min_size=n_lanes * width, max_size=n_lanes * width),
+            label=f"log10 {key}"), (n_lanes, width))
+            for key, lo, hi in (("kp", 0.0, 9.0), ("kd", -1.0, 4.0)))
+        comp = dict(gravity_comp=data.draw(st.booleans(), label="gravity comp"),
+                    gravity_comp_scale=data.draw(st.sampled_from([1.0, 0.9]), label="scale"))
+        sigma = data.draw(st.sampled_from([0.0, 0.01, 0.05]), label="sigma")
+        n_trials = data.draw(st.integers(1, 3), label="trials")
+        decimation = data.draw(st.integers(1, 5), label="decimation")
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=n_lanes,
+                                   max_size=n_lanes), label="seeds")
+        rd = retarget.tpr_joint(demo, GainConfig(kp=kp, kd=kd, **comp), plant=plant)
+        got = noisy_openloop_replay(rd, plant, sigma, seeds, n_trials, decimation=decimation)
+        assert len(got) == n_lanes
+        for i, lane in enumerate(got):
+            one = retarget.tpr_joint(demo, GainConfig(kp=kp[i], kd=kd[i], **comp), plant=plant)
+            assert np.array_equal(rd.q_des[:, i], one.q_des)
+            alone = _outcome(lambda: noisy_openloop_replay(one, plant, sigma, seeds[i], n_trials,
+                                                           decimation=decimation))
+            assert _same_replay_outcome(lane, alone), (i, lane, alone)
+
+    def test_lanes_need_one_seed_each(self):
+        rd = retarget.tpr_joint(_rest_demo(n=20), GainConfig(kp=[[4.0], [8.0]], kd=1.0))
+        with pytest.raises(ValueError, match="one seed per gain lane"):
+            noisy_openloop_replay(rd, point_mass(1.0), 0.01, [1, 2, 3], 2)
+
+    def test_replay_noise_list_pairs_with_the_gain_lanes(self):
+        rd = retarget.tpr_joint(_rest_demo(n=20), GainConfig(kp=[[4.0], [8.0]], kd=1.0))
+        with pytest.raises(ValueError, match="command_noise"):
+            retarget.replay(rd, 1, point_mass(1.0), command_noise=[None] * 3)
+
+
+class TestNoisyReplayOverflow:
+    def test_an_overflowing_deviation_fails_typed_naming_the_trial(self):
+        # Kp dt^2 / m = 8: the trials leave the stiction band and grow huge,
+        # but stay finite over the 0.5 s replay; the clean replay stays put
+        plant = point_mass(1.0, static_friction=320.0, dynamic_friction_ratio=0.5)
+        rd = retarget.tpr_joint(_rest_demo(n=250, base_rate=500.0),
+                                GainConfig(kp=2e6, kd=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PerturbationDivergedError,
+                               match="trial 0: deviation from the clean replay overflows"):
+                noisy_openloop_replay(rd, plant, 1e-3, 7, 5, decimation=10)
