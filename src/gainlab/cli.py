@@ -303,43 +303,57 @@ def _sysid_cell(job):
     return [row], {f"history_kp{kp:g}_kd{kd:g}.csv": history}
 
 
-@_each
-def _shape_cell(job):
-    cfg, kp, kd, _, index = job
+def _shape_cells(jobs):
+    """Every job's cell as one lockstep shape search (see shaping.shape_search):
+    each generation of every cell's live branches is one rollout, and so
+    are the cells' random draws. A cell whose best mapping diverges on the
+    goal episodes fails alone."""
+    cfg = jobs[0][0]
     p = cfg.params
-    gains = GainConfig(kp=kp, kd=kd)
-    problem = ToyShapingProblem(plant=cfg.plant, gains=gains, episodes=p["episodes"],
-                                seed=_cell_seed(cfg.seed, index))
+    _, kps, kds, _, indices = zip(*jobs)
+    seeds = tuple(_cell_seed(cfg.seed, i) for i in indices)
+    problems = [ToyShapingProblem(plant=cfg.plant, gains=GainConfig(kp=kp, kd=kd),
+                                  episodes=p["episodes"], seed=seed)
+                for kp, kd, seed in zip(kps, kds, seeds)]
     space = shaping.SearchSpace(n_groups=1, alpha_low=1e-3, alpha_high=30.0)
-    scored = []  # mappings in call order, as problem.details lists their rows
+    scored = [[] for _ in problems]  # each cell's mappings in call order, as its details
 
-    def objective(mappings):
-        scored.extend(mappings)
-        return problem(mappings)
+    def objective(mapping_lists):
+        for cell, mappings in zip(scored, mapping_lists):
+            cell.extend(mappings)
+        return [problem.record(results) for problem, results
+                in zip(problems, shaping.rollout(problems, mapping_lists))]
 
-    result = shaping.shape_search(objective, space, p["budget"],
-                                  seed=_cell_seed(cfg.seed, index))
-    # the branches share their objective calls: pair each ledger entry with its row
-    details = {id(m): d for m, d in zip(scored, problem.details, strict=True)}
-    ledger_rows = []
-    for trial, (mapping, j) in enumerate(result.ledger):
-        detail = details[id(mapping)]
-        alphas = list(mapping.alpha) + [mapping.alpha[-1]] * (2 - mapping.alpha.size)
-        ledger_rows.append({
-            "trial": trial, "alpha1": alphas[0], "alpha2": alphas[1],
-            "beta": mapping.beta, "gamma": mapping.gamma,
-            "J": j if math.isfinite(j) else -1.0,
-            "success": detail["success"], "viol_pos": detail["position"],
-            "viol_vel": detail["velocity"], "viol_tau": detail["torque"],
-            "viol_taurate": detail["torque_rate"]})
-    final_rate = problem.goal_rate(result.best, n_episodes=p["eval_episodes"])
-    summary = {"kp": kp, "kd": kd, "best_J": result.objective,
-               "goal_rate": final_rate, "alpha": float(result.best.alpha[0]),
-               "beta": result.best.beta, "gamma": result.best.gamma}
-    ledger_csv = _csv(ledger_rows, ["trial", "alpha1", "alpha2", "beta", "gamma",
-                                    "J", "success", "viol_pos", "viol_vel",
-                                    "viol_tau", "viol_taurate"])
-    return [summary], {f"ledger_kp{kp:g}_kd{kd:g}.csv": ledger_csv}
+    searches = shaping.shape_search(objective, space, p["budget"], seed=seeds)
+    outcomes = []
+    for kp, kd, problem, mappings, result in zip(kps, kds, problems, scored, searches,
+                                                  strict=True):
+        try:
+            final_rate = problem.goal_rate(result.best, n_episodes=p["eval_episodes"])
+        except Exception as exc:
+            outcomes.append(exc)
+            continue
+        # the branches share their objective calls: pair each ledger entry with its row
+        details = {id(m): d for m, d in zip(mappings, problem.details, strict=True)}
+        ledger_rows = []
+        for trial, (mapping, j) in enumerate(result.ledger):
+            detail = details[id(mapping)]
+            alphas = list(mapping.alpha) + [mapping.alpha[-1]] * (2 - mapping.alpha.size)
+            ledger_rows.append({
+                "trial": trial, "alpha1": alphas[0], "alpha2": alphas[1],
+                "beta": mapping.beta, "gamma": mapping.gamma,
+                "J": j if math.isfinite(j) else -1.0,
+                "success": detail["success"], "viol_pos": detail["position"],
+                "viol_vel": detail["velocity"], "viol_tau": detail["torque"],
+                "viol_taurate": detail["torque_rate"]})
+        summary = {"kp": kp, "kd": kd, "best_J": result.objective,
+                   "goal_rate": final_rate, "alpha": float(result.best.alpha[0]),
+                   "beta": result.best.beta, "gamma": result.best.gamma}
+        ledger_csv = _csv(ledger_rows, ["trial", "alpha1", "alpha2", "beta", "gamma",
+                                        "J", "success", "viol_pos", "viol_vel",
+                                        "viol_tau", "viol_taurate"])
+        outcomes.append(([summary], {f"ledger_kp{kp:g}_kd{kd:g}.csv": ledger_csv}))
+    return outcomes
 
 
 @_each
@@ -426,7 +440,9 @@ def _run_grid(kind: str, cfg: ExperimentConfig, workers: int):
     A failed cell adds (job index, error) to the failures and no rows.
     Results are gathered in job order, so the files are identical
     regardless of the worker count. One process hands the cell every job
-    in one list; a pool gets one job per task.
+    in one list; a pool of w workers hands each worker one contiguous
+    slice of ceil(jobs / w) jobs, so a batched kind stays batched. An
+    error outside any one cell fails the jobs of its list or slice.
     """
     spec = RUNNERS[kind]
     shared = spec.shared(cfg)
@@ -441,9 +457,11 @@ def _run_grid(kind: str, cfg: ExperimentConfig, workers: int):
     if workers <= 1 or len(jobs) <= 1:
         done = outcomes(lambda: spec.cell(jobs), len(jobs))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(spec.cell, [job]) for job in jobs]
-            done = [o for f in futures for o in outcomes(f.result, 1)]
+        size = -(-len(jobs) // workers)
+        slices = [jobs[i:i + size] for i in range(0, len(jobs), size)]
+        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
+            futures = [pool.submit(spec.cell, part) for part in slices]
+            done = [o for f, part in zip(futures, slices) for o in outcomes(f.result, len(part))]
     results = [o for o in done if not isinstance(o, Exception)]
     failures = [(i, repr(o)) for i, o in enumerate(done) if isinstance(o, Exception)]
     rows = [row for cell_rows, _ in results for row in cell_rows]
@@ -513,9 +531,11 @@ class _Kind:
     ``rules(cfg)`` raises ValueError, naming the param first, on a
     combination of them the run cannot take. A grid kind's ``cell`` gets
     a list of jobs ``(cfg, kp, kd, shared(cfg), index)``, one per
-    ``cells(cfg)`` entry, and returns one outcome per job: (rows, {sidecar
-    name: text}), or the exception that failed that job's cell (``@_each``
-    gives a one-job function this form). The rows' ``columns`` go to
+    ``cells(cfg)`` entry (all of them, or a pool worker's slice), and
+    returns one outcome per job: (rows, {sidecar name: text}), or the
+    exception that failed that job's cell. ``noisy-replay`` and
+    ``shape-search`` run their list as one batch; ``@_each`` gives the
+    other kinds' one-job functions this form. The rows' ``columns`` go to
     results.csv and each row key in ``heatmaps(cfg)`` to heatmap_<key>.csv.
     """
 
@@ -559,7 +579,7 @@ RUNNERS = {
         heatmaps=lambda cfg: ["final_loss"],
         params={"bounds": ("", _TEXT), "sigma0": (3.0, _POSITIVE), "iters": (200, _COUNT)}),
     "shape-search": _Kind(
-        _shape_cell, ("kp", "kd", "best_J", "goal_rate", "alpha", "beta", "gamma"),
+        _shape_cells, ("kp", "kd", "best_J", "goal_rate", "alpha", "beta", "gamma"),
         # every grid cell, or the regime corners once each (CO, SO, CU, SU)
         cells=lambda cfg: list(cfg.grid.cells() if cfg.params["cells"] == "all"
                                else dict.fromkeys(cfg.grid.corners().values())),

@@ -360,18 +360,35 @@ def _run_lanes(step, state, n_steps: int):
     Each lane diverges on its own. On a floating-point error at step k,
     step k is re-run with the diverged lanes re-parked at zero (a parked
     lane that its inputs drive to diverge again leaves the live ones
-    alone); if that still raises, step k is re-run once per live lane with
-    the other lanes parked; a lane that raises alone diverged at step k,
-    or at k-1 if it entered step k non-finite (``np.linalg.solve``
-    overflows silently), and is parked while the others go on. A lane
-    non-finite at the end diverged at step n_steps-1: each index is the
-    one the lane raises alone. ``step`` may write row k of records outside
-    the state (``simulate``'s trajectory, the shaping episode's limit
-    records): step k may run more than once, and its last call, the one
-    the loop goes on from, is the one kept.
+    alone); if that still raises, the live lanes are halved: step k is
+    re-run on each half with every other lane parked, and each half that
+    raises is halved again, down to single lanes. Lanes are independent
+    elementwise, so a group raises if and only if one of its lanes raises
+    alone, and d diverged lanes of L cost O(d log L) step calls, not one
+    per live lane. A lane that raises alone diverged at step k, or at k-1
+    if it entered step k non-finite (``np.linalg.solve`` overflows
+    silently), and is parked while the others go on. A lane non-finite at
+    the end diverged at step n_steps-1: each index is the one the lane
+    raises alone. ``step`` may write row k of records outside the state
+    (``simulate``'s trajectory, the shaping episode's limit records): step
+    k may run more than once, and its last call, the one the loop goes on
+    from, is the one kept.
     """
     lanes = np.arange(len(state[0]))
     dead, errors = np.zeros(lanes.size, dtype=bool), {}
+
+    def raising(k, state, group) -> list[int]:
+        # the lanes of ``group``, which raises at step k, that raise alone
+        if group.size == 1:
+            return group.tolist()
+        found = []
+        for half in np.array_split(group, 2):
+            try:
+                step(k, _park(state, ~np.isin(lanes, half)))
+            except FloatingPointError:
+                found += raising(k, state, half)
+        return found
+
     k = 0
     with np.errstate(over="raise", invalid="raise"):
         while k < n_steps:
@@ -388,12 +405,9 @@ def _run_lanes(step, state, n_steps: int):
                     except FloatingPointError:
                         pass
                 finite = _finite_lanes(state)
-                for i in lanes[~dead].tolist():
-                    try:
-                        step(k, _park(state, lanes != i))
-                    except FloatingPointError:
-                        dead[i] = True
-                        errors[i] = SimulationDivergedError(step_index=k - (not finite[i]))
+                for i in raising(k, state, lanes[~dead]):
+                    dead[i] = True
+                    errors[i] = SimulationDivergedError(step_index=k - (not finite[i]))
                 if dead.all():
                     break
                 state = step(k, _park(state, dead))
@@ -438,9 +452,12 @@ def simulate(plant: PlantParams, q0, q_dot0, torque_fn, dt: float, n_steps: int)
 
     def advance(k, state):
         q, qd = state
+        # the state first: a torque that raises leaves it recorded for the
+        # divergence index below
+        step_q[k], step_qd[k] = q, qd
         tau, q_des = torque_fn(q, qd, k, times[k]) if lanes else \
             torque_fn(q[0], qd[0], k, times[k])
-        step_q[k], step_qd[k], step_qdes[k], step_tau[k] = q, qd, q_des, tau
+        step_qdes[k], step_tau[k] = q_des, tau
         return step(plant, q, qd, tau, dt)
 
     start = tuple(np.broadcast_to(v, stack + (plant.n_joints,)) for v in (q0, q_dot0))

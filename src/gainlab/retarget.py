@@ -22,6 +22,11 @@ from .control import GainConfig
 from .dynamics import PlantParams, Trajectory, _as_vector
 
 
+class FidelityOverflowError(RuntimeError):
+    """A finite replay so far off its source demo that the fidelity MSE
+    overflows."""
+
+
 @dataclass(frozen=True)
 class TaskGoal:
     """Goal-reach proxy for success: final q within tol of q_goal (norm)."""
@@ -155,7 +160,9 @@ def replay(retargeted: RetargetedDemo, decimation: int, plant: PlantParams,
     list then holds one (C, n) entry per gain lane. When ``track`` makes
     lanes the result is a list of (trajectory, report) pairs, with a
     diverged lane's ``SimulationDivergedError`` in its slot. The fidelity
-    MSE is computed against ``source`` when given.
+    MSE is computed against ``source`` when given; a replay whose MSE
+    overflows gets a ``FidelityOverflowError`` (raised for one lane, in its
+    slot for several).
     """
     if decimation < 1 or int(decimation) != decimation:
         raise ValueError("decimation must be a positive integer")
@@ -181,7 +188,16 @@ def replay(retargeted: RetargetedDemo, decimation: int, plant: PlantParams,
         mse = float("nan")
         if source is not None:
             m = min(traj.n_samples, source.traj.n_samples)
-            mse = float(np.mean((traj.q[:m] - source.traj.q[:m]) ** 2))
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    mse = float(np.mean((traj.q[:m] - source.traj.q[:m]) ** 2))
+            except FloatingPointError as exc:
+                error = FidelityOverflowError(
+                    f"fidelity MSE against the source demo overflows ({exc})")
+                if not isinstance(runs, list):
+                    raise error from None
+                out.append(error)
+                continue
         reached = retargeted.goal.reached(traj.q[-1])
         out.append((traj, FidelityReport(mse=mse, goal_reached=reached)))
     return out if isinstance(runs, list) else out[0]

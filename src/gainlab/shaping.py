@@ -8,10 +8,15 @@ above every infeasible one (J in [0,1)). shape_search tunes (alpha per
 joint group, beta, gamma) against a black-box objective that scores a
 batch of mappings at once, such as the goal-reaching ToyShapingProblem,
 which rolls out every (mapping, episode) pair as one lane of one loop.
+Given one seed per cell, shape_search runs several cells' searches in
+lockstep, and rollout takes several problems that share a plant, so that
+every cell's candidates of a generation are lanes of one loop, each lane
+with its own gains.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -155,7 +160,8 @@ CMAES_BRANCHED = "cmaes-over-continuous-with-enumerated-discretes"
 
 
 def shape_search(objective, space: SearchSpace, budget: int,
-                 strategy: str = CMAES_BRANCHED, seed: int = 0) -> ShapingResult:
+                 strategy: str = CMAES_BRANCHED,
+                 seed: int | tuple[int, ...] = 0) -> ShapingResult | list[ShapingResult]:
     """Search (alpha per group, beta, gamma) for the best objective value.
 
     ``objective(mappings) -> J values`` scores a list of mappings at once;
@@ -169,13 +175,30 @@ def shape_search(objective, space: SearchSpace, budget: int,
     draws spend what the branches leave. The ledger lists each branch's
     candidates in turn, then the random draws; ties break toward the
     earliest candidate. Deterministic given the seed.
+
+    Given a tuple of k seeds, runs k such searches, one per cell, in
+    lockstep and returns their k ``ShapingResult``s in seed order. One
+    ``cmaes_minimize`` call runs all 4k branch searches, and
+    ``objective(mapping_lists) -> J lists`` scores one mapping list per
+    cell at once (empty for a cell with nothing to score): each
+    generation of every cell's live branches is one call, and the random
+    draws of every cell one more. Each cell draws from its own seed, so
+    its result and its mappings' order equal its one-seed run's bitwise;
+    an int seed is the k = 1 case.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    lone = not isinstance(seed, tuple)
+    seeds = (seed,) if lone else seed
 
-    def evaluate(mappings: list[ActionMapping]) -> list[tuple[ActionMapping, float]]:
-        js = [-math.inf if math.isnan(j) else j for j in map(float, objective(mappings))]
-        return list(zip(mappings, js, strict=True))
+    def evaluate(lists: list) -> list[list[tuple[ActionMapping, float]]]:
+        # each cell's (mapping, J) entries, from one call if any cell has mappings
+        if not any(lists):
+            return [[] for _ in lists]
+        js_lists = [objective(lists[0])] if lone else objective(lists)
+        return [list(zip(mappings, [-math.inf if math.isnan(j) else j for j in map(float, js)],
+                         strict=True))
+                for mappings, js in zip(lists, js_lists, strict=True)]
 
     lo, hi = math.log(space.alpha_low), math.log(space.alpha_high)
 
@@ -185,7 +208,7 @@ def shape_search(objective, space: SearchSpace, budget: int,
                 for _ in range(k)]
 
     if strategy == RANDOM:
-        ledger = evaluate(draw(np.random.default_rng(seed), budget))
+        ledgers = evaluate([draw(np.random.default_rng(s), budget) for s in seeds])
     elif strategy == CMAES_BRANCHED:
         branches = [(b, g) for g in (0, 1) for b in (0, 1)]
         per_branch = budget // len(branches)
@@ -194,46 +217,54 @@ def shape_search(objective, space: SearchSpace, budget: int,
         box = SysidBounds(params=tuple(
             (f"log10_alpha{i}", log_lo, log_hi) for i in range(space.n_groups)))
         lam = 4 + int(3 * math.log(space.n_groups))
-        searched, configs = [], []
-        for idx, switches in enumerate(branches):
-            n_evals = per_branch + (1 if idx < extra else 0)
-            if n_evals >= lam:  # else too few evaluations for a generation; filler below
-                searched.append(switches)
-                configs.append(CmaesConfig(popsize=lam, sigma0=0.6, max_iter=n_evals // lam,
-                                           seed=seed + idx, penalty_weight=10.0))
+        searched, configs = [], []  # (cell, switches) and config of each branch search
+        for cell, s in enumerate(seeds):
+            for idx, switches in enumerate(branches):
+                n_evals = per_branch + (1 if idx < extra else 0)
+                if n_evals >= lam:  # else too few evaluations for a generation; filler below
+                    searched.append((cell, switches))
+                    configs.append(CmaesConfig(popsize=lam, sigma0=0.6, max_iter=n_evals // lam,
+                                               seed=s + idx, penalty_weight=10.0))
         trials = [[] for _ in searched]  # each branch's (mapping, J) entries
 
         def branch_losses(Xs):
             live = [i for i, X in enumerate(Xs) if X is not None]
-            scored = iter(evaluate([
-                ActionMapping(alpha=10.0 ** np.asarray(x), beta=searched[i][0],
-                              gamma=searched[i][1]) for i in live for x in Xs[i]]))
+            lists = [[] for _ in seeds]
+            for i in live:
+                cell, (beta, gamma) = searched[i]
+                lists[cell] += [ActionMapping(alpha=10.0 ** np.asarray(x), beta=beta,
+                                              gamma=gamma) for x in Xs[i]]
+            scored = [iter(entries) for entries in evaluate(lists)]
             losses = []
             for i in live:
-                entries = list(itertools.islice(scored, len(Xs[i])))
+                entries = list(itertools.islice(scored[searched[i][0]], len(Xs[i])))
                 trials[i] += entries
                 losses.append([-j for _, j in entries])
             return losses
 
         # an aborted branch keeps its ledgered candidates; the filler spends the rest
         cmaes_minimize(branch_losses, box, tuple(configs))
-        ledger = [entry for branch in trials for entry in branch]
+        ledgers = [[entry for (owner, _), branch in zip(searched, trials) if owner == cell
+                    for entry in branch] for cell in range(len(seeds))]
         # branch budgets round down to whole generations; spend the rest
-        rest = budget - len(ledger)
-        if rest:
-            ledger += evaluate(draw(np.random.default_rng(seed + len(branches)), rest))
+        filler = evaluate([draw(np.random.default_rng(s + len(branches)), budget - len(ledger))
+                           for s, ledger in zip(seeds, ledgers)])
+        ledgers = [ledger + fill for ledger, fill in zip(ledgers, filler)]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    best_idx = 0
-    best_j = -math.inf
-    for i, (_, j) in enumerate(ledger):
-        if j > best_j:
-            best_idx, best_j = i, j
-    if not math.isfinite(best_j):
+    results = []
+    for ledger in ledgers:
+        best_idx = 0
         best_j = -math.inf
-    return ShapingResult(best=ledger[best_idx][0], objective=best_j,
-                         ledger=tuple(ledger))
+        for i, (_, j) in enumerate(ledger):
+            if j > best_j:
+                best_idx, best_j = i, j
+        if not math.isfinite(best_j):
+            best_j = -math.inf
+        results.append(ShapingResult(best=ledger[best_idx][0], objective=best_j,
+                                     ledger=tuple(ledger)))
+    return results[0] if lone else results
 
 
 class ToyShapingProblem:
@@ -276,8 +307,13 @@ class ToyShapingProblem:
     def __call__(self, mappings: list[ActionMapping]) -> list[float]:
         """J of each mapping from one :func:`rollout`, with one ``details``
         row per mapping; a diverged mapping scores -inf with a NaN row."""
+        return self.record(rollout(self, mappings))
+
+    def record(self, results: list) -> list[float]:
+        """J of each of this problem's :func:`rollout` results, appending
+        one ``details`` row per result, as ``problem(mappings)`` does."""
         js = []
-        for result in rollout(self, mappings):
+        for result in results:
             if isinstance(result, dynamics.SimulationDivergedError):
                 result = -math.inf, math.nan, dict.fromkeys(CONSTRAINTS, math.nan)
             j, success_rate, rates = result
@@ -295,7 +331,7 @@ class ToyShapingProblem:
         return rate
 
 
-def rollout(problem: ToyShapingProblem, mappings: list[ActionMapping], episodes=None):
+def rollout(problem, mappings, episodes=None):
     """(J, success rate, violation rates) of each mapping on ``problem``.
 
     Every (mapping, episode) pair is one lane of (L, n) arrays, lane
@@ -305,20 +341,58 @@ def rollout(problem: ToyShapingProblem, mappings: list[ActionMapping], episodes=
     floating-point overflow or invalid operation at step k) gets the
     earliest ``SimulationDivergedError(step_index=k)`` of its lanes in
     place of its result.
+
+    Given a tuple of k problems and one mapping list per problem, rolls
+    out every problem's pairs as lanes of the same loop, problem by
+    problem, and returns one result list per problem. The problems must
+    share the plant, horizon, rates, goal radius, limits and gravity
+    settings (``ValueError`` otherwise); each problem's lanes carry its own (L, n)
+    ``kp``/``kd`` rows and its own episodes (``episodes``, when given,
+    serves every problem). The PD law is elementwise, so each problem's
+    results equal its one-problem rollout bitwise; that form is the k = 1
+    case.
     """
-    episodes = episodes if episodes is not None else problem.episodes
-    if not episodes:
+    lone = isinstance(problem, ToyShapingProblem)
+    problems = (problem,) if lone else tuple(problem)
+    lists = (mappings,) if lone else tuple(mappings)
+    if len(lists) != len(problems):
+        raise ValueError(f"{len(lists)} mapping lists for {len(problems)} problems")
+    lead = problems[0]
+    if any(not _same_setting(lead, other) for other in problems[1:]):
+        raise ValueError("problems must share the plant, horizon, rates, goal radius, "
+                         "limits and gravity settings")
+    eps = [episodes if episodes is not None else p.episodes for p in problems]
+    if not all(eps):
         raise ValueError("need at least one episode")
-    plant, gains = problem.plant, problem.gains
-    spc = int(round(problem.physics_rate / problem.control_rate))
-    dt = 1.0 / problem.physics_rate
-    n_steps = int(round(problem.horizon * problem.physics_rate))
-    n_ep, n = len(episodes), plant.n_joints
-    q = np.tile(np.array([q0 for q0, _ in episodes], dtype=float), (len(mappings), 1))
-    goal = np.tile(np.array([g for _, g in episodes], dtype=float), (len(mappings), 1))
-    alpha = np.repeat([expand_alpha(m, None, n) for m in mappings], n_ep, axis=0)
-    beta = np.repeat([[m.beta] for m in mappings], n_ep, axis=0)
-    gamma = np.repeat([[m.gamma] for m in mappings], n_ep, axis=0)
+    plant, gains = lead.plant, lead.gains
+    spc = int(round(lead.physics_rate / lead.control_rate))
+    dt = 1.0 / lead.physics_rate
+    n_steps = int(round(lead.horizon * lead.physics_rate))
+    n = plant.n_joints
+    # lanes problem by problem; (problem, first lane, mappings, episodes) per block
+    blocks, first = [], 0
+    for p, ms, e in zip(problems, lists, eps):
+        blocks.append((p, first, ms, e))
+        first += len(ms) * len(e)
+    if not first:
+        results = [[] for _ in problems]
+        return results[0] if lone else results
+
+    def lanes(per_problem):
+        return np.concatenate([per_problem(p, ms, e) for p, _, ms, e in blocks])
+
+    q = lanes(lambda p, ms, e: np.tile(np.array([q0 for q0, _ in e], dtype=float),
+                                       (len(ms), 1)))
+    goal = lanes(lambda p, ms, e: np.tile(np.array([g for _, g in e], dtype=float),
+                                          (len(ms), 1)))
+    alpha = lanes(lambda p, ms, e: np.repeat(
+        np.reshape([expand_alpha(m, None, n) for m in ms], (-1, n)), len(e), axis=0))
+    beta, gamma = (lanes(lambda p, ms, e: np.repeat(
+        np.reshape([getattr(m, name) for m in ms], (-1, 1)), len(e), axis=0))
+        for name in ("beta", "gamma"))
+    kp, kd = (lanes(lambda p, ms, e: np.broadcast_to(getattr(p.gains, name),
+                                                     (len(ms) * len(e), n)))
+              for name in ("kp", "kd"))
 
     advance = dynamics.decoupled_stepper(plant)
     # row k of each record: the state (q, q_dot) step k leads to, its
@@ -330,7 +404,7 @@ def rollout(problem: ToyShapingProblem, mappings: list[ActionMapping], episodes=
         q, qd, x_des = state
         if k % spc == 0:
             x_des = map_action(alpha, beta, gamma, goal - q, q, x_des)
-        tau_req = gains.kp * (x_des - q) - gains.kd * qd
+        tau_req = kp * (x_des - q) - kd * qd
         if gains.gravity_comp:
             tau_req = tau_req + gains.gravity_comp_scale * dynamics.gravity_torque(plant, q)
         d_tau = tau_req - (rec[2, k - 1] if k else 0.0)
@@ -343,27 +417,39 @@ def rollout(problem: ToyShapingProblem, mappings: list[ActionMapping], episodes=
                                               n_steps)
     # per lane, the steps in which any joint breaks each limit (CONSTRAINTS
     # order); the record is not read again, so |rec| overwrites it
-    limits = (problem.pos_limit, problem.vel_limit, plant.torque_limit,
+    limits = (lead.pos_limit, lead.vel_limit, plant.torque_limit,
               dt * plant.torque_rate_limit)
     counts = (np.abs(rec, out=rec) > np.reshape(limits, (4, 1, 1, 1))).any(axis=3).sum(axis=1)
     results = []
-    for c in range(len(mappings)):
-        errors = [diverged[lane] for lane in range(c * n_ep, (c + 1) * n_ep)
-                  if lane in diverged]
-        if errors:
-            results.append(min(errors, key=lambda e: e.step_index))
-            continue
-        succ = 0
-        rates = dict.fromkeys(CONSTRAINTS, 0.0)
-        for lane in range(c * n_ep, (c + 1) * n_ep):
-            # a lane far off on any axis misses; the norm of a huge final
-            # error would overflow
-            d = q[lane] - goal[lane]
-            succ += bool(np.all(np.abs(d) <= problem.tol)
-                         and np.linalg.norm(d) <= problem.tol)
-            for name, count in zip(CONSTRAINTS, counts[:, lane]):
-                rates[name] += float(count) / n_steps / n_ep
-        success_rate = succ / n_ep
-        results.append((constrained_objective(success_rate, rates),
-                        success_rate, rates))
-    return results
+    for _, first, ms, e in blocks:
+        n_ep = len(e)
+        results.append([])
+        for c in range(first, first + len(ms) * n_ep, n_ep):
+            errors = [diverged[lane] for lane in range(c, c + n_ep) if lane in diverged]
+            if errors:
+                results[-1].append(min(errors, key=lambda err: err.step_index))
+                continue
+            succ = 0
+            rates = dict.fromkeys(CONSTRAINTS, 0.0)
+            for lane in range(c, c + n_ep):
+                # a lane far off on any axis misses; the norm of a huge final
+                # error would overflow
+                d = q[lane] - goal[lane]
+                succ += bool(np.all(np.abs(d) <= lead.tol) and np.linalg.norm(d) <= lead.tol)
+                for name, count in zip(CONSTRAINTS, counts[:, lane]):
+                    rates[name] += float(count) / n_steps / n_ep
+            success_rate = succ / n_ep
+            results[-1].append((constrained_objective(success_rate, rates),
+                                success_rate, rates))
+    return results[0] if lone else results
+
+
+def _same_setting(a: ToyShapingProblem, b: ToyShapingProblem) -> bool:
+    """Whether two problems can share a rollout: the same plant, horizon,
+    rates, goal radius, limits and gravity compensation."""
+    fields = ("horizon", "control_rate", "physics_rate", "tol", "pos_limit", "vel_limit")
+    return (all(getattr(a, f) == getattr(b, f) for f in fields)
+            and (a.gains.gravity_comp, a.gains.gravity_comp_scale)
+            == (b.gains.gravity_comp, b.gains.gravity_comp_scale)
+            and all(np.array_equal(getattr(a.plant, f.name), getattr(b.plant, f.name))
+                    for f in dataclasses.fields(a.plant)))

@@ -734,3 +734,40 @@ def loop_shape_search(objective, space, budget, strategy=shaping.CMAES_BRANCHED,
         best_j = -math.inf
     return shaping.ShapingResult(best=ledger[best_idx][0], objective=best_j,
                                  ledger=tuple(ledger))
+
+
+def loop_run_lanes(step, state, n_steps: int):
+    """dynamics._run_lanes isolating diverged lanes one at a time: on a
+    raise at step k, step k is re-run once per live lane with the other
+    lanes parked."""
+    lanes = np.arange(len(state[0]))
+    dead, errors = np.zeros(lanes.size, dtype=bool), {}
+    k = 0
+    with np.errstate(over="raise", invalid="raise"):
+        while k < n_steps:
+            try:
+                for k in range(k, n_steps):
+                    state = step(k, state)
+                break
+            except FloatingPointError:
+                if dead.any():
+                    try:
+                        state = step(k, dynamics._park(state, dead))
+                        k += 1
+                        continue
+                    except FloatingPointError:
+                        pass
+                finite = dynamics._finite_lanes(state)
+                for i in lanes[~dead].tolist():
+                    try:
+                        step(k, dynamics._park(state, lanes != i))
+                    except FloatingPointError:
+                        dead[i] = True
+                        errors[i] = SimulationDivergedError(step_index=k - (not finite[i]))
+                if dead.all():
+                    break
+                state = step(k, dynamics._park(state, dead))
+                k += 1
+    for i in lanes[~dynamics._finite_lanes(state)].tolist():
+        errors.setdefault(i, SimulationDivergedError(step_index=n_steps - 1))
+    return state, errors

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pickle
@@ -15,6 +16,7 @@ from gainlab.cli import KINDS, RUNNERS, _cell_seed, _fmt, load_config, main, val
 from gainlab.control import GainConfig, NotSettledError
 from gainlab.dynamics import NonPositiveInertiaError, SimulationDivergedError, point_mass
 from gainlab.noise import PerturbationDivergedError, discretize
+from gainlab.retarget import FidelityOverflowError
 from gainlab.shaping import SearchSpace, ToyShapingProblem
 from gainlab.sysid import CmaesAbortedError, FitResult
 from oracles import loop_shape_search, per_candidate_objective
@@ -704,8 +706,54 @@ def test_multi_generation_shape_ledgers_pinned(workers, tmp_path, monkeypatch):
         "results.csv": "aa5ce48451b27cef7daf77db1b35a12fbf63d0b787e6497c99d66059761d0400"}
 
 
+# Four cells each, so that --workers 3 hands out uneven work: ceil(4 / 3) = 2
+# jobs per slice, two slices for three workers.
+SLICED = {
+    "shape-search": PINNED["shape-search"][0],
+    "noisy-replay": PINNED["noisy-replay"][0].replace("kd = 8", "kd = 8, 24"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SLICED))
+def test_pool_slices_write_the_one_process_manifest(kind, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(
+        f"[experiment]\nkind = {kind}\nseed = 7\nout = w1\n\n{SLICED[kind]}")
+    assert main(["run", "--config", "c.ini"]) == 0
+    assert main(["run", "--config", "c.ini", "--out", "w3", "--workers", "3"]) == 0
+    assert len((tmp_path / "w1" / "results.csv").read_text().splitlines()) == 5
+    assert (tmp_path / "w1" / "manifest.json").read_text() == \
+        (tmp_path / "w3" / "manifest.json").read_text()
+
+
+def _fails_the_list_holding_job_1(jobs):
+    """A list-of-jobs cell that raises outside any one cell when its list
+    holds job 1 (a pool task pickles it by name)."""
+    if any(index == 1 for *_, index in jobs):
+        raise RuntimeError("no cell of this list ran")
+    return [([{"kp": kp, "kd": kd, "k_eff": kp}], {}) for _, kp, kd, _, _ in jobs]
+
+
+@pytest.mark.parametrize("workers,failed", [(1, [0, 1, 2, 3, 4]), (3, [0, 1])])
+def test_a_raising_slice_fails_its_own_jobs(workers, failed, tmp_path, monkeypatch):
+    # five cells at --workers 3 make the slices [0, 1], [2, 3] and [4]
+    monkeypatch.setitem(RUNNERS, "compliance-probe", dataclasses.replace(
+        RUNNERS["compliance-probe"], cell=_fails_the_list_holding_job_1))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(
+        "[experiment]\nkind = compliance-probe\nseed = 7\nout = out\n\n"
+        f"{_POINT_MASS}[grid]\nkp = 16, 32, 64, 128, 256\nkd = 8\n")
+    assert main(["run", "--config", "c.ini", "--workers", str(workers)]) == 2
+    assert (tmp_path / "out" / "failures.csv").read_text() == "cell,error\n" + "".join(
+        f"{i},RuntimeError('no cell of this list ran')\n" for i in failed)
+    rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == \
+        [kp for i, kp in enumerate(["16", "32", "64", "128", "256"]) if i not in failed]
+
+
 EXCEPTIONS = [SimulationDivergedError(212), NonPositiveInertiaError("M(q) not positive"),
               NotSettledError("velocity norm 1e-3"), PerturbationDivergedError("trial 0"),
+              FidelityOverflowError("fidelity MSE overflows"),
               CmaesAbortedError(FitResult(x=np.array([0.5]), params={"armature": 0.5},
                                           loss=math.inf, history=np.array([math.inf]),
                                           n_evals=4))]
@@ -780,6 +828,38 @@ def test_noisy_replay_overflowing_deviation_fails_its_cell(workers, tmp_path, mo
                               "replay overflows")
     assert (tmp_path / "out" / "results.csv").read_text() == \
         "kp,kd,goal_rate,rms_deviation\n16,1,0,0\n"
+
+
+# The stiff cell's replay stays finite but ends so far from its demo that the
+# squared error overflows: the cell fails typed instead of writing mse = inf.
+OVERFLOWING_TPR = """[plant]
+kind = point_mass
+mass = 1.0
+
+[grid]
+kp = 16, 2000000
+kd = 1
+
+[params]
+decimations = 10
+n_demos = 1
+duration = 0.5
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tpr_sweep_overflowing_fidelity_fails_its_cell(workers, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(
+        f"[experiment]\nkind = tpr-sweep\nseed = 7\nout = out\n\n{OVERFLOWING_TPR}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", "c.ini", "--workers", str(workers)]) == 2
+    assert (tmp_path / "out" / "failures.csv").read_text() == (
+        "cell,error\n1,FidelityOverflowError('fidelity MSE against the source demo "
+        "overflows (overflow encountered in square)')\n")
+    assert (tmp_path / "out" / "results.csv").read_text() == \
+        "kp,kd,decimation,mse,goal_reached\n16,1,10,0.00124624008,1\n"
 
 
 # Valid values small enough for a run to take milliseconds, per param key.

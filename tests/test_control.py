@@ -103,7 +103,7 @@ def _clamp_outcome(clamp):
 
 
 class TestMinMaxClampIsClip:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, print_blob=True)
     @given(tau=st.lists(st.sampled_from(CLAMP_SPECIALS) | st.floats(), min_size=1, max_size=6),
            lim=st.sampled_from([math.inf, 300.0, 1e-300])
            | st.floats(min_value=5e-324, allow_infinity=True))
@@ -326,7 +326,7 @@ class TestTrackLanesDivergeAlone:
 
     M, DT = 1e-6, 0.01
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, print_blob=True)
     @given(st.data())
     def test_every_lane_equals_its_one_lane_call(self, data):
         # a lane's semi-implicit step is unstable when (Kd + viscous)*dt/m_eff
@@ -440,7 +440,7 @@ class TestGainLanes:
         assert isinstance(alone[1], dynamics.SimulationDivergedError)
         assert all(_same_outcome(g, a) for g, a in zip(got, alone, strict=True))
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, print_blob=True)
     @given(st.data())
     def test_every_lane_equals_its_one_gain_call(self, data):
         name = data.draw(st.sampled_from(sorted(TRACK_PLANTS)), label="plant")

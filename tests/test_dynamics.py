@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose
 from gainlab import dynamics, retarget
 from gainlab.control import GainConfig, pd_torque
 from gainlab.dynamics import GRAVITY, Trajectory, chain, point_mass, two_link
-from oracles import (State, forward_dynamics, friction_torque, kinetic_energy, rk4_step,
-                     state_make_demo, state_simulate, two_link_step, two_link_terms)
+from oracles import (State, forward_dynamics, friction_torque, kinetic_energy, loop_run_lanes,
+                     rk4_step, state_make_demo, state_simulate, two_link_step, two_link_terms)
 
 
 def make_gravity_arm(link_masses=(1.0, 0.5), link_lengths=(0.5, 0.4), **kw):
@@ -617,7 +617,7 @@ class TestSimulateLanes:
 
         return fn
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, print_blob=True)
     @given(data=st.data(), name=st.sampled_from(list(PLANTS)),
            stacked=st.sampled_from(["start", "plant", "both"]))
     def test_every_lane_equals_its_one_lane_call(self, data, name, stacked):
@@ -707,6 +707,85 @@ class TestRunLanes:
         # each step once; step 1 also once per lane alone and once with lane
         # 1 parked; steps 3 and 5 once more each, with lane 1 re-parked
         assert calls == [0, 1, 1, 1, 1, 2, 3, 3, 4, 5, 5]
+
+
+class TestTorqueOverflowIndex:
+    """simulate's records start as uninitialized memory, here NaN. A torque
+    that overflows at step k from a finite state diverges its lane at step
+    k: the state entering step k is recorded before the torque is taken,
+    so the index fix-up never reads a row that no call wrote."""
+
+    @pytest.mark.parametrize("lanes", [False, True])
+    def test_the_raising_step_is_the_index(self, lanes, monkeypatch):
+        empty = np.empty
+
+        def nan_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", nan_empty)
+
+        def torque_fn(q, q_dot, k, t):
+            # every lane overflows at step 3 unless parked at zero, so no
+            # step-3 call completes
+            return q * (1e300 if k == 3 else 0.0) * 1e300, np.zeros_like(q)
+
+        q0, qd0 = (np.ones((3, 1)), np.zeros((3, 1))) if lanes else ([1.0], [0.0])
+        if lanes:
+            errors = dynamics.simulate(point_mass(1.0), q0, qd0, torque_fn, 0.01, 6)
+        else:
+            with pytest.raises(dynamics.SimulationDivergedError) as error:
+                dynamics.simulate(point_mass(1.0), q0, qd0, torque_fn, 0.01, 6)
+            errors = [error.value]
+        assert [e.step_index for e in errors] == [3] * len(errors)
+
+
+class TestRunLanesHalvingMatchesLoopOracle:
+    """Halving the raising group finds the diverged lanes that re-running the
+    step once per live lane finds: equal errors, step indices and final
+    state. Each lane overflows at its own step, goes infinite there without
+    a floating-point error (and raises entering the next step, so it
+    diverged one step earlier), or never diverges. A parked lane restarts
+    from zero and may overflow again later. With one lane diverging per
+    step, halving costs fewer step calls from 8 lanes on."""
+
+    N_STEPS = 40
+
+    @settings(max_examples=100, deadline=None, print_blob=True)
+    @given(data=st.data(), n_lanes=st.integers(1, 64))
+    def test_errors_state_and_step_calls(self, data, n_lanes):
+        event = st.sampled_from([None]) | st.tuples(
+            st.sampled_from(["overflow", "silent"]), st.integers(0, self.N_STEPS - 1))
+        events = data.draw(st.lists(event, min_size=n_lanes, max_size=n_lanes))
+        overflow, silent = (np.array([e[1] if e and e[0] == kind else -1 for e in events])
+                            for kind in ("overflow", "silent"))
+        # a parked lane holds 0 and grows by one a step: at most every
+        # fourth step from its overflow on overflows it again
+        again = data.draw(st.lists(st.booleans(), min_size=n_lanes, max_size=n_lanes))
+
+        def counted(calls):
+            def step(k, state):
+                calls.append(k)
+                (x,) = state
+                # x - x raises on an infinite x; 1e308 overflows any x >= 1
+                y = (x + 1.0) + (x - x)
+                burst = (k == overflow) | (np.array(again) & (k > overflow)
+                                           & (k % 4 == 0) & (overflow >= 0))
+                return (np.where(k == silent, np.inf, y * np.where(burst, 1e308, 1.0)),)
+            return step
+
+        new_calls, old_calls = [], []
+        start = (np.ones(n_lanes),)
+        (got,), got_errors = dynamics._run_lanes(counted(new_calls), start, self.N_STEPS)
+        (want,), want_errors = loop_run_lanes(counted(old_calls), start, self.N_STEPS)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert {i: e.step_index for i, e in got_errors.items()} == \
+            {i: e.step_index for i, e in want_errors.items()}
+        diverging = [e[1] for e in events if e]
+        if n_lanes >= 8 and got_errors and len(set(diverging)) == len(diverging):
+            assert len(new_calls) < len(old_calls)
 
 
 class TestValidation:

@@ -167,7 +167,7 @@ class TestSimulatePerturbation:
 
 
 class TestDiscretize:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, print_blob=True)
     @given(log_kp=st.floats(-2, 4), log_kd=st.floats(-2, 3), log_m=st.floats(-2, 2),
            rate=st.none() | st.floats(0.1, 1000.0))
     def test_defaults_match_the_reference(self, log_kp, log_kd, log_m, rate):
@@ -180,7 +180,7 @@ class TestDiscretize:
         assert n_steps == int(round(horizon / dt))
         assert discretize(gains, m, rate, horizon=horizon) == (dt, hold, n_steps, burn)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, print_blob=True)
     @given(log_kp=st.floats(-2, 4), log_kd=st.floats(-2, 3), log_m=st.floats(-2, 2),
            rate=st.none() | st.floats(0.1, 1000.0),
            dt=st.none() | st.floats(1e-6, 1.0) | st.integers(1, 500),
@@ -230,7 +230,7 @@ class TestPerturbationStability:
                 simulate_perturbation(GainConfig(kp=16.0, kd=128.0), 0.05,
                                       NoiseSpec(sigma=1.0), n_trials=4)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, print_blob=True)
     @given(log_kp=st.floats(-1, 4), log_b=st.floats(-3, 3) | st.floats(0.25, 0.35),
            log_m=st.floats(-2, 2), log_dt=st.floats(-5, -1))
     @example(log_kp=2.0, log_b=math.log10(1.94), log_m=0.0, log_dt=-3.0)
@@ -419,7 +419,7 @@ class TestNoisyReplayGainLanes:
     """A lane-stacked GainConfig retargets and replays each lane as its
     one-gain call does, bit for bit, in results or in the error raised."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, print_blob=True)
     @given(st.data())
     def test_every_lane_equals_its_one_gain_call(self, data):
         name = data.draw(st.sampled_from(sorted(LANE_PLANTS)), label="plant")

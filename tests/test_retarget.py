@@ -199,6 +199,19 @@ class TestReplay:
         with pytest.raises(dynamics.SimulationDivergedError):
             replay(rd, 1, point_mass(1e-9))
 
+    def test_overflowing_fidelity_mse_is_typed(self):
+        # at Kp = 2e6 the decimated replay stays finite but ends so far off
+        # the demo that its squared error overflows (warnings are errors)
+        demo = linear_demo(duration=0.5)
+        stiff = tpr_joint(demo, GainConfig(kp=2e6, kd=1.0))
+        with pytest.raises(retarget.FidelityOverflowError, match="overflows"):
+            replay(stiff, 10, point_mass(1.0), source=demo)
+        lanes = tpr_joint(demo, GainConfig(kp=[[16.0], [2e6]], kd=[[1.0], [1.0]]))
+        tame, wild = replay(lanes, 10, point_mass(1.0), source=demo, command_noise=[None, None])
+        assert tame[1] == replay(tpr_joint(demo, GainConfig(kp=16.0, kd=1.0)), 10,
+                                 point_mass(1.0), source=demo)[1]
+        assert isinstance(wild, retarget.FidelityOverflowError)
+
 
 class TestMakeDemo:
     def test_duration_guard(self):

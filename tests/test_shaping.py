@@ -328,6 +328,90 @@ class TestLockstepShapeSearchMatchesLoopOracle:
         assert [(m.beta, m.gamma) for m in calls[1]] == [(0, 1)] * 4 + [(1, 1)] * 4
 
 
+def _same_results(a, b):
+    """Rollout results equal bitwise, a diverged mapping's error by its step."""
+    def key(r):
+        return (type(r), r.step_index) if isinstance(r, dynamics.SimulationDivergedError) \
+            else repr(r)
+    return [key(r) for r in a] == [key(r) for r in b]
+
+
+class TestLockstepShapeSearchAcrossCells:
+    """k cells' searches in one lockstep run, on one light plant with mixed
+    gains: each cell's result and details rows equal its lone run bitwise.
+    Kd = 128 is the unstable point mass of TestRolloutOfMixedBatches (every
+    mapping diverges, so its branches abort and the filler spends its
+    budget); the others mix finishing and diverging candidates."""
+
+    PLANT = point_mass(0.1, torque_rate_limit=200.0)
+    GAINS = [(1024, 128), (4096, 8), (256, 8), (16, 2), (1024, 4)]
+
+    def _problem(self, gains, seed):
+        return ToyShapingProblem(self.PLANT, GainConfig(*gains), episodes=2, seed=seed)
+
+    @settings(max_examples=12, deadline=None, print_blob=True)
+    @given(cells=st.lists(st.tuples(st.sampled_from(GAINS), st.integers(0, 999)),
+                          min_size=1, max_size=4),
+           budget=st.sampled_from([6, 16, 40]),
+           strategy=st.sampled_from([shaping.CMAES_BRANCHED, shaping.RANDOM]))
+    def test_each_cell_equals_its_lone_run(self, cells, budget, strategy):
+        space = SearchSpace(alpha_low=1e-3, alpha_high=300.0)
+        problems = [self._problem(gains, seed) for gains, seed in cells]
+        calls = []
+
+        def objective(mapping_lists):
+            calls.append([len(ms) for ms in mapping_lists])
+            return [p.record(r) for p, r in
+                    zip(problems, shaping.rollout(problems, mapping_lists), strict=True)]
+
+        got = shape_search(objective, space, budget, strategy=strategy,
+                           seed=tuple(seed for _, seed in cells))
+        assert len(got) == len(cells)
+        for (gains, seed), result, problem in zip(cells, got, problems):
+            alone = self._problem(gains, seed)
+            want = shape_search(alone, space, budget, strategy=strategy, seed=seed)
+            assert _ledgers_equal(result.ledger, want.ledger)
+            assert result.objective == want.objective
+            assert np.array_equal(result.best.alpha, want.best.alpha)
+            assert _details_equal(problem.details, alone.details)
+        # one call per generation, every cell's list in it, none of them all empty
+        assert all(len(c) == len(cells) and sum(c) for c in calls)
+
+    @settings(max_examples=12, deadline=None, print_blob=True)
+    @given(data=st.data(), n_problems=st.integers(1, 4))
+    def test_rollout_equals_per_problem_rollouts(self, data, n_problems):
+        problems = [self._problem(data.draw(st.sampled_from(self.GAINS)),
+                                  data.draw(st.integers(0, 999))) for _ in range(n_problems)]
+        rng = np.random.default_rng(data.draw(st.integers(0, 999)))
+        lists = [[ActionMapping(alpha=10.0 ** rng.uniform(-3, 2.5), beta=int(rng.integers(2)),
+                                gamma=int(rng.integers(2))) for _ in range(size)]
+                 for size in data.draw(st.lists(st.integers(0, 3), min_size=n_problems,
+                                                max_size=n_problems))]
+        got = shaping.rollout(problems, lists)
+        assert len(got) == n_problems
+        for problem, mappings, results in zip(problems, lists, got):
+            assert _same_results(results, shaping.rollout(problem, mappings))
+        shared = problems[0].episodes
+        for problem, mappings, results in zip(problems, lists,
+                                              shaping.rollout(problems, lists, shared)):
+            assert _same_results(results, shaping.rollout(problem, mappings, shared))
+
+    @pytest.mark.parametrize("kw,attrs", [
+        ({"plant": point_mass(0.2, torque_rate_limit=200.0)}, {}),
+        ({"gains": GainConfig(16, 2, gravity_comp=True)}, {}),
+        ({"pos_limit": 1.0}, {}), ({"vel_limit": 5.0}, {}),
+        ({}, {"horizon": 3.0}), ({}, {"control_rate": 25.0}), ({}, {"tol": 0.1})])
+    def test_problems_must_share_their_setting(self, kw, attrs):
+        base = self._problem((16, 2), 0)
+        other = ToyShapingProblem(**{"plant": self.PLANT, "gains": GainConfig(16, 2),
+                                     "episodes": 2, "seed": 1, **kw})
+        for name, value in attrs.items():
+            setattr(other, name, value)
+        mapping = ActionMapping(alpha=1.0)
+        with pytest.raises(ValueError, match="must share"):
+            shaping.rollout([base, other], [[mapping], [mapping]])
+
+
 def _random_mapping(rng, beta, gamma, n_alpha=1):
     return ActionMapping(alpha=10.0 ** rng.uniform(-3, 1.5, n_alpha),
                          beta=beta, gamma=gamma)
@@ -434,7 +518,7 @@ class TestRolloutOfMixedBatches:
                              gravity_comp_scale=0.9)),
     }
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, print_blob=True)
     @given(data=st.data(), name=st.sampled_from(sorted(PROBLEMS)),
            torque_limit=st.sampled_from([math.inf, 60.0]), seed=st.integers(0, 99))
     def test_batch_equals_oracle_and_lone_mappings(self, data, name, torque_limit, seed):

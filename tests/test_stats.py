@@ -244,7 +244,7 @@ class TestMannWhitney:
         assert u_exact == u_norm
         assert p_exact == pytest.approx(p_norm, abs=0.01)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, print_blob=True)
     @given(pair=tie_free_samples(), side=st.sampled_from(["less", "greater"]))
     def test_exact_agrees_with_normal_approx_at_large_n(self, pair, side):
         # every U for n1, n2 >= 10 with n1*n2 <= 400 (the exact branch):
@@ -273,7 +273,7 @@ class TestMannWhitney:
         with pytest.raises(ValueError, match="finite"):
             mannwhitney_u([0.1, 0.4], [bad])
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, print_blob=True)
     @given(x=st.lists(st.integers(0, 6), min_size=1, max_size=30),
            y=st.lists(st.integers(0, 6), min_size=1, max_size=30),
            scale=st.sampled_from([1.0, 0.1, 3.7]),

@@ -309,7 +309,7 @@ class TestLockstepCmaesMatchesLoneRuns:
     generation while the others go on, and each objective call sees a
     point array for exactly the searches still running."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, print_blob=True)
     @given(data=st.data(), k=st.integers(1, 4), dim=st.integers(2, 3))
     def test_outcomes_equal_lone_runs(self, data, k, dim):
         bounds = SysidBounds(params=tuple((f"x{i}", -2.0, 2.0) for i in range(dim)))
