@@ -303,13 +303,26 @@ def _sysid_cell(job):
     return [row], {f"history_kp{kp:g}_kd{kd:g}.csv": history}
 
 
+# Lanes of one lockstep shape search. A cell's generation rolls out 16 lanes
+# per episode (4 branches of 4 candidates), and the rollout's limit records
+# take 38.4 kB per lane and joint: one search over all 49 cells of the
+# default grid would hold 240 MB of them. 768 lanes (6 cells at 8 episodes)
+# keep most of the speed of one wide stack.
+_SHAPE_LANES = 768
+
+
 def _shape_cells(jobs):
-    """Every job's cell as one lockstep shape search (see shaping.shape_search):
-    each generation of every cell's live branches is one rollout, and so
-    are the cells' random draws. A cell whose best mapping diverges on the
-    goal episodes fails alone."""
+    """Every job's cell through lockstep shape searches (see
+    shaping.shape_search), each over as many cells as _SHAPE_LANES lanes
+    hold (at least one): each generation of a search's live branches is
+    one rollout, and so are its cells' random draws. A cell whose best
+    mapping diverges on the goal episodes fails alone."""
     cfg = jobs[0][0]
     p = cfg.params
+    per_search = max(1, _SHAPE_LANES // (16 * p["episodes"]))
+    if len(jobs) > per_search:
+        return [outcome for i in range(0, len(jobs), per_search)
+                for outcome in _shape_cells(jobs[i:i + per_search])]
     _, kps, kds, _, indices = zip(*jobs)
     seeds = tuple(_cell_seed(cfg.seed, i) for i in indices)
     problems = [ToyShapingProblem(plant=cfg.plant, gains=GainConfig(kp=kp, kd=kd),
@@ -440,9 +453,10 @@ def _run_grid(kind: str, cfg: ExperimentConfig, workers: int):
     A failed cell adds (job index, error) to the failures and no rows.
     Results are gathered in job order, so the files are identical
     regardless of the worker count. One process hands the cell every job
-    in one list; a pool of w workers hands each worker one contiguous
-    slice of ceil(jobs / w) jobs, so a batched kind stays batched. An
-    error outside any one cell fails the jobs of its list or slice.
+    in one list; a pool of w workers hands each of min(w, jobs) workers
+    one contiguous slice, the slices' sizes differing by at most one job,
+    so a batched kind stays batched. An error outside any one cell fails
+    the jobs of its list or slice.
     """
     spec = RUNNERS[kind]
     shared = spec.shared(cfg)
@@ -457,8 +471,10 @@ def _run_grid(kind: str, cfg: ExperimentConfig, workers: int):
     if workers <= 1 or len(jobs) <= 1:
         done = outcomes(lambda: spec.cell(jobs), len(jobs))
     else:
-        size = -(-len(jobs) // workers)
-        slices = [jobs[i:i + size] for i in range(0, len(jobs), size)]
+        n = min(workers, len(jobs))
+        size, extra = divmod(len(jobs), n)
+        slices = [jobs[i * size + min(i, extra):(i + 1) * size + min(i + 1, extra)]
+                  for i in range(n)]
         with ProcessPoolExecutor(max_workers=len(slices)) as pool:
             futures = [pool.submit(spec.cell, part) for part in slices]
             done = [o for f, part in zip(futures, slices) for o in outcomes(f.result, len(part))]

@@ -376,19 +376,6 @@ def _run_lanes(step, state, n_steps: int):
     """
     lanes = np.arange(len(state[0]))
     dead, errors = np.zeros(lanes.size, dtype=bool), {}
-
-    def raising(k, state, group) -> list[int]:
-        # the lanes of ``group``, which raises at step k, that raise alone
-        if group.size == 1:
-            return group.tolist()
-        found = []
-        for half in np.array_split(group, 2):
-            try:
-                step(k, _park(state, ~np.isin(lanes, half)))
-            except FloatingPointError:
-                found += raising(k, state, half)
-        return found
-
     k = 0
     with np.errstate(over="raise", invalid="raise"):
         while k < n_steps:
@@ -405,7 +392,7 @@ def _run_lanes(step, state, n_steps: int):
                     except FloatingPointError:
                         pass
                 finite = _finite_lanes(state)
-                for i in raising(k, state, lanes[~dead]):
+                for i in _raising(step, k, state, lanes[~dead]):
                     dead[i] = True
                     errors[i] = SimulationDivergedError(step_index=k - (not finite[i]))
                 if dead.all():
@@ -415,6 +402,24 @@ def _run_lanes(step, state, n_steps: int):
     for i in lanes[~_finite_lanes(state)].tolist():
         errors.setdefault(i, SimulationDivergedError(step_index=n_steps - 1))
     return state, errors
+
+
+def _raising(step, k: int, state, group) -> list[int]:
+    """The lanes of ``group``, which raises at step k, that raise alone.
+
+    Module level, not a closure in :func:`_run_lanes`: a recursive closure
+    is a reference cycle, which would keep ``step`` and the records it
+    holds alive until the cyclic collector runs.
+    """
+    if group.size == 1:
+        return group.tolist()
+    found = []
+    for half in np.array_split(group, 2):
+        try:
+            step(k, _park(state, ~np.isin(np.arange(len(state[0])), half)))
+        except FloatingPointError:
+            found += _raising(step, k, state, half)
+    return found
 
 
 def simulate(plant: PlantParams, q0, q_dot0, torque_fn, dt: float, n_steps: int):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gainlab import cli, shaping
 from gainlab.cli import KINDS, RUNNERS, _cell_seed, _fmt, load_config, main, validate
 from gainlab.control import GainConfig, NotSettledError
 from gainlab.dynamics import NonPositiveInertiaError, SimulationDivergedError, point_mass
@@ -706,8 +707,8 @@ def test_multi_generation_shape_ledgers_pinned(workers, tmp_path, monkeypatch):
         "results.csv": "aa5ce48451b27cef7daf77db1b35a12fbf63d0b787e6497c99d66059761d0400"}
 
 
-# Four cells each, so that --workers 3 hands out uneven work: ceil(4 / 3) = 2
-# jobs per slice, two slices for three workers.
+# Four cells each, so that --workers 3 hands out uneven slices of 2, 1 and 1
+# jobs.
 SLICED = {
     "shape-search": PINNED["shape-search"][0],
     "noisy-replay": PINNED["noisy-replay"][0].replace("kd = 8", "kd = 8, 24"),
@@ -749,6 +750,53 @@ def test_a_raising_slice_fails_its_own_jobs(workers, failed, tmp_path, monkeypat
     rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == \
         [kp for i, kp in enumerate(["16", "32", "64", "128", "256"]) if i not in failed]
+
+
+def _list_lengths(jobs):
+    """A list-of-jobs cell whose rows record the length of its list."""
+    return [([{"kp": kp, "kd": kd, "k_eff": len(jobs)}], {}) for _, kp, kd, _, _ in jobs]
+
+
+@pytest.mark.parametrize("n_cells,workers,sizes", [
+    (5, 4, [2, 1, 1, 1]), (7, 3, [3, 2, 2]), (5, 2, [3, 2]), (2, 4, [1, 1])])
+def test_pool_slices_differ_by_at_most_one_job(n_cells, workers, sizes, tmp_path,
+                                               monkeypatch):
+    # min(workers, jobs) slices in job order, the first ones one job longer
+    monkeypatch.setitem(RUNNERS, "compliance-probe", dataclasses.replace(
+        RUNNERS["compliance-probe"], cell=_list_lengths))
+    monkeypatch.chdir(tmp_path)
+    kps = ", ".join(str(16 * 2 ** i) for i in range(n_cells))
+    (tmp_path / "c.ini").write_text(
+        "[experiment]\nkind = compliance-probe\nseed = 7\nout = out\n\n"
+        f"{_POINT_MASS}[grid]\nkp = {kps}\nkd = 8\n")
+    assert main(["run", "--config", "c.ini", "--workers", str(workers)]) == 0
+    rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[2]) for row in rows] == [n for n in sizes for _ in range(n)]
+
+
+def test_shape_searches_hold_at_most_shape_lanes(tmp_path, monkeypatch):
+    # four cells of 32 lanes a generation (one generation per branch): a
+    # 64-lane cap makes two searches of two cells, with the same outputs
+    monkeypatch.chdir(tmp_path)
+    config = PINNED["shape-search"][0].replace("budget = 4", "budget = 16")
+    (tmp_path / "c.ini").write_text(
+        f"[experiment]\nkind = shape-search\nseed = 7\nout = one\n\n{config}")
+    assert main(["run", "--config", "c.ini"]) == 0
+    lanes, rollout = [], shaping.rollout
+
+    def counted(problem, mappings, episodes=None):
+        pairs = [(problem, mappings)] if isinstance(problem, ToyShapingProblem) \
+            else zip(problem, mappings)
+        lanes.append(sum(len(ms) * len(episodes or p.episodes) for p, ms in pairs))
+        return rollout(problem, mappings, episodes)
+
+    monkeypatch.setattr(shaping, "rollout", counted)
+    monkeypatch.setattr(cli, "_SHAPE_LANES", 64)
+    assert main(["run", "--config", "c.ini", "--out", "split"]) == 0
+    # two 64-lane generations, and one 2-lane goal-rate rollout per cell
+    assert sorted(lanes) == [2, 2, 2, 2, 64, 64]
+    assert (tmp_path / "one" / "manifest.json").read_text() == \
+        (tmp_path / "split" / "manifest.json").read_text()
 
 
 EXCEPTIONS = [SimulationDivergedError(212), NonPositiveInertiaError("M(q) not positive"),

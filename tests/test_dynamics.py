@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -707,6 +709,24 @@ class TestRunLanes:
         # each step once; step 1 also once per lane alone and once with lane
         # 1 parked; steps 3 and 5 once more each, with lane 1 re-parked
         assert calls == [0, 1, 1, 1, 1, 2, 3, 3, 4, 5, 5]
+
+    def test_a_divergence_leaves_no_cycle_holding_the_step(self):
+        # the step, and the records it writes, is freed as soon as the run
+        # returns, not at the cyclic collector's next pass: finding lane 0 by
+        # halving must not tie the step into a reference cycle
+        def step(k, state):
+            (x,) = state
+            return (x * np.array([1e300, 1.0]),)
+
+        freed = weakref.ref(step)
+        gc.disable()
+        try:
+            _, errors = dynamics._run_lanes(step, (np.array([1e10, 1.0]),), 3)
+            del step
+            assert freed() is None
+        finally:
+            gc.enable()
+        assert list(errors) == [0] and errors[0].step_index == 0
 
 
 class TestTorqueOverflowIndex:
