@@ -549,10 +549,11 @@ class _Kind:
     a list of jobs ``(cfg, kp, kd, shared(cfg), index)``, one per
     ``cells(cfg)`` entry (all of them, or a pool worker's slice), and
     returns one outcome per job: (rows, {sidecar name: text}), or the
-    exception that failed that job's cell. ``noisy-replay`` and
-    ``shape-search`` run their list as one batch; ``@_each`` gives the
-    other kinds' one-job functions this form. The rows' ``columns`` go to
-    results.csv and each row key in ``heatmaps(cfg)`` to heatmap_<key>.csv.
+    exception that failed that job's cell. ``noisy-replay`` runs its list
+    as one batch, and ``shape-search`` as lockstep searches of at most
+    ``_SHAPE_LANES`` lanes; ``@_each`` gives the other kinds' one-job
+    functions this form. The rows' ``columns`` go to results.csv and each
+    row key in ``heatmaps(cfg)`` to heatmap_<key>.csv.
     """
 
     cell: Callable | None = None
