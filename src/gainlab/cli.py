@@ -579,7 +579,10 @@ RUNNERS = {
         heatmaps=lambda cfg: ["rel_err"],  # worst over the masses
         cells=lambda cfg: [c for c in cfg.grid.cells() for _ in cfg.params["masses"]],
         params={"masses": (lambda cfg: float(np.min(cfg.plant.mass)), _listed(_POSITIVE)),
-                "sigma": (0.1, _NONNEGATIVE), "trials": (100, _COUNT),
+                "sigma": (0.1, _NONNEGATIVE),
+                # a batch-means standard error needs two trials
+                "trials": (100, _number(lambda v: v >= 2 and v == int(v), "an integer >= 2",
+                                        int)),
                 "mode": ("continuous-limit", _choice("continuous-limit", "held")),
                 "rate": (None, lambda v: v if v is None else _POSITIVE(v)),
                 "dt": (0.0, _NONNEGATIVE), "horizon": (0.0, _number(lambda v: True, "a number"))},

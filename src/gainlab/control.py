@@ -30,15 +30,13 @@ class GainConfig:
 
     ``kp`` and ``kd`` are (n,) per-joint gains (a scalar is one joint), or
     (B, n) or (B, 1) rows for a stack of B gain settings, one per lane (see
-    ``lanes``); either broadcasts against the other. ``gravity_comp_scale``
-    scales the compensation term; 1.0 is perfect compensation, 0.0
-    reproduces an uncompensated controller even when ``gravity_comp`` is set.
+    ``lanes``); either broadcasts against the other. ``gravity_comp`` adds
+    the plant's g(q) to the PD torque.
     """
 
     kp: np.ndarray
     kd: np.ndarray
     gravity_comp: bool = False
-    gravity_comp_scale: float = 1.0
 
     def __post_init__(self):
         kp, kd = (np.atleast_1d(np.asarray(g, dtype=float)) for g in (self.kp, self.kd))
@@ -81,7 +79,7 @@ def pd_torque(gains: GainConfig, q, q_dot, q_des, gravity_term=None) -> np.ndarr
     # 0.0 - q_dot, not -q_dot: a resting joint gives +0.0, as a zero target does
     tau = gains.kp * (q_des - q) + gains.kd * (0.0 - q_dot)
     if gains.gravity_comp and gravity_term is not None:
-        tau = tau + gains.gravity_comp_scale * gravity_term
+        tau = tau + gravity_term
     return tau
 
 

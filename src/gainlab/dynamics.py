@@ -47,7 +47,8 @@ class SimulationDivergedError(RuntimeError):
 
 
 class NonPositiveInertiaError(ValueError):
-    """Effective inertia lost positive-definiteness (invalid parameters)."""
+    """A two-link plant whose inertia diagonal is not positive at some q
+    (raised when the plant is built)."""
 
 
 # PlantParams fields that may differ between the lanes of one plant
@@ -90,7 +91,9 @@ class PlantParams:
     a scalar broadcasts to every joint. Given as (B, n) (or (B, 1))
     arrays they describe a stack of B plants, one per lane, that differ
     only in those fields; :func:`step` and :func:`simulate` run such a
-    stack as B lanes.
+    stack as B lanes. A two-link plant whose inertia diagonal is not
+    positive at q2 = pi (where it is smallest) in some lane raises
+    ``NonPositiveInertiaError``.
     """
 
     kind: str
@@ -137,6 +140,12 @@ class PlantParams:
             raise ValueError("dynamic_friction_ratio must lie in [0, 1]")
         if not self.torque_rate_limit > 0:
             raise ValueError("torque_rate_limit must be positive")
+        # M11 does not depend on q, and M00 as computed is non-decreasing in
+        # cos q2 (every operation in it is monotone), with cos(pi) == -1.0
+        # exactly: a plant positive here is positive at every q
+        if self.kind == TWO_LINK and np.any(
+                np.diagonal(mass_matrix(self, np.array([0.0, np.pi])), axis1=-2, axis2=-1) <= 0):
+            raise NonPositiveInertiaError("non-positive effective inertia at q2 = pi")
         # the stepper's constants, derived once
         object.__setattr__(self, "_dry_moving",
                            self.dynamic_friction_ratio * self.static_friction)
@@ -261,9 +270,7 @@ def _advance(plant: PlantParams, q, q_dot, tau, dt: float):
     """:func:`step` without the dt check."""
     if plant.kind == TWO_LINK:
         M = mass_matrix(plant, q)
-        m_eff = np.diagonal(M, axis1=-2, axis2=-1)
-        if np.any(m_eff <= 0):
-            raise NonPositiveInertiaError("non-positive effective inertia")
+        m_eff = np.diagonal(M, axis1=-2, axis2=-1)  # positive: see PlantParams
         smooth = tau - coriolis_torque(plant, q, q_dot) - gravity_torque(plant, q) \
             - plant.viscous_friction * q_dot
         v_cand = q_dot + dt * np.linalg.solve(M, smooth[..., None])[..., 0]

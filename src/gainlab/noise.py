@@ -139,10 +139,11 @@ def simulate_perturbation(gains: GainConfig, m: float, noise: NoiseSpec, n_trial
     there), or raises ``PerturbationDivergedError`` if that step is not
     stable; delta_a is redrawn every 1/rate (else dt) = delta with variance
     sigma^2/delta. The per-trial time averages of dq^2 after the burn-in
-    give the estimate, its standard error from batch means across trials.
+    give the estimate, its standard error from batch means across trials
+    (which needs two).
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    if n_trials < 2:
+        raise ValueError("n_trials must be >= 2")
     dt, hold, n_steps, burn = discretize(gains, m, noise.rate, dt, horizon)
     kp, kd = (float(np.atleast_1d(g)[0]) for g in (gains.kp, gains.kd))
     c_kp = dt * kp / m
@@ -183,7 +184,7 @@ def simulate_perturbation(gains: GainConfig, m: float, noise: NoiseSpec, n_trial
                 f"perturbation diverged by step {step_idx} (|dq| > {guard:.1e})")
     trial_means = acc / (n_steps - burn)
     value = float(np.mean(trial_means))
-    stderr = float(np.std(trial_means, ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else float("inf")
+    stderr = float(np.std(trial_means, ddof=1) / math.sqrt(n_trials))
     return VarianceEstimate(value=value, stderr=stderr, n_trials=n_trials,
                             analytic=analytic)
 

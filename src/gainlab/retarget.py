@@ -101,7 +101,7 @@ def tpr_joint(demo: TorqueDemo, gains: GainConfig, plant: PlantParams | None = N
     if g.gravity_comp:
         if plant is None:
             raise ValueError("gravity-compensating gains need the plant for g(q)")
-        tau = tau - g.gravity_comp_scale * dynamics.gravity_torque(plant, traj.q)
+        tau = tau - dynamics.gravity_torque(plant, traj.q)
     # (T, 1, n) samples against (B, n) gain rows: one (T, n) column per lane
     q, q_dot, tau = (a[:, None] if g.lanes else a for a in (traj.q, traj.q_dot, tau))
     q_des = q + (tau + g.kd * q_dot) / g.kp

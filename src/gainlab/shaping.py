@@ -155,26 +155,21 @@ class ShapingResult:
             raise ValueError("reported objective must equal the ledger max")
 
 
-RANDOM = "random"
-CMAES_BRANCHED = "cmaes-over-continuous-with-enumerated-discretes"
-
-
 def shape_search(objective, space: SearchSpace, budget: int,
-                 strategy: str = CMAES_BRANCHED,
                  seed: int | tuple[int, ...] = 0) -> ShapingResult | list[ShapingResult]:
     """Search (alpha per group, beta, gamma) for the best objective value.
 
     ``objective(mappings) -> J values`` scores a list of mappings at once;
-    a NaN J records -inf, and a raise propagates. The random strategy
-    draws log-uniform alphas with random switches, all in one batch; the
-    branched strategy enumerates the four (beta, gamma) combinations and
-    runs CMA-ES over log10(alpha) within each, splitting the budget
-    evenly. The branch searches run in lockstep: one batch per generation
-    holds every live branch's candidates, branch by branch. A branch whose
-    generation has no finite J stops there while the others go on. Random
-    draws spend what the branches leave. The ledger lists each branch's
-    candidates in turn, then the random draws; ties break toward the
-    earliest candidate. Deterministic given the seed.
+    a NaN J records -inf, and a raise propagates. The search enumerates the
+    four (beta, gamma) combinations and runs CMA-ES over log10(alpha)
+    within each, splitting the budget evenly. The branch searches run in
+    lockstep: one batch per generation holds every live branch's
+    candidates, branch by branch. A branch whose generation has no finite
+    J stops there while the others go on. Branch budgets round down to
+    whole generations (a budget under 16 leaves none), and random draws,
+    log-uniform alphas with random switches, spend the rest. The ledger
+    lists each branch's candidates in turn, then the random draws; ties
+    break toward the earliest candidate. Deterministic given the seed.
 
     Given a tuple of k seeds, runs k such searches, one per cell, in
     lockstep and returns their k ``ShapingResult``s in seed order. One
@@ -200,6 +195,42 @@ def shape_search(objective, space: SearchSpace, budget: int,
                          strict=True))
                 for mappings, js in zip(lists, js_lists, strict=True)]
 
+    branches = [(b, g) for g in (0, 1) for b in (0, 1)]
+    per_branch = budget // len(branches)
+    extra = budget - per_branch * len(branches)
+    log_lo, log_hi = math.log10(space.alpha_low), math.log10(space.alpha_high)
+    box = SysidBounds(params=tuple(
+        (f"log10_alpha{i}", log_lo, log_hi) for i in range(space.n_groups)))
+    lam = 4 + int(3 * math.log(space.n_groups))
+    searched, configs = [], []  # (cell, switches) and config of each branch search
+    for cell, s in enumerate(seeds):
+        for idx, switches in enumerate(branches):
+            n_evals = per_branch + (1 if idx < extra else 0)
+            if n_evals >= lam:  # else too few evaluations for a generation; filler below
+                searched.append((cell, switches))
+                configs.append(CmaesConfig(popsize=lam, sigma0=0.6, max_iter=n_evals // lam,
+                                           seed=s + idx, penalty_weight=10.0))
+    trials = [[] for _ in searched]  # each branch's (mapping, J) entries
+
+    def branch_losses(Xs):
+        live = [i for i, X in enumerate(Xs) if X is not None]
+        lists = [[] for _ in seeds]
+        for i in live:
+            cell, (beta, gamma) = searched[i]
+            lists[cell] += [ActionMapping(alpha=10.0 ** np.asarray(x), beta=beta,
+                                          gamma=gamma) for x in Xs[i]]
+        scored = [iter(entries) for entries in evaluate(lists)]
+        losses = []
+        for i in live:
+            entries = list(itertools.islice(scored[searched[i][0]], len(Xs[i])))
+            trials[i] += entries
+            losses.append([-j for _, j in entries])
+        return losses
+
+    # an aborted branch keeps its ledgered candidates; the filler spends the rest
+    cmaes_minimize(branch_losses, box, tuple(configs))
+    ledgers = [[entry for (owner, _), branch in zip(searched, trials) if owner == cell
+                for entry in branch] for cell in range(len(seeds))]
     lo, hi = math.log(space.alpha_low), math.log(space.alpha_high)
 
     def draw(rng, k: int) -> list[ActionMapping]:
@@ -207,51 +238,9 @@ def shape_search(objective, space: SearchSpace, budget: int,
                               beta=int(rng.integers(2)), gamma=int(rng.integers(2)))
                 for _ in range(k)]
 
-    if strategy == RANDOM:
-        ledgers = evaluate([draw(np.random.default_rng(s), budget) for s in seeds])
-    elif strategy == CMAES_BRANCHED:
-        branches = [(b, g) for g in (0, 1) for b in (0, 1)]
-        per_branch = budget // len(branches)
-        extra = budget - per_branch * len(branches)
-        log_lo, log_hi = math.log10(space.alpha_low), math.log10(space.alpha_high)
-        box = SysidBounds(params=tuple(
-            (f"log10_alpha{i}", log_lo, log_hi) for i in range(space.n_groups)))
-        lam = 4 + int(3 * math.log(space.n_groups))
-        searched, configs = [], []  # (cell, switches) and config of each branch search
-        for cell, s in enumerate(seeds):
-            for idx, switches in enumerate(branches):
-                n_evals = per_branch + (1 if idx < extra else 0)
-                if n_evals >= lam:  # else too few evaluations for a generation; filler below
-                    searched.append((cell, switches))
-                    configs.append(CmaesConfig(popsize=lam, sigma0=0.6, max_iter=n_evals // lam,
-                                               seed=s + idx, penalty_weight=10.0))
-        trials = [[] for _ in searched]  # each branch's (mapping, J) entries
-
-        def branch_losses(Xs):
-            live = [i for i, X in enumerate(Xs) if X is not None]
-            lists = [[] for _ in seeds]
-            for i in live:
-                cell, (beta, gamma) = searched[i]
-                lists[cell] += [ActionMapping(alpha=10.0 ** np.asarray(x), beta=beta,
-                                              gamma=gamma) for x in Xs[i]]
-            scored = [iter(entries) for entries in evaluate(lists)]
-            losses = []
-            for i in live:
-                entries = list(itertools.islice(scored[searched[i][0]], len(Xs[i])))
-                trials[i] += entries
-                losses.append([-j for _, j in entries])
-            return losses
-
-        # an aborted branch keeps its ledgered candidates; the filler spends the rest
-        cmaes_minimize(branch_losses, box, tuple(configs))
-        ledgers = [[entry for (owner, _), branch in zip(searched, trials) if owner == cell
-                    for entry in branch] for cell in range(len(seeds))]
-        # branch budgets round down to whole generations; spend the rest
-        filler = evaluate([draw(np.random.default_rng(s + len(branches)), budget - len(ledger))
-                           for s, ledger in zip(seeds, ledgers)])
-        ledgers = [ledger + fill for ledger, fill in zip(ledgers, filler)]
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    filler = evaluate([draw(np.random.default_rng(s + len(branches)), budget - len(ledger))
+                       for s, ledger in zip(seeds, ledgers)])
+    ledgers = [ledger + fill for ledger, fill in zip(ledgers, filler)]
 
     results = []
     for ledger in ledgers:
@@ -282,14 +271,13 @@ class ToyShapingProblem:
     control_rate = 50.0  # Hz
     physics_rate = 200.0  # Hz
     tol = 0.05  # goal radius
+    pos_limit = 4.0  # rad
+    vel_limit = 20.0  # rad/s
 
     def __init__(self, plant: dynamics.PlantParams, gains: control.GainConfig,
-                 episodes: int = 8, seed: int = 0, pos_limit: float = 4.0,
-                 vel_limit: float = 20.0):
+                 episodes: int = 8, seed: int = 0):
         self.plant = plant
         self.gains = gains.expand(plant.n_joints)
-        self.pos_limit = pos_limit
-        self.vel_limit = vel_limit
         rng = np.random.default_rng(seed)
         n = plant.n_joints
         self.episodes = [(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
@@ -406,7 +394,7 @@ def rollout(problem, mappings, episodes=None):
             x_des = map_action(alpha, beta, gamma, goal - q, q, x_des)
         tau_req = kp * (x_des - q) - kd * qd
         if gains.gravity_comp:
-            tau_req = tau_req + gains.gravity_comp_scale * dynamics.gravity_torque(plant, q)
+            tau_req = tau_req + dynamics.gravity_torque(plant, q)
         d_tau = tau_req - (rec[2, k - 1] if k else 0.0)
         tau = np.minimum(np.maximum(tau_req, -plant.torque_limit), plant.torque_limit)
         q, qd = advance(q, qd, tau, dt)
@@ -449,7 +437,6 @@ def _same_setting(a: ToyShapingProblem, b: ToyShapingProblem) -> bool:
     rates, goal radius, limits and gravity compensation."""
     fields = ("horizon", "control_rate", "physics_rate", "tol", "pos_limit", "vel_limit")
     return (all(getattr(a, f) == getattr(b, f) for f in fields)
-            and (a.gains.gravity_comp, a.gains.gravity_comp_scale)
-            == (b.gains.gravity_comp, b.gains.gravity_comp_scale)
+            and a.gains.gravity_comp == b.gains.gravity_comp
             and all(np.array_equal(getattr(a.plant, f.name), getattr(b.plant, f.name))
                     for f in dataclasses.fields(a.plant)))

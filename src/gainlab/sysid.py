@@ -24,6 +24,10 @@ from .control import GainConfig, track
 from .dynamics import PlantParams, Trajectory
 
 
+class JitterOverflowError(RuntimeError):
+    """A finite rollout whose tail-window velocity spread overflows."""
+
+
 class CmaesAbortedError(RuntimeError):
     """No candidate of a generation had a finite loss; carries the partial
     result."""
@@ -238,47 +242,39 @@ def cmaes_minimize(objective, bounds: SysidBounds,
 # Excitation and spectral loss
 
 
-@dataclass(frozen=True)
-class ExcitationProtocol:
-    """Sinusoidal reference settings for identification runs."""
+# the identification run: a sinusoidal reference of this amplitude (rad)
+# and duration (s), commanded and logged at the log rate (Hz) over physics
+# at the physics rate (Hz)
+EXCITE_AMPLITUDE = 0.1
+EXCITE_DURATION = 4.0
+EXCITE_LOG_RATE = 50.0
+EXCITE_PHYSICS_RATE = 100.0
 
-    amplitude: float = 0.1
-    duration: float = 4.0
-    log_rate = 50.0  # Hz, the command and logging rate
-    physics_rate = 100.0  # Hz
 
-
-def excite(plant: PlantParams, gains: GainConfig,
-           protocol: ExcitationProtocol = ExcitationProtocol(), q0=None):
-    """Drive the closed loop with the protocol's sinusoidal reference and log it.
+def excite(plant: PlantParams, gains: GainConfig, q0=None):
+    """Drive the closed loop with the sinusoidal reference and log it.
 
     The reference is applied uniformly across joints with zero-order hold
-    at ``log_rate``; physics runs at ``physics_rate``. The returned
-    trajectory holds exactly ``duration * log_rate`` samples. A
-    lane-stacked plant (``plant.lanes == (B,)``) runs as B lanes of one
-    rollout and gives a list of B entries: a trajectory, or the
+    at ``EXCITE_LOG_RATE``; physics runs at ``EXCITE_PHYSICS_RATE``. The
+    returned trajectory holds exactly ``EXCITE_DURATION * EXCITE_LOG_RATE``
+    samples. A lane-stacked plant (``plant.lanes == (B,)``) runs as B lanes
+    of one rollout and gives a list of B entries: a trajectory, or the
     ``SimulationDivergedError`` of a lane that diverged.
     """
-    amplitude, duration = protocol.amplitude, protocol.duration
-    log_rate, physics_rate = protocol.log_rate, protocol.physics_rate
-    if amplitude < 0:
-        raise ValueError("amplitude must be non-negative")
-    if not duration > 0:
-        raise ValueError("duration must be positive")
-    spc = int(round(physics_rate / log_rate))
-    n_cmd = int(round(duration * log_rate))
+    spc = int(round(EXCITE_PHYSICS_RATE / EXCITE_LOG_RATE))
+    n_cmd = int(round(EXCITE_DURATION * EXCITE_LOG_RATE))
     q0, q_dot0 = dynamics._start_state(plant, 0.0 if q0 is None else q0, 0.0)
     # sin(pi*c/50) with c the 50 Hz command index == sin(pi*t) in seconds,
-    # i.e. a 2 s period, two full periods over the default duration.
-    commands = np.array([q0 + amplitude * math.sin(math.pi * (c / log_rate))
+    # i.e. a 2 s period, two full periods over the duration.
+    commands = np.array([q0 + EXCITE_AMPLITUDE * math.sin(math.pi * (c / EXCITE_LOG_RATE))
                          for c in range(n_cmd)])
-    tracked = track(plant, gains, commands, spc, 1.0 / physics_rate, q0, q_dot0,
+    tracked = track(plant, gains, commands, spc, 1.0 / EXCITE_PHYSICS_RATE, q0, q_dot0,
                     n_cmd * spc)
     logged = slice(0, n_cmd * spc, spc)
-    t = np.arange(n_cmd) / log_rate
+    t = np.arange(n_cmd) / EXCITE_LOG_RATE
 
     def log(traj):
-        return Trajectory(sample_rate=log_rate, t=t, q=traj.q[logged],
+        return Trajectory(sample_rate=EXCITE_LOG_RATE, t=t, q=traj.q[logged],
                           q_dot=traj.q_dot[logged], q_des=traj.q_des[logged],
                           tau=traj.tau[logged])
 
@@ -300,12 +296,11 @@ def _dft_matrix(n: int) -> np.ndarray:
     return W
 
 
-def spectral_mse(a, b, include_dc: bool = True) -> float:
+def spectral_mse(a, b) -> float:
     """Mean over frequency bins of |DFT(a) - DFT(b)|^2, summed over channels.
 
     Uses the unnormalized forward transform evaluated directly (O(N^2)).
-    The DC bin captures steady-state offset and is included by default;
-    without it a signal needs at least 2 samples (with it, 1).
+    The DC bin, which captures steady-state offset, is one of the bins.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -315,13 +310,11 @@ def spectral_mse(a, b, include_dc: bool = True) -> float:
         a = a[:, None]
         b = b[:, None]
     n = a.shape[0]
-    if n < 2 - include_dc:
+    if n < 1:
         raise ValueError(f"a {n}-sample signal leaves no frequency bin to average")
     W = _dft_matrix(n)
     diff = W @ (a - b)
     power = np.abs(diff) ** 2
-    if not include_dc:
-        power = power[1:]
     return float(np.sum(np.mean(power, axis=0)))
 
 
@@ -342,8 +335,7 @@ def _spectral_loss(reference: Trajectory, sim: Trajectory) -> float:
 
 
 def identify(reference: Trajectory, gains: GainConfig, bounds: SysidBounds,
-             config: CmaesConfig, base_plant: PlantParams,
-             protocol: ExcitationProtocol = ExcitationProtocol()) -> FitResult:
+             config: CmaesConfig, base_plant: PlantParams) -> FitResult:
     """Fit plant parameters so the simulated excitation matches ``reference``.
 
     The gains stay at their commanded values; CMA-ES searches the four
@@ -356,7 +348,7 @@ def identify(reference: Trajectory, gains: GainConfig, bounds: SysidBounds,
     def objective(X: np.ndarray) -> list[float]:
         # parameter columns as (lambda, 1) per-lane fields
         plants = replace(base_plant, **dict(zip(box.names, X.T[:, :, None])))
-        sims = excite(plants, gains, protocol, q0=reference.q[0])
+        sims = excite(plants, gains, q0=reference.q[0])
         return [math.inf if isinstance(sim, dynamics.SimulationDivergedError)
                 else _spectral_loss(reference, sim) for sim in sims]
 
@@ -364,10 +356,9 @@ def identify(reference: Trajectory, gains: GainConfig, bounds: SysidBounds,
 
 
 def resimulate(fit: FitResult, gains: GainConfig, base_plant: PlantParams,
-               protocol: ExcitationProtocol = ExcitationProtocol(),
                q0=None) -> Trajectory:
     """Run the excitation under a fitted parameter set and the given gains."""
-    return excite(replace(base_plant, **fit.params), gains, protocol, q0=q0)
+    return excite(replace(base_plant, **fit.params), gains, q0=q0)
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +417,17 @@ def jitter_detect(traj: Trajectory, window: float = 2.0,
 
     Computes the per-joint standard deviation of joint velocity over the
     final ``window`` seconds (see :func:`jitter_window`) and flags when
-    the maximum strictly exceeds ``threshold`` (default 0.04 rad/s).
+    the maximum strictly exceeds ``threshold`` (default 0.04 rad/s). A
+    tail whose std overflows raises ``JitterOverflowError``.
     """
     n_win = jitter_window(traj.n_samples, traj.sample_rate, window)
     tail = traj.q_dot[-n_win:]
-    per_joint = np.std(tail, axis=0)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            per_joint = np.std(tail, axis=0)
+    except FloatingPointError as exc:
+        raise JitterOverflowError(
+            f"velocity std over the {window} s tail window overflows ({exc})") from None
     max_std = float(np.max(per_joint))
     return JitterReport(flagged=max_std > threshold, max_std=max_std,
                         per_joint_std=per_joint)

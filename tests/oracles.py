@@ -188,8 +188,7 @@ def per_episode_evaluate(problem, mapping, episodes=None):
                                            goal - q, q, x_des)
             tau_req = gains.kp * (x_des - q) - gains.kd * qd
             if gains.gravity_comp:
-                tau_req = tau_req + gains.gravity_comp_scale * dynamics.gravity_torque(
-                    plant, q)
+                tau_req = tau_req + dynamics.gravity_torque(plant, q)
             counts["torque"] += np.any(np.abs(tau_req) > plant.torque_limit)
             counts["torque_rate"] += np.any(
                 np.abs(tau_req - prev_tau) > dt * plant.torque_rate_limit)
@@ -232,11 +231,12 @@ def simulate_replay(retargeted, decimation, plant, command_noise=None):
     return state_simulate(plant, state0, torque_fn, dt, n_steps, q_des_fn=q_des_fn)
 
 
-def loop_excite(plant, gains, amplitude=0.1, duration=4.0, log_rate=50.0,
-                physics_rate=100.0, q0=None):
+def loop_excite(plant, gains, q0=None):
     """sysid.excite as two loops: :func:`state_simulate`-and-decimate for
     the two-link arm, a hand-written decoupled-stepper loop for the
-    diagonal plants."""
+    diagonal plants. The reference: 0.1 rad, 4 s, commanded and logged at
+    50 Hz over 100 Hz physics."""
+    amplitude, duration, log_rate, physics_rate = 0.1, 4.0, 50.0, 100.0
     spc = int(round(physics_rate / log_rate))
     n_cmd = int(round(duration * log_rate))
     n = plant.n_joints
@@ -267,7 +267,7 @@ def loop_excite(plant, gains, amplitude=0.1, duration=4.0, log_rate=50.0,
     advance = dynamics.decoupled_stepper(plant)
     grav = plant.mass * dynamics.GRAVITY if plant.gravity_enabled \
         else np.zeros(plant.n_joints)
-    comp = g.gravity_comp_scale * grav if g.gravity_comp else None
+    comp = grav if g.gravity_comp else None
     q, qd = start.q.copy(), start.q_dot.copy()
     rec = {name: np.empty((n_cmd, plant.n_joints))
            for name in ("q", "q_dot", "q_des", "tau")}
@@ -633,24 +633,23 @@ def loop_cmaes_minimize(objective, bounds, config=sysid.CmaesConfig()):
                            loss=best_loss, history=np.array(history), n_evals=n_evals)
 
 
-def identification_loss(reference, plant, gains, protocol):
+def identification_loss(reference, plant, gains):
     """Sum of spectral MSE on positions and velocities vs the reference;
     +inf if the excitation diverges or its spectra overflow."""
     try:
-        sim = sysid.excite(plant, gains, protocol, q0=reference.q[0])
+        sim = sysid.excite(plant, gains, q0=reference.q[0])
     except SimulationDivergedError:
         return math.inf
     return sysid._spectral_loss(reference, sim)
 
 
-def loop_identify(reference, gains, bounds, config, base_plant,
-                  protocol=sysid.ExcitationProtocol()):
+def loop_identify(reference, gains, bounds, config, base_plant):
     """sysid.identify with one excitation per candidate."""
     box = bounds.subset(sysid.FREE_PARAMS)
 
     def objective(x):
         plant = replace(base_plant, **dict(zip(box.names, x)))
-        return identification_loss(reference, plant, gains, protocol)
+        return identification_loss(reference, plant, gains)
 
     return loop_cmaes_minimize(objective, box, config)
 
@@ -672,7 +671,7 @@ def per_candidate_objective(problem):
     return objective
 
 
-def loop_shape_search(objective, space, budget, strategy=shaping.CMAES_BRANCHED, seed=0):
+def loop_shape_search(objective, space, budget, seed=0):
     """shaping.shape_search with ``objective(mapping) -> J`` called once per
     candidate, in ledger order; a failure records -inf, and a branch whose
     CMA-ES aborts leaves its budget to the random filler."""
@@ -694,37 +693,32 @@ def loop_shape_search(objective, space, budget, strategy=shaping.CMAES_BRANCHED,
         return shaping.ActionMapping(alpha=alpha, beta=int(rng.integers(2)),
                                      gamma=int(rng.integers(2)))
 
-    if strategy == shaping.RANDOM:
-        rng = np.random.default_rng(seed)
-        for _ in range(budget):
-            evaluate(draw(rng))
-    else:
-        branches = [(b, g) for g in (0, 1) for b in (0, 1)]
-        per_branch = budget // len(branches)
-        extra = budget - per_branch * len(branches)
-        log_lo, log_hi = math.log10(space.alpha_low), math.log10(space.alpha_high)
-        box = sysid.SysidBounds(params=tuple(
-            (f"log10_alpha{i}", log_lo, log_hi) for i in range(space.n_groups)))
-        lam = 4 + int(3 * math.log(space.n_groups))
-        for idx, (beta, gamma) in enumerate(branches):
-            n_evals = per_branch + (1 if idx < extra else 0)
-            if n_evals < lam:
-                continue
+    branches = [(b, g) for g in (0, 1) for b in (0, 1)]
+    per_branch = budget // len(branches)
+    extra = budget - per_branch * len(branches)
+    log_lo, log_hi = math.log10(space.alpha_low), math.log10(space.alpha_high)
+    box = sysid.SysidBounds(params=tuple(
+        (f"log10_alpha{i}", log_lo, log_hi) for i in range(space.n_groups)))
+    lam = 4 + int(3 * math.log(space.n_groups))
+    for idx, (beta, gamma) in enumerate(branches):
+        n_evals = per_branch + (1 if idx < extra else 0)
+        if n_evals < lam:
+            continue
 
-            def branch_obj(x, beta=beta, gamma=gamma):
-                mapping = shaping.ActionMapping(alpha=10.0 ** np.asarray(x), beta=beta,
-                                                gamma=gamma)
-                return -evaluate(mapping)
+        def branch_obj(x, beta=beta, gamma=gamma):
+            mapping = shaping.ActionMapping(alpha=10.0 ** np.asarray(x), beta=beta,
+                                            gamma=gamma)
+            return -evaluate(mapping)
 
-            cfg = sysid.CmaesConfig(popsize=lam, sigma0=0.6, max_iter=n_evals // lam,
-                                    seed=seed + idx, penalty_weight=10.0)
-            try:
-                loop_cmaes_minimize(branch_obj, box, cfg)
-            except sysid.CmaesAbortedError:
-                pass
-        rng = np.random.default_rng(seed + len(branches))
-        while len(ledger) < budget:
-            evaluate(draw(rng))
+        cfg = sysid.CmaesConfig(popsize=lam, sigma0=0.6, max_iter=n_evals // lam,
+                                seed=seed + idx, penalty_weight=10.0)
+        try:
+            loop_cmaes_minimize(branch_obj, box, cfg)
+        except sysid.CmaesAbortedError:
+            pass
+    rng = np.random.default_rng(seed + len(branches))
+    while len(ledger) < budget:
+        evaluate(draw(rng))
 
     best_idx, best_j = 0, -math.inf
     for i, (_, j) in enumerate(ledger):

@@ -19,7 +19,7 @@ from gainlab.dynamics import NonPositiveInertiaError, SimulationDivergedError, p
 from gainlab.noise import PerturbationDivergedError, discretize
 from gainlab.retarget import FidelityOverflowError
 from gainlab.shaping import SearchSpace, ToyShapingProblem
-from gainlab.sysid import CmaesAbortedError, FitResult
+from gainlab.sysid import CmaesAbortedError, FitResult, JitterOverflowError
 from oracles import loop_shape_search, per_candidate_objective
 
 VARIANCE_INI = """
@@ -170,6 +170,8 @@ class TestValidateFindings:
     @pytest.mark.parametrize("params,key", [
         ("trials = many\n", "params.trials"),
         ("trials = 0\n", "params.trials"),
+        # a batch-means standard error needs two trials
+        ("trials = 1\n", "params.trials"),
         ("trials = 2, 3\n", "params.trials"),
         ("trials = inf\n", "params.trials"),
         ("masses = heavy\n", "params.masses"),
@@ -562,6 +564,17 @@ class TestUnparseableConfig:
     def test_missing_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 1
 
+    def test_degenerate_two_link_plant_exit_1(self, tmp_path, capsys):
+        # M00 = (m1 + m2) l1^2 + m2 l2^2 - 2 m2 l1 l2 rounds to 0 at q2 = pi
+        out = tmp_path / "o"
+        text = VARIANCE_INI.replace("kind = point_mass\nmass = 1.0", "kind = two_link\n"
+                                    "link_masses = 1e-20, 1.0\nlink_lengths = 1.0, 1.0")
+        path = write(tmp_path, "c.ini", text.format(out=out))
+        assert main(["validate", "--config", path]) == 1
+        assert main(["run", "--config", path]) == 1
+        assert not out.exists()
+        assert "cannot parse config: non-positive effective inertia" in capsys.readouterr().err
+
 
 # One small config per kind, run from inside tmp_path so every input path
 # (and with it the manifest's params) is relative. Each case pins the
@@ -688,6 +701,51 @@ def test_every_kind_has_pinned_manifest_files(kind, workers, tmp_path, monkeypat
     assert manifest["files"] == files
 
 
+# The two-link arm's paths: a gravity-compensated replay (tpr_joint and the
+# tracking law add g(q)) and the sinusoidal excitation of sysid-sweep.
+_TWO_LINK = "[plant]\nkind = two_link\nlink_masses = 1.0, 0.8\nlink_lengths = 0.5, 0.4\n"
+PINNED_TWO_LINK = {
+    "tpr-sweep": (_TWO_LINK + """gravity_enabled = true
+
+[grid]
+kp = 64, 512
+kd = 8
+
+[params]
+decimations = 1, 10
+n_demos = 2
+duration = 0.5
+""", {
+        "heatmap_mse_dec1.csv": "9bf03b2353e79bb8deed4c80a48c0b7bc63777df49679ee00115ef2d365ac265",
+        "heatmap_mse_dec10.csv": "a0b2a0e3715fc9db26f5b64b96f5bd3830a0fcbaa9a0728149526789656e1f1f",
+        "results.csv": "8f25008959f49f276697b7e66ba8f041a00ea74cc57e964eb55bb7e519a7d267"}),
+    "sysid-sweep": (_TWO_LINK + """
+[grid]
+kp = 64
+kd = 8, 16
+
+[params]
+iters = 2
+""", {
+        "heatmap_final_loss.csv": "1bc7ac7fdc425b602dce9e36ad27e7298767cb95c24dd41418f712bfb38c091c",
+        "history_kp64_kd16.csv": "b4a7910ca51689696d36bd8240db0f5d19e36ded7dfab852d0aad0b29e2d1b02",
+        "history_kp64_kd8.csv": "368a35aa65ad6d271e312918733380d0205c409bac7b66832c6c8686f918515a",
+        "results.csv": "39be2b08979337d2f868a74c7f7d1eb9f830b4e1585fa0c19414bc0887ce7df0"}),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", sorted(PINNED_TWO_LINK))
+def test_two_link_manifest_files_pinned(kind, workers, tmp_path, monkeypatch):
+    text, files = PINNED_TWO_LINK[kind]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(
+        f"[experiment]\nkind = {kind}\nseed = 7\nout = out\n\n{text}")
+    assert main(["run", "--config", "c.ini", "--workers", str(workers)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["files"] == files
+
+
 # Budget 40 gives each shape-search branch two CMA-ES generations, which the
 # branches run in lockstep; the ledgers keep their branch-major rows.
 MULTI_GENERATION_SHAPE = PINNED["shape-search"][0].replace(
@@ -802,6 +860,7 @@ def test_shape_searches_hold_at_most_shape_lanes(tmp_path, monkeypatch):
 EXCEPTIONS = [SimulationDivergedError(212), NonPositiveInertiaError("M(q) not positive"),
               NotSettledError("velocity norm 1e-3"), PerturbationDivergedError("trial 0"),
               FidelityOverflowError("fidelity MSE overflows"),
+              JitterOverflowError("velocity std overflows"),
               CmaesAbortedError(FitResult(x=np.array([0.5]), params={"armature": 0.5},
                                           loss=math.inf, history=np.array([math.inf]),
                                           n_evals=4))]
@@ -908,6 +967,27 @@ def test_tpr_sweep_overflowing_fidelity_fails_its_cell(workers, tmp_path, monkey
         "overflows (overflow encountered in square)')\n")
     assert (tmp_path / "out" / "results.csv").read_text() == \
         "kp,kd,decimation,mse,goal_reached\n16,1,10,0.00124624008,1\n"
+
+
+# The stiff cell's replay stays finite, but the spread of its tail velocity
+# overflows: the cell fails typed instead of writing max_std = inf.
+OVERFLOWING_JITTER = OVERFLOWING_TPR.replace("decimations = 10\nn_demos = 1\n",
+                                             "decimation = 10\nwindow = 0.1\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_jitter_scan_overflowing_std_fails_its_cell(workers, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(
+        f"[experiment]\nkind = jitter-scan\nseed = 7\nout = out\n\n{OVERFLOWING_JITTER}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", "c.ini", "--workers", str(workers)]) == 2
+    assert (tmp_path / "out" / "failures.csv").read_text() == (
+        "cell,error\n1,JitterOverflowError('velocity std over the 0.1 s tail window "
+        "overflows (overflow encountered in square)')\n")
+    assert (tmp_path / "out" / "results.csv").read_text() == \
+        "kp,kd,max_std,flagged\n16,1,0.00143510403,0\n"
 
 
 # Valid values small enough for a run to take milliseconds, per param key.

@@ -34,9 +34,6 @@ class TestPdTorque:
         grav = np.array([3.0])
         assert_allclose(pd_torque(on, q, q_dot, [0.0], gravity_term=grav), [3.0])
         assert_allclose(pd_torque(off, q, q_dot, [0.0], gravity_term=grav), [0.0])
-        scaled = GainConfig(kp=1.0, kd=1.0, gravity_comp=True,
-                            gravity_comp_scale=0.5)
-        assert_allclose(pd_torque(scaled, q, q_dot, [0.0], gravity_term=grav), [1.5])
 
     def test_impedance_relation_at_steady_state(self):
         # constant external torque, simulate to rest: tau_ext = Kp (q - q_des)
@@ -247,7 +244,7 @@ TRACK_PLANTS = {
                                    torque_limit=12.0), [-0.4, 0.6], [0.5, -0.3]),
 }
 TRACK_GAINS = [GainConfig(kp=64.0, kd=8.0),
-               GainConfig(kp=512.0, kd=24.0, gravity_comp=True, gravity_comp_scale=0.9)]
+               GainConfig(kp=512.0, kd=24.0, gravity_comp=True)]
 
 
 class TestTrackMatchesLoopOracles:
@@ -450,8 +447,7 @@ class TestGainLanes:
         n = plant.n_joints
         n_lanes = data.draw(st.integers(1, 4), label="lanes")
         kp, kd = _lane_gains(data, n_lanes, n)
-        comp = dict(gravity_comp=data.draw(st.booleans(), label="gravity comp"),
-                    gravity_comp_scale=data.draw(st.sampled_from([1.0, 0.9]), label="scale"))
+        comp = dict(gravity_comp=data.draw(st.booleans(), label="gravity comp"))
         hold = data.draw(st.integers(1, 4), label="hold")
         n_steps = data.draw(st.integers(0, 120), label="n_steps")
         n_cmd = max(1, -(-n_steps // hold))

@@ -245,7 +245,7 @@ class TestPerturbationStability:
         assume(abs(2.0 - b) >= 0.05 and abs(4.0 - 2.0 * b - a) >= 0.05)
         with mock.patch.object(noise, "trial_rng", side_effect=_Stepped):
             try:
-                simulate_perturbation(GainConfig(kp=kp, kd=kd), m, NoiseSpec(sigma=0.0), 1,
+                simulate_perturbation(GainConfig(kp=kp, kd=kd), m, NoiseSpec(sigma=0.0), 2,
                                       dt=dt)
             except _Stepped:
                 stable = True
@@ -326,7 +326,7 @@ LANE_PLANTS = {
                                    torque_limit=12.0), [-0.4, 0.6], [0.5, -0.3]),
 }
 LANE_GAINS = [GainConfig(kp=64.0, kd=8.0),
-              GainConfig(kp=512.0, kd=24.0, gravity_comp=True, gravity_comp_scale=0.9)]
+              GainConfig(kp=512.0, kd=24.0, gravity_comp=True)]
 
 
 def _rest_demo(n=1000, base_rate=100.0):
@@ -433,8 +433,7 @@ class TestNoisyReplayGainLanes:
             st.floats(lo, hi), min_size=n_lanes * width, max_size=n_lanes * width),
             label=f"log10 {key}"), (n_lanes, width))
             for key, lo, hi in (("kp", 0.0, 9.0), ("kd", -1.0, 4.0)))
-        comp = dict(gravity_comp=data.draw(st.booleans(), label="gravity comp"),
-                    gravity_comp_scale=data.draw(st.sampled_from([1.0, 0.9]), label="scale"))
+        comp = dict(gravity_comp=data.draw(st.booleans(), label="gravity comp"))
         sigma = data.draw(st.sampled_from([0.0, 0.01, 0.05]), label="sigma")
         n_trials = data.draw(st.integers(1, 3), label="trials")
         decimation = data.draw(st.integers(1, 5), label="decimation")

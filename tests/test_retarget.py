@@ -96,9 +96,7 @@ def recorded_demos(draw, gravity_comp):
                       q_dot=block(-5.0, 5.0), q_des=np.zeros((rows, n)),
                       tau=sign * block(0.1, 100.0))
     demo = TorqueDemo(base_rate=100.0, traj=traj, goal=TaskGoal(np.zeros(n)))
-    gains = GainConfig(kp=vec(1.0, 1e3), kd=vec(0.1, 100.0),
-                       gravity_comp=gravity_comp,
-                       gravity_comp_scale=draw(st.floats(0.0, 1.5)))
+    gains = GainConfig(kp=vec(1.0, 1e3), kd=vec(0.1, 100.0), gravity_comp=gravity_comp)
     return plant, demo, gains
 
 
@@ -118,11 +116,10 @@ class TestTprIdentity:
         arm = two_link(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4),
                        gravity_enabled=True)
         demo = linear_demo(arm)
-        gains = GainConfig(kp=[200.0, 120.0], kd=[30.0, 20.0], gravity_comp=True,
-                           gravity_comp_scale=0.9)
+        gains = GainConfig(kp=[200.0, 120.0], kd=[30.0, 20.0], gravity_comp=True)
         traj = demo.traj
         grav = np.array([two_link_terms(arm, q, qd)[2] for q, qd in zip(traj.q, traj.q_dot)])
-        want = traj.q + (traj.tau - 0.9 * grav + gains.kd * traj.q_dot) / gains.kp
+        want = traj.q + (traj.tau - grav + gains.kd * traj.q_dot) / gains.kp
         got = tpr_joint(demo, gains, plant=arm).q_des
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

@@ -175,11 +175,9 @@ def rowwise(f):
 class TestShapeSearch:
     def test_constant_objective_bookkeeping(self):
         space = SearchSpace(n_groups=1)
-        for strategy in (shaping.RANDOM, shaping.CMAES_BRANCHED):
-            res = shape_search(rowwise(lambda m: 0.5), space, budget=37,
-                               strategy=strategy, seed=1)
-            assert len(res.ledger) == 37
-            assert res.objective == 0.5
+        res = shape_search(rowwise(lambda m: 0.5), space, budget=37, seed=1)
+        assert len(res.ledger) == 37
+        assert res.objective == 0.5
 
     def test_known_optimum_in_branch(self):
         # spec example: objective -(alpha - 0.3)^2 on the (gamma=1, beta=1)
@@ -194,15 +192,6 @@ class TestShapeSearch:
         assert res.best.gamma == 1 and res.best.beta == 1
         assert abs(res.best.alpha[0] - 0.3) <= 0.01
 
-    def test_random_strategy_finds_coarse_optimum(self):
-        def objective(m: ActionMapping) -> float:
-            return -abs(math.log10(m.alpha[0]))  # optimum at alpha = 1
-
-        space = SearchSpace(n_groups=1, alpha_low=1e-3, alpha_high=1e3)
-        res = shape_search(rowwise(objective), space, budget=400,
-                           strategy=shaping.RANDOM, seed=2)
-        assert 0.5 < res.best.alpha[0] < 2.0
-
     def test_failures_recorded_as_minus_inf(self):
         calls = []
 
@@ -210,8 +199,8 @@ class TestShapeSearch:
             calls.append(m)
             return math.nan if len(calls) % 2 == 0 else 1.0
 
-        res = shape_search(rowwise(objective), SearchSpace(), budget=10,
-                           strategy=shaping.RANDOM, seed=3)
+        # under 16 evaluations, no branch gets a generation: all random draws
+        res = shape_search(rowwise(objective), SearchSpace(), budget=10, seed=3)
         js = [j for _, j in res.ledger]
         assert js.count(-math.inf) == 5
         assert res.objective == 1.0
@@ -220,13 +209,12 @@ class TestShapeSearch:
         def objective(mappings):
             raise RuntimeError("boom")
 
-        for strategy in (shaping.RANDOM, shaping.CMAES_BRANCHED):
+        for budget in (10, 16):  # random draws only, one generation per branch
             with pytest.raises(RuntimeError, match="boom"):
-                shape_search(objective, SearchSpace(), budget=10, strategy=strategy, seed=3)
+                shape_search(objective, SearchSpace(), budget=budget, seed=3)
 
     def test_ledger_argmax_consistency_and_tie_break(self):
-        res = shape_search(rowwise(lambda m: 1.0), SearchSpace(), budget=9,
-                           strategy=shaping.RANDOM, seed=4)
+        res = shape_search(rowwise(lambda m: 1.0), SearchSpace(), budget=9, seed=4)
         assert res.best is res.ledger[0][0]
 
     def test_deterministic_given_seed(self):
@@ -265,16 +253,19 @@ class TestShapeSearchMatchesLoopOracle:
         return ToyShapingProblem(point_mass(0.5), GainConfig(kp=4096, kd=8),
                                  episodes=2, seed=3)
 
+    # budget 12 is random draws only (under a generation per branch), 22 one
+    # generation per branch and 6 draws; the ids are those of the strategy
+    # parameter these cases once had
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("strategy,budget,alpha_high", [
-        (shaping.RANDOM, 12, 300.0), (shaping.RANDOM, 12, 3.0),  # with and without failures
-        (shaping.CMAES_BRANCHED, 22, 30.0)])
-    def test_ledger_and_details(self, strategy, budget, alpha_high, seed):
+    @pytest.mark.parametrize("budget,alpha_high", [
+        pytest.param(12, 300.0, id="random-12-300.0"),  # with and without failures
+        pytest.param(12, 3.0, id="random-12-3.0"),
+        pytest.param(22, 30.0, id="cmaes-over-continuous-with-enumerated-discretes-22-30.0")])
+    def test_ledger_and_details(self, budget, alpha_high, seed):
         space = SearchSpace(alpha_low=1e-3, alpha_high=alpha_high)
         batched, alone = self._problem(), self._problem()
-        got = shape_search(batched, space, budget, strategy=strategy, seed=seed)
-        want = loop_shape_search(per_candidate_objective(alone), space, budget,
-                                 strategy=strategy, seed=seed)
+        got = shape_search(batched, space, budget, seed=seed)
+        want = loop_shape_search(per_candidate_objective(alone), space, budget, seed=seed)
         assert _ledgers_equal(got.ledger, want.ledger)
         assert _details_equal(batched.details, alone.details)
         assert got.objective == want.objective
@@ -283,7 +274,7 @@ class TestShapeSearchMatchesLoopOracle:
         assert len(got.ledger) == len(batched.details) == budget
         if alpha_high == 3.0:
             assert all(math.isfinite(j) for _, j in got.ledger)
-        elif strategy == shaping.RANDOM:
+        elif alpha_high == 300.0:
             assert -math.inf in [j for _, j in got.ledger]
 
 
@@ -352,9 +343,8 @@ class TestLockstepShapeSearchAcrossCells:
     @settings(max_examples=12, deadline=None, print_blob=True)
     @given(cells=st.lists(st.tuples(st.sampled_from(GAINS), st.integers(0, 999)),
                           min_size=1, max_size=4),
-           budget=st.sampled_from([6, 16, 40]),
-           strategy=st.sampled_from([shaping.CMAES_BRANCHED, shaping.RANDOM]))
-    def test_each_cell_equals_its_lone_run(self, cells, budget, strategy):
+           budget=st.sampled_from([6, 16, 40]))
+    def test_each_cell_equals_its_lone_run(self, cells, budget):
         space = SearchSpace(alpha_low=1e-3, alpha_high=300.0)
         problems = [self._problem(gains, seed) for gains, seed in cells]
         calls = []
@@ -364,12 +354,11 @@ class TestLockstepShapeSearchAcrossCells:
             return [p.record(r) for p, r in
                     zip(problems, shaping.rollout(problems, mapping_lists), strict=True)]
 
-        got = shape_search(objective, space, budget, strategy=strategy,
-                           seed=tuple(seed for _, seed in cells))
+        got = shape_search(objective, space, budget, seed=tuple(seed for _, seed in cells))
         assert len(got) == len(cells)
         for (gains, seed), result, problem in zip(cells, got, problems):
             alone = self._problem(gains, seed)
-            want = shape_search(alone, space, budget, strategy=strategy, seed=seed)
+            want = shape_search(alone, space, budget, seed=seed)
             assert _ledgers_equal(result.ledger, want.ledger)
             assert result.objective == want.objective
             assert np.array_equal(result.best.alpha, want.best.alpha)
@@ -399,7 +388,7 @@ class TestLockstepShapeSearchAcrossCells:
     @pytest.mark.parametrize("kw,attrs", [
         ({"plant": point_mass(0.2, torque_rate_limit=200.0)}, {}),
         ({"gains": GainConfig(16, 2, gravity_comp=True)}, {}),
-        ({"pos_limit": 1.0}, {}), ({"vel_limit": 5.0}, {}),
+        ({}, {"pos_limit": 1.0}), ({}, {"vel_limit": 5.0}),
         ({}, {"horizon": 3.0}), ({}, {"control_rate": 25.0}), ({}, {"tol": 0.1})])
     def test_problems_must_share_their_setting(self, kw, attrs):
         base = self._problem((16, 2), 0)
@@ -422,8 +411,8 @@ class TestToyShapingProblemMatchesPerEpisodeOracle:
 
     def test_random_mappings_all_branches(self):
         plant = point_mass(1.0, torque_limit=60.0, torque_rate_limit=2e3)
-        problem = ToyShapingProblem(plant, GainConfig(kp=256, kd=4), episodes=4,
-                                    seed=5, pos_limit=1.2, vel_limit=3.0)
+        problem = ToyShapingProblem(plant, GainConfig(kp=256, kd=4), episodes=4, seed=5)
+        problem.pos_limit, problem.vel_limit = 1.2, 3.0
         rng = np.random.default_rng(11)
         results = []
         for beta in (0, 1):
@@ -445,8 +434,7 @@ class TestToyShapingProblemMatchesPerEpisodeOracle:
                            gravity_enabled=gravity)
         m = ActionMapping(alpha=1.0, beta=1, gamma=1)
         for kp, kd in default_grid().corners().values():
-            gains = GainConfig(kp=kp, kd=kd, gravity_comp=gravity,
-                               gravity_comp_scale=0.9)
+            gains = GainConfig(kp=kp, kd=kd, gravity_comp=gravity)
             problem = ToyShapingProblem(plant, gains, episodes=3, seed=42)
             assert problem.evaluate(m) == per_episode_evaluate(problem, m)
 
@@ -463,8 +451,8 @@ class TestToyShapingProblemMatchesPerEpisodeOracle:
 
     def test_rollout_of_many_mappings(self):
         plant = point_mass(1.0, torque_limit=60.0, torque_rate_limit=2e3)
-        problem = ToyShapingProblem(plant, GainConfig(kp=256, kd=4), episodes=3,
-                                    seed=7, pos_limit=1.2, vel_limit=3.0)
+        problem = ToyShapingProblem(plant, GainConfig(kp=256, kd=4), episodes=3, seed=7)
+        problem.pos_limit, problem.vel_limit = 1.2, 3.0
         rng = np.random.default_rng(12)
         mappings = [_random_mapping(rng, b, g) for b in (0, 1) for g in (0, 1)]
         got = shaping.rollout(problem, mappings)
@@ -486,8 +474,7 @@ class TestToyShapingProblemMatchesPerEpisodeOracle:
     def test_two_link_gravity_comp(self):
         arm = dynamics.two_link(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4),
                                 gravity_enabled=True, torque_limit=40.0)
-        gains = GainConfig(kp=[200, 120], kd=[20, 12], gravity_comp=True,
-                           gravity_comp_scale=0.9)
+        gains = GainConfig(kp=[200, 120], kd=[20, 12], gravity_comp=True)
         problem = ToyShapingProblem(arm, gains, episodes=3, seed=2)
         m = ActionMapping(alpha=0.5, beta=1, gamma=1)
         assert problem.evaluate(m) == per_episode_evaluate(problem, m)
@@ -514,8 +501,7 @@ class TestRolloutOfMixedBatches:
         "point_mass": (point_mass(0.5, torque_rate_limit=200.0), GainConfig(kp=4096, kd=8)),
         "unstable": (point_mass(0.1, torque_rate_limit=200.0), GainConfig(kp=1024, kd=128)),
         "chain": (chain([1.0, 0.4], gravity_enabled=True, torque_rate_limit=200.0),
-                  GainConfig(kp=[2048, 1024], kd=[8, 4], gravity_comp=True,
-                             gravity_comp_scale=0.9)),
+                  GainConfig(kp=[2048, 1024], kd=[8, 4], gravity_comp=True)),
     }
 
     @settings(max_examples=20, deadline=None, print_blob=True)
@@ -524,7 +510,8 @@ class TestRolloutOfMixedBatches:
     def test_batch_equals_oracle_and_lone_mappings(self, data, name, torque_limit, seed):
         plant, gains = self.PROBLEMS[name]
         problem = ToyShapingProblem(replace(plant, torque_limit=torque_limit), gains,
-                                    episodes=2, seed=seed, pos_limit=1.2, vel_limit=3.0)
+                                    episodes=2, seed=seed)
+        problem.pos_limit, problem.vel_limit = 1.2, 3.0
 
         def mappings(lo, hi):  # log10(alpha) in [lo, hi], per joint or shared
             n_alpha = st.sampled_from(sorted({1, plant.n_joints}))
@@ -597,7 +584,7 @@ class TestToyShapingProblemDivergence:
         problem = self._problem()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = shape_search(problem, SearchSpace(), budget=4, strategy=shaping.RANDOM)
+            result = shape_search(problem, SearchSpace(), budget=4)
         assert [j for _, j in result.ledger] == [-math.inf] * 4
         assert result.objective == -math.inf
         assert all(math.isnan(d["success"]) for d in problem.details)
@@ -610,8 +597,7 @@ class TestToyShapingProblemDivergence:
         problem = self._problem()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = shape_search(problem, SearchSpace(), budget=budget,
-                                  strategy=shaping.CMAES_BRANCHED)
+            result = shape_search(problem, SearchSpace(), budget=budget)
         assert [j for _, j in result.ledger] == [-math.inf] * budget
         assert result.objective == -math.inf
         assert len(problem.details) == budget

@@ -12,9 +12,9 @@ from numpy.testing import assert_allclose
 from gainlab import dynamics, sysid
 from gainlab.control import GainConfig
 from gainlab.dynamics import Trajectory, chain, point_mass, two_link
-from gainlab.sysid import (CmaesConfig, ExcitationProtocol, SysidBounds,
-                           cmaes_minimize, excite, identify, jitter_detect,
-                           nn_error, spectral_mse, trajectory_error)
+from gainlab.sysid import (CmaesConfig, JitterOverflowError, SysidBounds, cmaes_minimize,
+                           excite, identify, jitter_detect, nn_error, spectral_mse,
+                           trajectory_error)
 from oracles import identification_loss, loop_cmaes_minimize, loop_identify
 
 # the light 2R arm diverges at Kp=512, Kd=24 unless its armature is >~0.1
@@ -34,22 +34,14 @@ class TestExcite:
 
     def test_reference_period_two_seconds(self):
         # sin(pi t): quarter period peak at t = 0.5 s (sample 25 at 50 Hz)
-        traj = excite(point_mass(1.0), GainConfig(kp=64.0, kd=8.0),
-                      ExcitationProtocol(amplitude=0.1))
+        traj = excite(point_mass(1.0), GainConfig(kp=64.0, kd=8.0))
         assert traj.q_des[25, 0] == pytest.approx(0.1, abs=1e-9)
         assert traj.q_des[100, 0] == pytest.approx(0.0, abs=1e-9)
 
-    def test_zero_amplitude_settles_to_q0(self):
-        plant = point_mass(1.0, viscous_friction=0.5)
-        traj = excite(plant, GainConfig(kp=64.0, kd=8.0), ExcitationProtocol(amplitude=0.0),
-                      q0=[0.2])
-        assert_allclose(traj.q[-1], [0.2], atol=1e-9)
-        assert_allclose(traj.q_des, 0.2)
-
     def test_two_link_path_matches_contract(self):
         arm = dynamics.two_link()
-        traj = excite(arm, GainConfig(kp=100.0, kd=20.0), ExcitationProtocol(duration=1.0))
-        assert traj.n_samples == 50
+        traj = excite(arm, GainConfig(kp=100.0, kd=20.0))
+        assert traj.n_samples == 200
         assert traj.n_joints == 2
 
     @pytest.mark.parametrize("plant", [
@@ -63,7 +55,7 @@ class TestExcite:
         rows = {"armature": [[0.3], [0.1], [0.5]], "static_friction": [[0.2], [0.0], [0.6]],
                 "dynamic_friction_ratio": [[0.5], [1.0], [0.1]],
                 "viscous_friction": [[0.0], [0.7], [0.3]]}
-        gains = GainConfig(kp=200.0, kd=20.0, gravity_comp=True, gravity_comp_scale=0.9)
+        gains = GainConfig(kp=200.0, kd=20.0, gravity_comp=True)
         stacked = excite(replace(plant, **rows), gains, q0=[0.1] * plant.n_joints)
         assert len(stacked) == 3
         for i, lane in enumerate(stacked):
@@ -85,7 +77,7 @@ class TestExcite:
             with pytest.raises(dynamics.SimulationDivergedError) as err:
                 excite(plant, gains)
             assert identification_loss(excite(plant, GainConfig(kp=64.0, kd=8.0)),
-                                       plant, gains, ExcitationProtocol()) == math.inf
+                                       plant, gains) == math.inf
         assert 0 <= err.value.step_index < 400
 
 
@@ -126,21 +118,13 @@ class TestSpectralMse:
         assert spectral_mse(a, b) == pytest.approx(spectral_mse(b, a))
         assert spectral_mse(a, a) == 0.0
 
-    def test_dc_bin_flag(self):
-        a = np.ones(16)
-        b = np.zeros(16)
-        with_dc = spectral_mse(a, b, include_dc=True)
-        without = spectral_mse(a, b, include_dc=False)
-        assert with_dc > 0.0
-        assert without == pytest.approx(0.0, abs=1e-20)
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             spectral_mse(np.zeros(4), np.zeros(5))
 
-    def test_one_sample_without_dc_has_no_bins(self):
-        with pytest.raises(ValueError, match="1-sample"):
-            spectral_mse(np.ones(1), np.zeros(1), include_dc=False)
+    def test_empty_signal_has_no_bins(self):
+        with pytest.raises(ValueError, match="0-sample"):
+            spectral_mse(np.ones(0), np.zeros(0))
         assert spectral_mse(np.ones(1), np.zeros(1)) == 1.0
 
 
@@ -409,7 +393,7 @@ class TestIdentify:
         hidden = point_mass(1.5, armature=0.1, viscous_friction=0.2)
         gains = GainConfig(kp=512.0, kd=24.0)
         ref = excite(hidden, gains)
-        loss = identification_loss(ref, hidden, gains, ExcitationProtocol())
+        loss = identification_loss(ref, hidden, gains)
         assert loss < 1e-12
 
     def test_self_identification_known_plant(self):
@@ -429,7 +413,6 @@ class TestIdentify:
         # finite and reported; no regime-ordering claim is made
         hidden = point_mass(1.0, viscous_friction=0.3)
         gains = GainConfig(kp=512.0, kd=24.0)
-        proto = ExcitationProtocol()
         clean = excite(hidden, gains)
         ripple = 0.05 * np.sin(37.0 * clean.t)[:, None]
         ref = Trajectory(sample_rate=clean.sample_rate, t=clean.t,
@@ -437,8 +420,7 @@ class TestIdentify:
                          q_dot=clean.q_dot + ripple, q_des=clean.q_des,
                          tau=clean.tau)
         fit = identify(ref, gains, SysidBounds.default(),
-                       CmaesConfig(seed=6, max_iter=40), point_mass(1.0),
-                       protocol=proto)
+                       CmaesConfig(seed=6, max_iter=40), point_mass(1.0))
         assert math.isfinite(fit.loss)
         assert fit.loss > 1e-8
 
@@ -457,12 +439,12 @@ class TestOverflowingSpectra:
     def test_identification_loss_is_inf(self, armature):
         loss = identification_loss(self._reference(),
                                    point_mass(0.01, armature=armature),
-                                   self.GAINS, ExcitationProtocol())
+                                   self.GAINS)
         assert loss == math.inf
 
     def test_growing_but_representable_loss_stays_finite(self):
         loss = identification_loss(self._reference(), point_mass(0.01, armature=0.1),
-                                   self.GAINS, ExcitationProtocol())
+                                   self.GAINS)
         assert loss == pytest.approx(3.53e128, rel=1e-3)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -612,6 +594,14 @@ class TestJitterDetect:
         traj = self._traj_with_tail(np.zeros(10), lead=0.0)
         with pytest.raises(ValueError):
             jitter_detect(traj, window=2.0)
+
+    def test_overflowing_std_fails_typed_without_warnings(self):
+        # a finite tail whose squared deviations overflow
+        traj = self._traj_with_tail(np.array([-1e200, 1e200] * 50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(JitterOverflowError, match="overflow"):
+                jitter_detect(traj, window=2.0)
 
     def test_window_under_one_sample_rejected(self):
         # round(0.005 s * 50 Hz) = 0 samples: no tail to take the std of
