@@ -137,6 +137,8 @@ def validate(config: ExperimentConfig) -> list[str]:
     if config.kind not in KINDS:
         findings.append(f"experiment.kind: unknown kind {config.kind!r}; "
                         f"expected one of {', '.join(KINDS)}")
+    if config.seed < 0:
+        findings.append("experiment.seed: must be an integer >= 0")
     if config.grid is None:
         findings.append("grid: must be non-empty with positive, strictly increasing axes")
     if config.kind in KINDS:
@@ -239,11 +241,11 @@ def _variance_cell(job):
 def _tpr_cell(job):
     cfg, kp, kd, demos, _ = job
     gains = GainConfig(kp=kp, kd=kd, gravity_comp=cfg.plant.gravity_enabled)
+    retargeted = [retarget.tpr_joint(demo, gains, plant=cfg.plant) for demo in demos]
     rows = []
     for dec in cfg.params["decimations"]:
         mses, reached = [], []
-        for demo in demos:
-            rd = retarget.tpr_joint(demo, gains, plant=cfg.plant)
+        for demo, rd in zip(demos, retargeted):
             _, rep = retarget.replay(rd, dec, cfg.plant, source=demo)
             mses.append(rep.mse)
             reached.append(rep.goal_reached)
@@ -328,7 +330,6 @@ def _shape_cells(jobs):
     problems = [ToyShapingProblem(plant=cfg.plant, gains=GainConfig(kp=kp, kd=kd),
                                   episodes=p["episodes"], seed=seed)
                 for kp, kd, seed in zip(kps, kds, seeds)]
-    space = shaping.SearchSpace(n_groups=1, alpha_low=1e-3, alpha_high=30.0)
     scored = [[] for _ in problems]  # each cell's mappings in call order, as its details
 
     def objective(mapping_lists):
@@ -337,7 +338,7 @@ def _shape_cells(jobs):
         return [problem.record(results) for problem, results
                 in zip(problems, shaping.rollout(problems, mapping_lists))]
 
-    searches = shaping.shape_search(objective, space, p["budget"], seed=seeds)
+    searches = shaping.shape_search(objective, p["budget"], seed=seeds)
     outcomes = []
     for kp, kd, problem, mappings, result in zip(kps, kds, problems, scored, searches,
                                                   strict=True):
@@ -351,16 +352,15 @@ def _shape_cells(jobs):
         ledger_rows = []
         for trial, (mapping, j) in enumerate(result.ledger):
             detail = details[id(mapping)]
-            alphas = list(mapping.alpha) + [mapping.alpha[-1]] * (2 - mapping.alpha.size)
-            ledger_rows.append({
-                "trial": trial, "alpha1": alphas[0], "alpha2": alphas[1],
+            ledger_rows.append({  # alpha1 and alpha2 both hold the one alpha
+                "trial": trial, "alpha1": mapping.alpha, "alpha2": mapping.alpha,
                 "beta": mapping.beta, "gamma": mapping.gamma,
                 "J": j if math.isfinite(j) else -1.0,
                 "success": detail["success"], "viol_pos": detail["position"],
                 "viol_vel": detail["velocity"], "viol_tau": detail["torque"],
                 "viol_taurate": detail["torque_rate"]})
         summary = {"kp": kp, "kd": kd, "best_J": result.objective,
-                   "goal_rate": final_rate, "alpha": float(result.best.alpha[0]),
+                   "goal_rate": final_rate, "alpha": result.best.alpha,
                    "beta": result.best.beta, "gamma": result.best.gamma}
         ledger_csv = _csv(ledger_rows, ["trial", "alpha1", "alpha2", "beta", "gamma",
                                         "J", "success", "viol_pos", "viol_vel",

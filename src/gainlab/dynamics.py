@@ -47,9 +47,13 @@ class SimulationDivergedError(RuntimeError):
 
 
 class NonPositiveInertiaError(ValueError):
-    """A two-link plant whose inertia diagonal is not positive at some q
-    (raised when the plant is built)."""
+    """A two-link plant whose M(q) is not positive definite, or too close
+    to singular to step, at some q (raised when the plant is built)."""
 
+
+# a two-link M(q) must keep det M above this fraction of (trace M)^2, about
+# the ratio of its smallest eigenvalue to its largest (see PlantParams)
+MIN_INERTIA_RATIO = 1e-8
 
 # PlantParams fields that may differ between the lanes of one plant
 LANE_FIELDS = ("armature", "static_friction", "dynamic_friction_ratio",
@@ -91,9 +95,9 @@ class PlantParams:
     a scalar broadcasts to every joint. Given as (B, n) (or (B, 1))
     arrays they describe a stack of B plants, one per lane, that differ
     only in those fields; :func:`step` and :func:`simulate` run such a
-    stack as B lanes. A two-link plant whose inertia diagonal is not
-    positive at q2 = pi (where it is smallest) in some lane raises
-    ``NonPositiveInertiaError``.
+    stack as B lanes. A two-link plant whose M(q) is too close to singular
+    at q2 = 0 or pi (det M at or below ``MIN_INERTIA_RATIO`` (trace M)^2)
+    in some lane raises ``NonPositiveInertiaError``.
     """
 
     kind: str
@@ -140,12 +144,19 @@ class PlantParams:
             raise ValueError("dynamic_friction_ratio must lie in [0, 1]")
         if not self.torque_rate_limit > 0:
             raise ValueError("torque_rate_limit must be positive")
-        # M11 does not depend on q, and M00 as computed is non-decreasing in
-        # cos q2 (every operation in it is monotone), with cos(pi) == -1.0
-        # exactly: a plant positive here is positive at every q
-        if self.kind == TWO_LINK and np.any(
-                np.diagonal(mass_matrix(self, np.array([0.0, np.pi])), axis1=-2, axis2=-1) <= 0):
-            raise NonPositiveInertiaError("non-positive effective inertia at q2 = pi")
+        # det M(q) is smallest at q2 = pi (m1 m2 l1^2 l2^2 without armature)
+        # and trace M(q) largest at q2 = 0, with trace M(pi) >= 0.17 trace
+        # M(0): an arm that passes at both keeps det M / (trace M)^2, a lower
+        # bound on its eigenvalue ratio, above 0.029 MIN_INERTIA_RATIO at
+        # every q2, far above rounding, so the step's solve never meets a
+        # singular M
+        if self.kind == TWO_LINK:  # q2 = 0 and pi, each over every lane
+            M = mass_matrix(self, np.array([[[0.0, 0.0]], [[0.0, np.pi]]]))
+            det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] ** 2
+            if np.any(det <= MIN_INERTIA_RATIO * (M[..., 0, 0] + M[..., 1, 1]) ** 2):
+                raise NonPositiveInertiaError(
+                    f"non-positive effective inertia at q2 = 0 or q2 = pi: det M(q) is "
+                    f"not above {MIN_INERTIA_RATIO:g} (trace M(q))^2")
         # the stepper's constants, derived once
         object.__setattr__(self, "_dry_moving",
                            self.dynamic_friction_ratio * self.static_friction)

@@ -4,10 +4,11 @@ The action mapping x_des = alpha*u + gamma*beta*x + gamma*(1-beta)*x_des_prev
 covers absolute targets (gamma=0) and relative targets integrated on the
 current state (beta=1) or the previous target (beta=0). The two-stage
 constrained objective ranks every feasible configuration (J in [1,2])
-above every infeasible one (J in [0,1)). shape_search tunes (alpha per
-joint group, beta, gamma) against a black-box objective that scores a
-batch of mappings at once, such as the goal-reaching ToyShapingProblem,
-which rolls out every (mapping, episode) pair as one lane of one loop.
+above every infeasible one (J in [0,1)). shape_search tunes (alpha,
+beta, gamma), one alpha for every joint, against a black-box objective
+that scores a batch of mappings at once, such as the goal-reaching
+ToyShapingProblem, which rolls out every (mapping, episode) pair as one
+lane of one loop.
 Given one seed per cell, shape_search runs several cells' searches in
 lockstep, and rollout takes several problems that share a plant, so that
 every cell's candidates of a generation are lanes of one loop, each lane
@@ -36,49 +37,31 @@ ALLOWED_RATES = MappingProxyType(dict(zip(CONSTRAINTS, (0.0, 0.0, 0.0, 0.2))))
 class ActionMapping:
     """Scale/integration switches of the position-target map.
 
-    ``alpha`` holds one scale per joint group; ``beta`` and ``gamma`` are
-    binary switches.
+    ``alpha`` is one non-negative scale shared by every joint; ``beta``
+    and ``gamma`` are binary switches.
     """
 
-    alpha: np.ndarray
+    alpha: float
     beta: int = 1
     gamma: int = 1
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-        if np.any(a < 0):
+        alpha = float(self.alpha)
+        if alpha < 0:
             raise ValueError("alpha must be non-negative")
         if self.beta not in (0, 1) or self.gamma not in (0, 1):
             raise ValueError("beta and gamma must be binary")
-        object.__setattr__(self, "alpha", a)
-
-
-def expand_alpha(mapping: ActionMapping, groups, n: int) -> np.ndarray:
-    """Per-joint alpha vector from per-group scales.
-
-    ``groups`` maps each joint index to a group index; None means a
-    single shared group.
-    """
-    if groups is None:
-        if mapping.alpha.size == 1:
-            return np.full(n, mapping.alpha[0])
-        if mapping.alpha.size == n:
-            return mapping.alpha
-        raise ValueError("groups required for multi-group alpha")
-    groups = np.asarray(groups, dtype=int)
-    if groups.size != n:
-        raise ValueError("groups must assign every joint")
-    return mapping.alpha[groups]
+        object.__setattr__(self, "alpha", alpha)
 
 
 def map_action(alpha, beta, gamma, u, x, x_des_prev) -> np.ndarray:
     """x_des = alpha*u + gamma*beta*x + gamma*(1-beta)*x_des_prev.
 
-    ``alpha`` is the per-joint scale (see :func:`expand_alpha`) and
-    ``beta``/``gamma`` the 0/1 switches, for one mapping or per lane: an
-    (L, n) alpha and (L, 1) switch columns give each of L lanes of an
-    (L, n) ``u`` its own mapping. ``x`` and ``x_des_prev`` broadcast to
-    ``u``. Elementwise, so each lane equals a one-lane call bitwise.
+    ``alpha`` is the scale (one, or one per joint) and ``beta``/``gamma``
+    the 0/1 switches, for one mapping or per lane: (L, 1) columns give
+    each of L lanes of an (L, n) ``u`` its own mapping. ``x`` and
+    ``x_des_prev`` broadcast to ``u``. Elementwise, so each lane equals a
+    one-lane call bitwise.
     """
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -128,17 +111,8 @@ def constrained_objective(success_rate: float, violations: dict) -> float:
     return success_rate * penalty
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    """Log-uniform alpha range per group plus the binary switches."""
-
-    n_groups: int = 1
-    alpha_low: float = 1e-3
-    alpha_high: float = 10.0
-
-    def __post_init__(self):
-        if not (0 < self.alpha_low < self.alpha_high):
-            raise ValueError("need 0 < alpha_low < alpha_high")
+# the log-uniform range of alpha that shape_search searches
+ALPHA_RANGE = (1e-3, 30.0)
 
 
 @dataclass(frozen=True)
@@ -155,21 +129,22 @@ class ShapingResult:
             raise ValueError("reported objective must equal the ledger max")
 
 
-def shape_search(objective, space: SearchSpace, budget: int,
+def shape_search(objective, budget: int,
                  seed: int | tuple[int, ...] = 0) -> ShapingResult | list[ShapingResult]:
-    """Search (alpha per group, beta, gamma) for the best objective value.
+    """Search (alpha, beta, gamma) for the best objective value.
 
     ``objective(mappings) -> J values`` scores a list of mappings at once;
     a NaN J records -inf, and a raise propagates. The search enumerates the
-    four (beta, gamma) combinations and runs CMA-ES over log10(alpha)
-    within each, splitting the budget evenly. The branch searches run in
-    lockstep: one batch per generation holds every live branch's
-    candidates, branch by branch. A branch whose generation has no finite
-    J stops there while the others go on. Branch budgets round down to
-    whole generations (a budget under 16 leaves none), and random draws,
-    log-uniform alphas with random switches, spend the rest. The ledger
-    lists each branch's candidates in turn, then the random draws; ties
-    break toward the earliest candidate. Deterministic given the seed.
+    four (beta, gamma) combinations and runs CMA-ES over log10(alpha),
+    alpha in ``ALPHA_RANGE``, within each, splitting the budget evenly.
+    The branch searches run in lockstep: one batch per generation holds
+    every live branch's candidates, branch by branch. A branch whose
+    generation has no finite J stops there while the others go on.
+    Branch budgets round down to whole generations of 4 candidates (a
+    budget under 16 leaves none), and random draws, log-uniform alphas
+    with random switches, spend the rest. The ledger lists each branch's
+    candidates in turn, then the random draws; ties break toward the
+    earliest candidate. Deterministic given the seed.
 
     Given a tuple of k seeds, runs k such searches, one per cell, in
     lockstep and returns their k ``ShapingResult``s in seed order. One
@@ -198,18 +173,17 @@ def shape_search(objective, space: SearchSpace, budget: int,
     branches = [(b, g) for g in (0, 1) for b in (0, 1)]
     per_branch = budget // len(branches)
     extra = budget - per_branch * len(branches)
-    log_lo, log_hi = math.log10(space.alpha_low), math.log10(space.alpha_high)
-    box = SysidBounds(params=tuple(
-        (f"log10_alpha{i}", log_lo, log_hi) for i in range(space.n_groups)))
-    lam = 4 + int(3 * math.log(space.n_groups))
+    alpha_low, alpha_high = ALPHA_RANGE
+    box = SysidBounds(params=(("log10_alpha", math.log10(alpha_low), math.log10(alpha_high)),))
+    lam = box.popsize
     searched, configs = [], []  # (cell, switches) and config of each branch search
     for cell, s in enumerate(seeds):
         for idx, switches in enumerate(branches):
             n_evals = per_branch + (1 if idx < extra else 0)
             if n_evals >= lam:  # else too few evaluations for a generation; filler below
                 searched.append((cell, switches))
-                configs.append(CmaesConfig(popsize=lam, sigma0=0.6, max_iter=n_evals // lam,
-                                           seed=s + idx, penalty_weight=10.0))
+                configs.append(CmaesConfig(sigma0=0.6, max_iter=n_evals // lam, seed=s + idx,
+                                           penalty_weight=10.0))
     trials = [[] for _ in searched]  # each branch's (mapping, J) entries
 
     def branch_losses(Xs):
@@ -217,8 +191,8 @@ def shape_search(objective, space: SearchSpace, budget: int,
         lists = [[] for _ in seeds]
         for i in live:
             cell, (beta, gamma) = searched[i]
-            lists[cell] += [ActionMapping(alpha=10.0 ** np.asarray(x), beta=beta,
-                                          gamma=gamma) for x in Xs[i]]
+            lists[cell] += [ActionMapping(alpha=(10.0 ** x)[0], beta=beta, gamma=gamma)
+                            for x in Xs[i]]
         scored = [iter(entries) for entries in evaluate(lists)]
         losses = []
         for i in live:
@@ -231,10 +205,10 @@ def shape_search(objective, space: SearchSpace, budget: int,
     cmaes_minimize(branch_losses, box, tuple(configs))
     ledgers = [[entry for (owner, _), branch in zip(searched, trials) if owner == cell
                 for entry in branch] for cell in range(len(seeds))]
-    lo, hi = math.log(space.alpha_low), math.log(space.alpha_high)
+    lo, hi = math.log(alpha_low), math.log(alpha_high)
 
     def draw(rng, k: int) -> list[ActionMapping]:
-        return [ActionMapping(alpha=np.exp(rng.uniform(lo, hi, size=space.n_groups)),
+        return [ActionMapping(alpha=np.exp(rng.uniform(lo, hi, size=1))[0],
                               beta=int(rng.integers(2)), gamma=int(rng.integers(2)))
                 for _ in range(k)]
 
@@ -373,11 +347,9 @@ def rollout(problem, mappings, episodes=None):
                                        (len(ms), 1)))
     goal = lanes(lambda p, ms, e: np.tile(np.array([g for _, g in e], dtype=float),
                                           (len(ms), 1)))
-    alpha = lanes(lambda p, ms, e: np.repeat(
-        np.reshape([expand_alpha(m, None, n) for m in ms], (-1, n)), len(e), axis=0))
-    beta, gamma = (lanes(lambda p, ms, e: np.repeat(
+    alpha, beta, gamma = (lanes(lambda p, ms, e: np.repeat(
         np.reshape([getattr(m, name) for m in ms], (-1, 1)), len(e), axis=0))
-        for name in ("beta", "gamma"))
+        for name in ("alpha", "beta", "gamma"))
     kp, kd = (lanes(lambda p, ms, e: np.broadcast_to(getattr(p.gains, name),
                                                      (len(ms) * len(e), n)))
               for name in ("kp", "kd"))

@@ -77,20 +77,22 @@ class SysidBounds:
     def dim(self) -> int:
         return len(self.params)
 
+    @property
+    def popsize(self) -> int:
+        """CMA-ES's population size over this box, 4 + floor(3 ln dim)."""
+        return 4 + int(3 * math.log(self.dim))
+
 
 @dataclass(frozen=True)
 class CmaesConfig:
-    """CMA-ES settings; popsize None means 4 + floor(3 ln n)."""
+    """CMA-ES settings; the population size is the box's ``popsize``."""
 
-    popsize: int | None = None
     sigma0: float = 3.0
     max_iter: int = 200
     seed: int = 0
     penalty_weight: float = 100.0
 
     def __post_init__(self):
-        if self.popsize is not None and self.popsize < 4:
-            raise ValueError("popsize must be >= 4")
         if not self.sigma0 > 0:
             raise ValueError("sigma0 must be positive")
         if self.max_iter < 1:
@@ -136,10 +138,10 @@ def cmaes_minimize(objective, bounds: SysidBounds,
     n = bounds.dim
     lo, hi = bounds.lower, bounds.upper
     span = hi - lo
+    lam = bounds.popsize
 
     def search(config):
         # one run: yields each generation's points, is sent their losses
-        lam = config.popsize or 4 + int(3 * math.log(n))
         mu = lam // 2
         w = math.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
         w = w / w.sum()
@@ -355,10 +357,9 @@ def identify(reference: Trajectory, gains: GainConfig, bounds: SysidBounds,
     return cmaes_minimize(objective, box, config)
 
 
-def resimulate(fit: FitResult, gains: GainConfig, base_plant: PlantParams,
-               q0=None) -> Trajectory:
+def resimulate(fit: FitResult, gains: GainConfig, base_plant: PlantParams) -> Trajectory:
     """Run the excitation under a fitted parameter set and the given gains."""
-    return excite(replace(base_plant, **fit.params), gains, q0=q0)
+    return excite(replace(base_plant, **fit.params), gains)
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,6 @@ def per_episode_evaluate(problem, mapping, episodes=None):
     spc = int(round(problem.physics_rate / problem.control_rate))
     dt = 1.0 / problem.physics_rate
     n_steps = int(round(problem.horizon * problem.physics_rate))
-    alpha = shaping.expand_alpha(mapping, None, plant.n_joints)
     succ = 0
     rates = dict.fromkeys(shaping.CONSTRAINTS, 0.0)
     for q0, goal in episodes:
@@ -184,7 +183,7 @@ def per_episode_evaluate(problem, mapping, episodes=None):
         prev_tau = np.zeros(plant.n_joints)
         for k in range(n_steps):
             if k % spc == 0:
-                x_des = shaping.map_action(alpha, mapping.beta, mapping.gamma,
+                x_des = shaping.map_action(mapping.alpha, mapping.beta, mapping.gamma,
                                            goal - q, q, x_des)
             tau_req = gains.kp * (x_des - q) - gains.kd * qd
             if gains.gravity_comp:
@@ -560,7 +559,7 @@ def loop_cmaes_minimize(objective, bounds, config=sysid.CmaesConfig()):
     n = bounds.dim
     lo, hi = bounds.lower, bounds.upper
     span = hi - lo
-    lam = config.popsize or 4 + int(3 * math.log(n))
+    lam = 4 + int(3 * math.log(n))
     mu = lam // 2
     w = math.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
     w = w / w.sum()
@@ -671,10 +670,12 @@ def per_candidate_objective(problem):
     return objective
 
 
-def loop_shape_search(objective, space, budget, seed=0):
+def loop_shape_search(objective, budget, seed=0):
     """shaping.shape_search with ``objective(mapping) -> J`` called once per
-    candidate, in ledger order; a failure records -inf, and a branch whose
-    CMA-ES aborts leaves its budget to the random filler."""
+    candidate, in ledger order, over the alpha range that
+    ``shaping.ALPHA_RANGE`` holds at call time; a failure records -inf, and
+    a branch whose CMA-ES aborts leaves its budget to the random filler."""
+    alpha_low, alpha_high = shaping.ALPHA_RANGE
     ledger = []
 
     def evaluate(mapping):
@@ -688,30 +689,28 @@ def loop_shape_search(objective, space, budget, seed=0):
         return j
 
     def draw(rng):
-        lo, hi = math.log(space.alpha_low), math.log(space.alpha_high)
-        alpha = np.exp(rng.uniform(lo, hi, size=space.n_groups))
+        lo, hi = math.log(alpha_low), math.log(alpha_high)
+        alpha = np.exp(rng.uniform(lo, hi, size=1))[0]
         return shaping.ActionMapping(alpha=alpha, beta=int(rng.integers(2)),
                                      gamma=int(rng.integers(2)))
 
     branches = [(b, g) for g in (0, 1) for b in (0, 1)]
     per_branch = budget // len(branches)
     extra = budget - per_branch * len(branches)
-    log_lo, log_hi = math.log10(space.alpha_low), math.log10(space.alpha_high)
-    box = sysid.SysidBounds(params=tuple(
-        (f"log10_alpha{i}", log_lo, log_hi) for i in range(space.n_groups)))
-    lam = 4 + int(3 * math.log(space.n_groups))
+    box = sysid.SysidBounds(params=(
+        ("log10_alpha", math.log10(alpha_low), math.log10(alpha_high)),))
+    lam = 4  # 4 + floor(3 ln 1): CMA-ES's population on the 1-D box
     for idx, (beta, gamma) in enumerate(branches):
         n_evals = per_branch + (1 if idx < extra else 0)
         if n_evals < lam:
             continue
 
         def branch_obj(x, beta=beta, gamma=gamma):
-            mapping = shaping.ActionMapping(alpha=10.0 ** np.asarray(x), beta=beta,
-                                            gamma=gamma)
+            mapping = shaping.ActionMapping(alpha=(10.0 ** x)[0], beta=beta, gamma=gamma)
             return -evaluate(mapping)
 
-        cfg = sysid.CmaesConfig(popsize=lam, sigma0=0.6, max_iter=n_evals // lam,
-                                seed=seed + idx, penalty_weight=10.0)
+        cfg = sysid.CmaesConfig(sigma0=0.6, max_iter=n_evals // lam, seed=seed + idx,
+                                penalty_weight=10.0)
         try:
             loop_cmaes_minimize(branch_obj, box, cfg)
         except sysid.CmaesAbortedError:

@@ -302,13 +302,12 @@ def test_criterion_9_shaping_existence():
     """shape_search finds a feasible mapping with >= 99% goal reach on the
     1-DOF plant in every corner gain regime."""
     plant = point_mass(1.0, torque_limit=300.0, torque_rate_limit=2e4)
-    space = shaping.SearchSpace(n_groups=1, alpha_low=1e-3, alpha_high=30.0)
     rates = {}
     feasible = {}
     for name, (kp, kd) in default_grid().corners().items():
         problem = ToyShapingProblem(plant, GainConfig(kp=kp, kd=kd),
                                     episodes=6, seed=42)
-        result = shaping.shape_search(problem, space, budget=160, seed=7)
+        result = shaping.shape_search(problem, budget=160, seed=7)  # alpha in [1e-3, 30]
         feasible[name] = result.objective >= 1.0
         rates[name] = problem.goal_rate(result.best, n_episodes=100)
     ok = all(feasible.values()) and all(r >= 0.99 for r in rates.values())

@@ -18,7 +18,7 @@ from gainlab.control import GainConfig, NotSettledError
 from gainlab.dynamics import NonPositiveInertiaError, SimulationDivergedError, point_mass
 from gainlab.noise import PerturbationDivergedError, discretize
 from gainlab.retarget import FidelityOverflowError
-from gainlab.shaping import SearchSpace, ToyShapingProblem
+from gainlab.shaping import ToyShapingProblem
 from gainlab.sysid import CmaesAbortedError, FitResult, JitterOverflowError
 from oracles import loop_shape_search, per_candidate_objective
 
@@ -158,13 +158,17 @@ eval_episodes = 2
 class TestValidateFindings:
     """A bad param is one finding: `validate` and `run` exit 1 before any work."""
 
-    def assert_reported(self, tmp_path, text, key):
+    def assert_reported(self, tmp_path, text, key, seed=None):
+        # a seed given to `run --seed`, which `validate` does not take
         out = tmp_path / "o"
-        findings = validate(load_config(write(tmp_path, "c.ini", text.format(out=out))))
-        assert len(findings) == 1 and findings[0].startswith(f"{key}:"), findings
         path = write(tmp_path, "c.ini", text.format(out=out))
-        assert main(["validate", "--config", path]) == 1
-        assert main(["run", "--config", path]) == 1
+        config, flags = load_config(path), []
+        if seed is not None:
+            config, flags = dataclasses.replace(config, seed=seed), ["--seed", str(seed)]
+        findings = validate(config)
+        assert len(findings) == 1 and findings[0].startswith(f"{key}:"), findings
+        assert main(["validate", "--config", path]) == (0 if flags else 1)
+        assert main(["run", "--config", path, *flags]) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("params,key", [
@@ -242,6 +246,12 @@ class TestValidateFindings:
         ("compliance-probe", "settle_time = 0", "params.settle_time"),
         ("sysid-sweep", "sigma0 = 0", "params.sigma0"),
         ("shape-search", "budget = 1.5", "params.budget"),
+        # a negative seed failed the run in numpy ("expected non-negative
+        # integer"); the kinds that draw nothing reject it as well
+        ("tpr-sweep", "seed = -1", "experiment.seed"),
+        ("tpr-sweep", "--seed -2", "experiment.seed"),
+        ("compliance-probe", "seed = -1", "experiment.seed"),
+        ("stats-report", "seed = -1", "experiment.seed"),
     ])
     def test_reproduced_holes(self, tmp_path, kind, line, key):
         self.assert_pinned_reported(tmp_path, kind, line, key)
@@ -251,12 +261,18 @@ class TestValidateFindings:
         self.assert_reported(tmp_path, text, "params.input")
 
     def assert_pinned_reported(self, tmp_path, kind, line, key):
-        # the kind's pinned config, with the line's key set to a bad value
+        # the kind's pinned config, with the line's key set to a bad value: a
+        # param, the [experiment] seed, or the `run --seed` flag
         name = line.split(" = ")[0]
         body = "".join(ln for ln in PINNED[kind][0].splitlines(keepends=True)
                        if not ln.startswith(f"{name} ="))
-        text = f"[experiment]\nkind = {kind}\nseed = 7\nout = {{out}}\n\n{body}{line}\n"
-        self.assert_reported(tmp_path, text, key)
+        seed, flag = "seed = 7", None
+        if name == "seed":
+            seed, line = line, ""
+        elif line.startswith("--seed "):
+            flag, line = int(line.split()[1]), ""
+        text = f"[experiment]\nkind = {kind}\n{seed}\nout = {{out}}\n\n{body}{line}\n"
+        self.assert_reported(tmp_path, text, key, seed=flag)
 
     def test_variance_check_short_horizon_validates_without_warning(self, tmp_path):
         # 30 s is under 20 time constants of the kd = 1 cells, which only the
@@ -471,10 +487,9 @@ class TestRunConfigs:
         seed = _cell_seed(5, 0)
         problem = ToyShapingProblem(point_mass(0.5), GainConfig(kp=4096.0, kd=8.0),
                                     episodes=2, seed=seed)
-        want = loop_shape_search(per_candidate_objective(problem),
-                                 SearchSpace(alpha_low=1e-3, alpha_high=30.0), 16, seed=seed)
+        want = loop_shape_search(per_candidate_objective(problem), 16, seed=seed)
         assert rows == [",".join(_fmt(v) for v in (
-            i, m.alpha[0], m.alpha[0], m.beta, m.gamma, j if math.isfinite(j) else -1.0,
+            i, m.alpha, m.alpha, m.beta, m.gamma, j if math.isfinite(j) else -1.0,
             d["success"], d["position"], d["velocity"], d["torque"], d["torque_rate"]))
             for i, ((m, j), d) in enumerate(zip(want.ledger, problem.details, strict=True))]
         diverged = [r for r in rows if r.split(",")[5] == "-1"]
@@ -566,9 +581,18 @@ class TestUnparseableConfig:
 
     def test_degenerate_two_link_plant_exit_1(self, tmp_path, capsys):
         # M00 = (m1 + m2) l1^2 + m2 l2^2 - 2 m2 l1 l2 rounds to 0 at q2 = pi
+        self.assert_unloadable_two_link(tmp_path, capsys, "1e-20, 1.0", "1.0, 1.0")
+
+    def test_singular_two_link_plant_exit_1(self, tmp_path, capsys):
+        # a positive diagonal, but det M = m1 m2 l1^2 l2^2 rounds to 0 at
+        # q2 = pi: this plant loaded, and a run that stepped it (a
+        # compliance-probe at Kp 16, Kd 8) failed with LinAlgError('Singular matrix')
+        self.assert_unloadable_two_link(tmp_path, capsys, "1e-16, 1.0", "0.5, 1.0")
+
+    def assert_unloadable_two_link(self, tmp_path, capsys, masses, lengths):
         out = tmp_path / "o"
         text = VARIANCE_INI.replace("kind = point_mass\nmass = 1.0", "kind = two_link\n"
-                                    "link_masses = 1e-20, 1.0\nlink_lengths = 1.0, 1.0")
+                                    f"link_masses = {masses}\nlink_lengths = {lengths}")
         path = write(tmp_path, "c.ini", text.format(out=out))
         assert main(["validate", "--config", path]) == 1
         assert main(["run", "--config", path]) == 1
@@ -762,6 +786,25 @@ def test_multi_generation_shape_ledgers_pinned(workers, tmp_path, monkeypatch):
     assert manifest["files"] == {
         "ledger_kp1024_kd8.csv": "186849f9c5447b4ecbf6aba437d9967201c6090c3c8db566de09c5b8c3cc21fe",
         "ledger_kp16_kd8.csv": "54ae33c496141d05db64d4641550f61d969e575984ad1b7c7179a655cd429f37",
+        "results.csv": "aa5ce48451b27cef7daf77db1b35a12fbf63d0b787e6497c99d66059761d0400"}
+
+
+# The same search on a 2-joint chain: each lane's one alpha scales both
+# joints' actions.
+CHAIN_SHAPE = MULTI_GENERATION_SHAPE.replace("kind = point_mass\nmass = 1.0",
+                                             "kind = chain\nmass = 1.0, 0.5")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chain_shape_ledgers_pinned(workers, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(
+        f"[experiment]\nkind = shape-search\nseed = 7\nout = out\n\n{CHAIN_SHAPE}")
+    assert main(["run", "--config", "c.ini", "--workers", str(workers)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["files"] == {
+        "ledger_kp1024_kd8.csv": "a539055377b9556aeda2c35ae5607e9bb39d2d7b189be653c8eb4374abb08a66",
+        "ledger_kp16_kd8.csv": "7e37e63737592792f167d5611e4545f2b895986e70783db594f399b6c295bcc8",
         "results.csv": "aa5ce48451b27cef7daf77db1b35a12fbf63d0b787e6497c99d66059761d0400"}
 
 

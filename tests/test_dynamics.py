@@ -870,13 +870,21 @@ class TestValidation:
 
 
 class TestInertiaCheckedAtConstruction:
-    """A two-link plant checks its inertia diagonal once, at q2 = pi where
-    M00 is smallest (M11 does not depend on q), in every lane."""
+    """A two-link plant checks M(q) once, at q2 = 0 and pi (det M is
+    smallest at pi, trace M largest at 0), in every lane: det M must lie
+    above MIN_INERTIA_RATIO (trace M)^2."""
 
     def test_degenerate_arm_raises(self):
         # M00(pi) = (m1 + m2) l1^2 + m2 l2^2 - 2 m2 l1 l2 rounds to 0
         with pytest.raises(NonPositiveInertiaError, match="q2 = pi"):
             two_link(link_masses=(1e-20, 1.0), link_lengths=(1.0, 1.0))
+
+    def test_singular_arm_raises(self):
+        # a positive diagonal (M00 = 0.25, M11 = 1 at q2 = pi), but
+        # det M = m1 m2 l1^2 l2^2 = 2.5e-17 rounds away: this arm was built,
+        # and its step's solve raised LinAlgError('Singular matrix')
+        with pytest.raises(NonPositiveInertiaError, match="det M"):
+            two_link(link_masses=(1e-16, 1.0), link_lengths=(0.5, 1.0))
 
     def test_one_bad_lane_raises(self):
         arm = dict(link_masses=(1e-20, 1.0), link_lengths=(1.0, 1.0))
@@ -899,11 +907,14 @@ class TestInertiaCheckedAtConstruction:
             arm = two_link(link_masses=masses, link_lengths=lengths, armature=armature)
         except NonPositiveInertiaError:
             event("rejected")
-            # exact: some lane's diagonal, from the scalar oracle, is not positive
-            worst = [np.diag(two_link_terms(SimpleNamespace(
+            # exact: some lane's M at q2 = 0 or pi, from the scalar oracle, is
+            # too close to singular
+            Ms = [two_link_terms(SimpleNamespace(
                 link_masses=masses, link_lengths=lengths, armature=np.array(a),
-                gravity_enabled=False), [0.0, math.pi], [0.0, 0.0])[0]) for a in armature]
-            assert np.any(np.array(worst) <= 0)
+                gravity_enabled=False), [0.0, q2_end], [0.0, 0.0])[0]
+                for a in armature for q2_end in (0.0, math.pi)]
+            assert any(M[0, 0] * M[1, 1] - M[0, 1] ** 2
+                       <= dynamics.MIN_INERTIA_RATIO * (M[0, 0] + M[1, 1]) ** 2 for M in Ms)
             return
         event("built")
         q = np.array([0.3, q2])
@@ -911,14 +922,10 @@ class TestInertiaCheckedAtConstruction:
                        for x in (q, np.array([0.3, math.pi])))
         assert np.all(diag[:, 0] >= worst[:, 0]) and np.array_equal(diag[:, 1], worst[:, 1])
         assert np.all(diag > 0)  # the check the step once made
-        try:
-            q_new, _ = dynamics.step(arm, q, np.zeros(2), np.zeros(2), 1e-3)
-            assert q_new.shape == (len(armature), 2)
-        except np.linalg.LinAlgError:
-            # a positive diagonal does not make M(q) invertible in floating
-            # point (m1 = 1e-16, m2 = 1, l = (0.5, 1) at q2 = pi): an open
-            # fault of the step, apart from the inertia check
-            event("singular M")
+        # and M(q) stays invertible in floating point: the step's solve
+        # raises no LinAlgError
+        q_new, _ = dynamics.step(arm, q, np.zeros(2), np.zeros(2), 1e-3)
+        assert q_new.shape == (len(armature), 2)
 
 
 class TestTrajectoryIO:

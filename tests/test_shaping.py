@@ -12,9 +12,9 @@ from numpy.testing import assert_allclose
 from gainlab import dynamics, shaping
 from gainlab.control import GainConfig, default_grid
 from gainlab.dynamics import chain, point_mass
-from gainlab.shaping import (ALLOWED_RATES, ActionMapping, SearchSpace,
-                             ToyShapingProblem, constrained_objective, expand_alpha,
-                             map_action, reward_sharp, reward_soft, shape_search)
+from gainlab.shaping import (ALLOWED_RATES, ActionMapping, ToyShapingProblem,
+                             constrained_objective, map_action, reward_sharp, reward_soft,
+                             shape_search)
 from oracles import loop_shape_search, per_candidate_objective, per_episode_evaluate
 
 
@@ -39,36 +39,30 @@ class TestMapAction:
             x_des = map_action(m.alpha, m.beta, m.gamma, [0.5], [0.0], x_des)
         assert_allclose(x_des, [1.0 + 10 * 0.2 * 0.5])
 
-    def test_per_group_alpha(self):
-        m = ActionMapping(alpha=[1.0, 10.0], beta=0, gamma=0)
-        got = map_action(expand_alpha(m, [0, 0, 1], 3), m.beta, m.gamma,
-                         [1.0, 1.0, 1.0], [0.0] * 3, [0.0] * 3)
-        assert_allclose(got, [1.0, 1.0, 10.0])
-
     def test_stacked_rows_equal_row_wise_calls_bitwise(self):
         rng = np.random.default_rng(3)
         u, x, prev = (rng.normal(size=(5, 3)) for _ in range(3))
         for beta in (0, 1):
             for gamma in (0, 1):
-                m = ActionMapping(alpha=[0.3, 7.0], beta=beta, gamma=gamma)
-                alpha = expand_alpha(m, [0, 1, 1], 3)
-                got = map_action(alpha, m.beta, m.gamma, u, x, prev)
-                rows = [map_action(alpha, m.beta, m.gamma, u[e], x[e], prev[e])
+                alpha = np.array([0.3, 7.0, 7.0])  # map_action takes any alpha array
+                got = map_action(alpha, beta, gamma, u, x, prev)
+                rows = [map_action(alpha, beta, gamma, u[e], x[e], prev[e])
                         for e in range(5)]
                 assert got.shape == (5, 3)
                 assert np.array_equal(got, np.array(rows))
                 # a shared (n,) state broadcasts over the lanes
-                shared = map_action(alpha, m.beta, m.gamma, u, x[0], prev[0])
+                shared = map_action(alpha, beta, gamma, u, x[0], prev[0])
                 assert np.array_equal(shared[2], map_action(
-                    alpha, m.beta, m.gamma, u[2], x[0], prev[0]))
+                    alpha, beta, gamma, u[2], x[0], prev[0]))
 
     def test_per_lane_mappings_equal_one_lane_calls_bitwise(self):
         rng = np.random.default_rng(8)
         u, x, prev = (rng.normal(size=(6, 2)) for _ in range(3))
-        mappings = [ActionMapping(alpha=10.0 ** rng.uniform(-3, 1.5, 2), beta=b, gamma=g)
+        mappings = [ActionMapping(alpha=10.0 ** rng.uniform(-3, 1.5), beta=b, gamma=g)
                     for _ in range(2) for b in (0, 1) for g in (0, 1)][:6]
-        alpha = np.array([m.alpha for m in mappings])
-        beta, gamma = (np.array([[getattr(m, k)] for m in mappings]) for k in ("beta", "gamma"))
+        # (L, 1) columns, as rollout builds them
+        alpha, beta, gamma = (np.array([[getattr(m, k)] for m in mappings])
+                              for k in ("alpha", "beta", "gamma"))
         got = map_action(alpha, beta, gamma, u, x, prev)
         for lane, m in enumerate(mappings):
             assert np.array_equal(got[lane], map_action(m.alpha, m.beta, m.gamma,
@@ -172,10 +166,18 @@ def rowwise(f):
     return lambda mappings: [f(m) for m in mappings]
 
 
+def _alpha_range(monkeypatch, alpha_high):
+    """Search alpha in [1e-3, alpha_high] in place of shaping.ALPHA_RANGE."""
+    monkeypatch.setattr(shaping, "ALPHA_RANGE", (1e-3, alpha_high))
+
+
 class TestShapeSearch:
+    @pytest.fixture(autouse=True)
+    def _range(self, monkeypatch):
+        _alpha_range(monkeypatch, 10.0)
+
     def test_constant_objective_bookkeeping(self):
-        space = SearchSpace(n_groups=1)
-        res = shape_search(rowwise(lambda m: 0.5), space, budget=37, seed=1)
+        res = shape_search(rowwise(lambda m: 0.5), budget=37, seed=1)
         assert len(res.ledger) == 37
         assert res.objective == 0.5
 
@@ -184,13 +186,12 @@ class TestShapeSearch:
         # branch; other branches are heavily penalized
         def objective(m: ActionMapping) -> float:
             if m.gamma == 1 and m.beta == 1:
-                return -float((m.alpha[0] - 0.3) ** 2)
+                return -float((m.alpha - 0.3) ** 2)
             return -1e3
 
-        space = SearchSpace(n_groups=1, alpha_low=1e-3, alpha_high=10.0)
-        res = shape_search(rowwise(objective), space, budget=200, seed=0)
+        res = shape_search(rowwise(objective), budget=200, seed=0)
         assert res.best.gamma == 1 and res.best.beta == 1
-        assert abs(res.best.alpha[0] - 0.3) <= 0.01
+        assert abs(res.best.alpha - 0.3) <= 0.01
 
     def test_failures_recorded_as_minus_inf(self):
         calls = []
@@ -200,7 +201,7 @@ class TestShapeSearch:
             return math.nan if len(calls) % 2 == 0 else 1.0
 
         # under 16 evaluations, no branch gets a generation: all random draws
-        res = shape_search(rowwise(objective), SearchSpace(), budget=10, seed=3)
+        res = shape_search(rowwise(objective), budget=10, seed=3)
         js = [j for _, j in res.ledger]
         assert js.count(-math.inf) == 5
         assert res.objective == 1.0
@@ -211,26 +212,26 @@ class TestShapeSearch:
 
         for budget in (10, 16):  # random draws only, one generation per branch
             with pytest.raises(RuntimeError, match="boom"):
-                shape_search(objective, SearchSpace(), budget=budget, seed=3)
+                shape_search(objective, budget=budget, seed=3)
 
     def test_ledger_argmax_consistency_and_tie_break(self):
-        res = shape_search(rowwise(lambda m: 1.0), SearchSpace(), budget=9, seed=4)
+        res = shape_search(rowwise(lambda m: 1.0), budget=9, seed=4)
         assert res.best is res.ledger[0][0]
 
     def test_deterministic_given_seed(self):
         def objective(m):
-            return float(-(m.alpha[0] - 1.0) ** 2 + m.beta - m.gamma)
+            return float(-(m.alpha - 1.0) ** 2 + m.beta - m.gamma)
 
-        a = shape_search(rowwise(objective), SearchSpace(), budget=60, seed=9)
-        b = shape_search(rowwise(objective), SearchSpace(), budget=60, seed=9)
+        a = shape_search(rowwise(objective), budget=60, seed=9)
+        b = shape_search(rowwise(objective), budget=60, seed=9)
         assert a.objective == b.objective
-        assert np.array_equal(a.best.alpha, b.best.alpha)
+        assert a.best.alpha == b.best.alpha
         assert [j for _, j in a.ledger] == [j for _, j in b.ledger]
 
 
 def _ledgers_equal(a, b):
     return len(a) == len(b) and all(
-        np.array_equal(ma.alpha, mb.alpha) and (ma.beta, ma.gamma, ja) == (mb.beta, mb.gamma, jb)
+        (ma.alpha, ma.beta, ma.gamma, ja) == (mb.alpha, mb.beta, mb.gamma, jb)
         for (ma, ja), (mb, jb) in zip(a, b))
 
 
@@ -261,11 +262,11 @@ class TestShapeSearchMatchesLoopOracle:
         pytest.param(12, 300.0, id="random-12-300.0"),  # with and without failures
         pytest.param(12, 3.0, id="random-12-3.0"),
         pytest.param(22, 30.0, id="cmaes-over-continuous-with-enumerated-discretes-22-30.0")])
-    def test_ledger_and_details(self, budget, alpha_high, seed):
-        space = SearchSpace(alpha_low=1e-3, alpha_high=alpha_high)
+    def test_ledger_and_details(self, budget, alpha_high, seed, monkeypatch):
+        _alpha_range(monkeypatch, alpha_high)
         batched, alone = self._problem(), self._problem()
-        got = shape_search(batched, space, budget, seed=seed)
-        want = loop_shape_search(per_candidate_objective(alone), space, budget, seed=seed)
+        got = shape_search(batched, budget, seed=seed)
+        want = loop_shape_search(per_candidate_objective(alone), budget, seed=seed)
         assert _ledgers_equal(got.ledger, want.ledger)
         assert _details_equal(batched.details, alone.details)
         assert got.objective == want.objective
@@ -289,7 +290,7 @@ class TestLockstepShapeSearchMatchesLoopOracle:
 
     @pytest.mark.parametrize("budget", [40, 160])
     def test_ledger_best_and_details(self, budget, monkeypatch):
-        space = SearchSpace(alpha_low=1e-3, alpha_high=300.0)
+        _alpha_range(monkeypatch, 300.0)
         batched, alone = (ToyShapingProblem(point_mass(0.5), GainConfig(kp=4096, kd=8),
                                             episodes=2, seed=3) for _ in range(2))
         outcomes = []
@@ -302,8 +303,8 @@ class TestLockstepShapeSearchMatchesLoopOracle:
             calls.append(list(mappings))
             return batched(mappings)
 
-        got = shape_search(objective, space, budget, seed=233)
-        want = loop_shape_search(per_candidate_objective(alone), space, budget, seed=233)
+        got = shape_search(objective, budget, seed=233)
+        want = loop_shape_search(per_candidate_objective(alone), budget, seed=233)
         scored = [m for call in calls for m in call]
         details = {id(m): d for m, d in zip(scored, batched.details, strict=True)}
         assert _ledgers_equal(got.ledger, want.ledger)
@@ -345,7 +346,6 @@ class TestLockstepShapeSearchAcrossCells:
                           min_size=1, max_size=4),
            budget=st.sampled_from([6, 16, 40]))
     def test_each_cell_equals_its_lone_run(self, cells, budget):
-        space = SearchSpace(alpha_low=1e-3, alpha_high=300.0)
         problems = [self._problem(gains, seed) for gains, seed in cells]
         calls = []
 
@@ -354,15 +354,17 @@ class TestLockstepShapeSearchAcrossCells:
             return [p.record(r) for p, r in
                     zip(problems, shaping.rollout(problems, mapping_lists), strict=True)]
 
-        got = shape_search(objective, space, budget, seed=tuple(seed for _, seed in cells))
-        assert len(got) == len(cells)
-        for (gains, seed), result, problem in zip(cells, got, problems):
-            alone = self._problem(gains, seed)
-            want = shape_search(alone, space, budget, seed=seed)
-            assert _ledgers_equal(result.ledger, want.ledger)
-            assert result.objective == want.objective
-            assert np.array_equal(result.best.alpha, want.best.alpha)
-            assert _details_equal(problem.details, alone.details)
+        with pytest.MonkeyPatch.context() as monkeypatch:  # once per Hypothesis example
+            _alpha_range(monkeypatch, 300.0)
+            got = shape_search(objective, budget, seed=tuple(seed for _, seed in cells))
+            assert len(got) == len(cells)
+            for (gains, seed), result, problem in zip(cells, got, problems):
+                alone = self._problem(gains, seed)
+                want = shape_search(alone, budget, seed=seed)
+                assert _ledgers_equal(result.ledger, want.ledger)
+                assert result.objective == want.objective
+                assert result.best.alpha == want.best.alpha
+                assert _details_equal(problem.details, alone.details)
         # one call per generation, every cell's list in it, none of them all empty
         assert all(len(c) == len(cells) and sum(c) for c in calls)
 
@@ -401,9 +403,8 @@ class TestLockstepShapeSearchAcrossCells:
             shaping.rollout([base, other], [[mapping], [mapping]])
 
 
-def _random_mapping(rng, beta, gamma, n_alpha=1):
-    return ActionMapping(alpha=10.0 ** rng.uniform(-3, 1.5, n_alpha),
-                         beta=beta, gamma=gamma)
+def _random_mapping(rng, beta, gamma):
+    return ActionMapping(alpha=10.0 ** rng.uniform(-3, 1.5), beta=beta, gamma=gamma)
 
 
 class TestToyShapingProblemMatchesPerEpisodeOracle:
@@ -445,8 +446,8 @@ class TestToyShapingProblemMatchesPerEpisodeOracle:
         problem = ToyShapingProblem(plant, GainConfig(kp=[64, 128], kd=[8, 4]),
                                     episodes=3, seed=9)
         rng = np.random.default_rng(4)
-        for beta, gamma, n_alpha in ((0, 0, 1), (1, 1, 2), (0, 1, 2)):
-            m = _random_mapping(rng, beta, gamma, n_alpha)
+        for beta, gamma in ((0, 0), (1, 1), (0, 1)):
+            m = _random_mapping(rng, beta, gamma)
             assert problem.evaluate(m) == per_episode_evaluate(problem, m)
 
     def test_rollout_of_many_mappings(self):
@@ -513,14 +514,11 @@ class TestRolloutOfMixedBatches:
                                     episodes=2, seed=seed)
         problem.pos_limit, problem.vel_limit = 1.2, 3.0
 
-        def mappings(lo, hi):  # log10(alpha) in [lo, hi], per joint or shared
-            n_alpha = st.sampled_from(sorted({1, plant.n_joints}))
+        def mappings(lo, hi):  # log10(alpha) in [lo, hi]
             one = st.builds(
                 lambda log_alpha, beta, gamma: ActionMapping(
-                    alpha=10.0 ** np.array(log_alpha), beta=beta, gamma=gamma),
-                n_alpha.flatmap(lambda k: st.lists(st.floats(lo, hi), min_size=k,
-                                                   max_size=k)),
-                st.sampled_from([0, 1]), st.sampled_from([0, 1]))
+                    alpha=10.0 ** log_alpha, beta=beta, gamma=gamma),
+                st.floats(lo, hi), st.sampled_from([0, 1]), st.sampled_from([0, 1]))
             return st.lists(one, min_size=1, max_size=2)
 
         batch = data.draw(st.permutations(data.draw(mappings(-3.0, 0.5), label="tame")
@@ -579,25 +577,27 @@ class TestToyShapingProblemDivergence:
         n_steps = round(problem.horizon * problem.physics_rate)
         assert 0 < err.value.step_index < n_steps
 
-    def test_shape_search_records_minus_inf(self):
+    def test_shape_search_records_minus_inf(self, monkeypatch):
         # warnings ignored, as in a plain run: only a raise can mark the candidate
+        _alpha_range(monkeypatch, 10.0)
         problem = self._problem()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = shape_search(problem, SearchSpace(), budget=4)
+            result = shape_search(problem, budget=4)
         assert [j for _, j in result.ledger] == [-math.inf] * 4
         assert result.objective == -math.inf
         assert all(math.isnan(d["success"]) for d in problem.details)
 
     @pytest.mark.parametrize("budget", [16, 40])
-    def test_branched_shape_search_records_minus_inf(self, budget):
+    def test_branched_shape_search_records_minus_inf(self, budget, monkeypatch):
         # each branch's first generation is all -inf, which aborts its
         # CMA-ES; the next branch still runs, and at budget 40 the random
         # filler spends the 24 evaluations the aborted branches left
+        _alpha_range(monkeypatch, 10.0)
         problem = self._problem()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = shape_search(problem, SearchSpace(), budget=budget)
+            result = shape_search(problem, budget=budget)
         assert [j for _, j in result.ledger] == [-math.inf] * budget
         assert result.objective == -math.inf
         assert len(problem.details) == budget

@@ -294,24 +294,23 @@ class TestLockstepCmaesMatchesLoneRuns:
     point array for exactly the searches still running."""
 
     @settings(max_examples=60, deadline=None, print_blob=True)
-    @given(data=st.data(), k=st.integers(1, 4), dim=st.integers(2, 3))
+    @given(data=st.data(), k=st.integers(1, 4), dim=st.integers(2, 4))
     def test_outcomes_equal_lone_runs(self, data, k, dim):
         bounds = SysidBounds(params=tuple((f"x{i}", -2.0, 2.0) for i in range(dim)))
         configs = tuple(CmaesConfig(
             seed=data.draw(st.integers(0, 2**32 - 1)),
-            popsize=data.draw(st.sampled_from([None, 4, 5, 9])),
             max_iter=data.draw(st.integers(1, 6)),
             sigma0=data.draw(st.floats(0.05, 4.0))) for _ in range(k))
         # per search: its function and the generation (if any) that scores all NaN
         fs = [data.draw(st.sampled_from([_sphere, _rosen, _holes, _plateau])) for _ in configs]
         aborts = [data.draw(st.none() | st.integers(0, c.max_iter - 1)) for c in configs]
-        lams = [c.popsize or 4 + int(3 * math.log(dim)) for c in configs]
+        lam = 4 + int(3 * math.log(dim))  # 6, 7 or 8
 
         def lone(i):
             calls = itertools.count()
 
             def f(x):
-                return math.nan if next(calls) // lams[i] == aborts[i] else fs[i](x)
+                return math.nan if next(calls) // lam == aborts[i] else fs[i](x)
 
             try:
                 return loop_cmaes_minimize(f, bounds, configs[i])
@@ -329,7 +328,7 @@ class TestLockstepCmaesMatchesLoneRuns:
             for i, X in enumerate(Xs):
                 assert (X is not None) == (gens[i] < n_gens[i])
                 if X is not None:
-                    assert X.shape == (lams[i], dim)
+                    assert X.shape == (lam, dim)
                     losses.append([math.nan if gens[i] == aborts[i] else fs[i](x) for x in X])
                     gens[i] += 1
             return losses
