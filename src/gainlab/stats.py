@@ -4,8 +4,10 @@ Implements the pieces end to end: binomial logistic regression fit by
 iteratively reweighted least squares on (log2 Kp, log2 Kd), one-sided
 Barnard's exact unconditional test (score statistic, nuisance maximized
 over a 2001-point grid with golden-section refinement; each tail sums the
-rejection region's per-row runs against a cumulative group-2 pmf, so a
-G-point grid costs O(n1*n2 + G*(n1 + n2))), one-sided
+rejection region's per-row runs against a cumulative group-2 pmf, built
+only at the r region rows and below the widest run's stop w, so a G-point
+grid costs O(n1*n2 + G*(r + w)) time and one byte-budgeted block of tables
+in memory), one-sided
 Mann-Whitney U (exact by enumeration for small tie-free samples, normal
 approximation with tie and continuity corrections otherwise), OLS on
 log-transformed errors, and the Bonferroni correction. All operations are
@@ -24,6 +26,10 @@ from .control import GainConfig, _median, classify_regime
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 BARNARD_GRID = 2001  # interior nuisance-grid points of barnard_exact
+# Byte budget of one block of barnard_exact's float64 tables: small enough
+# that a block and its temporaries stay in cache, large enough that every
+# table with margins up to 8 takes its whole nuisance grid in one block.
+_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -168,8 +174,35 @@ def _binom_pmf_table(n: int, ks: np.ndarray, logc: np.ndarray,
 
 def _log_binom_coef(n: int) -> np.ndarray:
     """log C(n, k) for k = 0..n."""
-    return np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                     for k in range(n + 1)])
+    lg = [math.lgamma(k + 1) for k in range(n + 1)]
+    return np.array([lg[n] - lg[k] - lg[n - k] for k in range(n + 1)])
+
+
+def _region_runs(a: int, c: int, n1: int, n2: int, side: str):
+    """The rejection region of the observed table, run-length encoded.
+
+    Returns (ks2, rows, start, stop): the group-2 counts in the order the
+    runs read them (reversed for 'less'), and per group-1 count y1 the
+    runs [start, stop) of ``ks2`` indices, in row-major order. The score
+    statistic is evaluated in blocks of y1 rows, so no full-size table of
+    it or of its mask exists.
+    """
+    t_obs = float(_score_statistic(np.array(a, dtype=float), n1,
+                                   np.array(c, dtype=float), n2))
+    tol = 1e-12 * max(1.0, abs(t_obs))
+    ks2 = np.arange(n2 + 1) if side == "greater" else np.arange(n2, -1, -1)
+    step = max(1, _BLOCK_BYTES // (8 * (n2 + 1)))
+    rows, start, stop = [], [], []
+    for lo in range(0, n1 + 1, step):
+        T = _score_statistic(np.arange(lo, min(lo + step, n1 + 1))[:, None], n1, ks2, n2)
+        padded = np.zeros((len(T), n2 + 3), dtype=np.int8)
+        padded[:, 1:-1] = (T >= t_obs - tol) if side == "greater" else (T <= t_obs + tol)
+        edges = np.diff(padded, axis=1)  # +1 at a run's start, -1 at its stop
+        r, s = np.nonzero(edges > 0)
+        rows.append(r + lo)
+        start.append(s)
+        stop.append(np.nonzero(edges < 0)[1])
+    return ks2, np.concatenate(rows), np.concatenate(start), np.concatenate(stop)
 
 
 def barnard_exact(a: int, b: int, c: int, d: int, side: str = "greater") -> float:
@@ -188,8 +221,14 @@ def barnard_exact(a: int, b: int, c: int, d: int, side: str = "greater") -> floa
     cumulative group-2 pmf. This holds for any region; the score
     statistic's region is convex in Barnard's sense, and with the y2 axis
     reversed for 'less' each row is one prefix (start = 0), so no tail
-    needs a subtraction. Cost is O(n1*n2 + G*(n1 + n2)) for G grid points
-    instead of the O(n1*n2*G) of summing the region as a dense matrix.
+    needs a subtraction. A tail reads C only below the widest run's stop
+    w and P only at the r region rows, so only those columns are built.
+    Cost is O(n1*n2 + G*(r + w)) time for G grid points, instead of the
+    O(n1*n2*G) of summing the region as a dense matrix. Memory is O(r)
+    for the runs plus one block of tables: the statistic is built in
+    blocks of y1 rows and the pmf tables in blocks of grid rows, each
+    sized to the byte budget ``_BLOCK_BYTES``, so every table with
+    w + 2r <= 32 takes its whole grid in one block.
     """
     if min(a, b, c, d) < 0:
         raise ValueError("counts must be non-negative")
@@ -198,35 +237,25 @@ def barnard_exact(a: int, b: int, c: int, d: int, side: str = "greater") -> floa
         raise ValueError("both group margins must be positive")
     if side not in ("greater", "less"):
         raise ValueError("side must be 'greater' or 'less'")
-    y1 = np.arange(n1 + 1)[:, None]
-    y2 = np.arange(n2 + 1)[None, :]
-    T = _score_statistic(y1, n1, y2, n2)
-    t_obs = float(_score_statistic(np.array(a, dtype=float), n1,
-                                   np.array(c, dtype=float), n2))
-    tol = 1e-12 * max(1.0, abs(t_obs))
-    mask = (T >= t_obs - tol) if side == "greater" else (T <= t_obs + tol)
-    del T
-
-    ks1 = np.arange(n1 + 1)
-    ks2 = np.arange(n2 + 1)
-    if side == "less":
-        mask = mask[:, ::-1]
-        ks2 = ks2[::-1]
-    logc1 = _log_binom_coef(n1)
+    ks2, rows, start, stop = _region_runs(a, c, n1, n2, side)
+    ks2 = ks2[:stop.max()]
     logc2 = _log_binom_coef(n2)[ks2]
-    edges = np.diff(mask.astype(np.int8), axis=1, prepend=0, append=0)
-    rows, start = np.nonzero(edges > 0)
-    stop = np.nonzero(edges < 0)[1]
+    logc1 = _log_binom_coef(n1)[rows]
     inner = np.nonzero(start > 0)[0]
+    block = max(1, _BLOCK_BYTES // (8 * (len(ks2) + 2 * len(rows))))
 
     def tail(pis: np.ndarray) -> np.ndarray:
-        cum2 = _binom_pmf_table(n2, ks2, logc2, pis)
-        np.cumsum(cum2, axis=1, out=cum2)
-        seg = cum2[:, stop - 1]
-        seg[:, inner] -= cum2[:, start[inner] - 1]
-        del cum2  # free it before the group-1 table is built: peak memory
-        b1 = _binom_pmf_table(n1, ks1, logc1, pis)
-        return np.einsum("pr,pr->p", b1[:, rows], seg)
+        out = np.empty(len(pis))
+        for lo in range(0, len(pis), block):
+            chunk = pis[lo:lo + block]
+            cum2 = _binom_pmf_table(n2, ks2, logc2, chunk)
+            np.cumsum(cum2, axis=1, out=cum2)
+            seg = cum2[:, stop - 1]
+            seg[:, inner] -= cum2[:, start[inner] - 1]
+            del cum2  # free it before the group-1 table is built: peak memory
+            b1 = _binom_pmf_table(n1, rows, logc1, chunk)
+            out[lo:lo + block] = np.einsum("pr,pr->p", b1, seg)
+        return out
 
     def tail_at(pi: float) -> float:
         return float(tail(np.array([pi]))[0])

@@ -100,6 +100,82 @@ def dense_barnard(a, b, c, d, side="greater", n_grid=2001):
     return float(min(1.0, p_best))
 
 
+def three_call_log_binom_coef(n):
+    """log C(n, k) for k = 0..n, three ``math.lgamma`` calls per k."""
+    return np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                     for k in range(n + 1)])
+
+
+def full_table_barnard(a, b, c, d, side="greater"):
+    """Barnard p from full-width tables: the statistic and region mask on
+    all (n1 + 1, n2 + 1) cells, and both pmf tables at every count for
+    the whole nuisance grid at once. Each element goes through the same
+    ufunc sequence as in ``stats.barnard_exact``, so the p-values must be
+    bitwise equal.
+    """
+    if min(a, b, c, d) < 0:
+        raise ValueError("counts must be non-negative")
+    n1, n2 = a + b, c + d
+    if n1 == 0 or n2 == 0:
+        raise ValueError("both group margins must be positive")
+    if side not in ("greater", "less"):
+        raise ValueError("side must be 'greater' or 'less'")
+    y1 = np.arange(n1 + 1)[:, None]
+    y2 = np.arange(n2 + 1)[None, :]
+    T = stats._score_statistic(y1, n1, y2, n2)
+    t_obs = float(stats._score_statistic(np.array(a, dtype=float), n1,
+                                         np.array(c, dtype=float), n2))
+    tol = 1e-12 * max(1.0, abs(t_obs))
+    mask = (T >= t_obs - tol) if side == "greater" else (T <= t_obs + tol)
+    del T
+
+    ks1 = np.arange(n1 + 1)
+    ks2 = np.arange(n2 + 1)
+    if side == "less":
+        mask = mask[:, ::-1]
+        ks2 = ks2[::-1]
+    logc1 = three_call_log_binom_coef(n1)
+    logc2 = three_call_log_binom_coef(n2)[ks2]
+    edges = np.diff(mask.astype(np.int8), axis=1, prepend=0, append=0)
+    rows, start = np.nonzero(edges > 0)
+    stop = np.nonzero(edges < 0)[1]
+    inner = np.nonzero(start > 0)[0]
+
+    def tail(pis):
+        cum2 = stats._binom_pmf_table(n2, ks2, logc2, pis)
+        np.cumsum(cum2, axis=1, out=cum2)
+        seg = cum2[:, stop - 1]
+        seg[:, inner] -= cum2[:, start[inner] - 1]
+        del cum2  # free it before the group-1 table is built: peak memory
+        b1 = stats._binom_pmf_table(n1, ks1, logc1, pis)
+        return np.einsum("pr,pr->p", b1[:, rows], seg)
+
+    def tail_at(pi):
+        return float(tail(np.array([pi]))[0])
+
+    grid = np.linspace(0.0, 1.0, stats.BARNARD_GRID + 2)[1:-1]
+    tails = tail(grid)
+    k = int(np.argmax(tails))
+    p_best = float(tails[k])
+
+    lo = grid[k - 1] if k > 0 else 0.0
+    hi = grid[k + 1] if k < len(grid) - 1 else 1.0
+    x1 = hi - stats.GOLDEN * (hi - lo)
+    x2 = lo + stats.GOLDEN * (hi - lo)
+    f1, f2 = tail_at(x1), tail_at(x2)
+    for _ in range(60):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + stats.GOLDEN * (hi - lo)
+            f2 = tail_at(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - stats.GOLDEN * (hi - lo)
+            f1 = tail_at(x1)
+    p_best = max(p_best, f1, f2)
+    return float(min(1.0, p_best))
+
+
 def normal_approx_mwu_p(x, y, side="less"):
     """Tie-free normal approximation with continuity correction."""
     x = np.asarray(x, dtype=float)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from gainlab import stats
 from gainlab.stats import (SweepOutcome, barnard_exact, bonferroni,
                            logistic_fit, mannwhitney_u, ols_log_fit,
                            region_test)
-from oracles import (brute_force_barnard, dense_barnard, loop_mannwhitney_u,
-                     normal_approx_mwu_p)
+from oracles import (brute_force_barnard, dense_barnard, full_table_barnard,
+                     loop_mannwhitney_u, normal_approx_mwu_p,
+                     three_call_log_binom_coef)
 
 
 class TestLogisticFit:
@@ -208,6 +210,82 @@ class TestBarnardProperties:
         a, b, c, d = table
         assert barnard_exact(a, b, c, d, side="greater") == pytest.approx(
             barnard_exact(c, d, a, b, side="less"), abs=1e-9)
+
+
+class TestLogBinomCoef:
+    def test_equals_three_call_form_bitwise(self):
+        for n in range(2001):
+            assert np.array_equal(stats._log_binom_coef(n), three_call_log_binom_coef(n)), n
+
+
+def assert_equals_full_table(a, b, c, d, side):
+    p = barnard_exact(a, b, c, d, side=side)
+    assert p == full_table_barnard(a, b, c, d, side=side), (a, b, c, d, side, p)
+
+
+@st.composite
+def wide_tables(draw):
+    n1, n2 = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    a = draw(st.integers(min_value=0, max_value=n1))
+    c = draw(st.integers(min_value=0, max_value=n2))
+    return a, n1 - a, c, n2 - c
+
+
+class TestBarnardMatchesFullTableOracle:
+    """Building only the region's pmf columns, in blocks of grid rows and
+    of y1 rows, leaves every p-value bitwise that of the full tables."""
+
+    @pytest.mark.parametrize("side", ["greater", "less"])
+    def test_bench_sized_table(self, side):
+        assert_equals_full_table(443, 77, 562, 878, side)
+
+    def test_large_region_table(self):
+        assert_equals_full_table(546, 754, 1404, 2196, "greater")
+
+    @pytest.mark.parametrize("table,side", [((0, 37, 52, 0), "greater"),
+                                            ((37, 0, 0, 52), "less")])
+    def test_region_of_every_cell(self, table, side):
+        _, rows, start, stop = stats._region_runs(table[0], table[2], 37, 52, side)
+        assert rows.tolist() == list(range(38))
+        assert (start == 0).all() and (stop == 53).all()
+        assert_equals_full_table(*table, side)
+
+    # the observed cell alone: (y1, y2) = (37, 0), and (0, 52) at the head
+    # of the reversed y2 axis
+    @pytest.mark.parametrize("table,side", [((37, 0, 0, 52), "greater"),
+                                            ((0, 37, 52, 0), "less")])
+    def test_region_of_one_cell(self, table, side):
+        _, rows, start, stop = stats._region_runs(table[0], table[2], 37, 52, side)
+        assert (rows.tolist(), start.tolist(), stop.tolist()) == ([table[0]], [0], [1])
+        assert_equals_full_table(*table, side)
+
+    @pytest.mark.parametrize("n1", [62, 63, 64])
+    @pytest.mark.parametrize("side", ["greater", "less"])
+    def test_margins_around_a_block_of_y1_rows(self, n1, side):
+        n2 = 1023
+        assert stats._BLOCK_BYTES // (8 * (n2 + 1)) == 64  # y1 rows per block
+        assert_equals_full_table(n1 // 2, n1 - n1 // 2, n2 // 3, n2 - n2 // 3, side)
+
+    @pytest.mark.parametrize("grid_rows", [1, 7, 2000, 2001, 2002])
+    def test_grid_blocks_of_any_row_count(self, monkeypatch, grid_rows):
+        a, b, c, d = 85, 15, 39, 61
+        _, rows, _, stop = stats._region_runs(a, c, a + b, c + d, "greater")
+        monkeypatch.setattr(stats, "_BLOCK_BYTES", grid_rows * 8 * (stop.max() + 2 * len(rows)))
+        assert_equals_full_table(a, b, c, d, "greater")
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(table=wide_tables(), side=st.sampled_from(["greater", "less"]))
+    def test_equals_full_table_oracle(self, table, side):
+        assert_equals_full_table(*table, side)
+
+    def test_bench_sized_table_peak_memory(self):
+        tracemalloc.start()
+        try:
+            barnard_exact(443, 77, 562, 878)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
 
 @st.composite
