@@ -526,6 +526,12 @@ def _demo_params(duration: float) -> dict:
             "goal_tol": (0.05, _POSITIVE)}
 
 
+def _demo_samples(cfg: ExperimentConfig) -> int:
+    """The samples of each demo ``_demos`` builds; ValueError naming
+    duration when they round to none."""
+    return retarget.demo_samples(cfg.params["duration"], cfg.params["base_rate"])
+
+
 def _variance_rules(cfg: ExperimentConfig):
     """Raise unless the run can discretize every (cell, mass) as given."""
     p = cfg.params
@@ -572,7 +578,8 @@ RUNNERS = {
         heatmaps=lambda cfg: [f"mse_dec{d}" for d in cfg.params["decimations"]],
         shared=lambda cfg: _demos(cfg, cfg.params["n_demos"]),
         params={"n_demos": (5, _COUNT), "decimations": ([1, 10, 25, 50], _listed(_COUNT)),
-                **_demo_params(2.0)}),
+                **_demo_params(2.0)},
+        rules=_demo_samples),
     "variance-check": _Kind(
         _variance_cell, ("kp", "kd", "mass", "sigma", "mode", "empirical_var",
                          "stderr", "analytic_var"),
@@ -592,7 +599,8 @@ RUNNERS = {
         heatmaps=lambda cfg: ["goal_rate", "rms_deviation"],
         shared=lambda cfg: _demos(cfg, 1),
         params={"decimation": (10, _COUNT), "sigma": (0.05, _NONNEGATIVE),
-                "trials": (20, _COUNT), **_demo_params(2.0)}),
+                "trials": (20, _COUNT), **_demo_params(2.0)},
+        rules=_demo_samples),
     "sysid-sweep": _Kind(
         _sysid_cell, ("kp", "kd", "final_loss", "evals", "stiffness", "damping",
                       *sysid.FREE_PARAMS),
@@ -622,10 +630,9 @@ RUNNERS = {
         params={"decimation": (10, _COUNT), "sigma": (0.02, _NONNEGATIVE),
                 "window": (2.0, _POSITIVE), "threshold": (0.04, _NONNEGATIVE),
                 **_demo_params(6.0)},
-        # the replay holds as many samples as its demo, round(duration * base_rate)
-        rules=lambda cfg: sysid.jitter_window(
-            round(cfg.params["duration"] * cfg.params["base_rate"]), cfg.params["base_rate"],
-            cfg.params["window"])),
+        # the replay holds as many samples as its demo
+        rules=lambda cfg: sysid.jitter_window(_demo_samples(cfg), cfg.params["base_rate"],
+                                              cfg.params["window"])),
 }
 KINDS = tuple(RUNNERS)
 

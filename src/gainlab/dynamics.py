@@ -144,13 +144,23 @@ class PlantParams:
             raise ValueError("dynamic_friction_ratio must lie in [0, 1]")
         if not self.torque_rate_limit > 0:
             raise ValueError("torque_rate_limit must be positive")
-        # det M(q) is smallest at q2 = pi (m1 m2 l1^2 l2^2 without armature)
-        # and trace M(q) largest at q2 = 0, with trace M(pi) >= 0.17 trace
-        # M(0): an arm that passes at both keeps det M / (trace M)^2, a lower
-        # bound on its eigenvalue ratio, above 0.029 MIN_INERTIA_RATIO at
-        # every q2, far above rounding, so the step's solve never meets a
-        # singular M
-        if self.kind == TWO_LINK:  # q2 = 0 and pi, each over every lane
+        if self.kind == TWO_LINK:
+            m1, m2 = self.link_masses
+            l1, l2 = self.link_lengths
+            # the closed forms' plant constants, each associated as in its closed
+            # form, so that M, C q_dot and g round as the whole expressions do
+            for name, value in {"_m00": (m1 + m2) * l1**2 + m2 * l2**2,
+                                "_m00_c2": 2.0 * m2 * l1 * l2, "_m11": m2 * l2**2,
+                                "_m01_c2": m2 * l1 * l2, "_h_s2": -m2 * l1 * l2,
+                                "_g_c1": (m1 + m2) * GRAVITY * l1,
+                                "_g_c12": m2 * GRAVITY * l2}.items():
+                object.__setattr__(self, name, value)
+            # det M(q) is smallest at q2 = pi (m1 m2 l1^2 l2^2 without armature)
+            # and trace M(q) largest at q2 = 0, with trace M(pi) >= 0.17 trace
+            # M(0): an arm that passes at both keeps det M / (trace M)^2, a lower
+            # bound on its eigenvalue ratio, above 0.029 MIN_INERTIA_RATIO at
+            # every q2, far above rounding, so the step's solve never meets a
+            # singular M (q2 = 0 and pi, each over every lane)
             M = mass_matrix(self, np.array([[[0.0, 0.0]], [[0.0, np.pi]]]))
             det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] ** 2
             if np.any(det <= MIN_INERTIA_RATIO * (M[..., 0, 0] + M[..., 1, 1]) ** 2):
@@ -205,14 +215,12 @@ def mass_matrix(plant: PlantParams, q: np.ndarray) -> np.ndarray:
     for lanes of q or of the plant."""
     arm = plant.armature
     if plant.kind == TWO_LINK:
-        m1, m2 = plant.link_masses
-        l1, l2 = plant.link_lengths
         c2 = np.cos(q[..., 1])
-        M = np.empty(np.broadcast_shapes(np.shape(c2), arm.shape[:-1]) + (2, 2))
-        M[..., 0, 0] = (m1 + m2) * l1**2 + m2 * l2**2 + 2.0 * m2 * l1 * l2 * c2 \
-            + arm[..., 0]
-        M[..., 0, 1] = M[..., 1, 0] = m2 * l2**2 + m2 * l1 * l2 * c2
-        M[..., 1, 1] = m2 * l2**2 + arm[..., 1]
+        m00 = plant._m00 + plant._m00_c2 * c2 + arm[..., 0]
+        M = np.empty(np.shape(m00) + (2, 2))
+        M[..., 0, 0] = m00
+        M[..., 0, 1] = M[..., 1, 0] = plant._m11 + plant._m01_c2 * c2
+        M[..., 1, 1] = plant._m11 + arm[..., 1]
         return M
     n = plant.n_joints
     M = np.zeros(arm.shape + (n,))
@@ -224,9 +232,7 @@ def coriolis_torque(plant: PlantParams, q: np.ndarray, q_dot: np.ndarray) -> np.
     """C(q, q_dot) q_dot. Zero for the decoupled plants; Christoffel form for 2R."""
     if plant.kind != TWO_LINK:
         return np.zeros(plant.n_joints)
-    m2 = plant.link_masses[1]
-    l1, l2 = plant.link_lengths
-    h = -m2 * l1 * l2 * np.sin(q[..., 1])
+    h = plant._h_s2 * np.sin(q[..., 1])
     qd1, qd2 = q_dot[..., 0], q_dot[..., 1]
     out = np.empty(np.shape(q_dot))
     out[..., 0] = h * qd2 * qd1 + h * (qd1 + qd2) * qd2
@@ -243,13 +249,11 @@ def gravity_torque(plant: PlantParams, q: np.ndarray) -> np.ndarray:
     if not plant.gravity_enabled:
         return np.zeros(plant.n_joints)
     if plant.kind == TWO_LINK:
-        m1, m2 = plant.link_masses
-        l1, l2 = plant.link_lengths
         c1 = np.cos(q[..., 0])
         c12 = np.cos(q[..., 0] + q[..., 1])
         out = np.empty(np.shape(q))
-        out[..., 0] = (m1 + m2) * GRAVITY * l1 * c1 + m2 * GRAVITY * l2 * c12
-        out[..., 1] = m2 * GRAVITY * l2 * c12
+        out[..., 0] = plant._g_c1 * c1 + plant._g_c12 * c12
+        out[..., 1] = plant._g_c12 * c12
         return out
     return plant.mass * GRAVITY
 
@@ -282,8 +286,10 @@ def _advance(plant: PlantParams, q, q_dot, tau, dt: float):
     if plant.kind == TWO_LINK:
         M = mass_matrix(plant, q)
         m_eff = np.diagonal(M, axis1=-2, axis2=-1)  # positive: see PlantParams
-        smooth = tau - coriolis_torque(plant, q, q_dot) - gravity_torque(plant, q) \
-            - plant.viscous_friction * q_dot
+        smooth = tau - coriolis_torque(plant, q, q_dot)
+        if plant.gravity_enabled:  # g(q) is 0 without, and x - 0.0 is x bitwise
+            smooth = smooth - gravity_torque(plant, q)
+        smooth = smooth - plant.viscous_friction * q_dot
         v_cand = q_dot + dt * np.linalg.solve(M, smooth[..., None])[..., 0]
     else:
         m_eff = plant._m_eff

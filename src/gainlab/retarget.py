@@ -13,6 +13,7 @@ command over the skipped physics steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,28 +212,35 @@ def quintic_reference(q0, qf, duration: float):
     """Minimum-jerk quintic from q0 to qf with zero boundary vel/acc.
 
     Returns pos(t), vel(t), acc(t) callables, clamped beyond [0, duration].
+    A float t (as :func:`dynamics.simulate` passes) is evaluated in Python
+    floats, bitwise as numpy evaluates a float64 scalar (both take s**k
+    from libm's pow); an array t is evaluated on numpy, whose vectorized
+    powers may differ from the scalar ones in the last bit. A ``duration``
+    that is not finite and positive raises ``ValueError``.
     """
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     qf = _as_vector(qf, q0.size)
     dq = qf - q0
     T = float(duration)
+    if not 0 < T < math.inf:
+        raise ValueError(f"duration must be finite and positive, not {duration!r}")
 
     def _s(t):
-        s = np.clip(t / T, 0.0, 1.0)
-        return s
+        """(t / T clamped to [0, 1], whether 0 < t < T)."""
+        if isinstance(t, (float, int)):
+            return min(max(0.0, t / T), 1.0), 0.0 < t < T
+        return np.clip(t / T, 0.0, 1.0), (t > 0.0) & (t < T)
 
     def pos(t):
-        s = _s(t)
+        s = _s(t)[0]
         return q0 + dq * (10 * s**3 - 15 * s**4 + 6 * s**5)
 
     def vel(t):
-        s = _s(t)
-        inside = (t > 0.0) & (t < T) if np.ndim(t) else (0.0 < t < T)
+        s, inside = _s(t)
         return dq * (30 * s**2 - 60 * s**3 + 30 * s**4) / T * inside
 
     def acc(t):
-        s = _s(t)
-        inside = (t > 0.0) & (t < T) if np.ndim(t) else (0.0 < t < T)
+        s, inside = _s(t)
         return dq * (60 * s - 180 * s**2 + 120 * s**3) / T**2 * inside
 
     return pos, vel, acc
@@ -258,6 +266,20 @@ def computed_torque_tracker(plant: PlantParams, pos, vel, acc):
     return controller
 
 
+def demo_samples(duration: float, base_rate: float) -> int:
+    """The samples of a ``duration`` s demo at ``base_rate`` Hz,
+    round(duration * base_rate); ValueError, naming the param at fault
+    first, unless base_rate is finite and positive and that count is
+    finite and at least one."""
+    if not 0 < base_rate < math.inf:
+        raise ValueError(f"base_rate must be finite and positive, not {base_rate!r}")
+    samples = duration * base_rate
+    if not 0.5 < samples < math.inf:  # round(samples) >= 1 exactly when samples > 0.5
+        raise ValueError(f"duration {duration!r} s at base_rate {base_rate!r} Hz must "
+                         f"round to at least one sample and finitely many")
+    return int(round(samples))
+
+
 def make_demo(plant: PlantParams, controller, duration: float, base_rate: float,
               q0=None, goal: TaskGoal | None = None,
               reference=None) -> TorqueDemo:
@@ -267,20 +289,20 @@ def make_demo(plant: PlantParams, controller, duration: float, base_rate: float,
     clamped before application and the demo is flagged. The recorded
     ``q_des`` channel holds ``reference(t)`` when a reference is supplied
     and q otherwise. The demo starts at rest at ``q0`` (default 0) and
-    holds exactly ``round(duration * base_rate)`` samples.
+    holds exactly ``round(duration * base_rate)`` samples (see
+    :func:`demo_samples`).
     """
-    if not duration > 0:
-        raise ValueError("duration must be positive")
+    n_steps = demo_samples(duration, base_rate)
     dt = 1.0 / base_rate
-    n_steps = int(round(duration * base_rate))
     q0 = np.zeros(plant.n_joints) if q0 is None else q0
     saturated = False
+    low, high = -plant.torque_limit, plant.torque_limit
 
     def torque_fn(q, q_dot, k, t):
         nonlocal saturated
         tau = _as_vector(controller(q, q_dot, t), plant.n_joints)
-        clipped = np.minimum(np.maximum(tau, -plant.torque_limit), plant.torque_limit)
-        if np.any(clipped != tau):
+        clipped = np.minimum(np.maximum(tau, low), high)
+        if (clipped != tau).any():
             saturated = True
         return clipped, q if reference is None else reference(t)
 

@@ -401,6 +401,98 @@ def two_link_step(plant, q, q_dot, tau, dt):
     return q + dt * qd_new, qd_new
 
 
+
+# The two-link closed forms with every plant constant rebuilt on each call,
+# and the quintic reference on numpy for every t: the forms the per-plant
+# coefficients of dynamics.PlantParams and retarget.quintic_reference's
+# float path must reproduce bitwise.
+
+
+def inline_mass_matrix(plant, q):
+    """M(q) of a two-link plant, including armature; (B, 2, 2) for lanes."""
+    arm = plant.armature
+    m1, m2 = plant.link_masses
+    l1, l2 = plant.link_lengths
+    c2 = np.cos(q[..., 1])
+    M = np.empty(np.broadcast_shapes(np.shape(c2), arm.shape[:-1]) + (2, 2))
+    M[..., 0, 0] = (m1 + m2) * l1**2 + m2 * l2**2 + 2.0 * m2 * l1 * l2 * c2 \
+        + arm[..., 0]
+    M[..., 0, 1] = M[..., 1, 0] = m2 * l2**2 + m2 * l1 * l2 * c2
+    M[..., 1, 1] = m2 * l2**2 + arm[..., 1]
+    return M
+
+
+def inline_coriolis_torque(plant, q, q_dot):
+    """C(q, q_dot) q_dot of a two-link plant."""
+    m2 = plant.link_masses[1]
+    l1, l2 = plant.link_lengths
+    h = -m2 * l1 * l2 * np.sin(q[..., 1])
+    qd1, qd2 = q_dot[..., 0], q_dot[..., 1]
+    out = np.empty(np.shape(q_dot))
+    out[..., 0] = h * qd2 * qd1 + h * (qd1 + qd2) * qd2
+    out[..., 1] = -h * qd1 * qd1
+    return out
+
+
+def inline_gravity_torque(plant, q):
+    """g(q) of a two-link plant; zero when gravity is disabled."""
+    if not plant.gravity_enabled:
+        return np.zeros(plant.n_joints)
+    m1, m2 = plant.link_masses
+    l1, l2 = plant.link_lengths
+    c1 = np.cos(q[..., 0])
+    c12 = np.cos(q[..., 0] + q[..., 1])
+    out = np.empty(np.shape(q))
+    out[..., 0] = (m1 + m2) * GRAVITY * l1 * c1 + m2 * GRAVITY * l2 * c12
+    out[..., 1] = m2 * GRAVITY * l2 * c12
+    return out
+
+
+def inline_two_link_advance(plant, q, q_dot, tau, dt):
+    """One two-link step on the inline terms, g(q) subtracted even when it
+    is zero."""
+    M = inline_mass_matrix(plant, q)
+    m_eff = np.diagonal(M, axis1=-2, axis2=-1)
+    smooth = tau - inline_coriolis_torque(plant, q, q_dot) - inline_gravity_torque(plant, q) \
+        - plant.viscous_friction * q_dot
+    v_cand = q_dot + dt * np.linalg.solve(M, smooth[..., None])[..., 0]
+    dry = np.where(np.abs(q_dot) > STICTION_VEL_EPS, plant._dry_moving, plant.static_friction)
+    dv = np.minimum(np.abs(v_cand), dt * dry / m_eff)
+    qd_new = v_cand - np.sign(v_cand) * dv
+    return q + dt * qd_new, qd_new
+
+
+def clip_quintic_reference(q0, qf, duration: float):
+    """Minimum-jerk quintic from q0 to qf with zero boundary vel/acc.
+
+    Returns pos(t), vel(t), acc(t) callables, clamped beyond [0, duration].
+    """
+    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
+    qf = _as_vector(qf, q0.size)
+    dq = qf - q0
+    T = float(duration)
+
+    def _s(t):
+        s = np.clip(t / T, 0.0, 1.0)
+        return s
+
+    def pos(t):
+        s = _s(t)
+        return q0 + dq * (10 * s**3 - 15 * s**4 + 6 * s**5)
+
+    def vel(t):
+        s = _s(t)
+        inside = (t > 0.0) & (t < T) if np.ndim(t) else (0.0 < t < T)
+        return dq * (30 * s**2 - 60 * s**3 + 30 * s**4) / T * inside
+
+    def acc(t):
+        s = _s(t)
+        inside = (t > 0.0) & (t < T) if np.ndim(t) else (0.0 < t < T)
+        return dq * (60 * s - 180 * s**2 + 120 * s**3) / T**2 * inside
+
+    return pos, vel, acc
+
+
 def per_trial_noisy_replay(retargeted, plant, sigma, seed, n_trials, decimation=1):
     """noise.noisy_openloop_replay as one simulate_replay per trial.
 

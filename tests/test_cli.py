@@ -240,6 +240,11 @@ class TestValidateFindings:
         ("jitter-scan", "threshold = nan", "params.threshold"),
         ("jitter-scan", "window = 2.0", "params.window"),  # the demo lasts 1 s
         ("jitter-scan", "window = 0.001", "params.window"),  # under one sample
+        # demos of round(0.0009 * 500) = 0 samples: run failed every cell
+        # with IndexError
+        ("noisy-replay", "duration = 0.0009", "params.duration"),
+        ("tpr-sweep", "duration = 0.0009", "params.duration"),
+        ("jitter-scan", "duration = 0.0009", "params.duration"),  # was params.window
         ("stats-report", "alpha = 2", "params.alpha"),
         ("stats-report", "region = true", "params.region"),
         ("compliance-probe", "probe_force = 0", "params.probe_force"),

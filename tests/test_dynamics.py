@@ -14,8 +14,10 @@ from gainlab import dynamics, retarget
 from gainlab.control import GainConfig, pd_torque
 from gainlab.dynamics import (GRAVITY, NonPositiveInertiaError, Trajectory, chain, point_mass,
                               two_link)
-from oracles import (State, forward_dynamics, friction_torque, kinetic_energy, loop_run_lanes,
-                     rk4_step, state_make_demo, state_simulate, two_link_step, two_link_terms)
+from oracles import (State, forward_dynamics, friction_torque, inline_coriolis_torque,
+                     inline_gravity_torque, inline_mass_matrix, inline_two_link_advance,
+                     kinetic_energy, loop_run_lanes, rk4_step, state_make_demo, state_simulate,
+                     two_link_step, two_link_terms)
 
 
 def make_gravity_arm(link_masses=(1.0, 0.5), link_lengths=(0.5, 0.4), **kw):
@@ -941,6 +943,54 @@ class TestInertiaCheckedAtConstruction:
         # raises no LinAlgError
         q_new, _ = dynamics.step(arm, q, np.zeros(2), np.zeros(2), 1e-3)
         assert q_new.shape == (len(armature), 2)
+
+
+class TestArmTermsMatchInlineOracles:
+    """A two-link plant derives its closed forms' constants once, when it is
+    built: M(q), C(q, q_dot) q_dot, g(q) and the step equal the forms that
+    rebuild every constant on each call, bitwise and in shape."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(masses=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=2),
+           lengths=st.lists(st.floats(0.05, 2.0), min_size=2, max_size=2),
+           gravity=st.booleans(), lanes=st.sampled_from([(), (3, 2), (1, 2), (4, 1)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_terms_and_step(self, masses, lengths, gravity, lanes, seed):
+        rng = np.random.default_rng(seed)
+        arm = rng.uniform(0.0, 0.5, lanes) if lanes else rng.uniform(0.0, 0.5)
+        plant = two_link(link_masses=masses, link_lengths=lengths, armature=arm,
+                         viscous_friction=rng.uniform(0.0, 1.0), static_friction=0.1,
+                         gravity_enabled=gravity)
+        # (B, 2) matches the plant's lanes (one lane for an unstacked plant);
+        # (2, 1, 2) is the shape the inertia check evaluates M at
+        B = lanes[0] if lanes else 1
+        for shape in ((2,), (B, 2), (2, 1, 2)):
+            q = rng.uniform(-4.0, 4.0, shape)
+            q.reshape(-1, 2)[0, 1] = math.pi  # where det M is smallest
+            q_dot, tau = rng.uniform(-3.0, 3.0, shape), rng.uniform(-5.0, 5.0, shape)
+            for got, want in (
+                    (dynamics.mass_matrix(plant, q), inline_mass_matrix(plant, q)),
+                    (dynamics.coriolis_torque(plant, q, q_dot),
+                     inline_coriolis_torque(plant, q, q_dot)),
+                    (dynamics.gravity_torque(plant, q), inline_gravity_torque(plant, q)),
+                    *zip(dynamics.step(plant, q, q_dot, tau, 1e-3),
+                         inline_two_link_advance(plant, q, q_dot, tau, 1e-3))):
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_replaced_plant_derives_its_own(self):
+        # a hidden plant is the config's plant with fields replaced (as the
+        # sysid sweep builds it); it must not keep the old plant's constants
+        base = make_gravity_arm(armature=[[0.1, 0.2], [0.0, 0.3]])
+        hidden = replace(base, link_masses=(2.0, 0.3), link_lengths=(0.7, 0.2),
+                         armature=[[0.05], [0.4]])
+        q = np.array([[0.4, -1.2], [2.0, math.pi]])
+        q_dot = np.array([[0.5, -0.7], [1.5, 0.2]])
+        for got, want in ((dynamics.mass_matrix(hidden, q), inline_mass_matrix(hidden, q)),
+                          (dynamics.coriolis_torque(hidden, q, q_dot),
+                           inline_coriolis_torque(hidden, q, q_dot)),
+                          (dynamics.gravity_torque(hidden, q), inline_gravity_torque(hidden, q))):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert not np.array_equal(dynamics.mass_matrix(base, q), dynamics.mass_matrix(hidden, q))
 
 
 class TestTrajectoryIO:

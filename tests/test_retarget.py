@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from gainlab.dynamics import Trajectory, point_mass, two_link
 from gainlab.retarget import (TaskGoal, TorqueDemo, computed_torque_tracker,
                               make_demo, quintic_reference, replay,
                               synth_task_demo, tpr_joint, tpr_task)
-from oracles import two_link_terms
+from oracles import clip_quintic_reference, two_link_terms
 
 
 def linear_demo(plant=None, q_to=0.8, duration=2.0, base_rate=500.0):
@@ -215,6 +217,28 @@ class TestMakeDemo:
         with pytest.raises(ValueError):
             make_demo(point_mass(1.0), lambda q, q_dot, t: [0.0], 0.0, 500.0)
 
+    @pytest.mark.parametrize("duration,base_rate,match", [
+        (math.inf, 500.0, "duration"),  # was OverflowError
+        (math.nan, 500.0, "duration"),
+        (-math.inf, 500.0, "duration"),
+        (-1.0, 500.0, "duration"),
+        (1.0, math.inf, "base_rate"),  # was OverflowError
+        (1.0, 0.0, "base_rate"),  # was ZeroDivisionError
+        (1.0, math.nan, "base_rate"),
+        (0.0009, 500.0, "duration"),  # rounds to no sample: was IndexError downstream
+        (0.001, 500.0, "duration"),  # round(0.5) is 0
+        (1e200, 1e200, "duration"),  # finitely many samples
+    ])
+    def test_typed_errors(self, duration, base_rate, match):
+        with pytest.raises(ValueError, match=match):
+            make_demo(point_mass(1.0), lambda q, q_dot, t: [0.0], duration, base_rate)
+        with pytest.raises(ValueError, match=match):
+            retarget.demo_samples(duration, base_rate)
+
+    def test_one_sample(self):
+        demo = make_demo(point_mass(1.0), lambda q, q_dot, t: [1.0], 0.0011, 500.0)
+        assert demo.traj.n_samples == retarget.demo_samples(0.0011, 500.0) == 1
+
     def test_sample_count_bookkeeping(self):
         demo = linear_demo(duration=2.0, base_rate=500.0)
         assert demo.traj.n_samples == 1000
@@ -232,3 +256,75 @@ class TestMakeDemo:
         demo = make_demo(plant, lambda q, q_dot, t: [10.0], 0.1, 500.0)
         assert demo.torque_saturated
         assert np.max(np.abs(demo.traj.tau)) <= 0.5
+
+
+class TestQuinticMatchesClipOracle:
+    """quintic_reference evaluates a float t in Python floats and an array t
+    on numpy; both equal the all-numpy form (``clip_quintic_reference``)
+    bitwise, and so does a demo tracked on either."""
+
+    REFS = [([0.0], [0.8], 1.5), ([-0.4, 0.6], [0.5, -0.3], 1.5),
+            ([0.3, -0.7], [-0.6, 0.1], 4.5), ([0.2], [-0.2], 0.0015)]
+
+    @staticmethod
+    def assert_same(q0, qf, T, ts):
+        for new, old in zip(quintic_reference(q0, qf, T), clip_quintic_reference(q0, qf, T)):
+            for t in ts:
+                got, want = new(t), old(t)
+                assert np.shape(got) == np.shape(want) and np.array_equal(got, want), t
+
+    @staticmethod
+    def grid(duration, rate):
+        # dynamics.simulate's times: dt accumulated from 0, as Python floats
+        n = int(round(duration * rate)) + 5
+        return np.concatenate(([0.0], np.cumsum(np.full(n, 1.0 / rate)))).tolist()
+
+    @pytest.mark.parametrize("q0,qf,T", REFS)
+    @pytest.mark.parametrize("rate", [500.0, 100.0, 333.0])
+    def test_on_the_simulate_grid(self, q0, qf, T, rate):
+        ts = self.grid(T / 0.75, rate)
+        assert all(type(t) is float for t in ts)
+        self.assert_same(q0, qf, T, ts)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(ends=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=4),
+           T=st.floats(1e-3, 10.0), rate=st.sampled_from([50.0, 500.0, 1000.0, 777.0]))
+    def test_random_references_on_the_grid(self, ends, T, rate):
+        n = len(ends) // 2
+        self.assert_same(ends[:n], ends[n:2 * n], T, self.grid(min(T / 0.75, 4.0), rate))
+
+    @pytest.mark.parametrize("q0,qf,T", REFS)
+    def test_other_times(self, q0, qf, T):
+        ts = [0, 0.0, -0.0, -0.3, T, math.nextafter(T, 0.0), math.nextafter(T, math.inf),
+              T + 1.0, 10 * T, 1, 0.4 * T]
+        # array t as a column, one row per time, and as a 0-d array
+        grid = np.array(self.grid(T / 0.75, 500.0))[:, None]
+        self.assert_same(q0, qf, T, ts + [np.float64(t) for t in ts]
+                         + [np.asarray(0.4 * T), grid, np.array([[-1.0], [T], [2 * T]])])
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_duration_must_be_finite_and_positive(self, duration):
+        # 0 raised ZeroDivisionError at the first call; -1 and inf gave a
+        # flat reference and NaN a NaN one
+        with pytest.raises(ValueError, match="duration"):
+            quintic_reference([0.0], [1.0], duration)
+
+    @pytest.mark.parametrize("plant", [
+        point_mass(1.0, torque_limit=2.0),
+        two_link(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4)),
+        two_link(link_masses=(1.0, 0.8), link_lengths=(0.5, 0.4), gravity_enabled=True,
+                 torque_limit=8.0, armature=[0.02, 0.01], viscous_friction=0.1)],
+        ids=["point_mass", "two_link", "two_link_gravity_clamped"])
+    def test_demo_equals_the_oracle_driven_demo(self, plant):
+        n = plant.n_joints
+        q0, qf = np.linspace(-0.4, 0.6, n), np.linspace(0.7, -0.5, n)
+        demos = []
+        for ref in (quintic_reference, clip_quintic_reference):
+            pos, vel, acc = ref(q0, qf, 0.6)
+            demos.append(make_demo(plant, computed_torque_tracker(plant, pos, vel, acc), 0.8,
+                                   500.0, q0=q0, reference=pos))
+        new, old = demos
+        for name in ("t", "q", "q_dot", "q_des", "tau"):
+            assert np.array_equal(getattr(new.traj, name), getattr(old.traj, name)), name
+        assert new.torque_saturated == old.torque_saturated
+        assert new.torque_saturated == (plant.torque_limit < math.inf)
