@@ -90,14 +90,15 @@ class PlantParams:
     is added rotor inertia reflected to the joint. For the two-link arm,
     ``link_masses``/``link_lengths`` define the closed-form dynamics and
     ``mass`` is unused. Friction follows a declared law (see
-    :func:`decoupled_stepper`); the stiction threshold is
-    ``STICTION_VEL_EPS``. The armature and friction fields default to 0;
-    a scalar broadcasts to every joint. Given as (B, n) (or (B, 1))
-    arrays they describe a stack of B plants, one per lane, that differ
-    only in those fields; :func:`step` and :func:`simulate` run such a
-    stack as B lanes. A two-link plant whose M(q) is too close to singular
-    at q2 = 0 or pi (det M at or below ``MIN_INERTIA_RATIO`` (trace M)^2)
-    in some lane raises ``NonPositiveInertiaError``.
+    :func:`step`); the stiction threshold is ``STICTION_VEL_EPS``. A plant
+    without dry friction (``static_friction`` +0.0 everywhere) skips the
+    impulse, which is exactly zero there. The armature and friction fields
+    default to 0; a scalar broadcasts to every joint. Given as (B, n) (or
+    (B, 1)) arrays they describe a stack of B plants, one per lane, that
+    differ only in those fields; :func:`step` and :func:`simulate` run such
+    a stack as B lanes. A two-link plant whose M(q) is too close to
+    singular at q2 = 0 or pi (det M at or below ``MIN_INERTIA_RATIO``
+    (trace M)^2) in some lane raises ``NonPositiveInertiaError``.
     """
 
     kind: str
@@ -167,9 +168,14 @@ class PlantParams:
                 raise NonPositiveInertiaError(
                     f"non-positive effective inertia at q2 = 0 or q2 = pi: det M(q) is "
                     f"not above {MIN_INERTIA_RATIO:g} (trace M(q))^2")
-        # the stepper's constants, derived once
+        # the stepper's constants, derived once. The dry-friction impulse is
+        # skipped where it is exactly zero: every static level +0.0 (a -0.0 one
+        # turns a stuck -0.0 velocity into +0.0), and no lane axis of its own
         object.__setattr__(self, "_dry_moving",
                            self.dynamic_friction_ratio * self.static_friction)
+        object.__setattr__(self, "_dry_free", not (
+            self.static_friction.any() or np.signbit(self.static_friction).any()
+            or self.static_friction.ndim + self.dynamic_friction_ratio.ndim > 2))
         if self.kind != TWO_LINK:
             object.__setattr__(self, "_m_eff", self.mass + self.armature)
             object.__setattr__(self, "_gravity", self.mass * GRAVITY if self.gravity_enabled
@@ -274,7 +280,8 @@ def step(plant: PlantParams, q, q_dot, tau, dt: float):
     ratio*static on moving joints (|q_dot| > STICTION_VEL_EPS) and the
     static level inside the stiction band. It enters as a velocity impulse
     clamped so it can stop, but never reverse, a joint within the step
-    (keeps the scheme passive and realizes stiction exactly).
+    (keeps the scheme passive and realizes stiction exactly). A plant
+    without dry friction skips the impulse, which is exactly zero there.
     """
     if not 0 < dt < math.inf:
         raise ValueError("dt must be finite and positive")
@@ -283,17 +290,21 @@ def step(plant: PlantParams, q, q_dot, tau, dt: float):
 
 def _advance(plant: PlantParams, q, q_dot, tau, dt: float):
     """:func:`step` without the dt check."""
+    # g(q) is +0.0 without gravity, and x - 0.0 is x bitwise
     if plant.kind == TWO_LINK:
         M = mass_matrix(plant, q)
-        m_eff = np.diagonal(M, axis1=-2, axis2=-1)  # positive: see PlantParams
         smooth = tau - coriolis_torque(plant, q, q_dot)
-        if plant.gravity_enabled:  # g(q) is 0 without, and x - 0.0 is x bitwise
+        if plant.gravity_enabled:
             smooth = smooth - gravity_torque(plant, q)
         smooth = smooth - plant.viscous_friction * q_dot
         v_cand = q_dot + dt * np.linalg.solve(M, smooth[..., None])[..., 0]
     else:
-        m_eff = plant._m_eff
-        v_cand = q_dot + dt * (tau - plant._gravity - plant.viscous_friction * q_dot) / m_eff
+        load = tau - plant._gravity if plant.gravity_enabled else tau
+        v_cand = q_dot + dt * (load - plant.viscous_friction * q_dot) / plant._m_eff
+    if plant._dry_free:  # the impulse below would be v_cand - (+-0.0): v_cand
+        return q + dt * v_cand, v_cand
+    # positive: see PlantParams
+    m_eff = np.diagonal(M, axis1=-2, axis2=-1) if plant.kind == TWO_LINK else plant._m_eff
     dry = np.where(np.abs(q_dot) > STICTION_VEL_EPS, plant._dry_moving, plant.static_friction)
     dv = np.minimum(np.abs(v_cand), dt * dry / m_eff)
     qd_new = v_cand - np.sign(v_cand) * dv

@@ -215,8 +215,10 @@ def quintic_reference(q0, qf, duration: float):
     A float t (as :func:`dynamics.simulate` passes) is evaluated in Python
     floats, bitwise as numpy evaluates a float64 scalar (both take s**k
     from libm's pow); an array t is evaluated on numpy, whose vectorized
-    powers may differ from the scalar ones in the last bit. A ``duration``
-    that is not finite and positive raises ``ValueError``.
+    powers may differ from the scalar ones in the last bit. A scalar t
+    gives (n,); N times, as a 1-D array or an (N, 1) column, give (N, n),
+    one row per time. A ``duration`` that is not finite and positive
+    raises ``ValueError``.
     """
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     qf = _as_vector(qf, q0.size)
@@ -229,6 +231,9 @@ def quintic_reference(q0, qf, duration: float):
         """(t / T clamped to [0, 1], whether 0 < t < T)."""
         if isinstance(t, (float, int)):
             return min(max(0.0, t / T), 1.0), 0.0 < t < T
+        t = np.asarray(t)
+        if t.ndim == 1:  # times along rows, joints along columns
+            t = t[:, None]
         return np.clip(t / T, 0.0, 1.0), (t > 0.0) & (t < T)
 
     def pos(t):

@@ -462,6 +462,26 @@ def inline_two_link_advance(plant, q, q_dot, tau, dt):
     return q + dt * qd_new, qd_new
 
 
+def impulse_advance(plant: PlantParams, q, q_dot, tau, dt: float):
+    """One step that always applies the dry-friction impulse, even where
+    the plant has no dry friction and the impulse is zero."""
+    if plant.kind == TWO_LINK:
+        M = mass_matrix(plant, q)
+        m_eff = np.diagonal(M, axis1=-2, axis2=-1)  # positive: see PlantParams
+        smooth = tau - coriolis_torque(plant, q, q_dot)
+        if plant.gravity_enabled:  # g(q) is 0 without, and x - 0.0 is x bitwise
+            smooth = smooth - gravity_torque(plant, q)
+        smooth = smooth - plant.viscous_friction * q_dot
+        v_cand = q_dot + dt * np.linalg.solve(M, smooth[..., None])[..., 0]
+    else:
+        m_eff = plant._m_eff
+        v_cand = q_dot + dt * (tau - plant._gravity - plant.viscous_friction * q_dot) / m_eff
+    dry = np.where(np.abs(q_dot) > STICTION_VEL_EPS, plant._dry_moving, plant.static_friction)
+    dv = np.minimum(np.abs(v_cand), dt * dry / m_eff)
+    qd_new = v_cand - np.sign(v_cand) * dv
+    return q + dt * qd_new, qd_new
+
+
 def clip_quintic_reference(q0, qf, duration: float):
     """Minimum-jerk quintic from q0 to qf with zero boundary vel/acc.
 

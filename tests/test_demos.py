@@ -3,8 +3,8 @@
 Demo 05 (shaping search) takes 5-10 s and demo 04 (system
 identification) 3-5 s. Demos 01-04 drive the recorded closed loop
 (``dynamics.simulate``, through ``control.track`` in 02-04) and demo 05
-the shaping episode (``shaping.rollout``); each must also print the output
-pinned below.
+the shaping episode (``shaping.rollout``), and demo 06 runs the statistics
+pipeline; each must also print the output pinned below.
 """
 
 import os
@@ -112,6 +112,25 @@ why re-tuning matters: one fixed state-relative mapping (alpha=1, beta=1, gamma=
   SU: J=0.863 success=1.00 worst violation rate=0.123  (infeasible)
 
 the same scripted policy succeeds in every regime once the mapping is re-tuned per gain setting; the fixed mapping fully solves only one corner -- it breaks the torque budget under stiff gains and is too sluggish for the heavily damped one.
+""",
+                 "06_stats_pipeline.py": """\
+binomial logistic regression on (log2 Kp, log2 Kd):
+  intercept +1.2829  (se 0.1237)
+  beta_kp   -0.2911  (se 0.0156)
+  beta_kd   +0.2024  (se 0.0154)
+
+Barnard one-sided, CO vs rest (alpha_adj = 0.0083):
+  region 86.6% vs complement 38.4%, p = 2.26e-170 -> reject: True
+
+OLS on log trajectory error:
+  intercept -5.7036  (se 0.2975)
+  beta_kp   +0.1048  (se 0.0358)
+  beta_kd   +0.1618  (se 0.0358)
+
+Mann-Whitney one-sided, SO errors vs rest (alpha_adj = 0.0167):
+  medians 0.0430 vs 0.0104, p = 1.22e-10 -> reject: True
+
+exact Mann-Whitney sanity: U = 0, p = 0.050 (= 1/C(6,3) = 0.050)
 """}
 
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import weakref
@@ -12,12 +13,12 @@ from numpy.testing import assert_allclose
 
 from gainlab import dynamics, retarget
 from gainlab.control import GainConfig, pd_torque
-from gainlab.dynamics import (GRAVITY, NonPositiveInertiaError, Trajectory, chain, point_mass,
-                              two_link)
-from oracles import (State, forward_dynamics, friction_torque, inline_coriolis_torque,
-                     inline_gravity_torque, inline_mass_matrix, inline_two_link_advance,
-                     kinetic_energy, loop_run_lanes, rk4_step, state_make_demo, state_simulate,
-                     two_link_step, two_link_terms)
+from gainlab.dynamics import (GRAVITY, STICTION_VEL_EPS, NonPositiveInertiaError, Trajectory,
+                              chain, point_mass, two_link)
+from oracles import (State, forward_dynamics, friction_torque, impulse_advance,
+                     inline_coriolis_torque, inline_gravity_torque, inline_mass_matrix,
+                     inline_two_link_advance, kinetic_energy, loop_run_lanes, rk4_step,
+                     state_make_demo, state_simulate, two_link_step, two_link_terms)
 
 
 def make_gravity_arm(link_masses=(1.0, 0.5), link_lengths=(0.5, 0.4), **kw):
@@ -991,6 +992,103 @@ class TestArmTermsMatchInlineOracles:
                           (dynamics.gravity_torque(hidden, q), inline_gravity_torque(hidden, q))):
             assert got.shape == want.shape and np.array_equal(got, want)
         assert not np.array_equal(dynamics.mass_matrix(base, q), dynamics.mass_matrix(hidden, q))
+
+
+# velocities at and around the stiction band, signed zeros and a huge
+# value; torques that underflow to a signed zero once scaled by dt, and
+# ones that overflow the light arm's solve
+_SPECIAL_Q_DOT = (0.0, -0.0, 0.5 * STICTION_VEL_EPS, -0.5 * STICTION_VEL_EPS,
+                  STICTION_VEL_EPS, -STICTION_VEL_EPS, 1e300, -1e300)
+_SPECIAL_TAU = (0.0, -0.0, 5e-324, -5e-324, 1e306, -1e306)
+# dry-friction settings of a two-lane stack: none, a -0.0 ratio (its moving
+# level is -0.0), zero levels with a lane axis, a -0.0 static level, and a
+# static level in one lane only
+_FRICTION = {"none": {}, "-0.0 ratio": {"dynamic_friction_ratio": -0.0},
+             "zero lanes": {"static_friction": np.zeros((2, 1))},
+             "-0.0 static": {"static_friction": -0.0},
+             "one lane": {"static_friction": [[0.0], [0.3]]}}
+
+
+def _step_outcome(stepper, q, q_dot, tau, dt):
+    with np.errstate(over="raise", invalid="raise"):  # as _run_lanes steps
+        try:
+            return stepper(q, q_dot, tau, dt)
+        except FloatingPointError:
+            return FloatingPointError
+
+
+class TestStepMatchesImpulseOracle:
+    """A plant without dry friction skips the stiction impulse, which is
+    exactly zero there: every step equals the one that always applies it,
+    bitwise (NaN aside), in the sign of zeros, in shape, and in whether it
+    raises under the rollout's error state."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(dynamics._KINDS), gravity=st.booleans(),
+           friction=st.sampled_from(sorted(_FRICTION)), light=st.booleans(),
+           armature_lanes=st.booleans(), stacked_state=st.booleans(),
+           q_dot=st.lists(st.one_of(st.sampled_from(_SPECIAL_Q_DOT), st.floats(-5.0, 5.0)),
+                          min_size=6, max_size=6),
+           tau=st.lists(st.one_of(st.sampled_from(_SPECIAL_TAU), st.floats(-20.0, 20.0)),
+                        min_size=6, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    # a stuck -0.0 velocity with a -0.0 increment: the -0.0 static level's
+    # impulse makes it +0.0
+    @example(kind=dynamics.POINT_MASS, gravity=False, friction="-0.0 static", light=False,
+             armature_lanes=False, stacked_state=False, q_dot=[-0.0] * 6, tau=[-5e-324] * 6,
+             seed=0)
+    # zero levels with a lane axis widen an unstacked state to the stack
+    @example(kind=dynamics.CHAIN, gravity=False, friction="zero lanes", light=False,
+             armature_lanes=False, stacked_state=False, q_dot=[1.0] * 6, tau=[0.0] * 6,
+             seed=0)
+    # stuck lanes of a plant whose only dry level is static (the moving one,
+    # ratio times static, is zero); one light-arm lane overflows its solve
+    @example(kind=dynamics.TWO_LINK, gravity=True, friction="one lane", light=True,
+             armature_lanes=False, stacked_state=True, q_dot=[0.0] * 6,
+             tau=[0.5, -0.5, 1e306, 1e306, 0.0, 0.0], seed=0)
+    def test_stepper_equals_impulse_oracle(self, kind, gravity, friction, light,
+                                           armature_lanes, stacked_state, q_dot, tau, seed):
+        rng = np.random.default_rng(seed)
+        kw = dict(_FRICTION[friction], gravity_enabled=gravity,
+                  viscous_friction=rng.uniform(0.0, 1.0),
+                  armature=rng.uniform(0.0, 0.3, (2, 1)) if armature_lanes else 0.0)
+        scale = 0.05 if light else 1.0
+        if kind == dynamics.TWO_LINK:
+            plant = two_link(link_masses=scale * rng.uniform(0.5, 2.0, 2),
+                             link_lengths=scale * rng.uniform(0.5, 2.0, 2), **kw)
+        elif kind == dynamics.CHAIN:
+            plant = chain(scale * rng.uniform(0.5, 2.0, 3), **kw)
+        else:
+            plant = point_mass(scale * rng.uniform(0.5, 2.0), **kw)
+        n = plant.n_joints
+        shape = (2, n) if stacked_state else (n,)
+        q = rng.uniform(-4.0, 4.0, shape)
+        q_dot, tau = np.resize(q_dot, shape), np.resize(tau, shape)
+        got = _step_outcome(dynamics.decoupled_stepper(plant), q, q_dot, tau, 1e-3)
+        want = _step_outcome(functools.partial(impulse_advance, plant), q, q_dot, tau, 1e-3)
+        event(f"{plant._dry_free=}, raises: {want is FloatingPointError}")
+        if want is FloatingPointError:
+            assert got is FloatingPointError
+            return
+        assert got is not FloatingPointError
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w, equal_nan=True)
+            real = ~np.isnan(w)
+            assert np.array_equal(np.signbit(g[real]), np.signbit(w[real]))
+
+    def test_light_arm_solve_overflows_silently(self):
+        # the case the property's solve-overflow draws rest on: a finite
+        # state whose solve gives inf without a floating-point error
+        arm = two_link(link_masses=(0.05, 0.05), link_lengths=(0.05, 0.05))
+        assert arm._dry_free
+        q, q_dot = np.zeros((2, 2)), np.zeros((2, 2))
+        tau = np.array([[0.5, -0.5], [1e306, 1e306]])
+        got = _step_outcome(dynamics.decoupled_stepper(arm), q, q_dot, tau, 1e-3)
+        want = _step_outcome(functools.partial(impulse_advance, arm), q, q_dot, tau, 1e-3)
+        assert np.all(np.isfinite(got[1][0])) and not np.all(np.isfinite(got[1][1]))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
 
 
 class TestTrajectoryIO:

@@ -302,6 +302,16 @@ class TestQuinticMatchesClipOracle:
         self.assert_same(q0, qf, T, ts + [np.float64(t) for t in ts]
                          + [np.asarray(0.4 * T), grid, np.array([[-1.0], [T], [2 * T]])])
 
+    @pytest.mark.parametrize("q0,qf,T", REFS)
+    def test_a_1d_grid_is_a_column(self, q0, qf, T):
+        # N times give one row per time, (N, n), as a 1-D array or a column;
+        # a 1-D grid on a reference of two or more joints used to raise
+        grid = np.array(self.grid(T / 0.75, 500.0))
+        for f in quintic_reference(q0, qf, T):
+            got, want = f(grid), f(grid[:, None])
+            assert got.shape == want.shape == (grid.size, len(q0))
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, -math.inf, math.nan])
     def test_duration_must_be_finite_and_positive(self, duration):
         # 0 raised ZeroDivisionError at the first call; -1 and inf gave a
